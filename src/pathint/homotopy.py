@@ -22,7 +22,7 @@ from .algebra import (AlgebraElement, BasedFunctional, from_forms,
 from .errors import MapError, PathError
 from .forms import OneForm, closed_one_forms, is_closed
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .integrals import Word, all_words, pair, word_pairing, word_pairings_all
+from .integrals import Word, all_words, pair, signature, word_pairings_all
 from .linalg import complement_basis, kernel
 from .paths import (FORWARD, BACKWARD, ForwardArrow, InverseArrow, PathMap,
                     enumerate_paths, inverse, make_path, steps)
@@ -64,6 +64,32 @@ def apply_move(path: PathMap, move: Move) -> PathMap:
     return make_path(path.graph, vertices, orientations)
 
 
+def _is_stated_move(g: Digraph, move: Move) -> bool:
+    """True iff the move's two windows are related by its kind in its
+    direction: read as a contraction, the longer window must shrink to the
+    shorter one through the stated pattern of g."""
+    if move.direction == "apply":
+        (lv, _), (sv, _) = move.before, move.after
+    elif move.direction == "unapply":
+        (lv, _), (sv, _) = move.after, move.before
+    else:
+        return False
+    kind = move.kind
+    if kind == "triangle-contract":
+        return len(lv) == 3 and sv == (lv[0], lv[2]) and g.is_triangle_set(*lv)
+    if kind == "square-replace":
+        return (len(lv) == len(sv) == 3 and (sv[0], sv[2]) == (lv[0], lv[2])
+                and g.is_square_tuple((lv[0], lv[1], sv[1], lv[2])))
+    if kind == "square-contract":
+        return (len(lv) == 4 and sv == (lv[0], lv[3])
+                and g.is_square_tuple((lv[0], lv[1], lv[3], lv[2])))
+    if kind == "backtrack":
+        return len(lv) == 3 and lv[0] == lv[2] and sv == (lv[0], lv[0])
+    if kind == "trivial-drop":
+        return len(lv) == 2 and lv[0] == lv[1] and sv == (lv[0],)
+    return False
+
+
 @dataclass(frozen=True)
 class MoveCertificate:
     """A replayable chain of moves connecting two loops."""
@@ -73,9 +99,13 @@ class MoveCertificate:
 
     def replay(self) -> list[PathMap]:
         """All intermediate paths, including both endpoints; raises if any
-        move fails to apply or the chain does not land on `end`."""
+        move is not the stated kind in the stated direction, fails to apply,
+        or the chain does not land on `end`."""
         states = [self.start]
-        for move in self.moves:
+        for i, move in enumerate(self.moves):
+            if not _is_stated_move(self.start.graph, move):
+                raise PathError(
+                    f"move {i + 1} is not a {move.kind} ({move.direction})")
             states.append(apply_move(states[-1], move))
         if states[-1] != self.end:
             raise PathError("certificate does not land on its end loop")
@@ -531,16 +561,21 @@ def change_base_point(gamma: PathMap, elem):
         if elem.base != gamma.end:
             raise PathError(
                 f"functional based at {elem.base!r}, path ends at {gamma.end!r}")
-    gamma_inv = inverse(gamma)
+    words = list(inner.coeffs)
+    heads = signature(inverse(gamma),
+                      (w[:i] for w in words for i in range(len(w) + 1)))
+    # the prefix closure of the suffixes w[j:] is every infix w[j:k]
+    tails = signature(gamma, (w[j:k] for w in words for j in range(len(w) + 1)
+                              for k in range(j, len(w) + 1)))
     out = zero(inner.graph)
     for w, c in inner.coeffs.items():
         r = len(w)
         for i in range(r + 1):
-            head = word_pairing(gamma_inv, w[:i])
+            head = heads[w[:i]]
             if head == 0:
                 continue
             for j in range(i, r + 1):
-                tail = word_pairing(gamma, w[j:])
+                tail = tails[w[j:]]
                 if tail == 0:
                     continue
                 out = out + AlgebraElement(

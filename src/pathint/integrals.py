@@ -2,11 +2,11 @@
 
 The integral of omega_1..omega_r over a path of n steps is the sum over all
 non-decreasing index sequences 1 <= t_1 <= .. <= t_r <= n of the product of
-step pairings divided by the volume number of the sequence.  The evaluator
-of record is a step-by-step dynamic program over word prefixes (each step
-extends the path by one arrow, whose single-step integrals are
-product/k!); the direct combinatorial sum is kept alongside as a reference
-implementation and test oracle.
+step pairings divided by the volume number of the sequence.  Arrow words
+have one evaluator, the signature kernel `signature` (Chen's identity), and
+`word_pairing`, `word_pairings_all` and `pair` are views of it.  Words of
+general 1-forms go through `iterated_integral`, a dynamic program over the
+forms, with the direct sum `iterated_integral_direct` as its test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import PairingError, PathError
 from .forms import OneForm
-from .graphs import Arrow, Digraph
+from .graphs import FORWARD, Arrow
 from .paths import (ForwardArrow, InverseArrow, PathMap, Step, Trivial, concat,
                     inverse, steps)
 
@@ -98,38 +98,6 @@ def iterated_integral_direct(path: PathMap, word: Sequence[OneForm]) -> Fraction
     return total
 
 
-def _signed_step(s: Step) -> tuple[Arrow, int] | None:
-    if isinstance(s, ForwardArrow):
-        return s.arrow, 1
-    if isinstance(s, InverseArrow):
-        return s.arrow, -1
-    return None
-
-
-def word_pairing(path: PathMap, word: Word) -> Fraction:
-    """Iterated integral of the arrow basis word e^{a_1}..e^{a_r}."""
-    r = len(word)
-    prefix = [Fraction(1)] + [Fraction(0)] * r
-    factorial = [math.factorial(k) for k in range(r + 1)]
-    for s in steps(path):
-        sa = _signed_step(s)
-        if sa is None:
-            continue
-        arrow, sign = sa
-        new = list(prefix)
-        for j in range(1, r + 1):
-            acc = prefix[j]
-            signed = 1
-            for k in range(1, j + 1):
-                if word[j - k] != arrow:
-                    break
-                signed *= sign
-                acc += prefix[j - k] * Fraction(signed, factorial[k])
-            new[j] = acc
-        prefix = new
-    return prefix[r]
-
-
 def all_words(arrows: Sequence[Arrow], max_degree: int,
               min_degree: int = 0) -> list[Word]:
     """All arrow words with min_degree <= length <= max_degree, by degree
@@ -140,39 +108,70 @@ def all_words(arrows: Sequence[Arrow], max_degree: int,
     return out
 
 
-def word_pairings_all(path: PathMap, max_degree: int) -> dict[Word, Fraction]:
-    """Pairings of every arrow word up to max_degree against path, computed
-    in one sweep (the degree-truncated signature of the path)."""
-    g = path.graph
-    words = all_words(g.arrows, max_degree)
-    prefix: dict[Word, Fraction] = {w: Fraction(0) for w in words}
-    prefix[()] = Fraction(1)
-    factorial = [math.factorial(k) for k in range(max_degree + 1)]
-    for s in steps(path):
-        sa = _signed_step(s)
-        if sa is None:
+def _runs(path: PathMap) -> list[list]:
+    """The path's steps as [arrow, net exponent] factors exp(net e_a):
+    trivial steps dropped, consecutive steps on one arrow merged, and
+    factors of net exponent 0 removed, so backtracks cost nothing."""
+    runs: list[list] = []
+    for u, w, o in zip(path.vertices, path.vertices[1:], path.orientations):
+        if u == w:
             continue
-        arrow, sign = sa
-        new = dict(prefix)
-        for w in words:
-            t = len(w)
-            acc = prefix[w]
-            signed = 1
-            for k in range(1, t + 1):
-                if w[t - k] != arrow:
-                    break
-                signed *= sign
-                acc += prefix[w[:t - k]] * Fraction(signed, factorial[k])
-            if acc != prefix[w]:
-                new[w] = acc
-        prefix = new
-    return prefix
+        arrow, sign = ((u, w), 1) if o == FORWARD else ((w, u), -1)
+        if runs and runs[-1][0] == arrow:
+            runs[-1][1] += sign
+            if runs[-1][1] == 0:
+                runs.pop()
+        else:
+            runs.append([arrow, sign])
+    return runs
 
 
-PathCombination = Iterable[tuple[Fraction, PathMap]]
+def signature(path: PathMap, words: Iterable[Word]) -> dict[Word, Fraction]:
+    """Pairings of a prefix-closed set of arrow words with path, keyed in
+    first-seen order (the empty word is always present).
+
+    The dict, first the signature of the trivial path, is multiplied in
+    place by exp(c e_a) for each run: <w, S exp(c e_a)> is the sum over k of
+    <w[:-k], S> c^k / k! while the last k letters of w are a, so only words
+    ending in a change.  Updating them longest first makes every read of a
+    shorter prefix see its value from before the run."""
+    sig = dict.fromkeys(words, Fraction(0))
+    sig[()] = Fraction(1)
+    # a -> [(w ending in a, [w less its last 1, 2, .. a's])]; () sorts last
+    updates: dict[Arrow, list] = {}
+    for w in sorted(sig, key=len, reverse=True)[:-1]:
+        t, k = len(w), 1
+        while k < t and w[t - k - 1] == w[-1]:
+            k += 1
+        updates.setdefault(w[-1], []).append((w, [w[:t - j] for j in range(1, k + 1)]))
+    top = max(map(len, sig))
+    for arrow, net in _runs(path):
+        if arrow not in updates:
+            continue
+        powers = [Fraction(net ** k, math.factorial(k)) for k in range(1, top + 1)]
+        for w, prefixes in updates[arrow]:
+            acc = sig[w]
+            for p, c in zip(prefixes, powers):
+                v = sig[p]
+                if v:
+                    acc += v * c
+            sig[w] = acc
+    return sig
 
 
-def pair(elem, paths: PathMap | PathCombination) -> Fraction:
+def word_pairing(path: PathMap, word: Word) -> Fraction:
+    """Iterated integral of the arrow basis word e^{a_1}..e^{a_r}."""
+    word = tuple(word)
+    return signature(path, (word[:i] for i in range(len(word) + 1)))[word]
+
+
+def word_pairings_all(path: PathMap, max_degree: int) -> dict[Word, Fraction]:
+    """Pairings of every arrow word up to max_degree against path, keyed in
+    `all_words` order (the degree-truncated signature of the path)."""
+    return signature(path, all_words(path.graph.arrows, max_degree))
+
+
+def pair(elem, paths: PathMap | Iterable[tuple[Fraction, PathMap]]) -> Fraction:
     """Bilinear pairing of an algebra element with a path or a rational
     combination of paths sharing host and start vertex."""
     if isinstance(paths, PathMap):
@@ -190,9 +189,9 @@ def pair(elem, paths: PathMap | PathCombination) -> Fraction:
                 f"paths start at different vertices: {base!r} and {p.start!r}")
     total = Fraction(0)
     for c, p in combo:
+        sig = signature(p, (w[:i] for w in elem.coeffs for i in range(len(w) + 1)))
         for w, coeff in elem.coeffs.items():
-            if coeff != 0:
-                total += c * coeff * word_pairing(p, w)
+            total += c * coeff * sig[w]
     return total
 
 
@@ -202,12 +201,8 @@ def order(path: PathMap, max_degree: int) -> int | None:
     least max_degree + 1).  Exact by finite enumeration per degree."""
     if max_degree < 1:
         raise PairingError("max_degree must be at least 1")
-    sig = word_pairings_all(path, max_degree)
-    for r in range(1, max_degree + 1):
-        for w in product(path.graph.arrows, repeat=r):
-            if sig[w] != 0:
-                return r
-    return None
+    sig = word_pairings_all(path, max_degree)  # keyed by degree, then lexicographic
+    return next((len(w) for w, v in sig.items() if w and v != 0), None)
 
 
 def commutator(a: PathMap, b: PathMap) -> PathMap:

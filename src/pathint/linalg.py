@@ -73,38 +73,6 @@ def kernel(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[Vector]:
     return basis
 
 
-class RationalMatrix:
-    """Thin dense matrix wrapper with exact kernel and rank."""
-
-    def __init__(self, rows: Iterable[Sequence[Fraction]], ncols: int):
-        self.rows = _to_rows(rows, ncols)
-        self.ncols = ncols
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def kernel(self) -> list[Vector]:
-        return kernel(self.rows, self.ncols)
-
-    def rank(self) -> int:
-        return rank(self.rows, self.ncols)
-
-    def multiply(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.rows)
-
-
-def span_contains(basis: Sequence[Vector], v: Vector) -> bool:
-    """True iff v lies in the span of basis (exact)."""
-    if not basis:
-        return all(x == 0 for x in v)
-    n = len(v)
-    r0 = rank(list(basis), n)
-    return rank(list(basis) + [list(v)], n) == r0
-
-
 def span_equal(b1: Sequence[Vector], b2: Sequence[Vector], ncols: int) -> bool:
     """True iff the two families span the same subspace."""
     r1 = rank(list(b1), ncols)

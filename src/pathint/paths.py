@@ -10,7 +10,7 @@ makes reduced paths canonical representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .errors import PathError
 from .graphs import BACKWARD, FORWARD, Arrow, Digraph, DigraphMap, Vertex, normalize_orientation
@@ -31,7 +31,7 @@ class Trivial:
     vertex: Vertex
 
 
-Step = Union[ForwardArrow, InverseArrow, Trivial]
+Step = ForwardArrow | InverseArrow | Trivial
 
 
 class PathMap:

@@ -10,8 +10,8 @@ from pathint import (AlgebraElement, BasedFunctional, DigraphMap,
                      PairingError, antipode, coproduct, counit, double_edge,
                      from_forms, functional_equal, hopf_axiom_report,
                      make_path, pair, pullback_element, shuffle,
-                     shuffle_words, standard_triangle, unit, word_element,
-                     zero, OneForm)
+                     shuffle_words, standard_triangle, TensorPair, unit,
+                     word_element, zero, OneForm)
 
 
 def a1(g):
@@ -146,6 +146,24 @@ def test_hopf_report_negative_control():
     broken = lambda u: u  # identity is not an antipode
     report = hopf_axiom_report(D, 2, antipode_fn=broken)
     assert not report["axioms"]["antipode"]["passed"]
+    assert not report["all_passed"]
+
+
+def test_hopf_report_coassociativity_negative_control():
+    D = double_edge()
+
+    def early_cuts(u):
+        # deconcatenation that keeps only the cuts before the second letter
+        out = {}
+        for w, c in u.coeffs.items():
+            for i in range(min(len(w), 1) + 1):
+                out[(w[:i], w[i:])] = out.get((w[:i], w[i:]), 0) + c
+        return TensorPair(D, out)
+
+    assert hopf_axiom_report(D, 2)["axioms"]["coassociativity"]["passed"]
+    report = hopf_axiom_report(D, 2, coproduct_fn=early_cuts)
+    assert not report["axioms"]["coassociativity"]["passed"]
+    assert report["axioms"]["commutativity"]["passed"]
     assert not report["all_passed"]
 
 

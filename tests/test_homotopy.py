@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from pathint import (AlgebraElement, DigraphMap, Move, OneForm, PathError,
+from pathint import (AlgebraElement, DigraphMap, Move, MoveCertificate,
+                     OneForm, PathError,
                      apply_move, change_base_point, closed_one_forms,
                      directed_cycle, double_edge, from_forms,
                      homotopic_loops, identity_map, invariance_verify,
@@ -62,6 +63,47 @@ def test_invert_move_roundtrip():
     loop = make_path(T, ["v0", "v1", "v2", "v0"], ["f", "f", "b"])
     for neighbor, move in move_neighbors(loop):
         assert apply_move(neighbor, invert_move(move)) == loop
+
+
+def test_replay_accepts_every_standard_move_both_ways():
+    T = standard_triangle()
+    S = standard_square()
+    loops = [make_path(T, ["v0", "v1", "v2", "v0"], ["f", "f", "b"]),
+             make_path(S, ["v0", "v1", "v3", "v2", "v0"], ["f", "f", "b", "b"]),
+             make_path(S, ["v0", "v2", "v2", "v0"], ["f", "f", "b"])]
+    kinds = set()
+    for loop in loops:
+        for neighbor, move in move_neighbors(loop):
+            kinds.add(move.kind)
+            MoveCertificate(loop, (move,), neighbor).replay()
+            MoveCertificate(neighbor, (invert_move(move),), loop).replay()
+    assert kinds == {"triangle-contract", "square-replace", "square-contract",
+                     "backtrack", "trivial-drop"}
+
+
+def test_replay_rejects_a_forged_square_contraction():
+    # one "square-contract" taking the generator of the directed 4-cycle to
+    # the trivial loop: the window is in the path and the result is a path,
+    # but no square of the graph contracts it
+    C = directed_cycle(4)
+    generator = make_path(C, ["v0", "v1", "v2", "v3", "v0"], ["f"] * 4)
+    forged = Move("square-contract", "apply", 0,
+                  (generator.vertices, generator.orientations), (("v0",), ()))
+    assert apply_move(generator, forged) == trivial_path(C, "v0")
+    with pytest.raises(PathError):
+        MoveCertificate(generator, (forged,), trivial_path(C, "v0")).replay()
+
+
+def test_replay_rejects_a_move_with_the_wrong_kind_or_direction():
+    T = standard_triangle()
+    loop = make_path(T, ["v0", "v1", "v2", "v0"], ["f", "f", "b"])
+    neighbor, move = next(pm for pm in move_neighbors(loop)
+                          if pm[1].kind == "triangle-contract")
+    for kind, direction in (("square-contract", "apply"),
+                            ("triangle-contract", "unapply")):
+        wrong = Move(kind, direction, move.position, move.before, move.after)
+        with pytest.raises(PathError):
+            MoveCertificate(loop, (wrong,), neighbor).replay()
 
 
 def test_homotopic_loops_syntactic_equality():

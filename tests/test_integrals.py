@@ -1,16 +1,17 @@
 """The iterated-integral engine: volume numbers, evaluators, pairings."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_digraph, random_path, random_word
+from conftest import random_digraph, random_path, random_rational, random_word
 
-from pathint import (OneForm, PairingError, all_words, commutator, concat,
-                     double_edge, inverse, iterated_integral,
-                     iterated_integral_direct, make_path, order, pair,
-                     standard_triangle, step_pairing, trivial_path,
+from pathint import (AlgebraElement, OneForm, PairingError, all_words,
+                     commutator, concat, double_edge, insert_trivial, inverse,
+                     iterated_integral, iterated_integral_direct, make_path,
+                     order, pair, standard_triangle, step_pairing, trivial_path,
                      volume_number, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all)
 from pathint.paths import steps
@@ -77,12 +78,66 @@ def test_word_pairing_matches_integral(rng):
 
 
 def test_word_pairings_all_consistency(rng):
+    # the signature kernel against the direct sum over basis forms; degree 3
+    # puts runs of one repeated arrow inside words
+    for _ in range(15):
+        g = random_digraph(rng, max_vertices=3, p=0.6)
+        p = random_path(rng, g, max_len=6)
+        sig = word_pairings_all(p, 3)
+        for w, value in sig.items():
+            word = [OneForm.basis(g, a) for a in w]
+            assert value == iterated_integral_direct(p, word)
+
+
+def test_pair_matches_direct_sum(rng):
     for _ in range(20):
         g = random_digraph(rng, max_vertices=4)
-        p = random_path(rng, g, max_len=5)
-        sig = word_pairings_all(p, 2)
-        for w, value in sig.items():
-            assert value == word_pairing(p, w)
+        p = random_path(rng, g, max_len=6)
+        words = all_words(g.arrows, 3, min_degree=1)
+        coeffs = {rng.choice(words): random_rational(rng) for _ in range(4)}
+        elem = AlgebraElement(g, coeffs)
+        expected = sum((c * iterated_integral_direct(
+            p, [OneForm.basis(g, a) for a in w]) for w, c in elem.coeffs.items()),
+            Fraction(0))
+        assert pair(elem, p) == expected
+
+
+def _random_case(seed: int):
+    rng = random.Random(seed)
+    g = random_digraph(rng, max_vertices=4, p=0.5)
+    return rng, g, random_path(rng, g)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_chen_identity_on_concatenation(seed):
+    rng, g, p = _random_case(seed)
+    q = random_path(rng, g, max_len=8, start=p.end)
+    sp, sq = word_pairings_all(p, 3), word_pairings_all(q, 3)
+    for w, value in word_pairings_all(concat(p, q), 3).items():
+        assert value == sum(sp[w[:i]] * sq[w[i:]] for i in range(len(w) + 1))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_signature_ignores_backtracks_and_trivial_steps(seed):
+    rng, g, p = _random_case(seed)
+    sig = word_pairings_all(p, 3)
+    i = rng.randint(0, p.length)
+    v = p.vertices[i]
+    assert word_pairings_all(insert_trivial(p, i), 3) == sig
+    exits = [(a[1], "f", "b") for a in g.out_arrows(v)]
+    exits += [(a[0], "b", "f") for a in g.in_arrows(v)]
+    if exits:
+        u, there, back = rng.choice(exits)
+        detour = make_path(g, p.vertices[:i + 1] + (u,) + p.vertices[i:],
+                           p.orientations[:i] + (there, back) + p.orientations[i:])
+        assert word_pairings_all(detour, 3) == sig
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=0, max_value=3))
+def test_word_pairings_all_keys_follow_all_words(seed, degree):
+    _, g, p = _random_case(seed)
+    assert list(word_pairings_all(p, degree)) == all_words(g.arrows, degree)
 
 
 def test_all_words_order_and_count():

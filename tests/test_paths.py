@@ -1,5 +1,9 @@
 """Path maps: construction, calculus, reduction, equivalence, push-forward."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -140,3 +144,26 @@ def test_steps_classification():
     p = make_path(T, ["v0", "v1", "v1", "v0"], ["f", "f", "b"])
     kinds = [type(s) for s in steps(p)]
     assert kinds == [ForwardArrow, Trivial, InverseArrow]
+
+
+def test_reimport_leaves_no_module_copies_alive():
+    # module-level typing subscriptions such as Union[PathMap, ...] sit in
+    # typing's cache and would keep every re-imported copy of the modules
+    script = """
+import gc, importlib, sys
+for _ in range(5):
+    for name in [n for n in sys.modules if n.split(".")[0] == "pathint"]:
+        del sys.modules[name]
+    importlib.import_module("pathint.cli")
+gc.collect()
+alive = sum(isinstance(o, dict) and "__file__" in o
+            and str(o.get("__name__")).split(".")[0] == "pathint"
+            for o in gc.get_objects())
+print(alive - sum(n.split(".")[0] == "pathint" for n in sys.modules))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) == 0  # globals dicts beyond the modules now imported
