@@ -27,15 +27,6 @@ def _load_graph(args) -> Digraph:
     return ser.parse_digraph(_read(args.graph))
 
 
-def _load_path(g: Digraph, filename: str) -> PathMap:
-    import json
-    try:
-        data = json.loads(_read(filename))
-    except json.JSONDecodeError as exc:
-        raise PathintError(f"malformed JSON in {filename}: {exc}") from exc
-    return ser.path_from_dict(g, data)
-
-
 def _load_json(filename: str) -> dict:
     import json
     try:
@@ -84,7 +75,7 @@ def _cmd_validate(args):
 
 def _cmd_integrate(args):
     g = _load_graph(args)
-    p = _load_path(g, args.path)
+    p = ser.path_from_dict(g, _load_json(args.path))
     word = ser.word_from_dict(g, _load_json(args.word))
     value = iterated_integral(p, word)
     return {"value": ser.format_rational(value)}, ser.format_rational(value)
@@ -93,22 +84,22 @@ def _cmd_integrate(args):
 def _cmd_pair(args):
     g = _load_graph(args)
     u = ser.element_from_dict(g, _load_json(args.element))
-    p = _load_path(g, args.path)
+    p = ser.path_from_dict(g, _load_json(args.path))
     value = pair(u, p)
     return {"value": ser.format_rational(value)}, ser.format_rational(value)
 
 
 def _cmd_reduce(args):
     g = _load_graph(args)
-    p = reduce(_load_path(g, args.path))
+    p = reduce(ser.path_from_dict(g, _load_json(args.path)))
     payload = ser.path_to_dict(p)
     return payload, ser.canonical_dumps(payload).rstrip("\n")
 
 
 def _cmd_equiv(args):
     g = _load_graph(args)
-    a = _load_path(g, args.path_a)
-    b = _load_path(g, args.path_b)
+    a = ser.path_from_dict(g, _load_json(args.path_a))
+    b = ser.path_from_dict(g, _load_json(args.path_b))
     verdict = elem_equivalent(a, b)
     return {"equivalent": verdict}, "true" if verdict else "false"
 
@@ -180,7 +171,7 @@ def _cmd_omega2(args):
 
 def _cmd_order(args):
     g = _load_graph(args)
-    p = _load_path(g, args.path)
+    p = ser.path_from_dict(g, _load_json(args.path))
     k = order(p, args.max_degree)
     if k is None:
         payload = {"order": None, "max_degree": args.max_degree,
@@ -204,8 +195,8 @@ def _move_to_dict(move) -> dict:
 
 def _cmd_homotopy(args):
     g = _load_graph(args)
-    a = _load_path(g, args.loop_a)
-    b = _load_path(g, args.loop_b)
+    a = ser.path_from_dict(g, _load_json(args.loop_a))
+    b = ser.path_from_dict(g, _load_json(args.loop_b))
     verdict = homotopic_loops(a, b, length_bound=args.length_bound,
                               depth_bound=args.depth_bound)
     payload = {"status": verdict.status,
@@ -252,7 +243,7 @@ def _cmd_pi1(args):
 
 def _cmd_change_base(args):
     g = _load_graph(args)
-    gamma = _load_path(g, args.path)
+    gamma = ser.path_from_dict(g, _load_json(args.path))
     u = ser.element_from_dict(g, _load_json(args.element))
     payload = ser.element_to_dict(change_base_point(gamma, u))
     return payload, ser.canonical_dumps(payload).rstrip("\n")
@@ -268,6 +259,21 @@ def _cmd_volume(args):
 
 
 # ------------------------------------------------------------------ parser
+
+def _bounded_int(least: int):
+    """An argparse type: an int no smaller than `least`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+_NON_NEGATIVE = _bounded_int(0)
+_POSITIVE = _bounded_int(1)
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -312,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
         graph=graph, element=element)
     cmd("hopf-check", _cmd_hopf_check, "verify the Hopf axioms up to a degree",
         graph=graph,
-        max_degree={"type": int, "default": 2,
+        max_degree={"type": _POSITIVE, "default": 2,
                     "help": "degree bound (default: 2)"},
         base={"default": None, "help": "base vertex for the dual pairing laws"},
-        loop_bound={"type": int, "default": 8,
+        loop_bound={"type": _NON_NEGATIVE, "default": 8,
                     "help": "loop length bound for dual laws (default: 8)"})
     cmd("closed-forms", _cmd_closed_forms, "basis of closed 1-forms",
         graph=graph,
@@ -324,21 +330,21 @@ def build_parser() -> argparse.ArgumentParser:
     cmd("omega2", _cmd_omega2, "basis of the 2-chain space", graph=graph)
     cmd("order", _cmd_order, "order of a path up to a degree bound",
         graph=graph, path=path,
-        max_degree={"type": int, "default": 4,
+        max_degree={"type": _POSITIVE, "default": 4,
                     "help": "search bound (default: 4)"})
     cmd("homotopy", _cmd_homotopy, "decide whether two loops are homotopic",
         graph=graph,
         loop_a={"required": True, "help": "first loop JSON file"},
         loop_b={"required": True, "help": "second loop JSON file"},
-        length_bound={"type": int, "default": 12,
+        length_bound={"type": _NON_NEGATIVE, "default": 12,
                       "help": "max intermediate loop length (default: 12)"},
-        depth_bound={"type": int, "default": 8,
+        depth_bound={"type": _NON_NEGATIVE, "default": 8,
                      "help": "max search depth per side (default: 8)"})
     cmd("pi1", _cmd_pi1, "homotopy-invariant functional candidates",
         graph=graph,
         base={"default": None, "help": "base vertex"},
-        degree={"type": int, "required": True, "help": "word degree bound"},
-        length_bound={"type": int, "default": 6,
+        degree={"type": _POSITIVE, "required": True, "help": "word degree bound"},
+        length_bound={"type": _NON_NEGATIVE, "default": 6,
                       "help": "loop/move sampling bound (default: 6)"})
     cmd("change-base", _cmd_change_base, "transport a functional along a path",
         graph=graph, path=path, element=element)

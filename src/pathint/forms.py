@@ -186,9 +186,9 @@ def _closed_condition_rows(g: Digraph, method: str) -> list[list[Fraction]]:
     idx = g.arrow_index
     rows: list[list[Fraction]] = []
     if method == "kernel":
-        for chain in omega2_basis(g):
+        for boundary in _omega2_boundaries(g):
             row = [Fraction(0)] * n
-            for pair, c in chain.boundary().items():
+            for pair, c in boundary:
                 row[idx[pair]] = c
             rows.append(row)
     elif method == "patterns":

@@ -8,6 +8,7 @@ enumeration below iterates in input order so results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import GraphError, MapError
@@ -65,6 +66,7 @@ class Digraph:
         # pattern caches, built on demand
         self._triangle_sets: frozenset[frozenset] | None = None
         self._square_role_tuples: frozenset[tuple] | None = None
+        self._move_tables: MoveTables | None = None
 
     def has_arrow(self, u: Vertex, v: Vertex) -> bool:
         return (u, v) in self.arrow_set
@@ -93,13 +95,8 @@ class Digraph:
     def triangle_sets(self) -> frozenset[frozenset]:
         """Vertex triples {x,y,z} admitting an ordering with x->y, y->z, x->z."""
         if self._triangle_sets is None:
-            found = set()
-            for x, y in self.arrows:
-                for a in self.out_arrows(y):
-                    z = a[1]
-                    if z != x and self.has_arrow(x, z):
-                        found.add(frozenset((x, y, z)))
-            self._triangle_sets = frozenset(found)
+            self._triangle_sets = frozenset(
+                frozenset(e.vertices) for e in enumerate_patterns(self, "triangle"))
         return self._triangle_sets
 
     def square_role_tuples(self) -> frozenset[tuple]:
@@ -107,30 +104,57 @@ class Digraph:
         standard square arrow pattern v0->v1, v1->v3, v0->v2, v2->v3."""
         if self._square_role_tuples is None:
             found = set()
-            for v0, v1 in self.arrows:
-                for a in self.out_arrows(v1):
-                    v3 = a[1]
-                    if v3 == v0:
-                        continue
-                    for b in self.in_arrows(v3):
-                        v2 = b[0]
-                        if v2 in (v0, v1, v3):
-                            continue
-                        if self.has_arrow(v0, v2):
-                            found.add((v0, v1, v2, v3))
+            for e in enumerate_patterns(self, "square"):
+                v0, v1, v2, v3 = e.vertices
+                found.update(((v0, v1, v2, v3), (v0, v2, v1, v3)))
             self._square_role_tuples = frozenset(found)
         return self._square_role_tuples
+
+    def move_tables(self) -> "MoveTables":
+        """Candidate vertices of the local homotopy moves, built on demand."""
+        if self._move_tables is None:
+            self._move_tables = MoveTables(self)
+        return self._move_tables
 
     def is_triangle_set(self, x: Vertex, y: Vertex, z: Vertex) -> bool:
         return frozenset((x, y, z)) in self.triangle_sets()
 
     def is_square_tuple(self, quad: Sequence[Vertex]) -> bool:
         """True if some cyclic shift of the tuple realizes the standard square."""
-        t = tuple(quad)
-        if len(set(t)) != 4:
-            return False
-        roles = self.square_role_tuples()
-        return any(t[i:] + t[:i] in roles for i in range(4))
+        return tuple(quad) in self.move_tables().squares
+
+
+class MoveTables:
+    """The vertices a local move can bring into a path, keyed by the path
+    vertices that the move keeps; every list is in vertex input order.
+
+    squares        every cyclic shift of a square role tuple
+    square_corner  (t0, t1, t3) -> [t2] over the squares t
+    square_sides   (t0, t2) -> [(t1, t3)] over the squares t
+    triangle_apex  (x, z) -> [y] with {x, y, z} a triangle set
+    star           v -> [v and every vertex sharing an arrow with v]
+    """
+
+    def __init__(self, g: Digraph):
+        rank = {v: i for i, v in enumerate(g.vertices)}
+
+        def ranked(tuples):
+            return sorted(tuples, key=lambda t: [rank[v] for v in t])
+
+        self.squares = frozenset(t[i:] + t[:i] for t in g.square_role_tuples()
+                                 for i in range(4))
+        self.square_corner: dict[tuple, list] = {}
+        self.square_sides: dict[tuple, list] = {}
+        for t in ranked(self.squares):
+            self.square_corner.setdefault((t[0], t[1], t[3]), []).append(t[2])
+            self.square_sides.setdefault((t[0], t[2]), []).append((t[1], t[3]))
+        self.triangle_apex: dict[tuple, list] = {}
+        for x, y, z in ranked(p for tri in g.triangle_sets()
+                              for p in permutations(tri)):
+            self.triangle_apex.setdefault((x, z), []).append(y)
+        self.star = {v: sorted({v, *(a[1] for a in g.out_arrows(v)),
+                                *(a[0] for a in g.in_arrows(v))}, key=rank.__getitem__)
+                     for v in g.vertices}
 
 
 class BasedDigraph(Digraph):

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .algebra import (AlgebraElement, BasedFunctional, from_forms,
-                      word_element, zero)
+                      word_element)
 from .errors import MapError, PathError
 from .forms import OneForm, closed_one_forms, is_closed
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
@@ -136,8 +136,10 @@ def _segment_fills(g: Digraph, vertices: Sequence[Vertex]) -> list[tuple[str, ..
 def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
     """All one-move results on the loop, both directions, every position,
     with vertex-sequence moves instantiated over every orientation
-    realization the host's arrows allow."""
+    realization the host's arrows allow.  Candidate vertices come from the
+    host's move tables, in vertex input order."""
     g = loop.graph
+    tables = g.move_tables()
     V = loop.vertices
     O = loop.orientations
     n = loop.length
@@ -156,11 +158,10 @@ def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
                 emit("triangle-contract", "apply", p, before,
                      ((V[p], V[p + 2]), fill))
         # (ii) square replacement: v0 v1 v3 -> v0 v2 v3
-        for v2 in g.vertices:
-            if g.is_square_tuple((V[p], V[p + 1], v2, V[p + 2])):
-                for fill in _segment_fills(g, (V[p], v2, V[p + 2])):
-                    emit("square-replace", "apply", p, before,
-                         ((V[p], v2, V[p + 2]), fill))
+        for v2 in tables.square_corner.get(window, ()):
+            for fill in _segment_fills(g, (V[p], v2, V[p + 2])):
+                emit("square-replace", "apply", p, before,
+                     ((V[p], v2, V[p + 2]), fill))
         # (iv) backtrack removal: v0 v1 v0 -> v0 v0
         if V[p] == V[p + 2]:
             emit("backtrack", "apply", p, before,
@@ -168,8 +169,7 @@ def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
 
     # (iii) square contraction: v0 v1 v3 v2 -> v0 v2
     for p in range(n - 2):
-        quad = (V[p], V[p + 1], V[p + 3], V[p + 2])
-        if g.is_square_tuple(quad):
+        if (V[p], V[p + 1], V[p + 3], V[p + 2]) in tables.squares:
             before = (V[p:p + 4], O[p:p + 3])
             for fill in _segment_fills(g, (V[p], V[p + 3])):
                 emit("square-contract", "apply", p, before,
@@ -183,27 +183,24 @@ def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
 
     # inverse directions
     for p in range(n):
+        ends = (V[p], V[p + 1])
+        before = (ends, O[p:p + 1])
         # (i) expansion: v0 v2 -> v0 v1 v2 through a triangle
-        before = (V[p:p + 2], O[p:p + 1])
-        for v1 in g.vertices:
-            if g.is_triangle_set(V[p], v1, V[p + 1]):
-                for fill in _segment_fills(g, (V[p], v1, V[p + 1])):
-                    emit("triangle-contract", "unapply", p, before,
-                         ((V[p], v1, V[p + 1]), fill))
+        for v1 in tables.triangle_apex.get(ends, ()):
+            for fill in _segment_fills(g, (V[p], v1, V[p + 1])):
+                emit("triangle-contract", "unapply", p, before,
+                     ((V[p], v1, V[p + 1]), fill))
         # (iii) expansion: v0 v2 -> v0 v1 v3 v2 through a square
-        for v1, v3 in product(g.vertices, repeat=2):
-            if g.is_square_tuple((V[p], v1, V[p + 1], v3)):
-                for fill in _segment_fills(g, (V[p], v1, v3, V[p + 1])):
-                    emit("square-contract", "unapply", p, before,
-                         ((V[p], v1, v3, V[p + 1]), fill))
+        for v1, v3 in tables.square_sides.get(ends, ()):
+            for fill in _segment_fills(g, (V[p], v1, v3, V[p + 1])):
+                emit("square-contract", "unapply", p, before,
+                     ((V[p], v1, v3, V[p + 1]), fill))
         # (iv) expansion: a trivial step opens into a backtrack v0 v1 v0
         if V[p] == V[p + 1]:
-            before = ((V[p], V[p]), (O[p],))
-            for v1 in g.vertices:
-                if v1 == V[p] or g.has_arrow(V[p], v1) or g.has_arrow(v1, V[p]):
-                    for fill in _segment_fills(g, (V[p], v1, V[p])):
-                        emit("backtrack", "unapply", p, before,
-                             ((V[p], v1, V[p]), fill))
+            for v1 in tables.star[V[p]]:
+                for fill in _segment_fills(g, (V[p], v1, V[p])):
+                    emit("backtrack", "unapply", p, before,
+                         ((V[p], v1, V[p]), fill))
 
     # (v) expansion: insert a trivial step at any vertex
     for p in range(n + 1):
@@ -233,9 +230,11 @@ def _theorem_backed_invariants(g: Digraph) -> Iterable[AlgebraElement]:
         yield from_forms(g, [ones])
     for omega in closed_one_forms(g):
         yield from_forms(g, [omega])
-    for w in all_words(g.arrows, 2, min_degree=2):
-        forms = [OneForm.basis(g, a) for a in w]
-        if invariant_sufficient(forms, g):
+    # a word with a letter that is not closed never passes the test
+    basis = {a: OneForm.basis(g, a) for a in g.arrows}
+    closed = [a for a in g.arrows if is_closed(basis[a])]
+    for w in all_words(closed, 2, min_degree=2):
+        if invariant_sufficient([basis[a] for a in w], g):
             yield word_element(g, w)
 
 
@@ -567,7 +566,7 @@ def change_base_point(gamma: PathMap, elem):
     # the prefix closure of the suffixes w[j:] is every infix w[j:k]
     tails = signature(gamma, (w[j:k] for w in words for j in range(len(w) + 1)
                               for k in range(j, len(w) + 1)))
-    out = zero(inner.graph)
+    terms: dict[Word, Fraction] = {}
     for w, c in inner.coeffs.items():
         r = len(w)
         for i in range(r + 1):
@@ -578,8 +577,8 @@ def change_base_point(gamma: PathMap, elem):
                 tail = tails[w[j:]]
                 if tail == 0:
                     continue
-                out = out + AlgebraElement(
-                    inner.graph, {w[i:j]: c * head * tail})
+                terms[w[i:j]] = terms.get(w[i:j], 0) + c * head * tail
+    out = AlgebraElement(inner.graph, terms)
     if wrapped:
         return BasedFunctional(out, gamma.start, "loop")
     return out

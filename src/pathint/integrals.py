@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Sequence
 
@@ -135,16 +136,33 @@ def signature(path: PathMap, words: Iterable[Word]) -> dict[Word, Fraction]:
     <w[:-k], S> c^k / k! while the last k letters of w are a, so only words
     ending in a change.  Updating them longest first makes every read of a
     shorter prefix see its value from before the run."""
-    sig = dict.fromkeys(words, Fraction(0))
-    sig[()] = Fraction(1)
-    # a -> [(w ending in a, [w less its last 1, 2, .. a's])]; () sorts last
+    return _evaluate(path, _plan(words))
+
+
+def _plan(words: Iterable[Word]) -> tuple:
+    """What `signature` needs of a word set apart from the path: the keys,
+    the longest word's length, and for each arrow a the words ending in a,
+    longest first, each with its prefixes less its last 1, 2, .. a's."""
+    keys = dict.fromkeys(words)
+    keys[()] = None
     updates: dict[Arrow, list] = {}
-    for w in sorted(sig, key=len, reverse=True)[:-1]:
+    for w in sorted(keys, key=len, reverse=True)[:-1]:  # () sorts last
         t, k = len(w), 1
         while k < t and w[t - k - 1] == w[-1]:
             k += 1
         updates.setdefault(w[-1], []).append((w, [w[:t - j] for j in range(1, k + 1)]))
-    top = max(map(len, sig))
+    return tuple(keys), max(map(len, keys)), updates
+
+
+@lru_cache(maxsize=1)  # callers go through one word set at a time
+def _all_words_plan(arrows: tuple[Arrow, ...], max_degree: int) -> tuple:
+    return _plan(all_words(arrows, max_degree))
+
+
+def _evaluate(path: PathMap, plan: tuple) -> dict[Word, Fraction]:
+    keys, top, updates = plan
+    sig = dict.fromkeys(keys, Fraction(0))
+    sig[()] = Fraction(1)
     for arrow, net in _runs(path):
         if arrow not in updates:
             continue
@@ -168,7 +186,7 @@ def word_pairing(path: PathMap, word: Word) -> Fraction:
 def word_pairings_all(path: PathMap, max_degree: int) -> dict[Word, Fraction]:
     """Pairings of every arrow word up to max_degree against path, keyed in
     `all_words` order (the degree-truncated signature of the path)."""
-    return signature(path, all_words(path.graph.arrows, max_degree))
+    return _evaluate(path, _all_words_plan(path.graph.arrows, max_degree))
 
 
 def pair(elem, paths: PathMap | Iterable[tuple[Fraction, PathMap]]) -> Fraction:

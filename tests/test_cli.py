@@ -199,6 +199,27 @@ def test_usage_errors(capsys):
     assert main(["volume"]) == 2  # missing required --seq
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("homotopy", "--length-bound", "-1"),
+    ("homotopy", "--depth-bound", "-5"),
+    ("pi1", "--length-bound", "-3"),
+    ("hopf-check", "--loop-bound", "-1"),
+    ("hopf-check", "--max-degree", "-1"),
+    ("order", "--max-degree", "0"),
+    ("pi1", "--degree", "0"),
+])
+def test_out_of_range_bounds_are_usage_errors(files, capsys, command, flag, value):
+    g = files("c.json", ser.digraph_to_dict(directed_cycle(4)))
+    loop = files("gen.json", {"vertices": ["v0", "v1", "v2", "v3", "v0"]})
+    operands = {"homotopy": ["--loop-a", loop, "--loop-b", loop],
+                "pi1": ["--degree", "1"], "order": ["--path", loop]}
+    argv = [command, "--graph", g, *operands.get(command, []), flag, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}: must be at least" in errors[0]
+
+
 def test_missing_file_is_domain_error(capsys):
     code = main(["validate", "--graph", "/nonexistent/g.json"])
     assert code == 1

@@ -7,9 +7,11 @@ import pytest
 from conftest import random_digraph, random_form, random_zero_form
 
 from pathint import (DigraphMap, FormError, OneForm, TwoChain, ZeroForm,
-                     closed_one_forms, d0, directed_cycle, double_edge,
-                     is_closed, omega2_basis, pullback_one_form,
-                     standard_square, standard_triangle)
+                     box_product, closed_one_forms, d0, directed_cycle,
+                     double_edge, is_closed, line_digraph, omega2_basis,
+                     pullback_one_form, standard_square, standard_triangle,
+                     wedge_of_cycles)
+from pathint.linalg import kernel
 
 
 def test_zero_form_unknown_vertex():
@@ -64,6 +66,22 @@ def test_closed_dimension_fixtures():
     assert len(closed_one_forms(standard_square())) == 3
     assert len(closed_one_forms(double_edge())) == 1
     assert len(closed_one_forms(directed_cycle(4))) == 4
+
+
+def test_closed_kernel_basis_from_a_fresh_omega2_basis(rng):
+    graphs = [standard_triangle(), standard_square(), double_edge(),
+              directed_cycle(4), wedge_of_cycles(),
+              box_product(line_digraph("ff"), line_digraph("ff"))]
+    graphs += [random_digraph(rng) for _ in range(10)]
+    for g in graphs:
+        rows = []
+        for chain in omega2_basis(g):
+            row = [Fraction(0)] * len(g.arrows)
+            for pair, c in chain.boundary().items():
+                row[g.arrow_index[pair]] = c
+            rows.append(row)
+        expected = kernel(rows, len(g.arrows))
+        assert [f.vector() for f in closed_one_forms(g, "kernel")] == expected
 
 
 def test_closed_methods_validate():

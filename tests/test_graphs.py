@@ -1,5 +1,7 @@
 """Digraph construction, pattern detection, products, and maps."""
 
+from itertools import permutations
+
 import pytest
 
 from conftest import random_digraph
@@ -60,6 +62,37 @@ def test_square_detection():
     assert not S.is_square_tuple(("v0", "v1", "v3", "v2"))
     assert len(enumerate_patterns(S, "square")) == 1
     assert len(enumerate_patterns(S, "triangle")) == 0
+
+
+def _walked_triangle_sets(g):
+    return {frozenset((x, y, a[1])) for x, y in g.arrows for a in g.out_arrows(y)
+            if a[1] != x and g.has_arrow(x, a[1])}
+
+
+def _walked_square_role_tuples(g):
+    found = set()
+    for v0, v1 in g.arrows:
+        for a in g.out_arrows(v1):
+            v3 = a[1]
+            for b in g.in_arrows(v3):
+                v2 = b[0]
+                if v3 != v0 and v2 not in (v0, v1, v3) and g.has_arrow(v0, v2):
+                    found.add((v0, v1, v2, v3))
+    return found
+
+
+def test_pattern_sets_match_the_arrow_walks(rng):
+    graphs = [standard_triangle(), standard_square(), double_edge(),
+              directed_cycle(4), wedge_of_cycles(),
+              box_product(line_digraph("ff"), line_digraph("ff"))]
+    graphs += [random_digraph(rng, p=0.5) for _ in range(30)]
+    for g in graphs:
+        assert g.triangle_sets() == _walked_triangle_sets(g)
+        roles = _walked_square_role_tuples(g)
+        assert g.square_role_tuples() == roles
+        for quad in permutations(g.vertices[:6], 4):
+            assert g.is_square_tuple(quad) == any(
+                quad[i:] + quad[:i] in roles for i in range(4))
 
 
 def test_plain_fixtures_have_no_patterns():

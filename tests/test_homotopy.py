@@ -1,19 +1,132 @@
 """Homotopy moves, search, invariance checking, and base-point transport."""
 
+import random
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, strategies as st
 
-from pathint import (AlgebraElement, DigraphMap, Move, MoveCertificate,
-                     OneForm, PathError,
-                     apply_move, change_base_point, closed_one_forms,
-                     directed_cycle, double_edge, from_forms,
-                     homotopic_loops, identity_map, invariance_verify,
+from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
+                     MoveCertificate, OneForm, PathError, all_words,
+                     apply_move, box_product, change_base_point,
+                     closed_one_forms, directed_cycle, double_edge,
+                     enumerate_paths, from_forms, homotopic_loops,
+                     identity_map, insert_trivial, invariance_verify,
                      invariant_sufficient, inverse, invert_move,
-                     is_isosceles, make_path, move_neighbors,
-                     one_step_map_homotopy, pair, pi1_candidates,
-                     standard_square, standard_triangle, trivial_path,
-                     word_element)
+                     is_closed, is_isosceles, line_digraph, make_path,
+                     move_neighbors, one_step_map_homotopy, pair,
+                     pi1_candidates, standard_square, standard_triangle,
+                     trivial_path, wedge_of_cycles, word_element,
+                     word_pairing)
+from pathint.homotopy import _segment_fills, _theorem_backed_invariants
+
+
+def _fixtures():
+    return [standard_triangle(), standard_square(), double_edge(),
+            directed_cycle(4), wedge_of_cycles(),
+            box_product(line_digraph("ff"), line_digraph("ff"))]
+
+
+def _scan_move_neighbors(loop):
+    """Reference for `move_neighbors`: every candidate vertex (and vertex
+    pair) of the host is tried at every position against the pattern
+    predicates."""
+    g = loop.graph
+    V, O, n = loop.vertices, loop.orientations, loop.length
+    out = []
+
+    def emit(kind, direction, p, before, after):
+        move = Move(kind, direction, p, before, after)
+        out.append((apply_move(loop, move), move))
+
+    for p in range(n - 1):
+        window = (V[p], V[p + 1], V[p + 2])
+        before = (window, O[p:p + 2])
+        if g.is_triangle_set(*window):
+            for fill in _segment_fills(g, (V[p], V[p + 2])):
+                emit("triangle-contract", "apply", p, before, ((V[p], V[p + 2]), fill))
+        for v2 in g.vertices:
+            if g.is_square_tuple((V[p], V[p + 1], v2, V[p + 2])):
+                for fill in _segment_fills(g, (V[p], v2, V[p + 2])):
+                    emit("square-replace", "apply", p, before, ((V[p], v2, V[p + 2]), fill))
+        if V[p] == V[p + 2]:
+            emit("backtrack", "apply", p, before, ((V[p], V[p]), ("f",)))
+    for p in range(n - 2):
+        if g.is_square_tuple((V[p], V[p + 1], V[p + 3], V[p + 2])):
+            before = (V[p:p + 4], O[p:p + 3])
+            for fill in _segment_fills(g, (V[p], V[p + 3])):
+                emit("square-contract", "apply", p, before, ((V[p], V[p + 3]), fill))
+    for p in range(n):
+        if V[p] == V[p + 1]:
+            emit("trivial-drop", "apply", p, ((V[p], V[p]), (O[p],)), ((V[p],), ()))
+    for p in range(n):
+        before = (V[p:p + 2], O[p:p + 1])
+        for v1 in g.vertices:
+            if g.is_triangle_set(V[p], v1, V[p + 1]):
+                for fill in _segment_fills(g, (V[p], v1, V[p + 1])):
+                    emit("triangle-contract", "unapply", p, before,
+                         ((V[p], v1, V[p + 1]), fill))
+        for v1, v3 in product(g.vertices, repeat=2):
+            if g.is_square_tuple((V[p], v1, V[p + 1], v3)):
+                for fill in _segment_fills(g, (V[p], v1, v3, V[p + 1])):
+                    emit("square-contract", "unapply", p, before,
+                         ((V[p], v1, v3, V[p + 1]), fill))
+        if V[p] == V[p + 1]:
+            for v1 in g.vertices:
+                if v1 == V[p] or g.has_arrow(V[p], v1) or g.has_arrow(v1, V[p]):
+                    for fill in _segment_fills(g, (V[p], v1, V[p])):
+                        emit("backtrack", "unapply", p, before, ((V[p], v1, V[p]), fill))
+    for p in range(n + 1):
+        emit("trivial-drop", "unapply", p, ((V[p],), ()), ((V[p], V[p]), ("f",)))
+    return out
+
+
+def test_move_neighbors_match_the_vertex_scan_on_fixtures():
+    for g in _fixtures():
+        for path in enumerate_paths(g, g.vertices[0], 3):
+            for p in (path, insert_trivial(path, path.length // 2)):
+                assert move_neighbors(p) == _scan_move_neighbors(p)
+
+
+def _patterned_digraph(rng):
+    """A random digraph on 5-6 vertices with a triangle, a square and a
+    double edge planted on random vertices, arrows in random order."""
+    vs = [f"v{i}" for i in range(rng.randint(5, 6))]
+    arrows = {(u, v) for u in vs for v in vs if u != v and rng.random() < 0.25}
+    x, y, z = rng.sample(vs, 3)
+    arrows |= {(x, y), (y, z), (x, z)}
+    a, b, c, d = rng.sample(vs, 4)
+    arrows |= {(a, b), (b, d), (a, c), (c, d)}
+    u, v = rng.sample(vs, 2)
+    arrows |= {(u, v), (v, u)}
+    arrows = sorted(arrows)
+    rng.shuffle(arrows)
+    return Digraph(vs, arrows)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_move_neighbors_match_the_vertex_scan_on_random_digraphs(seed):
+    rng = random.Random(seed)
+    g = _patterned_digraph(rng)
+    base = rng.choice(g.vertices)
+    loops = list(islice(enumerate_paths(g, base, 4, loops_only=True), 400))
+    for loop in rng.sample(loops, min(len(loops), 8)):
+        if loop.length < 5 and rng.random() < 0.5:
+            loop = insert_trivial(loop, rng.randint(0, loop.length))
+        assert move_neighbors(loop) == _scan_move_neighbors(loop)
+
+
+def test_theorem_backed_invariants_match_the_exhaustive_scan():
+    for g in _fixtures():
+        expected = [from_forms(g, [f]) for f in closed_one_forms(g)]
+        ones = OneForm(g, {a: Fraction(1) for a in g.arrows})
+        if is_closed(ones):
+            expected.insert(0, from_forms(g, [ones]))
+        expected += [word_element(g, w)
+                     for w in all_words(g.arrows, 2, min_degree=2)
+                     if invariant_sufficient([OneForm.basis(g, a) for a in w], g)]
+        assert list(_theorem_backed_invariants(g)) == expected
 
 
 def test_move_neighbors_triangle_contraction():
@@ -223,3 +336,31 @@ def test_change_base_point_endpoint_check():
     wrapped = BasedFunctional(u, "v0", "loop")
     with pytest.raises(PathError):
         change_base_point(gamma, wrapped)  # functional based at the start
+
+
+def _change_base_point_by_word_pairings(gamma, u):
+    """Reference: one `word_pairing` per (word, i, j) split, summed term by
+    term."""
+    out = AlgebraElement(u.graph)
+    back = inverse(gamma)
+    for w, c in u.coeffs.items():
+        for i in range(len(w) + 1):
+            for j in range(i, len(w) + 1):
+                out = out + AlgebraElement(u.graph, {w[i:j]: c * word_pairing(
+                    back, w[:i]) * word_pairing(gamma, w[j:])})
+    return out
+
+
+def test_change_base_point_matches_the_termwise_sum():
+    rng = random.Random(5)
+    W = wedge_of_cycles()
+    words = all_words(W.arrows, 3, min_degree=1)
+    big = AlgebraElement(W, {w: rng.randint(1, 3) for w in rng.sample(words, 134)})
+    gamma = make_path(W, ["v0", "v1", "v2", "v1", "v0", "v4"],
+                      ["f", "f", "b", "b", "f"])
+    assert change_base_point(gamma, big) == _change_base_point_by_word_pairings(gamma, big)
+    for g in _fixtures()[:5]:
+        u = AlgebraElement(g, {w: rng.randint(-2, 2)
+                               for w in all_words(g.arrows, 2)})
+        for gamma in islice(enumerate_paths(g, g.vertices[0], 3), 0, None, 7):
+            assert change_base_point(gamma, u) == _change_base_point_by_word_pairings(gamma, u)
