@@ -12,7 +12,6 @@ double-edge linear conditions over all pattern embeddings.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import FormError
@@ -218,12 +217,13 @@ def _closed_condition_rows(g: Digraph, method: str) -> list[list[Fraction]]:
     return rows
 
 
-@lru_cache(maxsize=None)
 def _closed_basis_vectors(g: Digraph, method: str) -> tuple:
-    n = len(g.arrows)
-    if n == 0:
-        return ()
-    return tuple(kernel(_closed_condition_rows(g, method), n))
+    got = g._closed_bases.get(method)
+    if got is None:
+        n = len(g.arrows)
+        got = tuple(kernel(_closed_condition_rows(g, method), n)) if n else ()
+        g._closed_bases[method] = got
+    return got
 
 
 def closed_one_forms(g: Digraph, method: str = "kernel") -> list[OneForm]:
@@ -234,9 +234,11 @@ def closed_one_forms(g: Digraph, method: str = "kernel") -> list[OneForm]:
     return [OneForm.from_vector(g, vec) for vec in _closed_basis_vectors(g, method)]
 
 
-@lru_cache(maxsize=None)
 def _omega2_boundaries(g: Digraph) -> tuple:
-    return tuple(tuple(chain.boundary().items()) for chain in omega2_basis(g))
+    if g._omega2_boundaries is None:
+        g._omega2_boundaries = tuple(tuple(chain.boundary().items())
+                                     for chain in omega2_basis(g))
+    return g._omega2_boundaries
 
 
 def is_closed(omega: OneForm) -> bool:

@@ -67,6 +67,9 @@ class Digraph:
         self._triangle_sets: frozenset[frozenset] | None = None
         self._square_role_tuples: frozenset[tuple] | None = None
         self._move_tables: MoveTables | None = None
+        # closedness data, filled by `forms` on first use
+        self._omega2_boundaries: tuple | None = None
+        self._closed_bases: dict[str, tuple] = {}
 
     def has_arrow(self, u: Vertex, v: Vertex) -> bool:
         return (u, v) in self.arrow_set

@@ -22,7 +22,8 @@ from .algebra import (AlgebraElement, BasedFunctional, from_forms,
 from .errors import MapError, PathError
 from .forms import OneForm, closed_one_forms, is_closed
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .integrals import Word, all_words, pair, signature, word_pairings_all
+from .integrals import (Word, all_words, pair, runs, signature,
+                        word_pairings_all)
 from .linalg import complement_basis, kernel
 from .paths import (FORWARD, BACKWARD, ForwardArrow, InverseArrow, PathMap,
                     enumerate_paths, inverse, make_path, steps)
@@ -499,6 +500,39 @@ def _certify(elem: AlgebraElement) -> bool:
     return True
 
 
+def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
+              words: Sequence[Word]) -> tuple[set[tuple], set[tuple]]:
+    """The nonzero rows of pairings over words: one per sampled (loop,
+    neighbor) pair of different signature, the difference of the two, and
+    one per sampled loop, its own.  Paths with equal `runs` have equal
+    signatures (Chen's identity), so each distinct run sequence is paired
+    once and its row built once."""
+    row_of: dict[tuple, tuple] = {}
+
+    def row(path: PathMap) -> tuple:
+        key = tuple(map(tuple, runs(path)))
+        got = row_of.get(key)
+        if got is None:
+            sig = word_pairings_all(path, degree_bound)
+            got = row_of[key] = tuple(sig[w] for w in words)
+        return got
+
+    move_rows: set[tuple] = set()
+    loop_rows: set[tuple] = set()
+    loop = None
+    for path, nb, _ in _move_pair_sample(g, base, length_bound):
+        if path is not loop:  # the sample lists each loop's pairs together
+            loop, ra = path, row(path)
+            if any(ra):
+                loop_rows.add(ra)
+        rb = row(nb)
+        if rb is not ra:
+            diff = tuple(a - b for a, b in zip(ra, rb))
+            if any(diff):
+                move_rows.add(diff)
+    return move_rows, loop_rows
+
+
 def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
                    length_bound: int = 6) -> Pi1Result:
     """Kernel of the single-move pairing-difference system over word
@@ -513,26 +547,7 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
     if ncols == 0:
         return Pi1Result(g, base, degree_bound, length_bound, (), ())
 
-    sig_memo: dict[PathMap, dict[Word, Fraction]] = {}
-
-    def sig(path: PathMap) -> dict[Word, Fraction]:
-        got = sig_memo.get(path)
-        if got is None:
-            got = word_pairings_all(path, degree_bound)
-            sig_memo[path] = got
-        return got
-
-    move_rows: set[tuple] = set()
-    loop_rows: set[tuple] = set()
-    for loop, nb, _ in _move_pair_sample(g, base, length_bound):
-        sa, sb = sig(loop), sig(nb)
-        row = tuple(sa[w] - sb[w] for w in words)
-        if any(v != 0 for v in row):
-            move_rows.add(row)
-        lrow = tuple(sa[w] for w in words)
-        if any(v != 0 for v in lrow):
-            loop_rows.add(lrow)
-
+    move_rows, loop_rows = _pi1_rows(g, base, degree_bound, length_bound, words)
     invariant_basis = kernel(sorted(move_rows), ncols)
     null_basis = kernel(sorted(move_rows | loop_rows), ncols)
     reps = complement_basis(null_basis, invariant_basis, ncols)

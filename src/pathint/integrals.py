@@ -109,22 +109,22 @@ def all_words(arrows: Sequence[Arrow], max_degree: int,
     return out
 
 
-def _runs(path: PathMap) -> list[list]:
+def runs(path: PathMap) -> list[list]:
     """The path's steps as [arrow, net exponent] factors exp(net e_a):
     trivial steps dropped, consecutive steps on one arrow merged, and
     factors of net exponent 0 removed, so backtracks cost nothing."""
-    runs: list[list] = []
+    out: list[list] = []
     for u, w, o in zip(path.vertices, path.vertices[1:], path.orientations):
         if u == w:
             continue
         arrow, sign = ((u, w), 1) if o == FORWARD else ((w, u), -1)
-        if runs and runs[-1][0] == arrow:
-            runs[-1][1] += sign
-            if runs[-1][1] == 0:
-                runs.pop()
+        if out and out[-1][0] == arrow:
+            out[-1][1] += sign
+            if out[-1][1] == 0:
+                out.pop()
         else:
-            runs.append([arrow, sign])
-    return runs
+            out.append([arrow, sign])
+    return out
 
 
 def signature(path: PathMap, words: Iterable[Word]) -> dict[Word, Fraction]:
@@ -163,7 +163,7 @@ def _evaluate(path: PathMap, plan: tuple) -> dict[Word, Fraction]:
     keys, top, updates = plan
     sig = dict.fromkeys(keys, Fraction(0))
     sig[()] = Fraction(1)
-    for arrow, net in _runs(path):
+    for arrow, net in runs(path):
         if arrow not in updates:
             continue
         powers = [Fraction(net ** k, math.factorial(k)) for k in range(1, top + 1)]

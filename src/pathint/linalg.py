@@ -1,8 +1,11 @@
 """Exact rational linear algebra: reduced row echelon form, kernels, spans.
 
-Everything runs over fractions.Fraction with a deterministic pivot order
-(columns left to right, first row with a nonzero entry), so identical inputs
-always produce identical bases.  No floating point anywhere.
+Everything runs over fractions.Fraction; no floating point anywhere.  One
+elimination, `Echelon`, holds a row space in reduced row echelon form and
+grows it one vector at a time; `rref`, `rank`, `kernel`, `span_equal` and
+`complement_basis` are views of it.  The reduced row echelon form of a row
+space is unique, so every basis and pivot list depends only on the span of
+the input, never on its row order.
 """
 
 from __future__ import annotations
@@ -12,73 +15,112 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
+_ZERO = Fraction(0)
 
-def _to_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    out = []
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError(f"row of length {len(r)}, expected {ncols}")
-        out.append([Fraction(x) for x in r])
-    return out
+
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+class Echelon:
+    """The span of the vectors added so far, kept in reduced row echelon
+    form: one row per pivot column, with entry 1 there and 0 on every other
+    pivot column.  Rows are stored sparsely, column -> nonzero entry."""
+
+    def __init__(self, ncols: int, rows: Iterable[Sequence[Fraction]] = ()):
+        self.ncols = ncols
+        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot -> row
+        for r in rows:
+            self.add(r)
+
+    def add(self, vec: Sequence[Fraction]) -> bool:
+        """Insert vec; True iff it was independent of the rows already held.
+
+        vec is reduced against each stored row whose pivot it touches, then,
+        if anything is left, normalised and eliminated from the stored rows,
+        O(rank * ncols) in all."""
+        if len(vec) != self.ncols:
+            raise ValueError(f"row of length {len(vec)}, expected {self.ncols}")
+        v = {j: x for j, x in enumerate(map(_fraction, vec)) if x}
+        # stored rows vanish on each other's pivots, so the entries of v on
+        # pivot columns are final until their own row is subtracted
+        for p in [p for p in v if p in self._rows]:
+            c = v[p]
+            for j, b in self._rows[p].items():
+                x = v.get(j, _ZERO) - c * b
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+        if not v:
+            return False
+        lead = min(v)
+        inv = 1 / v[lead]
+        new = {j: x * inv for j, x in v.items()}
+        for row in self._rows.values():
+            c = row.get(lead)
+            if c:
+                for j, b in new.items():
+                    x = row.get(j, _ZERO) - c * b
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        self._rows[lead] = new
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    def rows(self) -> list[list[Fraction]]:
+        """The dense reduced rows in pivot order."""
+        return [[row.get(j, _ZERO) for j in range(self.ncols)]
+                for row in map(self._rows.get, self.pivots())]
+
+    def kernel(self) -> list[Vector]:
+        """Basis of the null space {v : M v = 0}, one vector per free column.
+
+        Each basis vector has entry 1 at its free column and is supported on
+        that column plus pivot columns, the standard RREF parametrization.
+        """
+        basis: list[Vector] = []
+        for free in range(self.ncols):
+            if free in self._rows:
+                continue
+            v = [_ZERO] * self.ncols
+            v[free] = Fraction(1)
+            for p, row in self._rows.items():
+                v[p] = -row.get(free, _ZERO)
+            basis.append(tuple(v))
+        return basis
 
 
 def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    m = _to_rows(rows, ncols)
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m[:row], pivots
+    e = Echelon(ncols, rows)
+    return e.rows(), e.pivots()
 
 
 def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    return Echelon(ncols, rows).rank
 
 
 def kernel(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[Vector]:
-    """Basis of the null space {v : M v = 0}, one vector per free column.
-
-    Each basis vector has entry 1 at its free column and is supported on
-    that column plus pivot columns, the standard RREF parametrization.
-    """
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, p in zip(reduced, pivots):
-            v[p] = -r[free]
-        basis.append(tuple(v))
-    return basis
+    """Basis of the null space of the rows; see `Echelon.kernel`."""
+    return Echelon(ncols, rows).kernel()
 
 
 def span_equal(b1: Sequence[Vector], b2: Sequence[Vector], ncols: int) -> bool:
     """True iff the two families span the same subspace."""
-    r1 = rank(list(b1), ncols)
-    r2 = rank(list(b2), ncols)
-    both = rank(list(b1) + list(b2), ncols)
-    return r1 == r2 == both
+    e = Echelon(ncols, b1)
+    r1 = e.rank
+    for v in b2:
+        e.add(v)
+    return r1 == e.rank == Echelon(ncols, b2).rank
 
 
 def complement_basis(sub: Sequence[Vector], full: Sequence[Vector], ncols: int) -> list[Vector]:
@@ -87,14 +129,5 @@ def complement_basis(sub: Sequence[Vector], full: Sequence[Vector], ncols: int) 
     Deterministic: full is scanned in order and a vector is kept exactly when
     it is independent of sub plus the vectors already kept.
     """
-    kept: list[Vector] = []
-    current = rank(list(sub), ncols)
-    rows = [list(v) for v in sub]
-    for v in full:
-        cand = rows + [list(v)]
-        r = rank(cand, ncols)
-        if r > current:
-            kept.append(tuple(Fraction(x) for x in v))
-            rows = cand
-            current = r
-    return kept
+    e = Echelon(ncols, sub)
+    return [tuple(map(_fraction, v)) for v in full if e.add(v)]

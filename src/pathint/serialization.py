@@ -36,11 +36,29 @@ def digraph_to_dict(g: Digraph) -> dict:
     return out
 
 
+def _is_vertex_name(v) -> bool:
+    return not isinstance(v, (list, dict))  # JSON scalars are hashable
+
+
 def digraph_from_dict(d: dict) -> Digraph:
     if "vertices" not in d or "arrows" not in d:
         raise GraphError('digraph JSON needs "vertices" and "arrows"')
-    arrows = [tuple(a) for a in d["arrows"]]
-    return validate_digraph(d["vertices"], arrows, d.get("base"))
+    for key in ("vertices", "arrows"):
+        if not isinstance(d[key], (list, tuple)):
+            raise GraphError(f'digraph JSON "{key}" is not a list')
+    for v in d["vertices"]:
+        if not _is_vertex_name(v):
+            raise GraphError(f"vertex {v!r} is not a string or a number")
+    arrows = []
+    for a in d["arrows"]:
+        if not (isinstance(a, (list, tuple)) and len(a) == 2
+                and all(map(_is_vertex_name, a))):
+            raise GraphError(f"arrow {a!r} is not a [source, target] pair")
+        arrows.append(tuple(a))
+    base = d.get("base")
+    if not _is_vertex_name(base):
+        raise GraphError(f"base {base!r} is not a string or a number")
+    return validate_digraph(d["vertices"], arrows, base)
 
 
 _DOT_EDGE = re.compile(r'"([^"]+)"|([A-Za-z0-9_.]+)|(->)|(\{)|(\})|(;)|(digraph|strict)')

@@ -40,6 +40,18 @@ def test_validate_rejects_bad_graph(files, capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"vertices": [[0], [1]], "arrows": []},
+    {"vertices": ["a", "b"], "arrows": [["a"]]},
+    {"vertices": ["a"], "arrows": 3},
+])
+def test_validate_rejects_malformed_graph_json(files, capsys, doc):
+    g = files("bad.json", doc)
+    code, out, err = run(capsys, "validate", "--graph", g)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_integrate_example(files, capsys):
     D = double_edge()
     g = files("d.json", ser.digraph_to_dict(D))

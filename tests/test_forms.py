@@ -1,5 +1,7 @@
 """Forms in degrees 0, 1, 2: differential, chain space, closedness."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,17 @@ def test_closed_kernel_basis_from_a_fresh_omega2_basis(rng):
             rows.append(row)
         expected = kernel(rows, len(g.arrows))
         assert [f.vector() for f in closed_one_forms(g, "kernel")] == expected
+
+
+def test_closedness_data_is_freed_with_its_graph():
+    g = wedge_of_cycles()
+    closed_one_forms(g, "kernel")
+    closed_one_forms(g, "patterns")
+    is_closed(OneForm.basis(g, g.arrows[0]))
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_closed_methods_validate():

@@ -18,8 +18,9 @@ from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      move_neighbors, one_step_map_homotopy, pair,
                      pi1_candidates, standard_square, standard_triangle,
                      trivial_path, wedge_of_cycles, word_element,
-                     word_pairing)
-from pathint.homotopy import _segment_fills, _theorem_backed_invariants
+                     word_pairing, word_pairings_all)
+from pathint.homotopy import (_move_pair_sample, _pi1_rows, _segment_fills,
+                              _theorem_backed_invariants)
 
 
 def _fixtures():
@@ -307,6 +308,36 @@ def test_pi1_cycle_representative_is_certified():
     assert result.candidates[0].certified
     gen = make_path(C, ["v0", "v1", "v2", "v3", "v0"], ["f"] * 4)
     assert pair(result.candidates[0].element, gen) != 0
+
+
+def test_pi1_degree_three_on_the_directed_triangle():
+    C = directed_cycle(3)
+    result = pi1_candidates(C, "v0", 3, length_bound=6)
+    # on an n-cycle, one candidate per degree once 2 * (bound // n) >= degree
+    assert len(result.candidates) == 3
+    assert all(c.certified for c in result.candidates)
+    sample = _move_pair_sample(C, "v0", 6)
+    for c in result.candidates:
+        values = {}
+        for loop, nb, _ in sample:
+            for p in (loop, nb):
+                if p not in values:
+                    values[p] = pair(c.element, p)
+            assert values[loop] == values[nb]
+    # per-pair assembly: one signature per path, one row per (loop, neighbor)
+    words = all_words(C.arrows, 3, min_degree=1)
+    rows = {}
+    for p in {p for loop, nb, _ in sample for p in (loop, nb)}:
+        sig = word_pairings_all(p, 3)
+        rows[p] = tuple(sig[w] for w in words)
+    move_rows, loop_rows = set(), set()
+    for loop, nb, _ in sample:
+        diff = tuple(a - b for a, b in zip(rows[loop], rows[nb]))
+        if any(v != 0 for v in diff):
+            move_rows.add(diff)
+        if any(v != 0 for v in rows[loop]):
+            loop_rows.add(rows[loop])
+    assert _pi1_rows(C, "v0", 3, 6, words) == (move_rows, loop_rows)
 
 
 def test_pi1_rejects_bad_degree():

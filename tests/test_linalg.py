@@ -1,0 +1,153 @@
+"""Exact elimination: the incremental echelon views against reference
+implementations, and against sympy's RREF when sympy is installed."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pathint.linalg import (Echelon, complement_basis, kernel, rank, rref,
+                            span_equal)
+
+
+def _ref_rref(rows, ncols):
+    """Reference: Gauss-Jordan sweep over the columns, left to right, taking
+    the first remaining row with a nonzero entry as the pivot row."""
+    m = []
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError(f"row of length {len(r)}, expected {ncols}")
+        m.append([Fraction(x) for x in r])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(row, len(m)):
+            if m[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        inv = Fraction(1) / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m[:row], pivots
+
+
+def _ref_rank(rows, ncols):
+    return len(_ref_rref(rows, ncols)[1])
+
+
+def _ref_kernel(rows, ncols):
+    reduced, pivots = _ref_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, p in zip(reduced, pivots):
+            v[p] = -r[free]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_span_equal(b1, b2, ncols):
+    both = _ref_rank(list(b1) + list(b2), ncols)
+    return _ref_rank(b1, ncols) == _ref_rank(b2, ncols) == both
+
+
+def _ref_complement_basis(sub, full, ncols):
+    """Reference: a full rank computation per candidate vector."""
+    kept = []
+    rows = [list(v) for v in sub]
+    current = _ref_rank(rows, ncols)
+    for v in full:
+        cand = rows + [list(v)]
+        r = _ref_rank(cand, ncols)
+        if r > current:
+            kept.append(tuple(Fraction(x) for x in v))
+            rows, current = cand, r
+    return kept
+
+
+@st.composite
+def low_rank_rows(draw):
+    """(ncols, rows): combinations of at most three random rational
+    vectors, mixed with zero rows and duplicates of earlier rows."""
+    ncols = draw(st.integers(0, 6))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    spanning = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             max_size=3))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["combo", "zero", "dup"]),
+                              max_size=8)):
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "dup" and rows:
+            rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+        else:
+            coeffs = [draw(st.integers(-2, 2)) for _ in spanning]
+            rows.append([sum((c * v[j] for c, v in zip(coeffs, spanning)),
+                             Fraction(0)) for j in range(ncols)])
+    return ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_rows())
+def test_views_equal_the_references(case):
+    ncols, rows = case
+    assert rref(rows, ncols) == _ref_rref(rows, ncols)
+    assert rref(rows[::-1], ncols) == _ref_rref(rows, ncols)
+    assert rank(rows, ncols) == _ref_rank(rows, ncols)
+    assert kernel(rows, ncols) == _ref_kernel(rows, ncols)
+    vecs = [tuple(r) for r in rows]
+    half = len(vecs) // 2
+    for b1, b2 in ((vecs[:half], vecs[half:]), (vecs, vecs[::-1]),
+                   (vecs[1:], vecs)):
+        assert span_equal(b1, b2, ncols) == _ref_span_equal(b1, b2, ncols)
+        assert complement_basis(b1, b2, ncols) == \
+            _ref_complement_basis(b1, b2, ncols)
+
+
+def test_rref_equals_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=100, deadline=None)
+    @given(low_rank_rows())
+    def check(case):
+        ncols, rows = case
+        m = sympy.Matrix(len(rows), ncols, [x for r in rows for x in r])
+        reduced, pivots = m.rref()
+        expected = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)]
+                    for i in range(len(pivots))]
+        assert rref(rows, ncols) == (expected, list(pivots))
+
+    check()
+
+
+def test_echelon_grows_one_vector_at_a_time():
+    e = Echelon(3)
+    assert e.add([0, 2, 4]) and e.rank == 1
+    assert not e.add([0, -1, -2]) and not e.add([0, 0, 0])
+    assert e.add([1, 1, 1]) and e.rank == 2
+    assert e.pivots() == [0, 1]
+    assert e.rows() == [[1, 0, -1], [0, 1, 2]]
+    assert e.kernel() == [(1, -2, 1)]
+
+
+def test_wrong_row_length_is_a_value_error():
+    with pytest.raises(ValueError, match="row of length 1, expected 2"):
+        rref([[1, 2], [1]], 2)
+    with pytest.raises(ValueError):
+        kernel([[1, 2, 3]], 2)
+    with pytest.raises(ValueError):
+        complement_basis([(1, 0)], [(1, 0, 0)], 2)
