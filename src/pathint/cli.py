@@ -275,7 +275,78 @@ _NON_NEGATIVE = _bounded_int(0)
 _POSITIVE = _bounded_int(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GRAPH = {"required": True, "help": "digraph file (JSON or DOT)"}
+_PATH = {"required": True, "help": "path JSON file"}
+_ELEMENT = {"required": True, "help": "algebra element JSON file"}
+
+# name -> (handler, help, {flag: add_argument keywords}), in help order.
+COMMANDS = {
+    "validate": (_cmd_validate, "check a digraph file", {"graph": _GRAPH}),
+    "integrate": (_cmd_integrate, "iterated integral of a word over a path",
+                  {"graph": _GRAPH, "path": _PATH,
+                   "word": {"required": True, "help": "word JSON file"}}),
+    "pair": (_cmd_pair, "pair an algebra element with a path",
+             {"graph": _GRAPH, "element": _ELEMENT, "path": _PATH}),
+    "reduce": (_cmd_reduce, "elementary reduction of a path",
+               {"graph": _GRAPH, "path": _PATH}),
+    "equiv": (_cmd_equiv, "decide elementary equivalence of two paths",
+              {"graph": _GRAPH,
+               "path_a": {"required": True, "help": "first path JSON file"},
+               "path_b": {"required": True, "help": "second path JSON file"}}),
+    "shuffle": (_cmd_shuffle, "shuffle product of two elements",
+                {"graph": _GRAPH,
+                 "element_a": {"required": True, "help": "first element JSON file"},
+                 "element_b": {"required": True, "help": "second element JSON file"}}),
+    "coproduct": (_cmd_coproduct, "deconcatenation coproduct",
+                  {"graph": _GRAPH, "element": _ELEMENT}),
+    "antipode": (_cmd_antipode, "signed-reversal antipode",
+                 {"graph": _GRAPH, "element": _ELEMENT}),
+    "hopf-check": (_cmd_hopf_check, "verify the Hopf axioms up to a degree",
+                   {"graph": _GRAPH,
+                    "max_degree": {"type": _POSITIVE, "default": 2,
+                                   "help": "degree bound (default: 2)"},
+                    "base": {"default": None,
+                             "help": "base vertex for the dual pairing laws"},
+                    "loop_bound": {"type": _NON_NEGATIVE, "default": 8,
+                                   "help": "loop length bound for dual laws (default: 8)"}}),
+    "closed-forms": (_cmd_closed_forms, "basis of closed 1-forms",
+                     {"graph": _GRAPH,
+                      "method": {"choices": ("kernel", "patterns", "both"),
+                                 "default": "kernel",
+                                 "help": "construction method (default: kernel)"}}),
+    "omega2": (_cmd_omega2, "basis of the 2-chain space", {"graph": _GRAPH}),
+    "order": (_cmd_order, "order of a path up to a degree bound",
+              {"graph": _GRAPH, "path": _PATH,
+               "max_degree": {"type": _POSITIVE, "default": 4,
+                              "help": "search bound (default: 4)"}}),
+    "homotopy": (_cmd_homotopy, "decide whether two loops are homotopic",
+                 {"graph": _GRAPH,
+                  "loop_a": {"required": True, "help": "first loop JSON file"},
+                  "loop_b": {"required": True, "help": "second loop JSON file"},
+                  "length_bound": {"type": _NON_NEGATIVE, "default": 12,
+                                   "help": "max intermediate loop length (default: 12)"},
+                  "depth_bound": {"type": _NON_NEGATIVE, "default": 8,
+                                  "help": "max search depth per side (default: 8)"}}),
+    "pi1": (_cmd_pi1, "homotopy-invariant functional candidates",
+            {"graph": _GRAPH,
+             "base": {"default": None, "help": "base vertex"},
+             "degree": {"type": _POSITIVE, "required": True,
+                        "help": "word degree bound"},
+             "length_bound": {"type": _NON_NEGATIVE, "default": 6,
+                              "help": "loop/move sampling bound (default: 6)"}}),
+    "change-base": (_cmd_change_base, "transport a functional along a path",
+                    {"graph": _GRAPH, "path": _PATH, "element": _ELEMENT}),
+    "volume": (_cmd_volume, "volume number of an index sequence",
+               {"seq": {"required": True,
+                        "help": "comma-separated indices, e.g. 5,5"}}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.  A one-command
+    parser prints the same top-level usage line, because its subcommand
+    metavar lists every name; the full parser keeps argparse's own metavar,
+    which labels an unknown name as "argument command"."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="output format (default: text)")
@@ -283,88 +354,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathint",
         description="Exact iterated path integrals on directed graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, handler, help_text, **flags):
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = COMMANDS
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+        names = (command,)
+    for name in names:
+        handler, help_text, flags = COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=help_text)
         for flag, kwargs in flags.items():
             p.add_argument("--" + flag.replace("_", "-"), **kwargs)
         p.set_defaults(handler=handler)
-        return p
-
-    graph = {"required": True, "help": "digraph file (JSON or DOT)"}
-    path = {"required": True, "help": "path JSON file"}
-    element = {"required": True, "help": "algebra element JSON file"}
-
-    cmd("validate", _cmd_validate, "check a digraph file", graph=graph)
-    cmd("integrate", _cmd_integrate, "iterated integral of a word over a path",
-        graph=graph, path=path,
-        word={"required": True, "help": "word JSON file"})
-    cmd("pair", _cmd_pair, "pair an algebra element with a path",
-        graph=graph, element=element, path=path)
-    cmd("reduce", _cmd_reduce, "elementary reduction of a path",
-        graph=graph, path=path)
-    cmd("equiv", _cmd_equiv, "decide elementary equivalence of two paths",
-        graph=graph,
-        path_a={"required": True, "help": "first path JSON file"},
-        path_b={"required": True, "help": "second path JSON file"})
-    cmd("shuffle", _cmd_shuffle, "shuffle product of two elements",
-        graph=graph,
-        element_a={"required": True, "help": "first element JSON file"},
-        element_b={"required": True, "help": "second element JSON file"})
-    cmd("coproduct", _cmd_coproduct, "deconcatenation coproduct",
-        graph=graph, element=element)
-    cmd("antipode", _cmd_antipode, "signed-reversal antipode",
-        graph=graph, element=element)
-    cmd("hopf-check", _cmd_hopf_check, "verify the Hopf axioms up to a degree",
-        graph=graph,
-        max_degree={"type": _POSITIVE, "default": 2,
-                    "help": "degree bound (default: 2)"},
-        base={"default": None, "help": "base vertex for the dual pairing laws"},
-        loop_bound={"type": _NON_NEGATIVE, "default": 8,
-                    "help": "loop length bound for dual laws (default: 8)"})
-    cmd("closed-forms", _cmd_closed_forms, "basis of closed 1-forms",
-        graph=graph,
-        method={"choices": ("kernel", "patterns", "both"), "default": "kernel",
-                "help": "construction method (default: kernel)"})
-    cmd("omega2", _cmd_omega2, "basis of the 2-chain space", graph=graph)
-    cmd("order", _cmd_order, "order of a path up to a degree bound",
-        graph=graph, path=path,
-        max_degree={"type": _POSITIVE, "default": 4,
-                    "help": "search bound (default: 4)"})
-    cmd("homotopy", _cmd_homotopy, "decide whether two loops are homotopic",
-        graph=graph,
-        loop_a={"required": True, "help": "first loop JSON file"},
-        loop_b={"required": True, "help": "second loop JSON file"},
-        length_bound={"type": _NON_NEGATIVE, "default": 12,
-                      "help": "max intermediate loop length (default: 12)"},
-        depth_bound={"type": _NON_NEGATIVE, "default": 8,
-                     "help": "max search depth per side (default: 8)"})
-    cmd("pi1", _cmd_pi1, "homotopy-invariant functional candidates",
-        graph=graph,
-        base={"default": None, "help": "base vertex"},
-        degree={"type": _POSITIVE, "required": True, "help": "word degree bound"},
-        length_bound={"type": _NON_NEGATIVE, "default": 6,
-                      "help": "loop/move sampling bound (default: 6)"})
-    cmd("change-base", _cmd_change_base, "transport a functional along a path",
-        graph=graph, path=path, element=element)
-    cmd("volume", _cmd_volume, "volume number of an index sequence",
-        seq={"required": True, "help": "comma-separated indices, e.g. 5,5"})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a process runs one command, so only its parser is built
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
         payload, text = args.handler(args)
-    except PathintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PathintError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":

@@ -26,7 +26,7 @@ from .integrals import (Word, all_words, pair, runs, signature,
                         word_pairings_all)
 from .linalg import complement_basis, kernel
 from .paths import (FORWARD, BACKWARD, ForwardArrow, InverseArrow, PathMap,
-                    enumerate_paths, inverse, make_path, steps)
+                    _build, enumerate_paths, inverse, make_path, steps)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
               "backtrack", "trivial-drop")
@@ -51,18 +51,23 @@ def invert_move(move: Move) -> Move:
 
 
 def apply_move(path: PathMap, move: Move) -> PathMap:
-    """Replay a move on a path, checking the recorded window verbatim."""
+    """Replay a move on a path, checking the recorded window verbatim.
+    Only the new window is validated: it must be a path with the old
+    window's endpoints, so both junction steps stay those of `path`."""
     bv, bo = move.before
-    av, ao = move.after
     p = move.position
     k = len(bv)
-    if p < 0 or p + k > len(path.vertices):
+    if k == 0 or p < 0 or p + k > len(path.vertices):
         raise PathError(f"move window out of range at position {p}")
     if path.vertices[p:p + k] != bv or path.orientations[p:p + k - 1] != bo:
         raise PathError("move window does not match the path")
-    vertices = path.vertices[:p] + av + path.vertices[p + k:]
-    orientations = path.orientations[:p] + ao + path.orientations[p + k - 1:]
-    return make_path(path.graph, vertices, orientations)
+    window = make_path(path.graph, *move.after)
+    if (window.start, window.end) != (bv[0], bv[-1]):
+        raise PathError("move windows do not share their endpoints")
+    return _build(path.graph,
+                  path.vertices[:p] + window.vertices + path.vertices[p + k:],
+                  path.orientations[:p] + window.orientations
+                  + path.orientations[p + k - 1:])
 
 
 def _is_stated_move(g: Digraph, move: Move) -> bool:
@@ -403,15 +408,27 @@ def invariant_sufficient(word: Sequence[OneForm], g: Digraph) -> bool:
     return True
 
 
+def _runs_key(path: PathMap) -> tuple:
+    return tuple(map(tuple, runs(path)))
+
+
 @lru_cache(maxsize=16)
 def _move_pair_sample(g: Digraph, base: Vertex,
                       length_bound: int) -> tuple[tuple[PathMap, PathMap, Move], ...]:
-    """(loop, neighbor, move) triples for every loop at base up to the
-    length bound, in enumeration order."""
+    """(loop, neighbor, move) triples over every loop at base up to the
+    length bound, in enumeration order, keeping the first triple of each
+    distinct pair of run sequences.  A pairing depends on a path only
+    through its runs (Chen's identity), so the kept triples give the same
+    pairing values, and the same first differing pair, as the full list."""
     out = []
+    seen = set()
     for loop in enumerate_paths(g, base, length_bound, loops_only=True):
+        loop_key = _runs_key(loop)
         for nb, move in move_neighbors(loop):
-            out.append((loop, nb, move))
+            key = (loop_key, _runs_key(nb))
+            if key not in seen:
+                seen.add(key)
+                out.append((loop, nb, move))
     return tuple(out)
 
 
@@ -510,7 +527,7 @@ def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
     row_of: dict[tuple, tuple] = {}
 
     def row(path: PathMap) -> tuple:
-        key = tuple(map(tuple, runs(path)))
+        key = _runs_key(path)
         got = row_of.get(key)
         if got is None:
             sig = word_pairings_all(path, degree_bound)

@@ -40,6 +40,20 @@ def _is_vertex_name(v) -> bool:
     return not isinstance(v, (list, dict))  # JSON scalars are hashable
 
 
+def _field(d, key: str, kind: type, what: str, error: type):
+    """d[key], after checking that d is a JSON object holding key and that
+    its value is a `kind` (list or dict); any other shape raises `error`."""
+    if not isinstance(d, dict):
+        raise error(f"{what} JSON is not an object")
+    if key not in d:
+        raise error(f'{what} JSON needs "{key}"')
+    value = d[key]
+    if not isinstance(value, kind):
+        noun = "a list" if kind is list else "an object"
+        raise error(f'{what} JSON "{key}" is not {noun}')
+    return value
+
+
 def digraph_from_dict(d: dict) -> Digraph:
     if "vertices" not in d or "arrows" not in d:
         raise GraphError('digraph JSON needs "vertices" and "arrows"')
@@ -122,9 +136,10 @@ def path_to_dict(p: PathMap) -> dict:
 
 
 def path_from_dict(g: Digraph, d: dict) -> PathMap:
-    if "vertices" not in d:
-        raise PathError('path JSON needs "vertices"')
-    vertices = list(d["vertices"])
+    vertices = _field(d, "vertices", list, "path", PathError)
+    for v in vertices:
+        if not _is_vertex_name(v):
+            raise PathError(f"vertex {v!r} is not a string or a number")
     orientations = d.get("orientations")
     if orientations is None:
         orientations = []
@@ -137,6 +152,8 @@ def path_from_dict(g: Digraph, d: dict) -> PathMap:
                 orientations.append("b")
             else:
                 raise PathError(f"no arrow between {u!r} and {v!r}")
+    elif not isinstance(orientations, list):
+        raise PathError('path JSON "orientations" is not a list')
     return make_path(g, vertices, orientations)
 
 
@@ -162,10 +179,9 @@ def one_form_to_dict(omega: OneForm) -> dict:
 
 
 def one_form_from_dict(g: Digraph, d: dict) -> OneForm:
-    if "form" not in d:
-        raise FormError('1-form JSON needs "form"')
+    values = _field(d, "form", dict, "1-form", FormError)
     return OneForm(g, {parse_arrow_label(g, k): parse_rational(v)
-                       for k, v in d["form"].items()})
+                       for k, v in values.items()})
 
 
 def word_to_dict(word) -> dict:
@@ -173,9 +189,8 @@ def word_to_dict(word) -> dict:
 
 
 def word_from_dict(g: Digraph, d: dict) -> list[OneForm]:
-    if "word" not in d:
-        raise FormError('word JSON needs "word"')
-    return [one_form_from_dict(g, item) for item in d["word"]]
+    return [one_form_from_dict(g, item)
+            for item in _field(d, "word", list, "word", FormError)]
 
 
 def two_chain_to_dict(chain: TwoChain) -> dict:
@@ -184,10 +199,9 @@ def two_chain_to_dict(chain: TwoChain) -> dict:
 
 
 def two_chain_from_dict(g: Digraph, d: dict) -> TwoChain:
-    if "chain" not in d:
-        raise FormError('2-chain JSON needs "chain"')
+    coeffs = _field(d, "chain", dict, "2-chain", FormError)
     return TwoChain(g, {tuple(k.split(",")): parse_rational(v)
-                        for k, v in d["chain"].items()})
+                        for k, v in coeffs.items()})
 
 
 # ---------------------------------------------------------------- elements
@@ -208,10 +222,9 @@ def element_to_dict(u: AlgebraElement) -> dict:
 
 
 def element_from_dict(g: Digraph, d: dict) -> AlgebraElement:
-    if "element" not in d:
-        raise FormError('element JSON needs "element"')
+    coeffs = _field(d, "element", dict, "element", FormError)
     return AlgebraElement(g, {parse_word_label(g, k): parse_rational(v)
-                              for k, v in d["element"].items()})
+                              for k, v in coeffs.items()})
 
 
 def tensor_to_dict(t: TensorPair) -> dict:
@@ -220,10 +233,8 @@ def tensor_to_dict(t: TensorPair) -> dict:
 
 
 def tensor_from_dict(g: Digraph, d: dict) -> TensorPair:
-    if "tensor" not in d:
-        raise FormError('tensor JSON needs "tensor"')
     coeffs = {}
-    for key, v in d["tensor"].items():
+    for key, v in _field(d, "tensor", dict, "tensor", FormError).items():
         left, sep, right = key.partition("|")
         if not sep:
             raise FormError(f"tensor key {key!r} is not of the form left|right")

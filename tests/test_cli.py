@@ -1,10 +1,13 @@
 """End-to-end command line checks over temp files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from pathint.cli import main
+from pathint.cli import COMMANDS, build_parser, main
 from pathint import serialization as ser
 from pathint import double_edge, directed_cycle, standard_triangle, make_path
 
@@ -230,6 +233,66 @@ def test_out_of_range_bounds_are_usage_errors(files, capsys, command, flag, valu
     assert code == 2 and out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {flag}: must be at least" in errors[0]
+
+
+def _parse_with_the_full_parser(capsys, argv):
+    """Exit code and output of parsing argv with every subcommand built."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    return (int(exc.value.code) if exc.value.code else 0), out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nosuch"], ["volume", "--seq", "5,5", "extra"],
+    *([name, *rest] for name in COMMANDS
+      for rest in (["-h"], [], ["--format", "xml"], ["--bogus"])),
+])
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    assert run(capsys, *argv) == _parse_with_the_full_parser(capsys, argv)
+
+
+def test_an_unknown_command_is_named_in_the_argument_command_error(capsys):
+    code, out, err = run(capsys, "nosuch")
+    assert code == 2 and out == ""
+    assert "error: argument command: invalid choice: 'nosuch'" in err
+
+
+@pytest.mark.parametrize("argv", [["volume", "--seq", "5,5"], []])
+def test_module_entry_point_reads_sys_argv(capsys, argv):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "pathint.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("command, operand, doc", [
+    ("reduce", "--path", '"vertices"'),  # a JSON string
+    ("reduce", "--path", {"vertices": 5}),
+    ("reduce", "--path", {"vertices": [["a"]]}),
+    ("reduce", "--path", {"vertices": ["v0"], "orientations": 5}),
+    ("pair", "--element", {"element": [1, 2]}),
+    ("integrate", "--word", {"word": {"form": {}}}),
+    ("integrate", "--word", {"word": [{"form": {"v0->v1": 1}}, 3]}),
+    ("integrate", "--word", {"word": [{"form": ["v0->v1"]}]}),
+])
+def test_malformed_documents_are_one_line_errors(files, capsys, command,
+                                                 operand, doc):
+    g = files("d.json", ser.digraph_to_dict(double_edge()))
+    ok = {"--path": files("p.json", {"vertices": ["v0", "v1"]}),
+          "--element": files("e.json", {"element": {"v0->v1": "1"}}),
+          "--word": files("w.json", {"word": [{"form": {"v0->v1": "1"}}]})}
+    ok[operand] = files("bad.json", doc)
+    operands = {"reduce": ["--path"], "pair": ["--element", "--path"],
+                "integrate": ["--path", "--word"]}[command]
+    argv = [command, "--graph", g]
+    for flag in operands:
+        argv += [flag, ok[flag]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_missing_file_is_domain_error(capsys):

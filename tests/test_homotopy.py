@@ -19,7 +19,7 @@ from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      pi1_candidates, standard_square, standard_triangle,
                      trivial_path, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all)
-from pathint.homotopy import (_move_pair_sample, _pi1_rows, _segment_fills,
+from pathint.homotopy import (_pi1_rows, _segment_fills,
                               _theorem_backed_invariants)
 
 
@@ -81,6 +81,45 @@ def _scan_move_neighbors(loop):
     for p in range(n + 1):
         emit("trivial-drop", "unapply", p, ((V[p],), ()), ((V[p], V[p]), ("f",)))
     return out
+
+
+def _apply_move_by_make_path(path, move):
+    """Reference for `apply_move`: the window is spliced in and the whole
+    path is validated again."""
+    bv, bo = move.before
+    av, ao = move.after
+    p, k = move.position, len(bv)
+    assert path.vertices[p:p + k] == bv and path.orientations[p:p + k - 1] == bo
+    return make_path(path.graph, path.vertices[:p] + av + path.vertices[p + k:],
+                     path.orientations[:p] + ao + path.orientations[p + k - 1:])
+
+
+def test_apply_move_matches_the_whole_path_splice():
+    for g in _fixtures():
+        for base in g.vertices:
+            for loop in enumerate_paths(g, base, 4, loops_only=True):
+                got = move_neighbors(loop)
+                expected = [(_apply_move_by_make_path(loop, m), m) for _, m in got]
+                assert got == expected
+                assert [type(nb) for nb, _ in got] == [type(nb) for nb, _ in expected]
+
+
+def test_apply_move_rejects_a_bad_orientation_or_a_moved_endpoint():
+    T = standard_triangle()
+    loop = make_path(T, ["v0", "v1", "v2", "v0"], ["f", "f", "b"])
+    before = (("v0", "v1", "v2"), ("f", "f"))
+    backwards = Move("triangle-contract", "apply", 0, before,
+                     (("v0", "v2"), ("b",)))  # the arrow is v0 -> v2
+    with pytest.raises(PathError):
+        apply_move(loop, backwards)
+    D = double_edge()
+    loop = make_path(D, ["v0", "v1", "v0"], ["f", "f"])
+    moved = Move("trivial-drop", "unapply", 2, (("v0",), ()),
+                 (("v1", "v0"), ("f",)))
+    # spliced in, the window still gives a path, v0 v1 v1 v0
+    assert _apply_move_by_make_path(loop, moved).vertices == ("v0", "v1", "v1", "v0")
+    with pytest.raises(PathError):
+        apply_move(loop, moved)
 
 
 def test_move_neighbors_match_the_vertex_scan_on_fixtures():
@@ -294,6 +333,31 @@ def test_invariance_verify_counterexample_carries_move():
     assert pair(e1, verdict.loop) != pair(e1, verdict.neighbor)
 
 
+def _first_differing_pair(elem, base, length_bound):
+    """Reference for `invariance_verify`: every (loop, neighbor) pair in
+    enumeration order, none skipped."""
+    for loop in enumerate_paths(elem.graph, base, length_bound, loops_only=True):
+        for nb, move in move_neighbors(loop):
+            va, vb = pair(elem, loop), pair(elem, nb)
+            if va != vb:
+                return loop, nb, move, (va, vb)
+    return None, None, None, None
+
+
+def test_invariance_verify_matches_the_full_pair_list():
+    for g in _fixtures():
+        elems = [from_forms(g, [f]) for f in closed_one_forms(g)]
+        elems += [word_element(g, (a,)) for a in g.arrows]
+        elems += [word_element(g, w) for w in all_words(g.arrows, 2, min_degree=2)[:4]]
+        for elem in elems:
+            verdict = invariance_verify(elem, g.vertices[0], length_bound=5)
+            expected = _first_differing_pair(elem, g.vertices[0], 5)
+            assert (verdict.loop, verdict.neighbor, verdict.move,
+                    verdict.values) == expected
+            assert verdict.status == ("invariant-on-sample" if expected[0] is None
+                                      else "counterexample")
+
+
 def test_pi1_on_double_edge_is_empty_but_kernel_is_not():
     D = double_edge()
     result = pi1_candidates(D, "v0", 1, length_bound=6)
@@ -316,10 +380,11 @@ def test_pi1_degree_three_on_the_directed_triangle():
     # on an n-cycle, one candidate per degree once 2 * (bound // n) >= degree
     assert len(result.candidates) == 3
     assert all(c.certified for c in result.candidates)
-    sample = _move_pair_sample(C, "v0", 6)
+    sample = [(loop, nb) for loop in enumerate_paths(C, "v0", 6, loops_only=True)
+              for nb, _ in move_neighbors(loop)]
     for c in result.candidates:
         values = {}
-        for loop, nb, _ in sample:
+        for loop, nb in sample:
             for p in (loop, nb):
                 if p not in values:
                     values[p] = pair(c.element, p)
@@ -327,11 +392,11 @@ def test_pi1_degree_three_on_the_directed_triangle():
     # per-pair assembly: one signature per path, one row per (loop, neighbor)
     words = all_words(C.arrows, 3, min_degree=1)
     rows = {}
-    for p in {p for loop, nb, _ in sample for p in (loop, nb)}:
+    for p in {p for pair_ in sample for p in pair_}:
         sig = word_pairings_all(p, 3)
         rows[p] = tuple(sig[w] for w in words)
     move_rows, loop_rows = set(), set()
-    for loop, nb, _ in sample:
+    for loop, nb in sample:
         diff = tuple(a - b for a, b in zip(rows[loop], rows[nb]))
         if any(v != 0 for v in diff):
             move_rows.add(diff)

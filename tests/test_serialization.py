@@ -111,6 +111,23 @@ def test_two_chain_round_trip():
         assert again.coeffs == chain.coeffs
 
 
+@pytest.mark.parametrize("reader, doc, error", [
+    (ser.path_from_dict, ["v0"], PathError),
+    (ser.path_from_dict, {"vertices": "v0"}, PathError),
+    (ser.path_from_dict, {"vertices": [{"v": 0}]}, PathError),
+    (ser.path_from_dict, {"vertices": ["v0"], "orientations": {}}, PathError),
+    (ser.one_form_from_dict, {"form": 1}, FormError),
+    (ser.word_from_dict, {"word": [None]}, FormError),
+    (ser.element_from_dict, {"element": "v0->v1"}, FormError),
+    (ser.tensor_from_dict, {"tensor": [["v0->v1", "1"]]}, FormError),
+    (ser.tensor_from_dict, "tensor", FormError),
+    (ser.two_chain_from_dict, {"chain": None}, FormError),
+])
+def test_readers_reject_documents_of_the_wrong_shape(reader, doc, error):
+    with pytest.raises(error):
+        reader(double_edge(), doc)
+
+
 def test_canonical_dumps_sorts_keys():
     out = ser.canonical_dumps({"b": 1, "a": 2})
     assert out.index('"a"') < out.index('"b"')
