@@ -18,6 +18,8 @@ from .errors import FormError
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .linalg import Vector, kernel
 
+_ONE = Fraction(1)
+
 
 class ZeroForm:
     """A rational-valued function on vertices, dense over the host."""
@@ -116,13 +118,22 @@ class TwoChain:
             if c != 0:
                 self.coeffs[key] = c
 
+    @classmethod
+    def _unchecked(cls, graph: Digraph, coeffs: dict[TwoPath, Fraction]) -> "TwoChain":
+        """A chain from coefficients already known to be nonzero and on
+        allowed 2-paths, without rebuilding the allowed set."""
+        chain = cls.__new__(cls)
+        chain.graph, chain.coeffs = graph, coeffs
+        return chain
+
     def boundary(self) -> dict[tuple, Fraction]:
         """Boundary as a combination of vertex pairs; the middle term is
         dropped when the 2-path closes up (u = w)."""
         out: dict[tuple, Fraction] = {}
 
         def add(pair, c):
-            new = out.get(pair, Fraction(0)) + c
+            old = out.get(pair)
+            new = c if old is None else old + c
             if new == 0:
                 out.pop(pair, None)
             else:
@@ -163,21 +174,27 @@ def omega2_basis(g: Digraph) -> list[TwoChain]:
 
     Variables are the allowed 2-paths; there is one linear condition per
     vertex pair (u, w) with u != w that is not an arrow: the total
-    coefficient of e_{uw} in the boundary must vanish.
+    coefficient of e_{uw} in the boundary must vanish.  A 2-path u->v->w
+    enters only the condition of its own pair (u, w), so the conditions
+    have disjoint supports and the kernel is read off in one pass: a free
+    2-path is a basis chain, and in a constrained group each later 2-path
+    minus the group's first is one.  This is the reduced row echelon
+    kernel basis, in its order (by free column).
     """
-    paths = allowed_two_paths(g)
-    if not paths:
-        return []
-    index = {p: i for i, p in enumerate(paths)}
-    rows_by_pair: dict[tuple, list[Fraction]] = {}
-    for (u, v, w), i in index.items():
+    first: dict[tuple, TwoPath] = {}
+    basis = []
+    for p in allowed_two_paths(g):
+        u, _, w = p
         if u != w and not g.has_arrow(u, w):
-            row = rows_by_pair.setdefault((u, w), [Fraction(0)] * len(paths))
-            row[i] += 1
-    rows = [rows_by_pair[k] for k in sorted(rows_by_pair, key=lambda p: (str(p[0]), str(p[1])))]
-    basis = kernel(rows, len(paths))
-    return [TwoChain(g, {p: vec[i] for p, i in index.items() if vec[i] != 0})
-            for vec in basis]
+            lead = first.get((u, w))
+            if lead is None:
+                first[(u, w)] = p
+                continue
+            coeffs = {lead: -_ONE, p: _ONE}
+        else:
+            coeffs = {p: _ONE}
+        basis.append(TwoChain._unchecked(g, coeffs))
+    return basis
 
 
 def _closed_condition_rows(g: Digraph, method: str) -> list[list[Fraction]]:
@@ -239,6 +256,16 @@ def _omega2_boundaries(g: Digraph) -> tuple:
         g._omega2_boundaries = tuple(tuple(chain.boundary().items())
                                      for chain in omega2_basis(g))
     return g._omega2_boundaries
+
+
+def closed_arrows(g: Digraph) -> tuple[Arrow, ...]:
+    """The arrows whose basis 1-form is closed, in arrow order: those on no
+    boundary of the two-chain basis, since a boundary's entry at an arrow is
+    its pairing with that arrow's basis form.  None of them is a side of a
+    triangle or a square: each such pattern's 2-chain lies in the two-chain
+    space, and its boundary touches every side."""
+    touched = {pair for row in _omega2_boundaries(g) for pair, _ in row}
+    return tuple(a for a in g.arrows if a not in touched)
 
 
 def is_closed(omega: OneForm) -> bool:

@@ -15,23 +15,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .algebra import (AlgebraElement, BasedFunctional, from_forms,
-                      word_element)
+from .algebra import AlgebraElement, BasedFunctional
 from .errors import MapError, PathError
-from .forms import OneForm, closed_one_forms, is_closed
+from .forms import (OneForm, _closed_basis_vectors, _omega2_boundaries,
+                    closed_arrows, is_closed)
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, all_words, pair, runs, signature,
                         word_pairings_all)
 from .linalg import complement_basis, kernel
-from .paths import (FORWARD, BACKWARD, ForwardArrow, InverseArrow, PathMap,
-                    _build, enumerate_paths, inverse, make_path, steps)
+from .paths import (FORWARD, BACKWARD, PathMap, _build, enumerate_paths,
+                    inverse, make_path)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
               "backtrack", "trivial-drop")
 
 Window = tuple[tuple, tuple]  # (vertices, orientations) of a path segment
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -227,21 +229,67 @@ class HomotopyVerdict:
     depth_bound: int = 0
 
 
-def _theorem_backed_invariants(g: Digraph) -> Iterable[AlgebraElement]:
-    """Separating functionals whose homotopy invariance is certified: the
-    all-ones 1-form when closed (total winding), then the closed basis, then
-    degree-2 arrow words passing the sufficiency test."""
-    ones = OneForm(g, {a: Fraction(1) for a in g.arrows})
-    if is_closed(ones):
-        yield from_forms(g, [ones])
-    for omega in closed_one_forms(g):
-        yield from_forms(g, [omega])
-    # a word with a letter that is not closed never passes the test
-    basis = {a: OneForm.basis(g, a) for a in g.arrows}
-    closed = [a for a in g.arrows if is_closed(basis[a])]
-    for w in all_words(closed, 2, min_degree=2):
-        if invariant_sufficient([basis[a] for a in w], g):
-            yield word_element(g, w)
+def _theorem_backed_invariants(g: Digraph) -> Iterator[dict[Word, Fraction]]:
+    """Separating functionals whose homotopy invariance is certified, as
+    coefficients over arrow words: the all-ones 1-form when closed (total
+    winding), then the closed basis, then the degree-2 words over closed
+    arrows.  Such a word passes `invariant_sufficient`, because no closed
+    arrow is a side of a triangle or a square; a word with a letter that is
+    not closed fails it.  The closed basis is eliminated only when reached."""
+    boundaries = _omega2_boundaries(g)
+    if all(sum(c for _, c in row) == 0 for row in boundaries):
+        yield {(a,): _ONE for a in g.arrows}
+    for vec in _closed_basis_vectors(g, "kernel"):
+        yield {(a,): c for a, c in zip(g.arrows, vec) if c}
+    for w in product(closed_arrows(g), repeat=2):
+        yield {w: _ONE}
+
+
+def _net_counts(path: PathMap) -> dict[Word, int]:
+    """The path's degree-1 signature: the net traversals of each arrow,
+    keyed by its one-letter word."""
+    counts: dict[Word, int] = {}
+    for arrow, net in runs(path):
+        counts[(arrow,)] = counts.get((arrow,), 0) + net
+    return counts
+
+
+def _first_difference(g: Digraph, invariants: Iterable[dict[Word, Fraction]],
+                      sig_a: dict, sig_b: dict):
+    """The first invariant whose pairings with the two signatures differ, as
+    an element with its two values, or None.  An invariant is tested on the
+    words where the signatures differ; only the one that separates is
+    paired in full."""
+    diff = {w: d for w in {**sig_a, **sig_b}
+            if (d := sig_a.get(w, 0) - sig_b.get(w, 0))}
+    for coeffs in invariants:
+        if sum(c * diff[w] for w, c in coeffs.items() if w in diff):
+            va, vb = (sum((c * sig.get(w, 0) for w, c in coeffs.items()), _ZERO)
+                      for sig in (sig_a, sig_b))
+            return AlgebraElement(g, coeffs), (va, vb)
+    return None
+
+
+def _separating_invariant(a: PathMap, b: PathMap):
+    """The first theorem-backed invariant that differs on the two loops,
+    with its two values, or None.  Degree-1 invariants pair through the
+    loops' net arrow counts; once a longer word comes up, the invariants
+    left pair through one `signature` per loop over their prefix-closed
+    word set."""
+    g = a.graph
+    nets = (_net_counts(a), _net_counts(b))
+    invariants = _theorem_backed_invariants(g)
+    for coeffs in invariants:
+        if max(map(len, coeffs), default=1) > 1:
+            rest = [coeffs, *invariants]
+            words = dict.fromkeys(w[:i] for c in rest for w in c
+                                  for i in range(len(w) + 1))
+            return _first_difference(g, rest, signature(a, words),
+                                     signature(b, words))
+        found = _first_difference(g, [coeffs], *nets)
+        if found is not None:
+            return found
+    return None
 
 
 def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
@@ -265,13 +313,12 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
                                length_bound=length_bound,
                                depth_bound=depth_bound)
 
-    for elem in _theorem_backed_invariants(a.graph):
-        va, vb = pair(elem, a), pair(elem, b)
-        if va != vb:
-            return HomotopyVerdict("certified-no", invariant=elem,
-                                   values=(va, vb),
-                                   length_bound=length_bound,
-                                   depth_bound=depth_bound)
+    found = _separating_invariant(a, b)
+    if found is not None:
+        elem, values = found
+        return HomotopyVerdict("certified-no", invariant=elem, values=values,
+                               length_bound=length_bound,
+                               depth_bound=depth_bound)
 
     # Bidirectional breadth-first search; parents map each state to the
     # (previous state, move from it) pair on its own side.
@@ -432,16 +479,6 @@ def _move_pair_sample(g: Digraph, base: Vertex,
     return tuple(out)
 
 
-def _net_counts(path: PathMap) -> dict[Arrow, int]:
-    counts: dict[Arrow, int] = {}
-    for s in steps(path):
-        if isinstance(s, ForwardArrow):
-            counts[s.arrow] = counts.get(s.arrow, 0) + 1
-        elif isinstance(s, InverseArrow):
-            counts[s.arrow] = counts.get(s.arrow, 0) - 1
-    return counts
-
-
 @dataclass(frozen=True)
 class InvarianceVerdict:
     """Outcome of checking a functional against sampled move pairs."""
@@ -469,7 +506,7 @@ def invariance_verify(elem: AlgebraElement, base: Vertex,
         if got is None:
             if degree_one:
                 net = _net_counts(path)
-                got = sum((c * net.get(w[0], 0) for w, c in elem.coeffs.items()),
+                got = sum((c * net.get(w, 0) for w, c in elem.coeffs.items()),
                           Fraction(0))
             else:
                 got = pair(elem, path)
@@ -501,20 +538,16 @@ class Pi1Result:
     invariant_kernel: tuple[AlgebraElement, ...]
 
 
-def _certify(elem: AlgebraElement) -> bool:
+def _certify(elem: AlgebraElement, closed: frozenset[Arrow]) -> bool:
     """Theorem-backed certification per homogeneous component: the degree-1
     part must assemble to a closed form, and every supported word of higher
-    degree must pass the sufficiency test letterwise."""
+    degree must pass the sufficiency test letterwise, that is, be a word
+    over the closed arrows (see `_theorem_backed_invariants`)."""
     g = elem.graph
     deg1 = {w[0]: c for w, c in elem.coeffs.items() if len(w) == 1}
     if deg1 and not is_closed(OneForm(g, deg1)):
         return False
-    for w in elem.coeffs:
-        if len(w) >= 2:
-            forms = [OneForm.basis(g, a) for a in w]
-            if not invariant_sufficient(forms, g):
-                return False
-    return True
+    return all(closed.issuperset(w) for w in elem.coeffs if len(w) >= 2)
 
 
 def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
@@ -572,7 +605,8 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
     def to_elem(vec) -> AlgebraElement:
         return AlgebraElement(g, {w: c for w, c in zip(words, vec) if c != 0})
 
-    candidates = tuple(Pi1Candidate(to_elem(v), _certify(to_elem(v)))
+    closed = frozenset(closed_arrows(g))
+    candidates = tuple(Pi1Candidate(to_elem(v), _certify(to_elem(v), closed))
                        for v in reps)
     return Pi1Result(g, base, degree_bound, length_bound, candidates,
                      tuple(to_elem(v) for v in invariant_basis))

@@ -36,8 +36,16 @@ def digraph_to_dict(g: Digraph) -> dict:
     return out
 
 
-def _is_vertex_name(v) -> bool:
-    return not isinstance(v, (list, dict))  # JSON scalars are hashable
+def _vertex_name(v, what: str, error: type):
+    """v, if it can name a vertex: a string that arrow labels ("u->v"),
+    word and 2-chain labels ("a,b") and tensor keys ("left|right") can hold
+    unambiguously; otherwise `error` with a one-line diagnostic."""
+    if not isinstance(v, str):
+        raise error(f"{what} {v!r} is not a string")
+    for sep in ("->", ",", "|"):
+        if sep in v:
+            raise error(f'{what} {v!r} contains "{sep}"')
+    return v
 
 
 def _field(d, key: str, kind: type, what: str, error: type):
@@ -60,19 +68,17 @@ def digraph_from_dict(d: dict) -> Digraph:
     for key in ("vertices", "arrows"):
         if not isinstance(d[key], (list, tuple)):
             raise GraphError(f'digraph JSON "{key}" is not a list')
-    for v in d["vertices"]:
-        if not _is_vertex_name(v):
-            raise GraphError(f"vertex {v!r} is not a string or a number")
+    vertices = [_vertex_name(v, "vertex", GraphError) for v in d["vertices"]]
     arrows = []
     for a in d["arrows"]:
-        if not (isinstance(a, (list, tuple)) and len(a) == 2
-                and all(map(_is_vertex_name, a))):
+        if not (isinstance(a, (list, tuple)) and len(a) == 2):
             raise GraphError(f"arrow {a!r} is not a [source, target] pair")
-        arrows.append(tuple(a))
+        arrows.append(tuple(_vertex_name(v, "arrow endpoint", GraphError)
+                            for v in a))
     base = d.get("base")
-    if not _is_vertex_name(base):
-        raise GraphError(f"base {base!r} is not a string or a number")
-    return validate_digraph(d["vertices"], arrows, base)
+    if base is not None:
+        _vertex_name(base, "base", GraphError)
+    return validate_digraph(vertices, arrows, base)
 
 
 _DOT_EDGE = re.compile(r'"([^"]+)"|([A-Za-z0-9_.]+)|(->)|(\{)|(\})|(;)|(digraph|strict)')
@@ -111,7 +117,7 @@ def parse_dot(text: str) -> Digraph:
         if len(chain) != len(names):
             raise GraphError(f"unsupported DOT statement: {statement!r}")
         for v in names:
-            note(v)
+            note(_vertex_name(v, "vertex", GraphError))
         for u, v in zip(names, names[1:]):
             if (u, v) not in arrows:
                 arrows.append((u, v))
@@ -138,8 +144,7 @@ def path_to_dict(p: PathMap) -> dict:
 def path_from_dict(g: Digraph, d: dict) -> PathMap:
     vertices = _field(d, "vertices", list, "path", PathError)
     for v in vertices:
-        if not _is_vertex_name(v):
-            raise PathError(f"vertex {v!r} is not a string or a number")
+        _vertex_name(v, "vertex", PathError)
     orientations = d.get("orientations")
     if orientations is None:
         orientations = []

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from pathint import OneForm, ZeroForm, make_path, validate_digraph
+from pathint import Digraph, OneForm, ZeroForm, make_path, validate_digraph
 
 SEED = int(os.environ.get("PATHINT_SEED", "20260819"))
 
@@ -31,6 +31,22 @@ def random_digraph(rng: random.Random, max_vertices: int = 6, p: float = 0.4):
     if not arrows:
         arrows = [(vs[0], vs[1])]
     return validate_digraph(vs, arrows)
+
+
+def patterned_digraph(rng: random.Random):
+    """A random digraph on 5-6 vertices with a triangle, a square and a
+    double edge planted on random vertices, arrows in random order."""
+    vs = [f"v{i}" for i in range(rng.randint(5, 6))]
+    arrows = {(u, v) for u in vs for v in vs if u != v and rng.random() < 0.25}
+    x, y, z = rng.sample(vs, 3)
+    arrows |= {(x, y), (y, z), (x, z)}
+    a, b, c, d = rng.sample(vs, 4)
+    arrows |= {(a, b), (b, d), (a, c), (c, d)}
+    u, v = rng.sample(vs, 2)
+    arrows |= {(u, v), (v, u)}
+    arrows = sorted(arrows)
+    rng.shuffle(arrows)
+    return Digraph(vs, arrows)
 
 
 def random_path(rng: random.Random, g, max_len: int = 8, start=None,

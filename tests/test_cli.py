@@ -1,11 +1,16 @@
 """End-to-end command line checks over temp files."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathint.cli import COMMANDS, build_parser, main
 from pathint import serialization as ser
@@ -318,3 +323,126 @@ def test_emitted_json_reparses(files, capsys, tmp_path):
                        "--format", "json")
     reparsed = ser.path_from_dict(D, json.loads(out))
     assert reparsed == make_path(D, ["v0"], [])
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": [0, 1, 2], "arrows": [[0, 1], [1, 2]]},
+    {"vertices": ["a", 1], "arrows": []},
+    {"vertices": ["a", "b"], "arrows": [["a", 1]]},
+    {"vertices": ["a", "b"], "arrows": [], "base": 0},
+    {"vertices": [True], "arrows": []},
+    {"vertices": ["a->b", "c"], "arrows": [["a->b", "c"]]},
+    {"vertices": ["a,b", "c"], "arrows": [["a,b", "c"]]},
+    {"vertices": ["a", "b"], "arrows": [["a", "b"]], "base": "a,b"},
+    {"vertices": ["a|b", "c"], "arrows": [["a|b", "c"]]},
+    'digraph { "a,b" -> c }',
+    'digraph { x; "p,q" }',
+])
+def test_vertex_names_that_no_label_can_name_are_rejected(files, capsys, doc):
+    # arrow labels are "u->v", word labels join arrows with "," and tensor
+    # keys join words with "|", so a vertex name holding any of them, or a
+    # number (printed as "0->1" but never read back as one), would make
+    # labels the readers cannot take back
+    g = files("bad.json", doc)
+    for command in ("validate", "closed-forms", "omega2"):
+        code, out, err = run(capsys, command, "--graph", g)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "is not a string" in err or "contains" in err
+
+
+def test_path_vertices_must_be_strings(files, capsys):
+    g = files("d.json", ser.digraph_to_dict(double_edge()))
+    p = files("p.json", {"vertices": ["v0", 1]})
+    code, out, err = run(capsys, "reduce", "--graph", g, "--path", p)
+    assert code == 1 and out == ""
+    assert err == "error: vertex 1 is not a string\n"
+
+
+# ------------------------------------------------------------ fuzzed inputs
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 2)
+    | st.sampled_from(["", "v0", "v1", "v0->v1", "v1->v2", "1/2", "f", "b",
+                       "x,y", "0", "-1"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["vertices", "arrows", "base",
+                                       "orientations", "element", "word",
+                                       "form", "v0->v1", ""]),
+                      kids, max_size=3),
+    max_leaves=6)
+
+_VALID = {
+    "graph": {"vertices": ["v0", "v1", "v2"],
+              "arrows": [["v0", "v1"], ["v1", "v2"], ["v0", "v2"]],
+              "base": "v0"},
+    "path": {"vertices": ["v0", "v1", "v2", "v0"],
+             "orientations": ["f", "f", "b"]},
+    "loop-a": {"vertices": ["v0", "v1", "v2", "v0"],
+               "orientations": ["f", "f", "b"]},
+    "loop-b": {"vertices": ["v0", "v2", "v0"], "orientations": ["f", "b"]},
+    "element": {"element": {"v0->v1,v1->v2": "1", "": "-2"}},
+    "word": {"word": [{"form": {"v0->v1": "3/2"}}, {"form": {"v1->v2": "-1"}}]},
+}
+
+_FUZZED = {"validate": ["graph"], "pair": ["graph", "element", "path"],
+           "integrate": ["graph", "path", "word"],
+           "homotopy": ["graph", "loop-a", "loop-b"], "pi1": ["graph"]}
+
+_BOUNDS = {"homotopy": ["--length-bound", "5", "--depth-bound", "2"],
+           "pi1": ["--degree", "1", "--length-bound", "3"]}
+
+
+def _places(doc, at=()):
+    """The path to every value inside a JSON document, the root first."""
+    yield at
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _places(value, at + (key,))
+
+
+def _mutated(data, doc):
+    """doc with one value somewhere inside it swapped for junk, dropped, or
+    wrapped in a list."""
+    at = data.draw(st.sampled_from(list(_places(doc))))
+    how = data.draw(st.sampled_from(["junk", "drop", "wrap"]))
+    if not at:
+        return [doc] if how == "wrap" else data.draw(_JUNK)
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    if how == "drop":
+        del parent[at[-1]]
+    else:
+        old = parent[at[-1]]
+        parent[at[-1]] = [old] if how == "wrap" else data.draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=250)
+@given(st.data())
+def test_fuzzed_documents_never_raise(data):
+    # each run spoils one operand (or none) at one place, so that the
+    # other operands stay valid and the reader of the spoilt one is reached
+    command = data.draw(st.sampled_from(sorted(_FUZZED)))
+    spoilt = data.draw(st.sampled_from(_FUZZED[command] + [None]))
+    fmt = data.draw(st.sampled_from(["json", "text"]))
+    argv = [command, "--format", fmt] + _BOUNDS.get(command, [])
+    with tempfile.TemporaryDirectory() as tmp:
+        for operand in _FUZZED[command]:
+            doc = _VALID[operand]
+            if operand == spoilt:
+                doc = _mutated(data, doc)
+            name = Path(tmp) / f"{operand}.json"
+            name.write_text(json.dumps(doc))
+            argv += [f"--{operand}", str(name)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1 and out.getvalue() == ""

@@ -1,18 +1,21 @@
 """Forms in degrees 0, 1, 2: differential, chain space, closedness."""
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_digraph, random_form, random_zero_form
+from conftest import patterned_digraph, random_digraph, random_zero_form
 
-from pathint import (DigraphMap, FormError, OneForm, TwoChain, ZeroForm,
-                     box_product, closed_one_forms, d0, directed_cycle,
+from pathint import (Digraph, DigraphMap, FormError, OneForm, TwoChain,
+                     ZeroForm, box_product, closed_one_forms, d0, directed_cycle,
                      double_edge, is_closed, line_digraph, omega2_basis,
                      pullback_one_form, standard_square, standard_triangle,
                      wedge_of_cycles)
+from pathint.forms import _omega2_boundaries, allowed_two_paths, closed_arrows
 from pathint.linalg import kernel
 
 
@@ -144,3 +147,66 @@ def test_form_host_mismatch():
     T = standard_triangle()
     with pytest.raises(FormError):
         OneForm(T, {("v9", "v1"): Fraction(1)})
+
+
+def _omega2_basis_by_elimination(g):
+    """Reference for `omega2_basis`: one condition row per non-arrow vertex
+    pair, then the reduced row echelon kernel."""
+    paths = allowed_two_paths(g)
+    if not paths:
+        return []
+    index = {p: i for i, p in enumerate(paths)}
+    rows_by_pair = {}
+    for (u, v, w), i in index.items():
+        if u != w and not g.has_arrow(u, w):
+            row = rows_by_pair.setdefault((u, w), [Fraction(0)] * len(paths))
+            row[i] += 1
+    rows = [rows_by_pair[k]
+            for k in sorted(rows_by_pair, key=lambda p: (str(p[0]), str(p[1])))]
+    return [TwoChain(g, {p: vec[i] for p, i in index.items() if vec[i] != 0})
+            for vec in kernel(rows, len(paths))]
+
+
+def _assert_omega2_matches_the_elimination(g):
+    reference = _omega2_basis_by_elimination(g)
+    basis = omega2_basis(g)
+    assert basis == reference
+    assert [list(c.coeffs.items()) for c in basis] == \
+        [list(c.coeffs.items()) for c in reference]
+    boundaries = tuple(tuple(c.boundary().items()) for c in reference)
+    assert _omega2_boundaries(g) == boundaries
+    rows = []
+    for boundary in boundaries:
+        row = [Fraction(0)] * len(g.arrows)
+        for pair, c in boundary:
+            row[g.arrow_index[pair]] = c
+        rows.append(row)
+    closed = kernel(rows, len(g.arrows)) if g.arrows else []
+    for method in ("kernel", "patterns"):
+        assert [f.vector() for f in closed_one_forms(g, method)] == closed
+    assert closed_arrows(g) == tuple(
+        a for a in g.arrows if is_closed(OneForm.basis(g, a)))
+
+
+def test_omega2_basis_matches_the_elimination_on_the_fixtures():
+    for g in (standard_triangle(), standard_square(), double_edge(),
+              directed_cycle(4), wedge_of_cycles(),
+              box_product(line_digraph("ff"), line_digraph("ff")),
+              box_product(line_digraph("fbf"), line_digraph("bfb"))):
+        _assert_omega2_matches_the_elimination(g)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_omega2_basis_matches_the_elimination_on_random_digraphs(seed):
+    _assert_omega2_matches_the_elimination(patterned_digraph(random.Random(seed)))
+
+
+def test_closed_arrows_avoid_triangle_and_square_sides():
+    S = standard_square()
+    assert closed_arrows(S) == ()
+    assert closed_arrows(standard_triangle()) == ()
+    assert closed_arrows(double_edge()) == ()
+    assert closed_arrows(directed_cycle(4)) == directed_cycle(4).arrows
+    # a tail hanging off the square is closed, its sides are not
+    g = Digraph(S.vertices + ("t",), S.arrows + (("v3", "t"),))
+    assert closed_arrows(g) == (("v3", "t"),)

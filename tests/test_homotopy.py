@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, product
 
 import pytest
 from hypothesis import given, strategies as st
+
+from conftest import patterned_digraph
 
 from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      MoveCertificate, OneForm, PathError, all_words,
@@ -19,6 +22,7 @@ from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      pi1_candidates, standard_square, standard_triangle,
                      trivial_path, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all)
+from pathint.forms import closed_arrows
 from pathint.homotopy import (_pi1_rows, _segment_fills,
                               _theorem_backed_invariants)
 
@@ -129,26 +133,10 @@ def test_move_neighbors_match_the_vertex_scan_on_fixtures():
                 assert move_neighbors(p) == _scan_move_neighbors(p)
 
 
-def _patterned_digraph(rng):
-    """A random digraph on 5-6 vertices with a triangle, a square and a
-    double edge planted on random vertices, arrows in random order."""
-    vs = [f"v{i}" for i in range(rng.randint(5, 6))]
-    arrows = {(u, v) for u in vs for v in vs if u != v and rng.random() < 0.25}
-    x, y, z = rng.sample(vs, 3)
-    arrows |= {(x, y), (y, z), (x, z)}
-    a, b, c, d = rng.sample(vs, 4)
-    arrows |= {(a, b), (b, d), (a, c), (c, d)}
-    u, v = rng.sample(vs, 2)
-    arrows |= {(u, v), (v, u)}
-    arrows = sorted(arrows)
-    rng.shuffle(arrows)
-    return Digraph(vs, arrows)
-
-
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_move_neighbors_match_the_vertex_scan_on_random_digraphs(seed):
     rng = random.Random(seed)
-    g = _patterned_digraph(rng)
+    g = patterned_digraph(rng)
     base = rng.choice(g.vertices)
     loops = list(islice(enumerate_paths(g, base, 4, loops_only=True), 400))
     for loop in rng.sample(loops, min(len(loops), 8)):
@@ -157,16 +145,130 @@ def test_move_neighbors_match_the_vertex_scan_on_random_digraphs(seed):
         assert move_neighbors(loop) == _scan_move_neighbors(loop)
 
 
+@lru_cache(maxsize=8)
+def _exhaustive_invariants(g):
+    """The theorem-backed invariants by the exhaustive scan: the all-ones
+    form when closed, the closed basis, then every degree-2 arrow word that
+    passes `invariant_sufficient`."""
+    out = [from_forms(g, [f]) for f in closed_one_forms(g)]
+    ones = OneForm(g, {a: Fraction(1) for a in g.arrows})
+    if is_closed(ones):
+        out.insert(0, from_forms(g, [ones]))
+    out += [word_element(g, w) for w in all_words(g.arrows, 2, min_degree=2)
+            if invariant_sufficient([OneForm.basis(g, a) for a in w], g)]
+    return tuple(out)
+
+
 def test_theorem_backed_invariants_match_the_exhaustive_scan():
     for g in _fixtures():
-        expected = [from_forms(g, [f]) for f in closed_one_forms(g)]
-        ones = OneForm(g, {a: Fraction(1) for a in g.arrows})
-        if is_closed(ones):
-            expected.insert(0, from_forms(g, [ones]))
-        expected += [word_element(g, w)
-                     for w in all_words(g.arrows, 2, min_degree=2)
-                     if invariant_sufficient([OneForm.basis(g, a) for a in w], g)]
-        assert list(_theorem_backed_invariants(g)) == expected
+        got = [AlgebraElement(g, coeffs) for coeffs in _theorem_backed_invariants(g)]
+        assert got == list(_exhaustive_invariants(g))
+
+
+def _refutation_by_pairing(a, b):
+    """Reference for the refutation stage of `homotopic_loops`: each
+    invariant of the exhaustive scan paired with both loops by `pair`."""
+    for elem in _exhaustive_invariants(a.graph):
+        va, vb = pair(elem, a), pair(elem, b)
+        if va != vb:
+            return elem, (va, vb)
+    return None
+
+
+def _assert_refutes_like_the_pairing(a, b):
+    verdict = homotopic_loops(a, b, length_bound=6, depth_bound=0)
+    expected = _refutation_by_pairing(a, b)
+    if expected is None:
+        assert verdict.status != "certified-no"
+    else:
+        assert verdict.status == "certified-no"
+        assert (verdict.invariant, verdict.values) == expected
+        assert all(type(v) is Fraction for v in verdict.values)
+    return verdict.status
+
+
+def test_homotopic_loops_refutes_like_the_exhaustive_pairing():
+    rng = random.Random(11)
+    graphs = _fixtures() + [box_product(line_digraph("fb"), line_digraph("bf"))]
+    statuses = set()
+    for g in graphs:
+        base = g.vertices[0]
+        loops = list(islice(enumerate_paths(g, base, 4, loops_only=True), 60))
+        for _ in range(25):
+            statuses.add(_assert_refutes_like_the_pairing(*rng.sample(loops, 2)))
+    assert statuses == {"certified-no", "unknown"}
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_homotopic_loops_refutes_like_the_pairing_on_random_digraphs(seed):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    base = rng.choice(g.vertices)
+    loops = list(islice(enumerate_paths(g, base, 4, loops_only=True), 100))
+    for _ in range(3):
+        _assert_refutes_like_the_pairing(rng.choice(loops), rng.choice(loops))
+
+
+def test_equal_winding_is_separated_at_degree_two():
+    # ab against ba on the wedge: every degree-1 invariant agrees, so only
+    # the degree-2 stage can refute
+    W = wedge_of_cycles()
+    a = make_path(W, ["v0", "v1", "v2", "v3", "v0"], ["f"] * 4)
+    b = make_path(W, ["v0", "v4", "v5", "v6", "v0"], ["f"] * 4)
+    ab = make_path(W, a.vertices + b.vertices[1:], ["f"] * 8)
+    ba = make_path(W, b.vertices + a.vertices[1:], ["f"] * 8)
+    verdict = homotopic_loops(ab, ba, length_bound=8, depth_bound=0)
+    assert verdict.status == "certified-no"
+    assert verdict.invariant == word_element(W, [("v0", "v1"), ("v0", "v4")])
+    assert verdict.values == (1, 0)
+    assert (verdict.invariant, verdict.values) == _refutation_by_pairing(ab, ba)
+    for elem in _exhaustive_invariants(W):
+        if elem.degree == 1:
+            assert pair(elem, ab) == pair(elem, ba)
+
+
+def test_words_over_closed_arrows_pass_the_sufficiency_test():
+    rng = random.Random(3)
+    graphs = _fixtures() + [patterned_digraph(rng) for _ in range(6)]
+    graphs.append(Digraph(["x", "y", "z", "w", "t"],
+                          [("x", "y"), ("y", "z"), ("x", "z"), ("z", "w"),
+                           ("w", "t"), ("t", "z")]))
+    for g in graphs:
+        closed = closed_arrows(g)
+        basis = {a: OneForm.basis(g, a) for a in g.arrows}
+        for w in all_words(closed, 3, min_degree=2):
+            assert invariant_sufficient([basis[a] for a in w], g)
+        for a in set(g.arrows) - set(closed):
+            assert not invariant_sufficient([basis[a]], g)
+            for b in g.arrows:
+                assert not invariant_sufficient([basis[a], basis[b]], g)
+                assert not invariant_sufficient([basis[b], basis[a]], g)
+
+
+def _certify_by_sufficiency(elem):
+    """Reference certification: the degree-1 part closed, every longer word
+    through `invariant_sufficient` letter by letter."""
+    g = elem.graph
+    deg1 = {w[0]: c for w, c in elem.coeffs.items() if len(w) == 1}
+    if deg1 and not is_closed(OneForm(g, deg1)):
+        return False
+    return all(invariant_sufficient([OneForm.basis(g, a) for a in w], g)
+               for w in elem.coeffs if len(w) >= 2)
+
+
+def test_pi1_certification_matches_the_sufficiency_test():
+    graphs = _fixtures() + [Digraph(["x", "y", "z", "w"],
+                                    [("x", "y"), ("y", "z"), ("x", "z"),
+                                     ("z", "w"), ("w", "x")])]
+    flags = []
+    for g in graphs:
+        result = pi1_candidates(g, g.vertices[0], 2, length_bound=4)
+        for c in result.candidates:
+            assert c.certified == _certify_by_sufficiency(c.element)
+            flags.append(c.certified)
+        for u in result.invariant_kernel:
+            flags.append(_certify_by_sufficiency(u))
+    assert True in flags and False in flags
 
 
 def test_move_neighbors_triangle_contraction():
