@@ -70,6 +70,8 @@ class Digraph:
         # closedness data, filled by `forms` on first use
         self._omega2_boundaries: tuple | None = None
         self._closed_bases: dict[str, tuple] = {}
+        # move-pair samples by (base, length bound), filled by `homotopy`
+        self._move_pair_samples: dict[tuple, tuple] = {}
 
     def has_arrow(self, u: Vertex, v: Vertex) -> bool:
         return (u, v) in self.arrow_set

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -22,7 +21,7 @@ from .errors import MapError, PathError
 from .forms import (OneForm, _closed_basis_vectors, _omega2_boundaries,
                     closed_arrows, is_closed)
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .integrals import (Word, all_words, pair, runs, signature,
+from .integrals import (Word, _runs, all_words, pair, runs, signature,
                         word_pairings_all)
 from .linalg import complement_basis, kernel
 from .paths import (FORWARD, BACKWARD, PathMap, _build, enumerate_paths,
@@ -67,9 +66,16 @@ def apply_move(path: PathMap, move: Move) -> PathMap:
     if (window.start, window.end) != (bv[0], bv[-1]):
         raise PathError("move windows do not share their endpoints")
     return _build(path.graph,
-                  path.vertices[:p] + window.vertices + path.vertices[p + k:],
-                  path.orientations[:p] + window.orientations
-                  + path.orientations[p + k - 1:])
+                  *_splice(path, move, (window.vertices, window.orientations)))
+
+
+def _splice(path: PathMap, move: Move, window: Window) -> Window:
+    """The path's (vertices, orientations) with the move's `before` window
+    replaced by `window`, unchecked."""
+    p = move.position
+    k = len(move.before[0])
+    return (path.vertices[:p] + window[0] + path.vertices[p + k:],
+            path.orientations[:p] + window[1] + path.orientations[p + k - 1:])
 
 
 def _is_stated_move(g: Digraph, move: Move) -> bool:
@@ -141,8 +147,8 @@ def _segment_fills(g: Digraph, vertices: Sequence[Vertex]) -> list[tuple[str, ..
     return [tuple(combo) for combo in product(*choices)]
 
 
-def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
-    """All one-move results on the loop, both directions, every position,
+def _moves(loop: PathMap) -> Iterator[Move]:
+    """All one-move rewrites of the loop, both directions, every position,
     with vertex-sequence moves instantiated over every orientation
     realization the host's arrows allow.  Candidate vertices come from the
     host's move tables, in vertex input order."""
@@ -151,11 +157,6 @@ def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
     V = loop.vertices
     O = loop.orientations
     n = loop.length
-    out: list[tuple[PathMap, Move]] = []
-
-    def emit(kind: str, direction: str, p: int, before: Window, after: Window):
-        move = Move(kind, direction, p, before, after)
-        out.append((apply_move(loop, move), move))
 
     for p in range(n - 1):
         window = (V[p], V[p + 1], V[p + 2])
@@ -163,31 +164,31 @@ def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
         # (i) triangle contraction: v0 v1 v2 -> v0 v2
         if g.is_triangle_set(*window):
             for fill in _segment_fills(g, (V[p], V[p + 2])):
-                emit("triangle-contract", "apply", p, before,
-                     ((V[p], V[p + 2]), fill))
+                yield Move("triangle-contract", "apply", p, before,
+                           ((V[p], V[p + 2]), fill))
         # (ii) square replacement: v0 v1 v3 -> v0 v2 v3
         for v2 in tables.square_corner.get(window, ()):
             for fill in _segment_fills(g, (V[p], v2, V[p + 2])):
-                emit("square-replace", "apply", p, before,
-                     ((V[p], v2, V[p + 2]), fill))
+                yield Move("square-replace", "apply", p, before,
+                           ((V[p], v2, V[p + 2]), fill))
         # (iv) backtrack removal: v0 v1 v0 -> v0 v0
         if V[p] == V[p + 2]:
-            emit("backtrack", "apply", p, before,
-                 ((V[p], V[p]), (FORWARD,)))
+            yield Move("backtrack", "apply", p, before,
+                       ((V[p], V[p]), (FORWARD,)))
 
     # (iii) square contraction: v0 v1 v3 v2 -> v0 v2
     for p in range(n - 2):
         if (V[p], V[p + 1], V[p + 3], V[p + 2]) in tables.squares:
             before = (V[p:p + 4], O[p:p + 3])
             for fill in _segment_fills(g, (V[p], V[p + 3])):
-                emit("square-contract", "apply", p, before,
-                     ((V[p], V[p + 3]), fill))
+                yield Move("square-contract", "apply", p, before,
+                           ((V[p], V[p + 3]), fill))
 
     # (v) trivial-step removal, any position (a stationary step is dropped)
     for p in range(n):
         if V[p] == V[p + 1]:
-            emit("trivial-drop", "apply", p,
-                 ((V[p], V[p]), (O[p],)), ((V[p],), ()))
+            yield Move("trivial-drop", "apply", p,
+                       ((V[p], V[p]), (O[p],)), ((V[p],), ()))
 
     # inverse directions
     for p in range(n):
@@ -196,26 +197,31 @@ def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
         # (i) expansion: v0 v2 -> v0 v1 v2 through a triangle
         for v1 in tables.triangle_apex.get(ends, ()):
             for fill in _segment_fills(g, (V[p], v1, V[p + 1])):
-                emit("triangle-contract", "unapply", p, before,
-                     ((V[p], v1, V[p + 1]), fill))
+                yield Move("triangle-contract", "unapply", p, before,
+                           ((V[p], v1, V[p + 1]), fill))
         # (iii) expansion: v0 v2 -> v0 v1 v3 v2 through a square
         for v1, v3 in tables.square_sides.get(ends, ()):
             for fill in _segment_fills(g, (V[p], v1, v3, V[p + 1])):
-                emit("square-contract", "unapply", p, before,
-                     ((V[p], v1, v3, V[p + 1]), fill))
+                yield Move("square-contract", "unapply", p, before,
+                           ((V[p], v1, v3, V[p + 1]), fill))
         # (iv) expansion: a trivial step opens into a backtrack v0 v1 v0
         if V[p] == V[p + 1]:
             for v1 in tables.star[V[p]]:
                 for fill in _segment_fills(g, (V[p], v1, V[p])):
-                    emit("backtrack", "unapply", p, before,
-                         ((V[p], v1, V[p]), fill))
+                    yield Move("backtrack", "unapply", p, before,
+                               ((V[p], v1, V[p]), fill))
 
     # (v) expansion: insert a trivial step at any vertex
     for p in range(n + 1):
-        emit("trivial-drop", "unapply", p,
-             ((V[p],), ()), ((V[p], V[p]), (FORWARD,)))
+        yield Move("trivial-drop", "unapply", p,
+                   ((V[p],), ()), ((V[p], V[p]), (FORWARD,)))
 
-    return out
+
+def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
+    """Every (neighbor, move) pair of `_moves`, in its order, each neighbor
+    built by `apply_move`.  The windows of `_moves` are normalized already,
+    so `_splice(loop, move, move.after)` gives a neighbor's tuples unbuilt."""
+    return [(apply_move(loop, m), m) for m in _moves(loop)]
 
 
 @dataclass(frozen=True)
@@ -320,13 +326,17 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
                                length_bound=length_bound,
                                depth_bound=depth_bound)
 
-    # Bidirectional breadth-first search; parents map each state to the
-    # (previous state, move from it) pair on its own side.
-    parents_a: dict[PathMap, tuple[PathMap, Move] | None] = {a: None}
-    parents_b: dict[PathMap, tuple[PathMap, Move] | None] = {b: None}
+    # Bidirectional breadth-first search over (vertices, orientations)
+    # states; parents map each state to the (previous state, move from it)
+    # pair on its own side.  A neighbor is spliced raw, and built through
+    # `apply_move` only once it is within the length bound and new.
+    parents_a: dict[Window, tuple[Window, Move] | None] = {
+        (a.vertices, a.orientations): None}
+    parents_b: dict[Window, tuple[Window, Move] | None] = {
+        (b.vertices, b.orientations): None}
     frontier_a, frontier_b = [a], [b]
     depth_used = 0
-    meet: PathMap | None = None
+    meet: Window | None = None
 
     while meet is None and depth_used < depth_bound and frontier_a and frontier_b:
         if len(frontier_a) <= len(frontier_b):
@@ -337,11 +347,16 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
             side_a = False
         new_frontier: list[PathMap] = []
         for state in frontier:
-            for nb, move in move_neighbors(state):
-                if nb.length > length_bound or nb in parents:
+            here = (state.vertices, state.orientations)
+            for move in _moves(state):
+                if (state.length - len(move.before[1]) + len(move.after[1])
+                        > length_bound):
                     continue
-                parents[nb] = (state, move)
-                new_frontier.append(nb)
+                nb = _splice(state, move, move.after)
+                if nb in parents:
+                    continue
+                parents[nb] = (here, move)
+                new_frontier.append(apply_move(state, move))
                 if nb in other:
                     meet = nb
                     break
@@ -455,28 +470,46 @@ def invariant_sufficient(word: Sequence[OneForm], g: Digraph) -> bool:
     return True
 
 
-def _runs_key(path: PathMap) -> tuple:
-    return tuple(map(tuple, runs(path)))
+def _runs_key(vertices: tuple, orientations: tuple) -> tuple:
+    return tuple(map(tuple, _runs(vertices, orientations)))
 
 
-@lru_cache(maxsize=16)
+def _keeps_runs(move: Move) -> bool:
+    """True iff the move leaves the runs of any path as they are: it drops
+    or inserts a trivial step, or a backtrack whose two steps use one arrow
+    (their orientations differ)."""
+    if move.kind == "trivial-drop":
+        return True
+    if move.kind == "backtrack":
+        o = (move.before if move.direction == "apply" else move.after)[1]
+        return o[0] != o[1]
+    return False
+
+
 def _move_pair_sample(g: Digraph, base: Vertex,
                       length_bound: int) -> tuple[tuple[PathMap, PathMap, Move], ...]:
     """(loop, neighbor, move) triples over every loop at base up to the
     length bound, in enumeration order, keeping the first triple of each
     distinct pair of run sequences.  A pairing depends on a path only
     through its runs (Chen's identity), so the kept triples give the same
-    pairing values, and the same first differing pair, as the full list."""
+    pairing values, and the same first differing pair, as the full list.
+    A neighbor's runs come from its raw splice, and only a kept neighbor is
+    built by `apply_move`.  The sample is kept on the graph."""
+    got = g._move_pair_samples.get((base, length_bound))
+    if got is not None:
+        return got
     out = []
     seen = set()
     for loop in enumerate_paths(g, base, length_bound, loops_only=True):
-        loop_key = _runs_key(loop)
-        for nb, move in move_neighbors(loop):
-            key = (loop_key, _runs_key(nb))
+        loop_key = _runs_key(loop.vertices, loop.orientations)
+        for move in _moves(loop):
+            key = (loop_key, loop_key if _keeps_runs(move)
+                   else _runs_key(*_splice(loop, move, move.after)))
             if key not in seen:
                 seen.add(key)
-                out.append((loop, nb, move))
-    return tuple(out)
+                out.append((loop, apply_move(loop, move), move))
+    got = g._move_pair_samples[base, length_bound] = tuple(out)
+    return got
 
 
 @dataclass(frozen=True)
@@ -560,7 +593,7 @@ def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
     row_of: dict[tuple, tuple] = {}
 
     def row(path: PathMap) -> tuple:
-        key = _runs_key(path)
+        key = _runs_key(path.vertices, path.orientations)
         got = row_of.get(key)
         if got is None:
             sig = word_pairings_all(path, degree_bound)

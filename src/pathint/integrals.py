@@ -113,8 +113,13 @@ def runs(path: PathMap) -> list[list]:
     """The path's steps as [arrow, net exponent] factors exp(net e_a):
     trivial steps dropped, consecutive steps on one arrow merged, and
     factors of net exponent 0 removed, so backtracks cost nothing."""
+    return _runs(path.vertices, path.orientations)
+
+
+def _runs(vertices: tuple, orientations: tuple) -> list[list]:
+    """`runs` of an unchecked (vertices, orientations) pair."""
     out: list[list] = []
-    for u, w, o in zip(path.vertices, path.vertices[1:], path.orientations):
+    for u, w, o in zip(vertices, vertices[1:], orientations):
         if u == w:
             continue
         arrow, sign = ((u, w), 1) if o == FORWARD else ((w, u), -1)

@@ -381,16 +381,30 @@ _VALID = {
     "loop-a": {"vertices": ["v0", "v1", "v2", "v0"],
                "orientations": ["f", "f", "b"]},
     "loop-b": {"vertices": ["v0", "v2", "v0"], "orientations": ["f", "b"]},
+    "path-a": {"vertices": ["v0", "v1", "v1", "v2"],
+               "orientations": ["f", "f", "f"]},
+    "path-b": {"vertices": ["v0", "v2", "v1", "v2"],
+               "orientations": ["f", "b", "f"]},
     "element": {"element": {"v0->v1,v1->v2": "1", "": "-2"}},
+    "element-a": {"element": {"v0->v1": "1/2", "v1->v2,v0->v2": "1"}},
+    "element-b": {"element": {"v0->v2": "-1", "": "3"}},
     "word": {"word": [{"form": {"v0->v1": "3/2"}}, {"form": {"v1->v2": "-1"}}]},
 }
 
 _FUZZED = {"validate": ["graph"], "pair": ["graph", "element", "path"],
            "integrate": ["graph", "path", "word"],
-           "homotopy": ["graph", "loop-a", "loop-b"], "pi1": ["graph"]}
+           "homotopy": ["graph", "loop-a", "loop-b"], "pi1": ["graph"],
+           "reduce": ["graph", "path"], "equiv": ["graph", "path-a", "path-b"],
+           "shuffle": ["graph", "element-a", "element-b"],
+           "coproduct": ["graph", "element"], "antipode": ["graph", "element"],
+           "order": ["graph", "path"], "change-base": ["graph", "path", "element"],
+           "closed-forms": ["graph"], "omega2": ["graph"],
+           "hopf-check": ["graph"]}
 
 _BOUNDS = {"homotopy": ["--length-bound", "5", "--depth-bound", "2"],
-           "pi1": ["--degree", "1", "--length-bound", "3"]}
+           "pi1": ["--degree", "1", "--length-bound", "3"],
+           "order": ["--max-degree", "2"], "closed-forms": ["--method", "both"],
+           "hopf-check": ["--max-degree", "1", "--loop-bound", "2"]}
 
 
 def _places(doc, at=()):

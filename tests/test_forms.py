@@ -12,9 +12,10 @@ from conftest import patterned_digraph, random_digraph, random_zero_form
 
 from pathint import (Digraph, DigraphMap, FormError, OneForm, TwoChain,
                      ZeroForm, box_product, closed_one_forms, d0, directed_cycle,
-                     double_edge, is_closed, line_digraph, omega2_basis,
-                     pullback_one_form, standard_square, standard_triangle,
-                     wedge_of_cycles)
+                     double_edge, invariance_verify, is_closed, line_digraph,
+                     omega2_basis, pi1_candidates, pullback_one_form,
+                     standard_square, standard_triangle, wedge_of_cycles,
+                     word_element)
 from pathint.forms import _omega2_boundaries, allowed_two_paths, closed_arrows
 from pathint.linalg import kernel
 
@@ -94,6 +95,16 @@ def test_closedness_data_is_freed_with_its_graph():
     closed_one_forms(g, "kernel")
     closed_one_forms(g, "patterns")
     is_closed(OneForm.basis(g, g.arrows[0]))
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_move_pair_sample_is_freed_with_its_graph():
+    g = wedge_of_cycles()
+    pi1_candidates(g, "v0", 1, length_bound=4)
+    invariance_verify(word_element(g, (g.arrows[0],)), "v0", length_bound=4)
     ref = weakref.ref(g)
     del g
     gc.collect()

@@ -23,8 +23,10 @@ from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      trivial_path, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all)
 from pathint.forms import closed_arrows
-from pathint.homotopy import (_pi1_rows, _segment_fills,
+from pathint.homotopy import (_move_pair_sample, _pi1_rows, _segment_fills,
+                              _separating_invariant,
                               _theorem_backed_invariants)
+from pathint.integrals import runs
 
 
 def _fixtures():
@@ -458,6 +460,169 @@ def test_invariance_verify_matches_the_full_pair_list():
                     verdict.values) == expected
             assert verdict.status == ("invariant-on-sample" if expected[0] is None
                                       else "counterexample")
+
+
+def _sample_by_move_neighbors(g, base, length_bound):
+    """Reference for `_move_pair_sample`: every neighbor is built by
+    `move_neighbors`, then dropped when its pair of run sequences was seen."""
+    out, seen = [], set()
+    for loop in enumerate_paths(g, base, length_bound, loops_only=True):
+        loop_key = tuple(map(tuple, runs(loop)))
+        for nb, move in move_neighbors(loop):
+            key = (loop_key, tuple(map(tuple, runs(nb))))
+            if key not in seen:
+                seen.add(key)
+                out.append((loop, nb, move))
+    return out
+
+
+def test_move_pair_sample_matches_the_full_neighbor_list():
+    # the fixtures include the double edge and a 3x3 grid
+    for g in _fixtures():
+        for base in g.vertices:
+            for bound in (4, 5) if base == g.vertices[0] else (4,):
+                got = list(_move_pair_sample(g, base, bound))
+                expected = _sample_by_move_neighbors(g, base, bound)
+                assert got == expected
+                assert [type(nb) for _, nb, _ in got] == [
+                    type(nb) for _, nb, _ in expected]
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=1, max_value=5))
+def test_move_pair_sample_matches_the_full_neighbor_list_on_random_digraphs(
+        seed, bound):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    base = rng.choice(g.vertices)
+    assert list(_move_pair_sample(g, base, bound)) == _sample_by_move_neighbors(
+        g, base, bound)
+
+
+def test_a_backtrack_through_two_arrows_changes_the_runs():
+    D = double_edge()
+    # out along v0->v1 and back along v1->v0: two arrows, not one
+    loop = make_path(D, ["v0", "v1", "v0"], ["f", "f"])
+    back = Move("backtrack", "apply", 0, (("v0", "v1", "v0"), ("f", "f")),
+                (("v0", "v0"), ("f",)))
+    assert runs(apply_move(loop, back)) != runs(loop)
+    # so the sample keeps both the backtrack and a move that keeps the runs
+    kept = [m for lp, _, m in _move_pair_sample(D, "v0", 2) if lp == loop]
+    assert back in kept and any(m.kind == "trivial-drop" for m in kept)
+    # along one arrow the backtrack cancels
+    there_and_back = make_path(D, ["v0", "v1", "v0"], ["f", "b"])
+    assert runs(there_and_back) == []
+
+
+def _homotopic_loops_by_path_maps(a, b, length_bound, depth_bound):
+    """Reference for `homotopic_loops`: the search keys its states by
+    `PathMap` and builds every neighbor with `move_neighbors`.  Gives the
+    status and the certificate's moves."""
+    if a == b:
+        return "yes", ()
+    if _separating_invariant(a, b) is not None:
+        return "certified-no", None
+    parents_a, parents_b = {a: None}, {b: None}
+    frontier_a, frontier_b = [a], [b]
+    depth_used = 0
+    meet = None
+    while meet is None and depth_used < depth_bound and frontier_a and frontier_b:
+        side_a = len(frontier_a) <= len(frontier_b)
+        frontier, parents, other = ((frontier_a, parents_a, parents_b) if side_a
+                                    else (frontier_b, parents_b, parents_a))
+        new_frontier = []
+        for state in frontier:
+            for nb, move in move_neighbors(state):
+                if nb.length > length_bound or nb in parents:
+                    continue
+                parents[nb] = (state, move)
+                new_frontier.append(nb)
+                if nb in other:
+                    meet = nb
+                    break
+            if meet is not None:
+                break
+        if side_a:
+            frontier_a = new_frontier
+        else:
+            frontier_b = new_frontier
+        depth_used += 1
+    if meet is None:
+        return "unknown", None
+    moves = []
+    node = meet
+    while parents_a[node] is not None:
+        node, move = parents_a[node]
+        moves.append(move)
+    moves.reverse()
+    node = meet
+    while parents_b[node] is not None:
+        node, move = parents_b[node]
+        moves.append(invert_move(move))
+    return "yes", tuple(moves)
+
+
+def _cone(n=4):
+    """An apex joined to every vertex of a directed n-cycle: contractible."""
+    C = directed_cycle(n)
+    return Digraph(C.vertices + ("c",),
+                   C.arrows + tuple(("c", v) for v in C.vertices))
+
+
+def _assert_searches_like_the_reference(a, b, length_bound, depth_bound):
+    verdict = homotopic_loops(a, b, length_bound, depth_bound)
+    status, moves = _homotopic_loops_by_path_maps(a, b, length_bound, depth_bound)
+    assert verdict.status == status
+    if status == "yes":
+        assert verdict.certificate.moves == moves
+    return verdict
+
+
+def test_homotopic_loops_searches_like_the_path_map_search():
+    rng = random.Random(808)
+    graphs = [box_product(line_digraph("ff"), line_digraph("ff")),
+              box_product(line_digraph("fb"), line_digraph("f")),
+              box_product(directed_cycle(3), directed_cycle(3)), _cone()]
+    statuses = set()
+    for g in graphs:
+        base = g.vertices[0]
+        loops = list(enumerate_paths(g, base, 4, loops_only=True))
+        for _ in range(6):
+            a = rng.choice(loops)
+            walk = [a]
+            for _ in range(rng.randint(1, 3)):
+                walk.append(rng.choice(move_neighbors(walk[-1]))[0])
+            b = walk[-1]
+            k = len(walk) - 1
+            ends = max(a.length, b.length)
+            for length_bound, depth_bound in ((ends + 2, k), (ends + 2, k - 1),
+                                              (ends, k), (ends, k + 1)):
+                statuses.add(_assert_searches_like_the_reference(
+                    a, b, length_bound, depth_bound).status)
+        # loops of different winding on the torus are refuted
+        other = rng.choice(loops)
+        statuses.add(_assert_searches_like_the_reference(
+            loops[0], other, other.length + 2, 2).status)
+    assert statuses == {"yes", "unknown", "certified-no"}
+
+
+def test_a_route_through_a_longer_loop_is_closed_at_a_tight_bound():
+    cone = _cone()
+    torus = box_product(directed_cycle(3), directed_cycle(3))
+    o, t = ("v0", "v0"), ("v2", "v2")
+    pairs = [
+        # v2 v3 v0 becomes v2 c v0 only through v2 c v3 v0, one step longer
+        (make_path(cone, ["v0", "v1", "v2", "v3", "v0"], "ffff"),
+         make_path(cone, ["v0", "v1", "v2", "c", "v0"], "ffbf")),
+        (make_path(torus, [o, ("v0", "v2"), t, ("v2", "v0"), o], "bbff"),
+         make_path(torus, [o, ("v2", "v0"), t, ("v2", "v0"), o], "bbff")),
+    ]
+    for a, b in pairs:
+        loose = _assert_searches_like_the_reference(a, b, 6, 3)
+        assert loose.status == "yes"
+        assert max(p.length for p in loose.certificate.replay()) > 4
+        tight = _assert_searches_like_the_reference(a, b, 4, 3)
+        assert tight.status == "unknown"
 
 
 def test_pi1_on_double_edge_is_empty_but_kernel_is_not():
