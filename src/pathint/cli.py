@@ -342,15 +342,23 @@ COMMANDS = {
 }
 
 
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add the arguments and handler of command `name` to parser, --format
+    first; returns parser."""
+    handler, _, flags = COMMANDS[name]
+    parser.add_argument("--format", choices=("json", "text"), default="text",
+                        help="output format (default: text)")
+    for flag, kwargs in flags.items():
+        parser.add_argument("--" + flag.replace("_", "-"), **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone.  A one-command
     parser prints the same top-level usage line, because its subcommand
     metavar lists every name; the full parser keeps argparse's own metavar,
     which labels an unknown name as "argument command"."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="text",
-                        help="output format (default: text)")
-
     parser = argparse.ArgumentParser(
         prog="pathint",
         description="Exact iterated path integrals on directed graphs.")
@@ -362,21 +370,26 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                                     metavar="{" + ",".join(COMMANDS) + "}")
         names = (command,)
     for name in names:
-        handler, help_text, flags = COMMANDS[name]
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, kwargs in flags.items():
-            p.add_argument("--" + flag.replace("_", "-"), **kwargs)
-        p.set_defaults(handler=handler)
+        _add_command(sub.add_parser(name, help=COMMANDS[name][1]), name)
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse argv; a named command is parsed by its own parser alone, the
+    subparser `build_parser` would make.  Arguments left over are reported
+    by the top-level parser, as argparse reports them."""
+    if not (argv and argv[0] in COMMANDS):
+        return build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"pathint {argv[0]}")
+    args, extra = _add_command(parser, argv[0]).parse_known_args(argv[1:])
+    return build_parser(argv[0]).parse_args(argv) if extra else args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a process runs one command, so only its parser is built
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -23,8 +23,8 @@ from .forms import (OneForm, _closed_basis_vectors, _omega2_boundaries,
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, _runs, all_words, pair, runs, signature,
                         word_pairings_all)
-from .linalg import complement_basis, kernel
-from .paths import (FORWARD, BACKWARD, PathMap, _build, enumerate_paths,
+from .linalg import Echelon, complement_basis
+from .paths import (FORWARD, PathMap, _build, enumerate_paths,
                     inverse, make_path)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
@@ -65,17 +65,18 @@ def apply_move(path: PathMap, move: Move) -> PathMap:
     window = make_path(path.graph, *move.after)
     if (window.start, window.end) != (bv[0], bv[-1]):
         raise PathError("move windows do not share their endpoints")
-    return _build(path.graph,
-                  *_splice(path, move, (window.vertices, window.orientations)))
+    return _build(path.graph, *_splice(path.vertices, path.orientations, p,
+                                       move.before,
+                                       (window.vertices, window.orientations)))
 
 
-def _splice(path: PathMap, move: Move, window: Window) -> Window:
-    """The path's (vertices, orientations) with the move's `before` window
-    replaced by `window`, unchecked."""
-    p = move.position
-    k = len(move.before[0])
-    return (path.vertices[:p] + window[0] + path.vertices[p + k:],
-            path.orientations[:p] + window[1] + path.orientations[p + k - 1:])
+def _splice(vertices: tuple, orientations: tuple, position: int,
+            before: Window, after: Window) -> Window:
+    """(vertices, orientations) with the window `before` at `position`
+    replaced by `after`, unchecked; `before` is read for its length only."""
+    k = len(before[0])
+    return (vertices[:position] + after[0] + vertices[position + k:],
+            orientations[:position] + after[1] + orientations[position + k - 1:])
 
 
 def _is_stated_move(g: Digraph, move: Move) -> bool:
@@ -126,102 +127,43 @@ class MoveCertificate:
         return states
 
 
-def _step_flags(g: Digraph, u: Vertex, v: Vertex) -> list[str]:
-    """Valid orientation flags for one step from u to v."""
-    if u == v:
-        return [FORWARD]
-    flags = []
-    if g.has_arrow(u, v):
-        flags.append(FORWARD)
-    if g.has_arrow(v, u):
-        flags.append(BACKWARD)
-    return flags
+def _moves(g: Digraph, V: tuple, O: tuple) -> Iterator[tuple]:
+    """All one-move rewrites of the path with vertices V and orientations O
+    on g, both directions, every position, as the field tuples
+    (kind, direction, position, before, after) of `Move`.  Vertex-sequence
+    moves come with every orientation realization the host's arrows allow,
+    read off the host's move tables by the window they rewrite."""
+    t = g.move_tables()
+    n = len(O)
 
-
-def _segment_fills(g: Digraph, vertices: Sequence[Vertex]) -> list[tuple[str, ...]]:
-    """All orientation tuples realizing the given vertex sequence."""
-    choices = [_step_flags(g, vertices[i], vertices[i + 1])
-               for i in range(len(vertices) - 1)]
-    if any(not c for c in choices):
-        return []
-    return [tuple(combo) for combo in product(*choices)]
-
-
-def _moves(loop: PathMap) -> Iterator[Move]:
-    """All one-move rewrites of the loop, both directions, every position,
-    with vertex-sequence moves instantiated over every orientation
-    realization the host's arrows allow.  Candidate vertices come from the
-    host's move tables, in vertex input order."""
-    g = loop.graph
-    tables = g.move_tables()
-    V = loop.vertices
-    O = loop.orientations
-    n = loop.length
-
+    # triangle contraction v0 v1 v2 -> v0 v2, square replacement
+    # v0 v1 v3 -> v0 v2 v3, backtrack removal v0 v1 v0 -> v0 v0
     for p in range(n - 1):
-        window = (V[p], V[p + 1], V[p + 2])
-        before = (window, O[p:p + 2])
-        # (i) triangle contraction: v0 v1 v2 -> v0 v2
-        if g.is_triangle_set(*window):
-            for fill in _segment_fills(g, (V[p], V[p + 2])):
-                yield Move("triangle-contract", "apply", p, before,
-                           ((V[p], V[p + 2]), fill))
-        # (ii) square replacement: v0 v1 v3 -> v0 v2 v3
-        for v2 in tables.square_corner.get(window, ()):
-            for fill in _segment_fills(g, (V[p], v2, V[p + 2])):
-                yield Move("square-replace", "apply", p, before,
-                           ((V[p], v2, V[p + 2]), fill))
-        # (iv) backtrack removal: v0 v1 v0 -> v0 v0
-        if V[p] == V[p + 2]:
-            yield Move("backtrack", "apply", p, before,
-                       ((V[p], V[p]), (FORWARD,)))
-
-    # (iii) square contraction: v0 v1 v3 v2 -> v0 v2
+        for kind, after in t.apply3[V[p:p + 3]]:
+            yield (kind, "apply", p, (V[p:p + 3], O[p:p + 2]), after)
+    # square contraction: v0 v1 v3 v2 -> v0 v2
     for p in range(n - 2):
-        if (V[p], V[p + 1], V[p + 3], V[p + 2]) in tables.squares:
-            before = (V[p:p + 4], O[p:p + 3])
-            for fill in _segment_fills(g, (V[p], V[p + 3])):
-                yield Move("square-contract", "apply", p, before,
-                           ((V[p], V[p + 3]), fill))
-
-    # (v) trivial-step removal, any position (a stationary step is dropped)
+        for kind, after in t.apply4[V[p:p + 4]]:
+            yield (kind, "apply", p, (V[p:p + 4], O[p:p + 3]), after)
+    # trivial-step removal, any position (a stationary step is dropped)
     for p in range(n):
         if V[p] == V[p + 1]:
-            yield Move("trivial-drop", "apply", p,
-                       ((V[p], V[p]), (O[p],)), ((V[p],), ()))
-
-    # inverse directions
+            yield ("trivial-drop", "apply", p, ((V[p], V[p]), (O[p],)), ((V[p],), ()))
+    # the expansions of a step: through a triangle or a square, and a
+    # trivial step opening into a backtrack v0 v1 v0
     for p in range(n):
-        ends = (V[p], V[p + 1])
-        before = (ends, O[p:p + 1])
-        # (i) expansion: v0 v2 -> v0 v1 v2 through a triangle
-        for v1 in tables.triangle_apex.get(ends, ()):
-            for fill in _segment_fills(g, (V[p], v1, V[p + 1])):
-                yield Move("triangle-contract", "unapply", p, before,
-                           ((V[p], v1, V[p + 1]), fill))
-        # (iii) expansion: v0 v2 -> v0 v1 v3 v2 through a square
-        for v1, v3 in tables.square_sides.get(ends, ()):
-            for fill in _segment_fills(g, (V[p], v1, v3, V[p + 1])):
-                yield Move("square-contract", "unapply", p, before,
-                           ((V[p], v1, v3, V[p + 1]), fill))
-        # (iv) expansion: a trivial step opens into a backtrack v0 v1 v0
-        if V[p] == V[p + 1]:
-            for v1 in tables.star[V[p]]:
-                for fill in _segment_fills(g, (V[p], v1, V[p])):
-                    yield Move("backtrack", "unapply", p, before,
-                               ((V[p], v1, V[p]), fill))
-
-    # (v) expansion: insert a trivial step at any vertex
+        for kind, after in t.unapply[V[p:p + 2]]:
+            yield (kind, "unapply", p, (V[p:p + 2], O[p:p + 1]), after)
+    # insert a trivial step at any vertex
     for p in range(n + 1):
-        yield Move("trivial-drop", "unapply", p,
-                   ((V[p],), ()), ((V[p], V[p]), (FORWARD,)))
+        yield ("trivial-drop", "unapply", p, ((V[p],), ()), ((V[p], V[p]), (FORWARD,)))
 
 
 def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
     """Every (neighbor, move) pair of `_moves`, in its order, each neighbor
-    built by `apply_move`.  The windows of `_moves` are normalized already,
-    so `_splice(loop, move, move.after)` gives a neighbor's tuples unbuilt."""
-    return [(apply_move(loop, m), m) for m in _moves(loop)]
+    built by `apply_move`."""
+    moves = [Move(*t) for t in _moves(loop.graph, loop.vertices, loop.orientations)]
+    return [(apply_move(loop, m), m) for m in moves]
 
 
 @dataclass(frozen=True)
@@ -326,15 +268,15 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
                                length_bound=length_bound,
                                depth_bound=depth_bound)
 
-    # Bidirectional breadth-first search over (vertices, orientations)
+    # Bidirectional breadth-first search over raw (vertices, orientations)
     # states; parents map each state to the (previous state, move from it)
-    # pair on its own side.  A neighbor is spliced raw, and built through
-    # `apply_move` only once it is within the length bound and new.
-    parents_a: dict[Window, tuple[Window, Move] | None] = {
-        (a.vertices, a.orientations): None}
-    parents_b: dict[Window, tuple[Window, Move] | None] = {
-        (b.vertices, b.orientations): None}
-    frontier_a, frontier_b = [a], [b]
+    # pair on its own side.  A `Move` is made only for a new state, and no
+    # state is built as a path: `cert.replay()` validates the chain found.
+    g = a.graph
+    start_a, start_b = (a.vertices, a.orientations), (b.vertices, b.orientations)
+    parents_a: dict[Window, tuple[Window, Move] | None] = {start_a: None}
+    parents_b: dict[Window, tuple[Window, Move] | None] = {start_b: None}
+    frontier_a, frontier_b = [start_a], [start_b]
     depth_used = 0
     meet: Window | None = None
 
@@ -345,18 +287,18 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
         else:
             frontier, parents, other = frontier_b, parents_b, parents_a
             side_a = False
-        new_frontier: list[PathMap] = []
-        for state in frontier:
-            here = (state.vertices, state.orientations)
-            for move in _moves(state):
-                if (state.length - len(move.before[1]) + len(move.after[1])
-                        > length_bound):
+        new_frontier: list[Window] = []
+        for here in frontier:
+            V, O = here
+            for t in _moves(g, V, O):
+                p, before, after = t[2:]
+                if len(O) - len(before[1]) + len(after[1]) > length_bound:
                     continue
-                nb = _splice(state, move, move.after)
+                nb = _splice(V, O, p, before, after)
                 if nb in parents:
                     continue
-                parents[nb] = (here, move)
-                new_frontier.append(apply_move(state, move))
+                parents[nb] = (here, Move(*t))
+                new_frontier.append(nb)
                 if nb in other:
                     meet = nb
                     break
@@ -470,18 +412,15 @@ def invariant_sufficient(word: Sequence[OneForm], g: Digraph) -> bool:
     return True
 
 
-def _runs_key(vertices: tuple, orientations: tuple) -> tuple:
-    return tuple(map(tuple, _runs(vertices, orientations)))
-
-
-def _keeps_runs(move: Move) -> bool:
-    """True iff the move leaves the runs of any path as they are: it drops
-    or inserts a trivial step, or a backtrack whose two steps use one arrow
-    (their orientations differ)."""
-    if move.kind == "trivial-drop":
+def _keeps_runs(kind: str, direction: str, _position: int, before: Window,
+                after: Window) -> bool:
+    """True iff the move with these fields leaves the runs of any path as
+    they are: it drops or inserts a trivial step, or a backtrack whose two
+    steps use one arrow (their orientations differ)."""
+    if kind == "trivial-drop":
         return True
-    if move.kind == "backtrack":
-        o = (move.before if move.direction == "apply" else move.after)[1]
+    if kind == "backtrack":
+        o = (before if direction == "apply" else after)[1]
         return o[0] != o[1]
     return False
 
@@ -492,23 +431,41 @@ def _move_pair_sample(g: Digraph, base: Vertex,
     length bound, in enumeration order, keeping the first triple of each
     distinct pair of run sequences.  A pairing depends on a path only
     through its runs (Chen's identity), so the kept triples give the same
-    pairing values, and the same first differing pair, as the full list.
-    A neighbor's runs come from its raw splice, and only a kept neighbor is
-    built by `apply_move`.  The sample is kept on the graph."""
+    pairing values, and the same first differing pair, as the full list."""
+    return _numbered_sample(g, base, length_bound)[0]
+
+
+def _numbered_sample(g: Digraph, base: Vertex,
+                     length_bound: int) -> tuple[tuple, tuple[tuple[int, int], ...]]:
+    """`_move_pair_sample`, and for each triple the numbers of the run
+    sequences of its loop and its neighbor (equal numbers, equal runs).
+    Moves are enumerated raw; a neighbor's runs come from its raw splice,
+    and only a kept triple gets a `Move` and a neighbor built by
+    `apply_move`.  Both are kept on the graph."""
     got = g._move_pair_samples.get((base, length_bound))
     if got is not None:
         return got
     out = []
-    seen = set()
+    seen: dict[tuple[int, int], None] = {}  # the kept pairs, in order
+    ids: dict[tuple, int] = {}  # run sequence -> its number
+    id_of: dict[Window, int] = {}  # raw path -> the number of its runs
+
+    def run_id(raw: Window) -> int:
+        got = id_of.get(raw)
+        if got is None:
+            got = id_of[raw] = ids.setdefault(tuple(_runs(*raw)), len(ids))
+        return got
+
     for loop in enumerate_paths(g, base, length_bound, loops_only=True):
-        loop_key = _runs_key(loop.vertices, loop.orientations)
-        for move in _moves(loop):
-            key = (loop_key, loop_key if _keeps_runs(move)
-                   else _runs_key(*_splice(loop, move, move.after)))
+        V, O = loop.vertices, loop.orientations
+        here = run_id((V, O))
+        for t in _moves(g, V, O):
+            key = (here, here if _keeps_runs(*t) else run_id(_splice(V, O, *t[2:])))
             if key not in seen:
-                seen.add(key)
+                seen[key] = None
+                move = Move(*t)
                 out.append((loop, apply_move(loop, move), move))
-    got = g._move_pair_samples[base, length_bound] = tuple(out)
+    got = g._move_pair_samples[base, length_bound] = (tuple(out), tuple(seen))
     return got
 
 
@@ -589,28 +546,28 @@ def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
     neighbor) pair of different signature, the difference of the two, and
     one per sampled loop, its own.  Paths with equal `runs` have equal
     signatures (Chen's identity), so each distinct run sequence is paired
-    once and its row built once."""
-    row_of: dict[tuple, tuple] = {}
+    once and its row built once.  A zero entry is the int 0, which hashes
+    and subtracts without `Fraction` arithmetic."""
+    row_of: dict[int, tuple] = {}  # by the number of the run sequence
 
-    def row(path: PathMap) -> tuple:
-        key = _runs_key(path.vertices, path.orientations)
-        got = row_of.get(key)
+    def row(path: PathMap, number: int) -> tuple:
+        got = row_of.get(number)
         if got is None:
             sig = word_pairings_all(path, degree_bound)
-            got = row_of[key] = tuple(sig[w] for w in words)
+            got = row_of[number] = tuple(sig[w] or 0 for w in words)
         return got
 
     move_rows: set[tuple] = set()
     loop_rows: set[tuple] = set()
     loop = None
-    for path, nb, _ in _move_pair_sample(g, base, length_bound):
+    for (path, nb, _), (i, j) in zip(*_numbered_sample(g, base, length_bound)):
         if path is not loop:  # the sample lists each loop's pairs together
-            loop, ra = path, row(path)
+            loop, ra = path, row(path, i)
             if any(ra):
                 loop_rows.add(ra)
-        rb = row(nb)
-        if rb is not ra:
-            diff = tuple(a - b for a, b in zip(ra, rb))
+        if j != i:
+            rb = row(nb, j)
+            diff = tuple(a - b if b else a for a, b in zip(ra, rb))
             if any(diff):
                 move_rows.add(diff)
     return move_rows, loop_rows
@@ -631,16 +588,20 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
         return Pi1Result(g, base, degree_bound, length_bound, (), ())
 
     move_rows, loop_rows = _pi1_rows(g, base, degree_bound, length_bound, words)
-    invariant_basis = kernel(sorted(move_rows), ncols)
-    null_basis = kernel(sorted(move_rows | loop_rows), ncols)
+    # the null rows extend the invariant rows, so one elimination gives both
+    echelon = Echelon(ncols, sorted(move_rows))
+    invariant_basis = echelon.kernel()
+    for r in sorted(loop_rows):
+        echelon.add(r)
+    null_basis = echelon.kernel()
     reps = complement_basis(null_basis, invariant_basis, ncols)
 
     def to_elem(vec) -> AlgebraElement:
-        return AlgebraElement(g, {w: c for w, c in zip(words, vec) if c != 0})
+        return AlgebraElement(g, {w: c for w, c in zip(words, vec) if c})
 
     closed = frozenset(closed_arrows(g))
-    candidates = tuple(Pi1Candidate(to_elem(v), _certify(to_elem(v), closed))
-                       for v in reps)
+    candidates = tuple(Pi1Candidate(u, _certify(u, closed))
+                       for u in map(to_elem, reps))
     return Pi1Result(g, base, degree_bound, length_bound, candidates,
                      tuple(to_elem(v) for v in invariant_basis))
 

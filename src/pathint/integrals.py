@@ -109,26 +109,28 @@ def all_words(arrows: Sequence[Arrow], max_degree: int,
     return out
 
 
-def runs(path: PathMap) -> list[list]:
-    """The path's steps as [arrow, net exponent] factors exp(net e_a):
+def runs(path: PathMap) -> list[tuple]:
+    """The path's steps as (arrow, net exponent) factors exp(net e_a):
     trivial steps dropped, consecutive steps on one arrow merged, and
     factors of net exponent 0 removed, so backtracks cost nothing."""
     return _runs(path.vertices, path.orientations)
 
 
-def _runs(vertices: tuple, orientations: tuple) -> list[list]:
+def _runs(vertices: tuple, orientations: tuple) -> list[tuple]:
     """`runs` of an unchecked (vertices, orientations) pair."""
-    out: list[list] = []
+    out: list[tuple] = []
     for u, w, o in zip(vertices, vertices[1:], orientations):
         if u == w:
             continue
         arrow, sign = ((u, w), 1) if o == FORWARD else ((w, u), -1)
         if out and out[-1][0] == arrow:
-            out[-1][1] += sign
-            if out[-1][1] == 0:
+            net = out[-1][1] + sign
+            if net:
+                out[-1] = (arrow, net)
+            else:
                 out.pop()
         else:
-            out.append([arrow, sign])
+            out.append((arrow, sign))
     return out
 
 
@@ -221,11 +223,19 @@ def pair(elem, paths: PathMap | Iterable[tuple[Fraction, PathMap]]) -> Fraction:
 def order(path: PathMap, max_degree: int) -> int | None:
     """Smallest r <= max_degree with a nonzero degree-r arrow-word pairing;
     None means every such pairing vanishes up to max_degree (order is at
-    least max_degree + 1).  Exact by finite enumeration per degree."""
+    least max_degree + 1).  Exact by finite enumeration, one degree at a
+    time, stopping at the first nonzero one; a path whose runs cancel to
+    nothing pairs to 0 with every nonempty word."""
     if max_degree < 1:
         raise PairingError("max_degree must be at least 1")
-    sig = word_pairings_all(path, max_degree)  # keyed by degree, then lexicographic
-    return next((len(w) for w, v in sig.items() if w and v != 0), None)
+    if not runs(path):  # the signature of the trivial path
+        return None
+    # the pairings of words up to degree d do not depend on longer words,
+    # and those of degree below d were all 0 at the degrees before
+    for d in range(1, max_degree + 1):
+        if any(v for w, v in word_pairings_all(path, d).items() if w):
+            return d
+    return None
 
 
 def commutator(a: PathMap, b: PathMap) -> PathMap:

@@ -41,7 +41,7 @@ class Echelon:
         O(rank * ncols) in all."""
         if len(vec) != self.ncols:
             raise ValueError(f"row of length {len(vec)}, expected {self.ncols}")
-        v = {j: x for j, x in enumerate(map(_fraction, vec)) if x}
+        v = {j: _fraction(x) for j, x in enumerate(vec) if x}
         # stored rows vanish on each other's pivots, so the entries of v on
         # pivot columns are final until their own row is subtracted
         for p in [p for p in v if p in self._rows]:

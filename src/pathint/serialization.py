@@ -63,6 +63,8 @@ def _field(d, key: str, kind: type, what: str, error: type):
 
 
 def digraph_from_dict(d: dict) -> Digraph:
+    if not isinstance(d, dict):
+        raise GraphError("digraph JSON is not an object")
     if "vertices" not in d or "arrows" not in d:
         raise GraphError('digraph JSON needs "vertices" and "arrows"')
     for key in ("vertices", "arrows"):

@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice, permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,16 +24,142 @@ from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      trivial_path, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all)
 from pathint.forms import closed_arrows
-from pathint.homotopy import (_move_pair_sample, _pi1_rows, _segment_fills,
+from pathint.homotopy import (_move_pair_sample, _moves, _pi1_rows,
                               _separating_invariant,
                               _theorem_backed_invariants)
 from pathint.integrals import runs
+from pathint.linalg import complement_basis, kernel
 
 
 def _fixtures():
     return [standard_triangle(), standard_square(), double_edge(),
             directed_cycle(4), wedge_of_cycles(),
             box_product(line_digraph("ff"), line_digraph("ff"))]
+
+
+def _step_flags(g, u, v):
+    """Valid orientation flags for one step from u to v."""
+    if u == v:
+        return ["f"]
+    flags = []
+    if g.has_arrow(u, v):
+        flags.append("f")
+    if g.has_arrow(v, u):
+        flags.append("b")
+    return flags
+
+
+def _segment_fills(g, vertices):
+    """All orientation tuples realizing the given vertex sequence."""
+    choices = [_step_flags(g, vertices[i], vertices[i + 1])
+               for i in range(len(vertices) - 1)]
+    if any(not c for c in choices):
+        return []
+    return [tuple(combo) for combo in product(*choices)]
+
+
+@lru_cache(maxsize=8)
+def _candidate_tables(g):
+    """The candidate vertices of each move, keyed by the vertices it keeps,
+    in vertex input order (fills are left to `_segment_fills`)."""
+    rank = {v: i for i, v in enumerate(g.vertices)}
+
+    def ranked(tuples):
+        return sorted(tuples, key=lambda t: [rank[v] for v in t])
+
+    squares = {t[i:] + t[:i] for t in g.square_role_tuples() for i in range(4)}
+    tables = SimpleNamespace(squares=squares, square_corner={}, square_sides={},
+                             triangle_apex={})
+    for t in ranked(squares):
+        tables.square_corner.setdefault((t[0], t[1], t[3]), []).append(t[2])
+        tables.square_sides.setdefault((t[0], t[2]), []).append((t[1], t[3]))
+    for x, y, z in ranked(p for tri in g.triangle_sets() for p in permutations(tri)):
+        tables.triangle_apex.setdefault((x, z), []).append(y)
+    tables.star = {v: sorted({v, *(a[1] for a in g.out_arrows(v)),
+                              *(a[0] for a in g.in_arrows(v))}, key=rank.__getitem__)
+                   for v in g.vertices}
+    return tables
+
+
+def _moves_by_candidates(loop):
+    """Reference for `_moves`: each window's candidate vertices are looked
+    up, its orientation fills computed and its `Move` made on the spot."""
+    g = loop.graph
+    tables = _candidate_tables(g)
+    V, O, n = loop.vertices, loop.orientations, loop.length
+    for p in range(n - 1):
+        window = (V[p], V[p + 1], V[p + 2])
+        before = (window, O[p:p + 2])
+        if g.is_triangle_set(*window):
+            for fill in _segment_fills(g, (V[p], V[p + 2])):
+                yield Move("triangle-contract", "apply", p, before,
+                           ((V[p], V[p + 2]), fill))
+        for v2 in tables.square_corner.get(window, ()):
+            for fill in _segment_fills(g, (V[p], v2, V[p + 2])):
+                yield Move("square-replace", "apply", p, before,
+                           ((V[p], v2, V[p + 2]), fill))
+        if V[p] == V[p + 2]:
+            yield Move("backtrack", "apply", p, before, ((V[p], V[p]), ("f",)))
+    for p in range(n - 2):
+        if (V[p], V[p + 1], V[p + 3], V[p + 2]) in tables.squares:
+            before = (V[p:p + 4], O[p:p + 3])
+            for fill in _segment_fills(g, (V[p], V[p + 3])):
+                yield Move("square-contract", "apply", p, before,
+                           ((V[p], V[p + 3]), fill))
+    for p in range(n):
+        if V[p] == V[p + 1]:
+            yield Move("trivial-drop", "apply", p,
+                       ((V[p], V[p]), (O[p],)), ((V[p],), ()))
+    for p in range(n):
+        ends = (V[p], V[p + 1])
+        before = (ends, O[p:p + 1])
+        for v1 in tables.triangle_apex.get(ends, ()):
+            for fill in _segment_fills(g, (V[p], v1, V[p + 1])):
+                yield Move("triangle-contract", "unapply", p, before,
+                           ((V[p], v1, V[p + 1]), fill))
+        for v1, v3 in tables.square_sides.get(ends, ()):
+            for fill in _segment_fills(g, (V[p], v1, v3, V[p + 1])):
+                yield Move("square-contract", "unapply", p, before,
+                           ((V[p], v1, v3, V[p + 1]), fill))
+        if V[p] == V[p + 1]:
+            for v1 in tables.star[V[p]]:
+                for fill in _segment_fills(g, (V[p], v1, V[p])):
+                    yield Move("backtrack", "unapply", p, before,
+                               ((V[p], v1, V[p]), fill))
+    for p in range(n + 1):
+        yield Move("trivial-drop", "unapply", p,
+                   ((V[p],), ()), ((V[p], V[p]), ("f",)))
+
+
+def _assert_raw_moves_match_the_reference(path):
+    raw = list(_moves(path.graph, path.vertices, path.orientations))
+    assert all(type(t) is tuple and len(t) == 5 for t in raw)
+    assert [Move(*t) for t in raw] == list(_moves_by_candidates(path))
+
+
+def test_raw_moves_match_the_move_enumeration_on_fixtures():
+    # the fixtures include the double edge and a 3x3 grid
+    for g in _fixtures():
+        for base in g.vertices:
+            for path in enumerate_paths(g, base, 3):
+                _assert_raw_moves_match_the_reference(path)
+                for i in (0, path.length // 2, path.length):
+                    stationary = insert_trivial(path, i)
+                    _assert_raw_moves_match_the_reference(stationary)
+                    # two stationary steps in a row: a backtrack window x x x
+                    _assert_raw_moves_match_the_reference(insert_trivial(stationary, i))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_raw_moves_match_the_move_enumeration_on_random_digraphs(seed):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    base = rng.choice(g.vertices)
+    paths = list(islice(enumerate_paths(g, base, 4), 400))
+    for path in rng.sample(paths, min(len(paths), 12)):
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            path = insert_trivial(path, rng.randint(0, path.length))
+        _assert_raw_moves_match_the_reference(path)
 
 
 def _scan_move_neighbors(loop):
@@ -670,6 +797,24 @@ def test_pi1_degree_three_on_the_directed_triangle():
         if any(v != 0 for v in rows[loop]):
             loop_rows.add(rows[loop])
     assert _pi1_rows(C, "v0", 3, 6, words) == (move_rows, loop_rows)
+
+
+def test_pi1_kernels_match_two_separate_eliminations():
+    # one echelon gives the invariant kernel, then the null kernel once the
+    # loop rows are added; the reference eliminates every row twice
+    for g in _fixtures():
+        for degree, bound in ((1, 5), (2, 4)):
+            result = pi1_candidates(g, g.vertices[0], degree, length_bound=bound)
+            words = all_words(g.arrows, degree, min_degree=1)
+            move_rows, loop_rows = _pi1_rows(g, g.vertices[0], degree, bound, words)
+            invariant = kernel(sorted(move_rows), len(words))
+            null = kernel(sorted(move_rows | loop_rows), len(words))
+            reps = complement_basis(null, invariant, len(words))
+
+            def vector(u):
+                return tuple(u.coeffs.get(w, 0) for w in words)
+            assert [vector(u) for u in result.invariant_kernel] == invariant
+            assert [vector(c.element) for c in result.candidates] == reps
 
 
 def test_pi1_rejects_bad_degree():

@@ -177,6 +177,40 @@ def test_order_examples():
         order(loop, 0)
 
 
+def _order_by_full_scan(path, max_degree):
+    """Reference for `order`: every word up to max_degree paired at once,
+    the shortest nonzero one read off."""
+    sig = word_pairings_all(path, max_degree)  # keyed by degree
+    return next((len(w) for w, v in sig.items() if w and v != 0), None)
+
+
+def test_order_matches_the_full_scan():
+    W = wedge_of_cycles()
+    alpha = make_path(W, ["v0", "v1", "v2", "v3", "v0"], ["f"] * 4)
+    beta = make_path(W, ["v0", "v4", "v5", "v6", "v0"], ["f"] * 4)
+    walk = make_path(W, ["v0", "v1", "v2", "v1", "v0", "v4"], "ffbbf")
+    cases = {
+        alpha: 1,
+        commutator(alpha, beta): 2,  # net arrow counts all 0
+        commutator(alpha, commutator(alpha, beta)): 3,
+        concat(walk, inverse(walk)): None,  # the runs cancel
+        insert_trivial(insert_trivial(trivial_path(W, "v2"), 0), 0): None,
+        insert_trivial(concat(alpha, inverse(alpha)), 4): None,
+    }
+    for path, expected in cases.items():
+        for max_degree in (1, 2, 3):
+            got = order(path, max_degree)
+            assert got == _order_by_full_scan(path, max_degree)
+            assert got == (expected if expected is not None
+                           and expected <= max_degree else None)
+    rng = random.Random(5)
+    for _ in range(40):
+        g = random_digraph(rng)
+        path = random_path(rng, g, max_len=6)
+        for max_degree in (1, 2, 3):
+            assert order(path, max_degree) == _order_by_full_scan(path, max_degree)
+
+
 def test_filtration_additivity():
     # pairings of degree < r + s vanish on a product of high-order loops
     W = wedge_of_cycles()

@@ -28,6 +28,12 @@ def test_digraph_json_round_trip():
         ser.digraph_from_dict({"vertices": ["a"]})
 
 
+@pytest.mark.parametrize("doc", [["vertices", "arrows"], "vertices", None])
+def test_a_digraph_document_that_is_not_an_object_is_a_graph_error(doc):
+    with pytest.raises(GraphError, match="^digraph JSON is not an object$"):
+        ser.digraph_from_dict(doc)
+
+
 def test_digraph_dot_parsing():
     g = ser.parse_dot('digraph g { v0 -> v1 -> v2; v0 -> v2; lonely }')
     assert set(g.vertices) == {"v0", "v1", "v2", "lonely"}
