@@ -354,22 +354,13 @@ def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.Argumen
     return parser
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone.  A one-command
-    parser prints the same top-level usage line, because its subcommand
-    metavar lists every name; the full parser keeps argparse's own metavar,
-    which labels an unknown name as "argument command"."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="pathint",
         description="Exact iterated path integrals on directed graphs.")
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = COMMANDS
-    else:
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(COMMANDS) + "}")
-        names = (command,)
-    for name in names:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
         _add_command(sub.add_parser(name, help=COMMANDS[name][1]), name)
     return parser
 
@@ -382,7 +373,7 @@ def _parse(argv: list) -> argparse.Namespace:
         return build_parser().parse_args(argv)
     parser = argparse.ArgumentParser(prog=f"pathint {argv[0]}")
     args, extra = _add_command(parser, argv[0]).parse_known_args(argv[1:])
-    return build_parser(argv[0]).parse_args(argv) if extra else args
+    return build_parser().parse_args(argv) if extra else args
 
 
 def main(argv=None) -> int:

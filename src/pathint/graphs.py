@@ -8,7 +8,7 @@ enumeration below iterates in input order so results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import GraphError, MapError
@@ -117,7 +117,7 @@ class Digraph:
         return self._square_role_tuples
 
     def move_tables(self) -> "MoveTables":
-        """The local homotopy moves by the window they read, built on demand."""
+        """Candidate vertices of the local homotopy moves, built on demand."""
         if self._move_tables is None:
             self._move_tables = MoveTables(self)
         return self._move_tables
@@ -130,45 +130,22 @@ class Digraph:
         return tuple(quad) in self.move_tables().squares
 
 
-class _Memo(dict):
-    """A dict that fills in a missing key with `make(key)`."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        got = self[key] = self.make(key)
-        return got
-
-
 class MoveTables:
-    """The local moves of paths on a digraph, keyed by the window of path
-    vertices that a move reads, as lists of (kind, new window) pairs.  A
-    window is a (vertices, orientations) pair, listed once for each
-    orientation tuple the arrows allow (forward before backward at each
-    step).  Lists are in vertex input order and made on first lookup.
-
-    apply3   (v0, v1, v2) -> triangle contraction to v0 v2, square
-             replacement by v0 u v2, backtrack removal to v0 v0 (v2 = v0)
-    apply4   (v0, v1, v3, v2) -> square contraction to v0 v2
-    unapply  (v0, v2) -> the expansions of the step: triangle v0 v1 v2,
-             square v0 v1 v3 v2, and backtrack v0 u v0 when v2 = v0
-
-    The lists are read off these tables, built with the object:
+    """The vertices a local move can bring into a path, keyed by the path
+    vertices that the move keeps; every list is in vertex input order.
 
     squares        every cyclic shift of a square role tuple
     triangles      every ordering of a triangle set
-    flags          (u, v) -> the orientation flags of a step from u to v
+    flags          (u, v) -> the orientation flags of a step from u to v,
+                   forward before backward
     square_corner  (t0, t1, t3) -> [t2] over the squares t
     square_sides   (t0, t2) -> [(t1, t3)] over the squares t
     triangle_apex  (x, z) -> [y] with {x, y, z} a triangle set
-    near           v -> {v and every vertex sharing an arrow with v}
-    rank           v -> its index in the vertex list
+    star           v -> [v and every vertex sharing an arrow with v]
     """
 
     def __init__(self, g: Digraph):
-        self.rank = rank = {v: i for i, v in enumerate(g.vertices)}
+        rank = {v: i for i, v in enumerate(g.vertices)}
 
         def ranked(tuples):
             return sorted(tuples, key=lambda t: [rank[v] for v in t])
@@ -185,49 +162,13 @@ class MoveTables:
         self.triangle_apex: dict[tuple, list] = {}
         for x, y, z in ranked(self.triangles):
             self.triangle_apex.setdefault((x, z), []).append(y)
-        self.near = {v: {v} for v in g.vertices}  # v and the vertices sharing an arrow
-        for u, v in g.arrows:
-            self.near[u].add(v)
-            self.near[v].add(u)
+        self.star = {v: sorted({v, *(a[1] for a in g.out_arrows(v)),
+                                *(a[0] for a in g.in_arrows(v))}, key=rank.__getitem__)
+                     for v in g.vertices}
         self.flags = {(v, v): (FORWARD,) for v in g.vertices}
         self.flags.update(((u, v), (FORWARD,)) for u, v in g.arrows)
         for u, v in g.arrows:  # after every forward flag
             self.flags[v, u] = self.flags.get((v, u), ()) + (BACKWARD,)
-        self.apply3 = _Memo(self._apply3)
-        self.apply4 = _Memo(self._apply4)
-        self.unapply = _Memo(self._unapply)
-
-    def _windows(self, kind: str, *vs) -> list:
-        """(kind, (vs, o)) for each orientation tuple o realizing vs."""
-        flags = self.flags
-        return [(kind, (vs, o))
-                for o in product(*(flags.get(s, ()) for s in zip(vs, vs[1:])))]
-
-    def _apply3(self, w: tuple) -> list:
-        x, _, z = w
-        moves = self._windows("triangle-contract", x, z) if w in self.triangles else []
-        for u in self.square_corner.get(w, ()):
-            moves += self._windows("square-replace", x, u, z)
-        if x == z:
-            moves += self._windows("backtrack", x, x)
-        return moves
-
-    def _apply4(self, w: tuple) -> list:
-        if (w[0], w[1], w[3], w[2]) not in self.squares:
-            return []
-        return self._windows("square-contract", w[0], w[3])
-
-    def _unapply(self, ends: tuple) -> list:
-        x, z = ends
-        moves = []
-        for y in self.triangle_apex.get(ends, ()):
-            moves += self._windows("triangle-contract", x, y, z)
-        for u, v in self.square_sides.get(ends, ()):
-            moves += self._windows("square-contract", x, u, v, z)
-        if x == z:
-            for u in sorted(self.near[x], key=self.rank.__getitem__):
-                moves += self._windows("backtrack", x, u, x)
-        return moves
 
 
 class BasedDigraph(Digraph):

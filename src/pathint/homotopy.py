@@ -132,29 +132,67 @@ def _moves(g: Digraph, V: tuple, O: tuple) -> Iterator[tuple]:
     on g, both directions, every position, as the field tuples
     (kind, direction, position, before, after) of `Move`.  Vertex-sequence
     moves come with every orientation realization the host's arrows allow,
-    read off the host's move tables by the window they rewrite."""
+    read off the host's step flags.  Candidate vertices come from the
+    host's move tables, in vertex input order."""
     t = g.move_tables()
+    f = t.flags
     n = len(O)
 
-    # triangle contraction v0 v1 v2 -> v0 v2, square replacement
-    # v0 v1 v3 -> v0 v2 v3, backtrack removal v0 v1 v0 -> v0 v0
     for p in range(n - 1):
-        for kind, after in t.apply3[V[p:p + 3]]:
-            yield (kind, "apply", p, (V[p:p + 3], O[p:p + 2]), after)
-    # square contraction: v0 v1 v3 v2 -> v0 v2
+        w = V[p:p + 3]
+        x, _, z = w
+        triangle = w in t.triangles
+        corners = t.square_corner.get(w, ())
+        if not (triangle or corners or x == z):
+            continue
+        before = (w, O[p:p + 2])
+        # (i) triangle contraction: v0 v1 v2 -> v0 v2
+        if triangle:
+            for o in f.get((x, z), ()):
+                yield ("triangle-contract", "apply", p, before, ((x, z), (o,)))
+        # (ii) square replacement: v0 v1 v3 -> v0 v2 v3
+        for u in corners:
+            for o in product(f.get((x, u), ()), f.get((u, z), ())):
+                yield ("square-replace", "apply", p, before, ((x, u, z), o))
+        # (iv) backtrack removal: v0 v1 v0 -> v0 v0
+        if x == z:
+            yield ("backtrack", "apply", p, before, ((x, x), (FORWARD,)))
+
+    # (iii) square contraction: v0 v1 v3 v2 -> v0 v2
     for p in range(n - 2):
-        for kind, after in t.apply4[V[p:p + 4]]:
-            yield (kind, "apply", p, (V[p:p + 4], O[p:p + 3]), after)
-    # trivial-step removal, any position (a stationary step is dropped)
+        if (V[p], V[p + 1], V[p + 3], V[p + 2]) in t.squares:
+            before = (V[p:p + 4], O[p:p + 3])
+            for o in f.get((V[p], V[p + 3]), ()):
+                yield ("square-contract", "apply", p, before, ((V[p], V[p + 3]), (o,)))
+
+    # (v) trivial-step removal, any position (a stationary step is dropped)
     for p in range(n):
         if V[p] == V[p + 1]:
             yield ("trivial-drop", "apply", p, ((V[p], V[p]), (O[p],)), ((V[p],), ()))
-    # the expansions of a step: through a triangle or a square, and a
-    # trivial step opening into a backtrack v0 v1 v0
+
+    # inverse directions
     for p in range(n):
-        for kind, after in t.unapply[V[p:p + 2]]:
-            yield (kind, "unapply", p, (V[p:p + 2], O[p:p + 1]), after)
-    # insert a trivial step at any vertex
+        x, z = ends = V[p:p + 2]
+        apexes = t.triangle_apex.get(ends, ())
+        sides = t.square_sides.get(ends, ())
+        if not (apexes or sides or x == z):
+            continue
+        before = (ends, O[p:p + 1])
+        # (i) expansion: v0 v2 -> v0 v1 v2 through a triangle
+        for y in apexes:
+            for o in product(f.get((x, y), ()), f.get((y, z), ())):
+                yield ("triangle-contract", "unapply", p, before, ((x, y, z), o))
+        # (iii) expansion: v0 v2 -> v0 v1 v3 v2 through a square
+        for u, v in sides:
+            for o in product(f.get((x, u), ()), f.get((u, v), ()), f.get((v, z), ())):
+                yield ("square-contract", "unapply", p, before, ((x, u, v, z), o))
+        # (iv) expansion: a trivial step opens into a backtrack v0 v1 v0
+        if x == z:
+            for u in t.star[x]:
+                for o in product(f.get((x, u), ()), f.get((u, x), ())):
+                    yield ("backtrack", "unapply", p, before, ((x, u, x), o))
+
+    # (v) expansion: insert a trivial step at any vertex
     for p in range(n + 1):
         yield ("trivial-drop", "unapply", p, ((V[p],), ()), ((V[p], V[p]), (FORWARD,)))
 
