@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from typing import Callable, Iterable, Sequence
 
 from .errors import PairingError
@@ -174,26 +174,22 @@ def shuffle_words(w1: Word, w2: Word) -> dict[Word, int]:
     return out
 
 
-def _shuffle_int(d1: dict[Word, int], d2: dict[Word, int]) -> dict[Word, int]:
-    out: dict[Word, int] = {}
+def _shuffle_coeffs(d1: dict[Word, Fraction], d2: dict[Word, Fraction]) -> dict:
+    """The bilinear extension of the basis shuffle to two coefficient dicts
+    (rational or integer), zero coefficients dropped."""
+    out: dict[Word, Fraction] = {}
     for w1, c1 in d1.items():
         for w2, c2 in d2.items():
             c = c1 * c2
             for w, m in shuffle_words(w1, w2).items():
                 out[w] = out.get(w, 0) + c * m
-    return {w: c for w, c in out.items() if c != 0}
+    return _clean(out)
 
 
 def shuffle(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Shuffle product, the bilinear extension of the basis shuffle."""
     u._check_host(v)
-    out: dict[Word, Fraction] = {}
-    for w1, c1 in u.coeffs.items():
-        for w2, c2 in v.coeffs.items():
-            c = c1 * c2
-            for w, m in shuffle_words(w1, w2).items():
-                out[w] = out.get(w, Fraction(0)) + c * m
-    return AlgebraElement(u.graph, out)
+    return AlgebraElement(u.graph, _shuffle_coeffs(u.coeffs, v.coeffs))
 
 
 class TensorPair:
@@ -369,7 +365,8 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     """Exhaustively verify the Hopf axioms on all arrow words up to
     degree_bound, plus the dual pairing laws on all enumerated loops up to
     loop_length_bound when a base vertex is available.  A report maps axiom
-    names to pass flags and offending instances; antipode_fn and
+    names to pass flags and the first max_failures offending instances (a
+    law with one fails even when none is listed); antipode_fn and
     coproduct_fn are injectable so a deliberately broken antipode or
     coproduct is caught (negative controls)."""
     if antipode_fn is None:
@@ -377,101 +374,122 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     if coproduct_fn is None:
         coproduct_fn = coproduct
     words = sorted(all_words(graph.arrows, degree_bound), key=_word_sort_key(graph))
-    axioms: dict[str, dict] = {}
+    elements = {w: word_element(graph, w) for w in words}
 
-    def record(name: str, failures: list) -> None:
-        axioms[name] = {"passed": not failures, "failures": failures[:max_failures]}
+    def delta(w: Word) -> dict:
+        return coproduct_fn(word_element(graph, w)).coeffs
 
-    # Associativity over unordered triples (shuffle is checked commutative
-    # separately, so ordered triples add nothing).
-    failures = []
-    int_words = {w: {w: 1} for w in words}
-    for u, v, w in combinations_with_replacement(words, 3):
-        left = _shuffle_int(_shuffle_int(int_words[u], int_words[v]), int_words[w])
-        right = _shuffle_int(int_words[u], _shuffle_int(int_words[v], int_words[w]))
-        if left != right:
-            failures.append({"words": (u, v, w)})
-            if len(failures) >= max_failures:
-                break
-    record("associativity", failures)
+    # Each law is a lazy generator of its failures, in instance order.
+    def associativity():
+        # unordered triples: shuffle is checked commutative separately, so
+        # ordered triples add nothing
+        basis = {w: {w: 1} for w in words}
+        for u, v, w in combinations_with_replacement(words, 3):
+            left = _shuffle_coeffs(_shuffle_coeffs(basis[u], basis[v]), basis[w])
+            right = _shuffle_coeffs(basis[u], _shuffle_coeffs(basis[v], basis[w]))
+            if left != right:
+                yield {"words": (u, v, w)}
 
-    failures = []
-    for u, v in combinations(words, 2):
-        if shuffle_words(u, v) != shuffle_words(v, u):
-            failures.append({"words": (u, v)})
-            if len(failures) >= max_failures:
-                break
-    record("commutativity", failures)
+    def coassociativity():
+        # (delta x id) delta = (id x delta) delta, both sides from coproduct_fn
+        for w in words:
+            left: dict[tuple, Fraction] = {}
+            right: dict[tuple, Fraction] = {}
+            for (w1, w2), c in delta(w).items():
+                for (x1, x2), c1 in delta(w1).items():
+                    left[x1, x2, w2] = left.get((x1, x2, w2), 0) + c * c1
+                for (y1, y2), c2 in delta(w2).items():
+                    right[w1, y1, y2] = right.get((w1, y1, y2), 0) + c * c2
+            if _clean(left) != _clean(right):
+                yield {"word": w}
 
-    # (delta x id) delta = (id x delta) delta, both sides from coproduct_fn
-    failures = []
-    for w in words:
-        left: dict[tuple, Fraction] = {}
-        right: dict[tuple, Fraction] = {}
-        for (w1, w2), c in coproduct_fn(word_element(graph, w)).coeffs.items():
-            for (x1, x2), c1 in coproduct_fn(word_element(graph, w1)).coeffs.items():
-                key = (x1, x2, w2)
-                left[key] = left.get(key, Fraction(0)) + c * c1
-            for (y1, y2), c2 in coproduct_fn(word_element(graph, w2)).coeffs.items():
-                key = (w1, y1, y2)
-                right[key] = right.get(key, Fraction(0)) + c * c2
-        if _clean(left) != _clean(right):
-            failures.append({"word": w})
-            if len(failures) >= max_failures:
-                break
-    record("coassociativity", failures)
+    def counit_law():
+        for w in words:
+            left: dict[Word, Fraction] = {}
+            right: dict[Word, Fraction] = {}
+            for (w1, w2), c in delta(w).items():
+                if not w1:
+                    left[w2] = left.get(w2, 0) + c
+                if not w2:
+                    right[w1] = right.get(w1, 0) + c
+            if _clean(left) != {w: 1} or _clean(right) != {w: 1}:
+                yield {"word": w}
 
-    failures = []
-    for w in words:
-        elem = word_element(graph, w)
-        delta = coproduct_fn(elem)
-        left = zero(graph)
-        right = zero(graph)
-        for (w1, w2), c in delta.coeffs.items():
-            if not w1:
-                left = left + AlgebraElement(graph, {w2: c})
-            if not w2:
-                right = right + AlgebraElement(graph, {w1: c})
-        if left != elem or right != elem:
-            failures.append({"word": w})
-    record("counit", failures)
+    def antipode_law():
+        for w, elem in elements.items():
+            target = counit(elem) * unit(graph)
+            lhs = rhs = zero(graph)
+            for (w1, w2), c in coproduct_fn(elem).coeffs.items():
+                lhs = lhs + c * shuffle(antipode_fn(word_element(graph, w1)),
+                                        word_element(graph, w2))
+                rhs = rhs + c * shuffle(word_element(graph, w1),
+                                        antipode_fn(word_element(graph, w2)))
+            if lhs != target or rhs != target:
+                yield {"word": w}
 
-    failures = []
-    for u, v in combinations_with_replacement(words, 2):
-        uu = word_element(graph, u)
-        vv = word_element(graph, v)
-        if coproduct_fn(shuffle(uu, vv)) != coproduct_fn(uu) * coproduct_fn(vv):
-            failures.append({"words": (u, v)})
-            if len(failures) >= max_failures:
-                break
-    record("bialgebra", failures)
-
-    failures = []
-    for w in words:
-        elem = word_element(graph, w)
-        target = counit(elem) * unit(graph)
-        lhs = zero(graph)
-        rhs = zero(graph)
-        for (w1, w2), c in coproduct_fn(elem).coeffs.items():
-            lhs = lhs + c * shuffle(antipode_fn(word_element(graph, w1)),
-                                    word_element(graph, w2))
-            rhs = rhs + c * shuffle(word_element(graph, w1),
-                                    antipode_fn(word_element(graph, w2)))
-        if lhs != target or rhs != target:
-            failures.append({"word": w})
-            if len(failures) >= max_failures:
-                break
-    record("antipode", failures)
-
-    failures = []
-    for w in words:
-        elem = word_element(graph, w)
-        if antipode_fn(antipode_fn(elem)) != elem:
-            failures.append({"word": w})
-    record("antipode_involution", failures)
+    laws = {
+        "associativity": associativity(),
+        "commutativity": ({"words": (u, v)} for u, v in combinations(words, 2)
+                          if shuffle_words(u, v) != shuffle_words(v, u)),
+        "coassociativity": coassociativity(),
+        "counit": counit_law(),
+        "bialgebra": ({"words": (u, v)}
+                      for u, v in combinations_with_replacement(words, 2)
+                      if coproduct_fn(shuffle(elements[u], elements[v]))
+                      != coproduct_fn(elements[u]) * coproduct_fn(elements[v])),
+        "antipode": antipode_law(),
+        "antipode_involution": ({"word": w} for w in words
+                                if antipode_fn(antipode_fn(elements[w])) != elements[w]),
+    }
 
     if base is None and isinstance(graph, BasedDigraph):
         base = graph.base
+    if base is not None:
+        loops = list(enumerate_paths(graph, base, loop_length_bound, loops_only=True))
+        sig = {l: word_pairings_all(l, degree_bound) for l in loops}
+
+        def dual_shuffle():
+            # pair(u . v, l) = pair(u, l) * pair(v, l)
+            split_pairs = [(u, v) for u, v in combinations_with_replacement(words, 2)
+                           if len(u) + len(v) <= degree_bound]
+            for l in loops:
+                s = sig[l]
+                for u, v in split_pairs:
+                    if sum(m * s[w] for w, m in shuffle_words(u, v).items()) != s[u] * s[v]:
+                        yield {"loop": l, "words": (u, v)}
+                        break
+
+        def dual_concat():
+            # pair(u, a * b) = sum over deconcatenations of pair products;
+            # checked on every loop pair whose concatenation still fits the
+            # length bound
+            for la, lb in product(loops, repeat=2):
+                if la.length + lb.length > loop_length_bound:
+                    continue
+                cat_sig = word_pairings_all(concat(la, lb), degree_bound)
+                sa, sb = sig[la], sig[lb]
+                for w in words:
+                    if cat_sig[w] != sum(sa[w[:i]] * sb[w[i:]] for i in range(len(w) + 1)):
+                        yield {"loops": (la, lb), "word": w}
+                        break
+
+        def dual_antipode():
+            # pair(j(u), l) = pair(u, l^{-1})
+            for l in loops:
+                s, s_inv = sig[l], sig[inverse(l)]
+                for w in words:
+                    ju = antipode_fn(elements[w])
+                    if sum(c * s[x] for x, c in ju.coeffs.items()) != s_inv[w]:
+                        yield {"loop": l, "word": w}
+                        break
+
+        laws.update(dual_shuffle=dual_shuffle(), dual_concat=dual_concat(),
+                    dual_antipode=dual_antipode())
+
+    axioms: dict[str, dict] = {}
+    for name, failures in laws.items():
+        found = list(islice(failures, max(max_failures, 1)))
+        axioms[name] = {"passed": not found, "failures": found[:max_failures]}
     report = {
         "degree_bound": degree_bound,
         "loop_length_bound": loop_length_bound,
@@ -480,58 +498,5 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     }
     if base is None:
         report["dual_laws"] = "skipped: no base vertex"
-        report["all_passed"] = all(a["passed"] for a in axioms.values())
-        return report
-
-    loops = list(enumerate_paths(graph, base, loop_length_bound, loops_only=True))
-    sig = {l: word_pairings_all(l, degree_bound) for l in loops}
-
-    # pair(u . v, l) = pair(u, l) * pair(v, l)
-    failures = []
-    split_pairs = [(u, v) for u, v in combinations_with_replacement(words, 2)
-                   if len(u) + len(v) <= degree_bound]
-    for l in loops:
-        s = sig[l]
-        for u, v in split_pairs:
-            combined = sum(m * s[w] for w, m in shuffle_words(u, v).items())
-            if combined != s[u] * s[v]:
-                failures.append({"loop": l, "words": (u, v)})
-                break
-        if len(failures) >= max_failures:
-            break
-    record("dual_shuffle", failures)
-
-    # pair(u, a * b) = sum over deconcatenations of pair products; checked on
-    # every loop pair whose concatenation still fits the length bound
-    failures = []
-    for la, lb in product(loops, repeat=2):
-        if la.length + lb.length > loop_length_bound:
-            continue
-        cat_sig = word_pairings_all(concat(la, lb), degree_bound)
-        sa, sb = sig[la], sig[lb]
-        for w in words:
-            expected = sum(sa[w[:i]] * sb[w[i:]] for i in range(len(w) + 1))
-            if cat_sig[w] != expected:
-                failures.append({"loops": (la, lb), "word": w})
-                break
-        if len(failures) >= max_failures:
-            break
-    record("dual_concat", failures)
-
-    # pair(j(u), l) = pair(u, l^{-1})
-    failures = []
-    for l in loops:
-        s = sig[l]
-        s_inv = sig[inverse(l)]
-        for w in words:
-            ju = antipode_fn(word_element(graph, w))
-            value = sum(c * s[x] for x, c in ju.coeffs.items())
-            if value != s_inv[w]:
-                failures.append({"loop": l, "word": w})
-                break
-        if len(failures) >= max_failures:
-            break
-    record("dual_antipode", failures)
-
     report["all_passed"] = all(a["passed"] for a in axioms.values())
     return report

@@ -63,9 +63,7 @@ class Digraph:
         for a in self.arrows:
             self._out[a[0]] += (a,)
             self._in[a[1]] += (a,)
-        # pattern caches, built on demand
-        self._triangle_sets: frozenset[frozenset] | None = None
-        self._square_role_tuples: frozenset[tuple] | None = None
+        # the move tables, built on demand
         self._move_tables: MoveTables | None = None
         # closedness data, filled by `forms` on first use
         self._omega2_boundaries: tuple | None = None
@@ -98,24 +96,6 @@ class Digraph:
 
     # -- pattern predicates ------------------------------------------------
 
-    def triangle_sets(self) -> frozenset[frozenset]:
-        """Vertex triples {x,y,z} admitting an ordering with x->y, y->z, x->z."""
-        if self._triangle_sets is None:
-            self._triangle_sets = frozenset(
-                frozenset(e.vertices) for e in enumerate_patterns(self, "triangle"))
-        return self._triangle_sets
-
-    def square_role_tuples(self) -> frozenset[tuple]:
-        """Ordered tuples (v0,v1,v2,v3) of distinct vertices realizing the
-        standard square arrow pattern v0->v1, v1->v3, v0->v2, v2->v3."""
-        if self._square_role_tuples is None:
-            found = set()
-            for e in enumerate_patterns(self, "square"):
-                v0, v1, v2, v3 = e.vertices
-                found.update(((v0, v1, v2, v3), (v0, v2, v1, v3)))
-            self._square_role_tuples = frozenset(found)
-        return self._square_role_tuples
-
     def move_tables(self) -> "MoveTables":
         """Candidate vertices of the local homotopy moves, built on demand."""
         if self._move_tables is None:
@@ -123,7 +103,8 @@ class Digraph:
         return self._move_tables
 
     def is_triangle_set(self, x: Vertex, y: Vertex, z: Vertex) -> bool:
-        return frozenset((x, y, z)) in self.triangle_sets()
+        """True if {x, y, z} admits an ordering with x->y, y->z, x->z."""
+        return (x, y, z) in self.move_tables().triangles
 
     def is_square_tuple(self, quad: Sequence[Vertex]) -> bool:
         """True if some cyclic shift of the tuple realizes the standard square."""
@@ -134,8 +115,9 @@ class MoveTables:
     """The vertices a local move can bring into a path, keyed by the path
     vertices that the move keeps; every list is in vertex input order.
 
-    squares        every cyclic shift of a square role tuple
-    triangles      every ordering of a triangle set
+    squares        every cyclic shift of (v0, v1, v2, v3) and (v0, v2, v1, v3)
+                   over the embedded squares v0->v1, v1->v3, v0->v2, v2->v3
+    triangles      every ordering of the vertices of an embedded triangle
     flags          (u, v) -> the orientation flags of a step from u to v,
                    forward before backward
     square_corner  (t0, t1, t3) -> [t2] over the squares t
@@ -150,15 +132,17 @@ class MoveTables:
         def ranked(tuples):
             return sorted(tuples, key=lambda t: [rank[v] for v in t])
 
-        self.squares = frozenset(t[i:] + t[:i] for t in g.square_role_tuples()
+        squares = [e.vertices for e in enumerate_patterns(g, "square")]
+        self.squares = frozenset(t[i:] + t[:i] for v0, v1, v2, v3 in squares
+                                 for t in ((v0, v1, v2, v3), (v0, v2, v1, v3))
                                  for i in range(4))
         self.square_corner: dict[tuple, list] = {}
         self.square_sides: dict[tuple, list] = {}
         for t in ranked(self.squares):
             self.square_corner.setdefault((t[0], t[1], t[3]), []).append(t[2])
             self.square_sides.setdefault((t[0], t[2]), []).append((t[1], t[3]))
-        self.triangles = frozenset(p for tri in g.triangle_sets()
-                                   for p in permutations(tri))
+        self.triangles = frozenset(p for e in enumerate_patterns(g, "triangle")
+                                   for p in permutations(e.vertices))
         self.triangle_apex: dict[tuple, list] = {}
         for x, y, z in ranked(self.triangles):
             self.triangle_apex.setdefault((x, z), []).append(y)

@@ -21,11 +21,10 @@ from .errors import MapError, PathError
 from .forms import (OneForm, _closed_basis_vectors, _omega2_boundaries,
                     closed_arrows, is_closed)
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .integrals import (Word, _runs, all_words, pair, runs, signature,
-                        word_pairings_all)
+from .integrals import Word, all_words, pair, signature, word_pairings_all
 from .linalg import Echelon, complement_basis
-from .paths import (FORWARD, PathMap, _build, enumerate_paths,
-                    inverse, make_path)
+from .paths import (FORWARD, PathMap, _build, _runs, enumerate_paths,
+                    inverse, make_path, runs)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
               "backtrack", "trivial-drop")
@@ -235,8 +234,8 @@ def _net_counts(path: PathMap) -> dict[Word, int]:
     """The path's degree-1 signature: the net traversals of each arrow,
     keyed by its one-letter word."""
     counts: dict[Word, int] = {}
-    for arrow, net in runs(path):
-        counts[(arrow,)] = counts.get((arrow,), 0) + net
+    for arrow, sign in runs(path):
+        counts[(arrow,)] = counts.get((arrow,), 0) + sign
     return counts
 
 
@@ -525,23 +524,15 @@ def invariance_verify(elem: AlgebraElement, base: Vertex,
     length bound and each of its one-move neighbors; the first differing
     pair is a counterexample, otherwise the sample certifies nothing beyond
     itself and says so."""
-    g = elem.graph
-    degree_one = all(len(w) == 1 for w in elem.coeffs)
     memo: dict = {}
 
     def value(path: PathMap) -> Fraction:
         got = memo.get(path)
         if got is None:
-            if degree_one:
-                net = _net_counts(path)
-                got = sum((c * net.get(w, 0) for w, c in elem.coeffs.items()),
-                          Fraction(0))
-            else:
-                got = pair(elem, path)
-            memo[path] = got
+            got = memo[path] = pair(elem, path)
         return got
 
-    for loop, nb, move in _move_pair_sample(g, base, length_bound):
+    for loop, nb, move in _move_pair_sample(elem.graph, base, length_bound):
         va, vb = value(loop), value(nb)
         if va != vb:
             return InvarianceVerdict("counterexample", base, length_bound,

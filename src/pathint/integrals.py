@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 from .errors import PairingError, PathError
 from .forms import OneForm
-from .graphs import FORWARD, Arrow
+from .graphs import Arrow
 from .paths import (ForwardArrow, InverseArrow, PathMap, Step, Trivial, concat,
-                    inverse, steps)
+                    inverse, runs, steps)
 
 Word = tuple[Arrow, ...]
 
@@ -109,40 +109,16 @@ def all_words(arrows: Sequence[Arrow], max_degree: int,
     return out
 
 
-def runs(path: PathMap) -> list[tuple]:
-    """The path's steps as (arrow, net exponent) factors exp(net e_a):
-    trivial steps dropped, consecutive steps on one arrow merged, and
-    factors of net exponent 0 removed, so backtracks cost nothing."""
-    return _runs(path.vertices, path.orientations)
-
-
-def _runs(vertices: tuple, orientations: tuple) -> list[tuple]:
-    """`runs` of an unchecked (vertices, orientations) pair."""
-    out: list[tuple] = []
-    for u, w, o in zip(vertices, vertices[1:], orientations):
-        if u == w:
-            continue
-        arrow, sign = ((u, w), 1) if o == FORWARD else ((w, u), -1)
-        if out and out[-1][0] == arrow:
-            net = out[-1][1] + sign
-            if net:
-                out[-1] = (arrow, net)
-            else:
-                out.pop()
-        else:
-            out.append((arrow, sign))
-    return out
-
-
 def signature(path: PathMap, words: Iterable[Word]) -> dict[Word, Fraction]:
     """Pairings of a prefix-closed set of arrow words with path, keyed in
     first-seen order (the empty word is always present).
 
     The dict, first the signature of the trivial path, is multiplied in
-    place by exp(c e_a) for each run: <w, S exp(c e_a)> is the sum over k of
+    place by exp(c e_a) for each signed arrow (a, c) of the path's `runs`,
+    c = +1 or -1: <w, S exp(c e_a)> is the sum over k of
     <w[:-k], S> c^k / k! while the last k letters of w are a, so only words
     ending in a change.  Updating them longest first makes every read of a
-    shorter prefix see its value from before the run."""
+    shorter prefix see its value from before the factor."""
     return _evaluate(path, _plan(words))
 
 
@@ -170,10 +146,10 @@ def _evaluate(path: PathMap, plan: tuple) -> dict[Word, Fraction]:
     keys, top, updates = plan
     sig = dict.fromkeys(keys, Fraction(0))
     sig[()] = Fraction(1)
-    for arrow, net in runs(path):
+    for arrow, sign in runs(path):
         if arrow not in updates:
             continue
-        powers = [Fraction(net ** k, math.factorial(k)) for k in range(1, top + 1)]
+        powers = [Fraction(sign ** k, math.factorial(k)) for k in range(1, top + 1)]
         for w, prefixes in updates[arrow]:
             acc = sig[w]
             for p, c in zip(prefixes, powers):

@@ -149,22 +149,6 @@ def steps(path: PathMap) -> tuple[Step, ...]:
     return tuple(out)
 
 
-def _steps_to_path(graph: Digraph, start: Vertex, step_seq: Sequence[Step]) -> PathMap:
-    vs = [start]
-    os = []
-    for s in step_seq:
-        if isinstance(s, Trivial):
-            vs.append(vs[-1])
-            os.append(FORWARD)
-        elif isinstance(s, ForwardArrow):
-            vs.append(s.arrow[1])
-            os.append(FORWARD)
-        else:
-            vs.append(s.arrow[0])
-            os.append(BACKWARD)
-    return _build(graph, tuple(vs), tuple(os))
-
-
 def concat(a: PathMap, b: PathMap) -> PathMap:
     """Concatenation a then b.  Mismatched hosts or endpoints are errors."""
     if a.graph != b.graph:
@@ -203,34 +187,40 @@ def insert_trivial(a: PathMap, i: int) -> PathMap:
     return _build(a.graph, vs, os)
 
 
-def _cancels(s: Step, t: Step) -> bool:
-    if isinstance(s, ForwardArrow) and isinstance(t, InverseArrow):
-        return s.arrow == t.arrow
-    if isinstance(s, InverseArrow) and isinstance(t, ForwardArrow):
-        return s.arrow == t.arrow
-    return False
+def runs(path: PathMap) -> list[tuple]:
+    """The path's free reduction as signed arrows (arrow, +1 forward or -1
+    backward): trivial steps dropped and each step that undoes the one
+    before cancelled with it, so backtracks cost nothing."""
+    return _runs(path.vertices, path.orientations)
+
+
+def _runs(vertices: tuple, orientations: tuple) -> list[tuple]:
+    """`runs` of an unchecked (vertices, orientations) pair."""
+    out: list[tuple] = []
+    for u, w, o in zip(vertices, vertices[1:], orientations):
+        if u == w:
+            continue
+        arrow, sign = ((u, w), 1) if o == FORWARD else ((w, u), -1)
+        if out and out[-1] == (arrow, -sign):
+            out.pop()
+        else:
+            out.append((arrow, sign))
+    return out
 
 
 def reduce(a: PathMap) -> PathMap:
-    """Remove trivial steps and cancel adjacent inverse step pairs, leftmost
-    innermost, until no redex remains.  The result is the canonical reduced
-    representative of a's elementary equivalence class."""
-    stack: list[Step] = []
-    for s in steps(a):
-        if isinstance(s, Trivial):
-            continue
-        if stack and _cancels(stack[-1], s):
-            stack.pop()
-        else:
-            stack.append(s)
-    return _steps_to_path(a.graph, a.start, stack)
+    """The canonical reduced representative of a's elementary equivalence
+    class: the path its runs spell, each arrow forward for +1 and backward
+    for -1."""
+    vs, os = [a.start], []
+    for (u, w), sign in runs(a):
+        vs.append(w if sign > 0 else u)
+        os.append(FORWARD if sign > 0 else BACKWARD)
+    return _build(a.graph, tuple(vs), tuple(os))
 
 
 def is_reduced(a: PathMap) -> bool:
-    ss = steps(a)
-    if any(isinstance(s, Trivial) for s in ss):
-        return False
-    return not any(_cancels(ss[i], ss[i + 1]) for i in range(len(ss) - 1))
+    return reduce(a) == a
 
 
 def elem_equivalent(a: PathMap, b: PathMap) -> bool:

@@ -49,6 +49,26 @@ def patterned_digraph(rng: random.Random):
     return Digraph(vs, arrows)
 
 
+def walked_triangle_sets(g):
+    """The vertex sets {x, y, z} of the arrow walks x->y->z with x->z."""
+    return {frozenset((x, y, a[1])) for x, y in g.arrows for a in g.out_arrows(y)
+            if a[1] != x and g.has_arrow(x, a[1])}
+
+
+def walked_square_role_tuples(g):
+    """The tuples (v0, v1, v2, v3) of distinct vertices of the arrow walks
+    v0->v1->v3 with v0->v2->v3."""
+    found = set()
+    for v0, v1 in g.arrows:
+        for a in g.out_arrows(v1):
+            v3 = a[1]
+            for b in g.in_arrows(v3):
+                v2 = b[0]
+                if v3 != v0 and v2 not in (v0, v1, v3) and g.has_arrow(v0, v2):
+                    found.add((v0, v1, v2, v3))
+    return found
+
+
 def random_path(rng: random.Random, g, max_len: int = 8, start=None,
                 length=None, allow_trivial: bool = True):
     v = start if start is not None else rng.choice(g.vertices)

@@ -141,30 +141,82 @@ def test_based_functional_call():
         j(make_path(D, ["v1", "v0"], ["f"]))
 
 
+# the arrows of double_edge() and its loops at v0, which alternate v0, v1
+A, B = ("v0", "v1"), ("v1", "v0")
+
+
+def _d_loop(flags):
+    return make_path(double_edge(), ["v0", "v1"] * (len(flags) // 2) + ["v0"],
+                     list(flags))
+
+
+def _failed(report):
+    """The failure lists of the laws that failed, by name."""
+    return {name: entry["failures"] for name, entry in report["axioms"].items()
+            if not entry["passed"]}
+
+
 def test_hopf_report_negative_control():
     D = double_edge()
     broken = lambda u: u  # identity is not an antipode
     report = hopf_axiom_report(D, 2, antipode_fn=broken)
     assert not report["axioms"]["antipode"]["passed"]
     assert not report["all_passed"]
+    assert _failed(hopf_axiom_report(D, 2, antipode_fn=broken, max_failures=1)) == {
+        "antipode": [{"word": (A,)}],
+        "dual_antipode": [{"loop": _d_loop("ff"), "word": (A,)}],
+    }
+    assert _failed(report) == {
+        "antipode": [{"word": w} for w in ((A,), (B,), (A, A), (A, B), (B, A))],
+        "dual_antipode": [{"loop": _d_loop(f), "word": (A,)}
+                          for f in ("ff", "bb", "ffff", "fffb", "ffbf")],
+    }
+
+
+def _early_cuts(u):
+    # deconcatenation that keeps only the cuts before the second letter
+    out = {}
+    for w, c in u.coeffs.items():
+        for i in range(min(len(w), 1) + 1):
+            out[(w[:i], w[i:])] = out.get((w[:i], w[i:]), 0) + c
+    return TensorPair(u.graph, out)
 
 
 def test_hopf_report_coassociativity_negative_control():
     D = double_edge()
-
-    def early_cuts(u):
-        # deconcatenation that keeps only the cuts before the second letter
-        out = {}
-        for w, c in u.coeffs.items():
-            for i in range(min(len(w), 1) + 1):
-                out[(w[:i], w[i:])] = out.get((w[:i], w[i:]), 0) + c
-        return TensorPair(D, out)
-
     assert hopf_axiom_report(D, 2)["axioms"]["coassociativity"]["passed"]
-    report = hopf_axiom_report(D, 2, coproduct_fn=early_cuts)
+    report = hopf_axiom_report(D, 2, coproduct_fn=_early_cuts)
     assert not report["axioms"]["coassociativity"]["passed"]
     assert report["axioms"]["commutativity"]["passed"]
     assert not report["all_passed"]
+    first = [{"word": (A, A)}]
+    assert _failed(hopf_axiom_report(D, 2, coproduct_fn=_early_cuts,
+                                     max_failures=1)) == {
+        "coassociativity": first, "counit": first,
+        "bialgebra": [{"words": ((A,), (A,))}], "antipode": first,
+    }
+    long_words = [{"word": w} for w in ((A, A), (A, B), (B, A), (B, B))]
+    assert _failed(report) == {
+        "coassociativity": long_words, "counit": long_words,
+        "bialgebra": [{"words": ((A,), w)} for w in ((A,), (B,), (A, A), (A, B), (B, A))],
+        "antipode": long_words,
+    }
+
+
+def test_hopf_report_fails_a_law_even_when_no_failure_is_listed():
+    T = standard_triangle()
+
+    def unsigned_reversal(u):
+        return AlgebraElement(u.graph, {w[::-1]: c for w, c in u.coeffs.items()})
+
+    listed = hopf_axiom_report(T, 1, antipode_fn=unsigned_reversal, max_failures=1)
+    silent = hopf_axiom_report(T, 1, antipode_fn=unsigned_reversal, max_failures=0)
+    assert not silent["axioms"]["dual_antipode"]["passed"]
+    assert not silent["axioms"]["antipode"]["passed"]
+    assert all(entry["failures"] == [] for entry in silent["axioms"].values())
+    assert ({name: entry["passed"] for name, entry in silent["axioms"].items()}
+            == {name: entry["passed"] for name, entry in listed["axioms"].items()})
+    assert not silent["all_passed"]
 
 
 def test_hopf_report_without_base_skips_dual_laws():

@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_digraph
+from conftest import (random_digraph, walked_square_role_tuples,
+                      walked_triangle_sets)
 
 from pathint import (BasedDigraph, Digraph, DigraphMap, GraphError, MapError,
                      box_product, compose_maps, cylinder, directed_cycle,
@@ -64,32 +65,20 @@ def test_square_detection():
     assert len(enumerate_patterns(S, "triangle")) == 0
 
 
-def _walked_triangle_sets(g):
-    return {frozenset((x, y, a[1])) for x, y in g.arrows for a in g.out_arrows(y)
-            if a[1] != x and g.has_arrow(x, a[1])}
-
-
-def _walked_square_role_tuples(g):
-    found = set()
-    for v0, v1 in g.arrows:
-        for a in g.out_arrows(v1):
-            v3 = a[1]
-            for b in g.in_arrows(v3):
-                v2 = b[0]
-                if v3 != v0 and v2 not in (v0, v1, v3) and g.has_arrow(v0, v2):
-                    found.add((v0, v1, v2, v3))
-    return found
-
-
 def test_pattern_sets_match_the_arrow_walks(rng):
     graphs = [standard_triangle(), standard_square(), double_edge(),
               directed_cycle(4), wedge_of_cycles(),
               box_product(line_digraph("ff"), line_digraph("ff"))]
     graphs += [random_digraph(rng, p=0.5) for _ in range(30)]
     for g in graphs:
-        assert g.triangle_sets() == _walked_triangle_sets(g)
-        roles = _walked_square_role_tuples(g)
-        assert g.square_role_tuples() == roles
+        tables = g.move_tables()
+        triangle_sets = walked_triangle_sets(g)
+        assert tables.triangles == {p for tri in triangle_sets
+                                    for p in permutations(tri)}
+        roles = walked_square_role_tuples(g)
+        assert tables.squares == {t[i:] + t[:i] for t in roles for i in range(4)}
+        for triple in permutations(g.vertices[:6], 3):
+            assert g.is_triangle_set(*triple) == (frozenset(triple) in triangle_sets)
         for quad in permutations(g.vertices[:6], 4):
             assert g.is_square_tuple(quad) == any(
                 quad[i:] + quad[:i] in roles for i in range(4))

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import patterned_digraph
+from conftest import (patterned_digraph, walked_square_role_tuples,
+                      walked_triangle_sets)
 
 from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      MoveCertificate, OneForm, PathError, all_words,
@@ -27,8 +28,8 @@ from pathint.forms import closed_arrows
 from pathint.homotopy import (_move_pair_sample, _moves, _pi1_rows,
                               _separating_invariant,
                               _theorem_backed_invariants)
-from pathint.integrals import runs
 from pathint.linalg import complement_basis, kernel
+from pathint.paths import runs
 
 
 def _fixtures():
@@ -67,13 +68,14 @@ def _candidate_tables(g):
     def ranked(tuples):
         return sorted(tuples, key=lambda t: [rank[v] for v in t])
 
-    squares = {t[i:] + t[:i] for t in g.square_role_tuples() for i in range(4)}
-    tables = SimpleNamespace(squares=squares, square_corner={}, square_sides={},
-                             triangle_apex={})
+    squares = {t[i:] + t[:i] for t in walked_square_role_tuples(g) for i in range(4)}
+    triangles = {p for tri in walked_triangle_sets(g) for p in permutations(tri)}
+    tables = SimpleNamespace(squares=squares, triangles=triangles, square_corner={},
+                             square_sides={}, triangle_apex={})
     for t in ranked(squares):
         tables.square_corner.setdefault((t[0], t[1], t[3]), []).append(t[2])
         tables.square_sides.setdefault((t[0], t[2]), []).append((t[1], t[3]))
-    for x, y, z in ranked(p for tri in g.triangle_sets() for p in permutations(tri)):
+    for x, y, z in ranked(triangles):
         tables.triangle_apex.setdefault((x, z), []).append(y)
     tables.star = {v: sorted({v, *(a[1] for a in g.out_arrows(v)),
                               *(a[0] for a in g.in_arrows(v))}, key=rank.__getitem__)
@@ -90,7 +92,7 @@ def _moves_by_candidates(loop):
     for p in range(n - 1):
         window = (V[p], V[p + 1], V[p + 2])
         before = (window, O[p:p + 2])
-        if g.is_triangle_set(*window):
+        if window in tables.triangles:
             for fill in _segment_fills(g, (V[p], V[p + 2])):
                 yield Move("triangle-contract", "apply", p, before,
                            ((V[p], V[p + 2]), fill))

@@ -1,20 +1,23 @@
 """Path maps: construction, calculus, reduction, equivalence, push-forward."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_digraph, random_path
+from conftest import patterned_digraph, random_digraph, random_path
 
-from pathint import (DigraphMap, LoopMap, PathError, concat, cut,
-                     double_edge, elem_equivalent, enumerate_paths,
-                     insert_trivial, inverse, is_reduced, make_path,
-                     push_forward, reduce, standard_triangle, steps,
-                     trivial_path)
-from pathint.paths import ForwardArrow, InverseArrow, Trivial
+from pathint import (DigraphMap, LoopMap, PathError, box_product, concat, cut,
+                     directed_cycle, double_edge, elem_equivalent,
+                     enumerate_paths, insert_trivial, inverse, is_reduced,
+                     line_digraph, make_path, push_forward, reduce,
+                     standard_square, standard_triangle, steps, trivial_path,
+                     wedge_of_cycles)
+from pathint.graphs import BACKWARD, FORWARD
+from pathint.paths import ForwardArrow, InverseArrow, Trivial, _build, _runs
 
 
 def test_make_path_validates_steps():
@@ -93,6 +96,104 @@ def test_reduce_idempotent(rng):
         g = random_digraph(rng)
         p = random_path(rng, g)
         assert reduce(reduce(p)) == reduce(p)
+
+
+def _cancels(s, t):
+    if isinstance(s, ForwardArrow) and isinstance(t, InverseArrow):
+        return s.arrow == t.arrow
+    if isinstance(s, InverseArrow) and isinstance(t, ForwardArrow):
+        return s.arrow == t.arrow
+    return False
+
+
+def _stack_reduce(a):
+    """Reference reduction on the step classes: drop trivial steps and
+    cancel each step against an inverse step on top of the stack, then
+    walk the steps left from the start vertex."""
+    stack = []
+    for s in steps(a):
+        if isinstance(s, Trivial):
+            continue
+        if stack and _cancels(stack[-1], s):
+            stack.pop()
+        else:
+            stack.append(s)
+    vs, os_ = [a.start], []
+    for s in stack:
+        forward = isinstance(s, ForwardArrow)
+        vs.append(s.arrow[1] if forward else s.arrow[0])
+        os_.append(FORWARD if forward else BACKWARD)
+    return _build(a.graph, tuple(vs), tuple(os_))
+
+
+def _stack_is_reduced(a):
+    ss = steps(a)
+    if any(isinstance(s, Trivial) for s in ss):
+        return False
+    return not any(_cancels(ss[i], ss[i + 1]) for i in range(len(ss) - 1))
+
+
+def _assert_reduction_matches_the_stack(p):
+    r = reduce(p)
+    expected = _stack_reduce(p)
+    assert r == expected and type(r) is type(expected), p
+    assert is_reduced(p) == _stack_is_reduced(p), p
+
+
+def test_reduce_matches_the_step_stack_on_every_short_path():
+    grid = box_product(line_digraph("ff"), line_digraph("ff"))
+    graphs = [standard_triangle(), standard_square(), double_edge(),
+              directed_cycle(4), wedge_of_cycles(), grid]
+    checked = 0
+    for g in graphs:
+        for base in g.vertices:
+            for p in enumerate_paths(g, base, 5):
+                _assert_reduction_matches_the_stack(p)
+                if p.length:  # two trivial steps, at positions set by the length
+                    q = insert_trivial(p, p.length // 2)
+                    _assert_reduction_matches_the_stack(
+                        insert_trivial(q, (3 * p.length) % (q.length + 1)))
+                checked += 1
+    assert checked > 4000
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_reduce_matches_the_step_stack_on_random_digraphs(seed):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    for _ in range(20):
+        _assert_reduction_matches_the_stack(random_path(rng, g, max_len=12))
+
+
+def _merged_runs(vertices, orientations):
+    """Runs with consecutive steps on one arrow merged into a net exponent,
+    a factor of net exponent 0 removed."""
+    out = []
+    for u, w, o in zip(vertices, vertices[1:], orientations):
+        if u == w:
+            continue
+        arrow, sign = ((u, w), 1) if o == FORWARD else ((w, u), -1)
+        if out and out[-1][0] == arrow:
+            net = out[-1][1] + sign
+            if net:
+                out[-1] = (arrow, net)
+            else:
+                out.pop()
+        else:
+            out.append((arrow, sign))
+    return out
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("fb")),
+                min_size=1, max_size=30))
+def test_a_run_never_merges_two_steps_of_one_sign(chain):
+    # the vertex chain forces two consecutive steps on one arrow to have
+    # opposite signs, so merging runs only ever cancels them
+    vertices = tuple(v for v, _ in chain)
+    orientations = tuple(o for _, o in chain[1:])
+    merged = _merged_runs(vertices, orientations)
+    assert all(net in (1, -1) for _, net in merged)
+    assert _runs(vertices, orientations) == merged
 
 
 def test_elem_equivalent_axioms(rng):
