@@ -4,9 +4,17 @@ The integral of omega_1..omega_r over a path of n steps is the sum over all
 non-decreasing index sequences 1 <= t_1 <= .. <= t_r <= n of the product of
 step pairings divided by the volume number of the sequence.  Arrow words
 have one evaluator, the signature kernel `signature` (Chen's identity), and
-`word_pairing`, `word_pairings_all` and `pair` are views of it.  Words of
-general 1-forms go through `iterated_integral`, a dynamic program over the
-forms, with the direct sum `iterated_integral_direct` as its test oracle.
+`word_pairing`, `word_pairings_all`, `pair` and `order` are views of it.
+Words of general 1-forms go through `iterated_integral`, a dynamic program
+over the forms, with the direct sum `iterated_integral_direct` as its test
+oracle.
+
+Both dynamic programs run on Python ints, scaled so that every value they
+hold is an integer, and divide once per result: the signature kernel holds
+L! <w, S> for a word w of length L, and `iterated_integral` holds
+j! D_0..D_{j-1} times its j-th prefix integral, D_i the least common
+denominator of form i's values on the path.  Each keeps the exact value;
+only the gcd of every intermediate `Fraction` is saved.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from .paths import (ForwardArrow, InverseArrow, PathMap, Step, Trivial, concat,
                     inverse, runs, steps)
 
 Word = tuple[Arrow, ...]
+
+_ZERO = Fraction(0)
 
 
 def volume_number(seq: Sequence[int]) -> int:
@@ -56,27 +66,39 @@ def step_pairing(omega: OneForm, s: Step) -> Fraction:
 
 
 def iterated_integral(path: PathMap, word: Sequence[OneForm]) -> Fraction:
-    """Dynamic-programming evaluation, O(steps * degree^2) exact."""
+    """Dynamic-programming evaluation over the path's `runs`, O(runs * r^2)
+    exact for a word of r forms.
+
+    A step whose form values are x_0..x_{r-1} multiplies the prefix
+    integrals by exp(x), so backtracks (exp(x) exp(-x) = 1) and trivial
+    steps (x = 0) drop out.  With D_i the least common denominator of form
+    i's values on the path's arrows, X_k = D_k x_k is an integer, and so is
+    P_j = j! D_0..D_{j-1} times the j-th prefix integral: P_0 = 1, and the
+    factor turns P_j into P_j + sum over i < j of C(j, i) P_i X_i..X_{j-1},
+    a sum of integers.  Updating the longest prefix first leaves every P_i
+    it reads unchanged."""
     r = len(word)
     for w in word:
         if w.graph != path.graph:
             raise PairingError("form and path live on different digraphs")
-    prefix = [Fraction(1)] + [Fraction(0)] * r
-    factorial = [math.factorial(k) for k in range(r + 1)]
-    for s in steps(path):
-        pairings = [step_pairing(w, s) for w in word]
-        new = list(prefix)
-        for j in range(1, r + 1):
-            acc = prefix[j]
-            prod = Fraction(1)
+    rs = runs(path)
+    values = [w.values for w in word]
+    dens = [math.lcm(*(v[a].denominator for a, _ in rs)) for v in values]
+    forward = {a: [v[a].numerator * (d // v[a].denominator)
+                   for v, d in zip(values, dens)] for a, _ in rs}
+    binom = [[math.comb(j, i) for i in range(j)] for j in range(r + 1)]
+    scaled = [1] + [0] * r
+    for arrow, sign in rs:
+        xs = forward[arrow] if sign > 0 else [-x for x in forward[arrow]]
+        for j in range(r, 0, -1):
+            acc, prod, row = scaled[j], 1, binom[j]
             for i in range(j - 1, -1, -1):
-                prod *= pairings[i]
-                if prod == 0:
+                prod *= xs[i]
+                if not prod:
                     break
-                acc += prefix[i] * prod / factorial[j - i]
-            new[j] = acc
-        prefix = new
-    return prefix[r]
+                acc += row[i] * scaled[i] * prod
+            scaled[j] = acc
+    return Fraction(scaled[r], math.factorial(r) * math.prod(dens))
 
 
 def iterated_integral_direct(path: PathMap, word: Sequence[OneForm]) -> Fraction:
@@ -113,28 +135,47 @@ def signature(path: PathMap, words: Iterable[Word]) -> dict[Word, Fraction]:
     """Pairings of a prefix-closed set of arrow words with path, keyed in
     first-seen order (the empty word is always present).
 
-    The dict, first the signature of the trivial path, is multiplied in
-    place by exp(c e_a) for each signed arrow (a, c) of the path's `runs`,
+    The signature S, first that of the trivial path, is multiplied in place
+    by exp(c e_a) for each signed arrow (a, c) of the path's `runs`,
     c = +1 or -1: <w, S exp(c e_a)> is the sum over k of
     <w[:-k], S> c^k / k! while the last k letters of w are a, so only words
-    ending in a change.  Updating them longest first makes every read of a
-    shorter prefix see its value from before the factor."""
-    return _evaluate(path, _plan(words))
+    ending in a change.  The kernel `_evaluate` holds L! <w, S> for a word
+    of length L, an integer: it is a sum of products of c^k L! / (k_1!
+    k_2! ..) over blocks of equal letters with k_1 + k_2 + .. = L, and the
+    product of the k_i! divides L!.  In these terms the update is
+    L! <w, S> += C(L, k) c^k (L - k)! <w[:-k], S>, all in ints, and one
+    `Fraction` is made per word at the end."""
+    return _as_fractions(_evaluate(path, _plan(words)))
+
+
+def _as_fractions(sig: dict[Word, int]) -> dict[Word, Fraction]:
+    """The pairings behind the kernel's scaled ints, one `Fraction` each
+    (the one `_ZERO` for all that vanish)."""
+    return {w: Fraction(v, math.factorial(len(w))) if v else _ZERO
+            for w, v in sig.items()}
 
 
 def _plan(words: Iterable[Word]) -> tuple:
     """What `signature` needs of a word set apart from the path: the keys,
-    the longest word's length, and for each arrow a the words ending in a,
-    longest first, each with its prefixes less its last 1, 2, .. a's."""
+    and for each signed arrow (a, c) the words ending in a, longest first,
+    each with its prefixes less its last 1, 2, .. a's and its binomial row
+    C(L, 1) c, C(L, 2) c^2, .., L = len(w).  Updating longest first makes
+    every read of a shorter prefix see its value from before the factor."""
     keys = dict.fromkeys(words)
     keys[()] = None
-    updates: dict[Arrow, list] = {}
+    plus = [[math.comb(t, j) for j in range(1, t + 1)]
+            for t in range(max(map(len, keys)) + 1)]
+    rows = {1: plus, -1: [[-b if j % 2 else b for j, b in enumerate(row, 1)]
+                          for row in plus]}
+    ends: dict[Arrow, list] = {}
     for w in sorted(keys, key=len, reverse=True)[:-1]:  # () sorts last
         t, k = len(w), 1
         while k < t and w[t - k - 1] == w[-1]:
             k += 1
-        updates.setdefault(w[-1], []).append((w, [w[:t - j] for j in range(1, k + 1)]))
-    return tuple(keys), max(map(len, keys)), updates
+        ends.setdefault(w[-1], []).append((w, [w[:t - j] for j in range(1, k + 1)]))
+    updates = {(a, c): [(w, prefixes, rows[c][len(w)]) for w, prefixes in group]
+               for a, group in ends.items() for c in (1, -1)}
+    return tuple(keys), updates
 
 
 @lru_cache(maxsize=1)  # callers go through one word set at a time
@@ -142,20 +183,18 @@ def _all_words_plan(arrows: tuple[Arrow, ...], max_degree: int) -> tuple:
     return _plan(all_words(arrows, max_degree))
 
 
-def _evaluate(path: PathMap, plan: tuple) -> dict[Word, Fraction]:
-    keys, top, updates = plan
-    sig = dict.fromkeys(keys, Fraction(0))
-    sig[()] = Fraction(1)
-    for arrow, sign in runs(path):
-        if arrow not in updates:
-            continue
-        powers = [Fraction(sign ** k, math.factorial(k)) for k in range(1, top + 1)]
-        for w, prefixes in updates[arrow]:
+def _evaluate(path: PathMap, plan: tuple) -> dict[Word, int]:
+    """L! <w, S> for every key w of the plan, L = len(w): see `signature`."""
+    keys, updates = plan
+    sig = dict.fromkeys(keys, 0)
+    sig[()] = 1
+    for run in runs(path):
+        for w, prefixes, row in updates.get(run, ()):
             acc = sig[w]
-            for p, c in zip(prefixes, powers):
+            for p, c in zip(prefixes, row):
                 v = sig[p]
                 if v:
-                    acc += v * c
+                    acc += c * v
             sig[w] = acc
     return sig
 
@@ -163,18 +202,24 @@ def _evaluate(path: PathMap, plan: tuple) -> dict[Word, Fraction]:
 def word_pairing(path: PathMap, word: Word) -> Fraction:
     """Iterated integral of the arrow basis word e^{a_1}..e^{a_r}."""
     word = tuple(word)
-    return signature(path, (word[:i] for i in range(len(word) + 1)))[word]
+    sig = _evaluate(path, _plan(word[:i] for i in range(len(word) + 1)))
+    return Fraction(sig[word], math.factorial(len(word)))
 
 
 def word_pairings_all(path: PathMap, max_degree: int) -> dict[Word, Fraction]:
     """Pairings of every arrow word up to max_degree against path, keyed in
     `all_words` order (the degree-truncated signature of the path)."""
-    return _evaluate(path, _all_words_plan(path.graph.arrows, max_degree))
+    return _as_fractions(_evaluate(path, _all_words_plan(path.graph.arrows, max_degree)))
 
 
 def pair(elem, paths: PathMap | Iterable[tuple[Fraction, PathMap]]) -> Fraction:
     """Bilinear pairing of an algebra element with a path or a rational
-    combination of paths sharing host and start vertex."""
+    combination of paths sharing host and start vertex.
+
+    With M the element's degree and q the least common denominator of its
+    coefficients n_w / q_w, each path's pairing is the one fraction
+    sum of n_w (q / q_w) (M! / L!) L! <w, S> over q M!, read off the
+    signature kernel's scaled ints (L = len(w))."""
     if isinstance(paths, PathMap):
         combo: list[tuple[Fraction, PathMap]] = [(Fraction(1), paths)]
     else:
@@ -188,11 +233,16 @@ def pair(elem, paths: PathMap | Iterable[tuple[Fraction, PathMap]]) -> Fraction:
         elif p.start != base:
             raise PairingError(
                 f"paths start at different vertices: {base!r} and {p.start!r}")
+    coeffs = elem.coeffs
+    m_fact = math.factorial(max(map(len, coeffs), default=0))
+    q = math.lcm(*(c.denominator for c in coeffs.values()))
+    weights = [(w, c.numerator * (q // c.denominator) * (m_fact // math.factorial(len(w))))
+               for w, c in coeffs.items()]
+    plan = _plan(w[:i] for w in coeffs for i in range(len(w) + 1))
     total = Fraction(0)
     for c, p in combo:
-        sig = signature(p, (w[:i] for w in elem.coeffs for i in range(len(w) + 1)))
-        for w, coeff in elem.coeffs.items():
-            total += c * coeff * sig[w]
+        sig = _evaluate(p, plan)
+        total += c * Fraction(sum(k * sig[w] for w, k in weights), q * m_fact)
     return total
 
 
@@ -201,7 +251,8 @@ def order(path: PathMap, max_degree: int) -> int | None:
     None means every such pairing vanishes up to max_degree (order is at
     least max_degree + 1).  Exact by finite enumeration, one degree at a
     time, stopping at the first nonzero one; a path whose runs cancel to
-    nothing pairs to 0 with every nonempty word."""
+    nothing pairs to 0 with every nonempty word.  Only whether a pairing is
+    0 matters, so the kernel's scaled ints are read as they are."""
     if max_degree < 1:
         raise PairingError("max_degree must be at least 1")
     if not runs(path):  # the signature of the trivial path
@@ -209,7 +260,8 @@ def order(path: PathMap, max_degree: int) -> int | None:
     # the pairings of words up to degree d do not depend on longer words,
     # and those of degree below d were all 0 at the degrees before
     for d in range(1, max_degree + 1):
-        if any(v for w, v in word_pairings_all(path, d).items() if w):
+        sig = _evaluate(path, _all_words_plan(path.graph.arrows, d))
+        if any(v for w, v in sig.items() if w):
             return d
     return None
 

@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from pathint.cli import COMMANDS, build_parser, main
 from pathint import serialization as ser
-from pathint import double_edge, directed_cycle, standard_triangle, make_path
+from pathint import (double_edge, directed_cycle, make_path,
+                     standard_triangle, wedge_of_cycles)
 
 
 @pytest.fixture
@@ -312,6 +315,114 @@ def test_byte_determinism(files, capsys):
     code, out2, _ = run(capsys, "closed-forms", "--graph", g,
                         "--method", "both", "--format", "json")
     assert out1 == out2
+
+
+def _grid_3x3():
+    """The 3x3 grid, arrows x_ij -> x_(i+1)j and x_ij -> x_i(j+1)."""
+    vs = [f"x{i}{j}" for i in range(3) for j in range(3)]
+    arrows = [[f"x{i}{j}", f"x{i + 1}{j}"] for i in range(2) for j in range(3)]
+    arrows += [[f"x{i}{j}", f"x{i}{j + 1}"] for i in range(3) for j in range(2)]
+    return {"vertices": vs, "arrows": arrows, "base": "x00"}
+
+
+# graph, path (with backtracks and trivial steps), word of forms, element,
+# order path and its --max-degree; the inputs have large, mostly coprime
+# denominators, so the exact outputs have many digits
+_PINNED_INPUTS = {
+    "wedge": (
+        ser.digraph_to_dict(wedge_of_cycles()),
+        {"vertices": ["v0", "v1", "v2", "v1", "v2", "v3", "v0", "v0", "v4",
+                      "v5", "v6", "v0", "v1", "v0", "v3"]},
+        {"word": [{"form": {"v0->v1": "123456789/1000003", "v3->v0": "-22/7"}},
+                  {"form": {"v2->v3": "355/113", "v0->v4": "-1/65537"}},
+                  {"form": {"v5->v6": "7/1048576", "v0->v1": "9/10"}},
+                  {"form": {"v6->v0": "-31/999999937", "v1->v2": "2"}}]},
+        {"element": {"": "5/7",
+                     "v0->v1": "-1/1000003",
+                     "v0->v1,v1->v2": "999999937/65537",
+                     "v0->v4,v4->v5,v5->v6": "-13/12",
+                     "v0->v1,v0->v1,v6->v0,v3->v0": "1/123456791"}},
+        {"vertices": ["v0", "v1", "v2", "v3", "v0", "v4", "v5", "v6", "v0",
+                      "v3", "v2", "v1", "v0", "v6", "v5", "v4", "v0"]},
+        4),
+    "double": (
+        ser.digraph_to_dict(double_edge()),
+        {"vertices": ["v0", "v1", "v0", "v1", "v1", "v0", "v1", "v0", "v1"]},
+        {"word": [{"form": {"v0->v1": "1/7", "v1->v0": "-5/9"}},
+                  {"form": {"v0->v1": "11/4"}},
+                  {"form": {"v1->v0": "1000000007/3"}},
+                  {"form": {"v0->v1": "-2/1000000009", "v1->v0": "1/2"}},
+                  {"form": {"v0->v1": "3/5", "v1->v0": "3/5"}}]},
+        {"element": {"v0->v1,v0->v1,v0->v1": "1/1000000007",
+                     "v1->v0,v0->v1": "-7/11",
+                     "v0->v1,v1->v0,v0->v1,v1->v0": "4/999999937",
+                     "v1->v0": "3"}},
+        None,
+        3),
+    "grid": (
+        _grid_3x3(),
+        {"vertices": ["x00", "x10", "x11", "x01", "x00", "x01", "x02", "x12",
+                      "x12", "x22", "x21", "x22", "x21", "x11", "x10", "x20"]},
+        {"word": [{"form": {"x00->x10": "17/1000003", "x10->x11": "-4/3"}},
+                  {"form": {"x01->x11": "1/65537", "x11->x21": "-8/27"}},
+                  {"form": {"x12->x22": "123/1024", "x21->x22": "5/999999937"}}]},
+        {"element": {"x00->x10,x01->x11": "-1/65537",
+                     "x01->x02,x02->x12": "1/65539",
+                     "x21->x22,x11->x21": "77/1000003",
+                     "x10->x20": "-2/3",
+                     "x00->x10,x02->x12,x10->x20": "5/999999937",
+                     "x00->x10,x01->x02,x02->x12,x10->x20": "1/999999937"}},
+        {"vertices": ["x00", "x01", "x11", "x12", "x11", "x01", "x00"]},
+        4),
+}
+
+# text output of integrate, pair and order per graph; the JSON output is
+# pinned from it below
+_PINNED_TEXT = {
+    "wedge": ("-77910784757624173/970680270911399175951613952",
+              "10370150079722111863745663/679645006717331365284",
+              "2"),
+    "double": ("-2057000026378000083853/7560000068040",
+               "170999991435999907033/32999998151999985447",
+               "1"),
+    "grid": ("491995151524501891/201330255305185116693504",
+             "-8589098611768027581284695/12885726174264186877905819",
+             ">= 5"),
+}
+
+_PINNED_ORDER_JSON = {
+    "wedge": '{\n  "max_degree": 4,\n  "order": 2\n}\n',
+    "double": '{\n  "max_degree": 3,\n  "order": 1\n}\n',
+    "grid": '{\n  "lower_bound": 5,\n  "max_degree": 4,\n  "order": null\n}\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_INPUTS))
+def test_integrate_pair_and_order_bytes_are_pinned(files, capsys, name):
+    graph, path, word, element, order_path, degree = _PINNED_INPUTS[name]
+    g, p, w, e = (files(f"{k}.json", doc) for k, doc in
+                  (("g", graph), ("p", path), ("w", word), ("e", element)))
+    o = files("o.json", order_path or path)
+    commands = {"integrate": ["integrate", "--graph", g, "--path", p, "--word", w],
+                "pair": ["pair", "--graph", g, "--element", e, "--path", p],
+                "order": ["order", "--graph", g, "--path", o,
+                          "--max-degree", str(degree)]}
+    for (command, argv), text in zip(commands.items(), _PINNED_TEXT[name]):
+        assert run(capsys, *argv) == (0, text + "\n", "")
+        json_out = (_PINNED_ORDER_JSON[name] if command == "order"
+                    else '{\n  "value": "' + text + '"\n}\n')
+        assert run(capsys, *argv, "--format", "json") == (0, json_out, "")
+
+
+def test_integrate_with_eighty_forms(files, capsys):
+    # <a^80, exp(a) exp(b) exp(a)> = 2^80 / 80!, far past any small
+    # factorial table
+    g = files("d.json", ser.digraph_to_dict(double_edge()))
+    p = files("p.json", {"vertices": ["v0", "v1", "v0", "v1"]})
+    w = files("w.json", {"word": [{"form": {"v0->v1": "1"}}] * 80})
+    code, out, _ = run(capsys, "integrate", "--graph", g, "--path", p,
+                       "--word", w)
+    assert code == 0 and out == f"{Fraction(2 ** 80, math.factorial(80))}\n"
 
 
 def test_emitted_json_reparses(files, capsys, tmp_path):

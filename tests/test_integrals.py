@@ -1,5 +1,6 @@
 """The iterated-integral engine: volume numbers, evaluators, pairings."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from pathint import (AlgebraElement, OneForm, PairingError, all_words,
                      iterated_integral, iterated_integral_direct, make_path,
                      order, pair, standard_triangle, step_pairing, trivial_path,
                      volume_number, wedge_of_cycles, word_element,
-                     word_pairing, word_pairings_all)
+                     word_pairing, word_pairings_all, zero)
 from pathint.paths import steps
 
 
@@ -117,20 +118,64 @@ def test_chen_identity_on_concatenation(seed):
         assert value == sum(sp[w[:i]] * sq[w[i:]] for i in range(len(w) + 1))
 
 
+def _detour(rng, p, i):
+    """p with a backtrack along a random arrow at vertex i, or None when no
+    arrow meets that vertex."""
+    g, v = p.graph, p.vertices[i]
+    exits = [(a[1], "f", "b") for a in g.out_arrows(v)]
+    exits += [(a[0], "b", "f") for a in g.in_arrows(v)]
+    if not exits:
+        return None
+    u, there, back = rng.choice(exits)
+    return make_path(g, p.vertices[:i + 1] + (u,) + p.vertices[i:],
+                     p.orientations[:i] + (there, back) + p.orientations[i:])
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_signature_ignores_backtracks_and_trivial_steps(seed):
     rng, g, p = _random_case(seed)
     sig = word_pairings_all(p, 3)
     i = rng.randint(0, p.length)
-    v = p.vertices[i]
     assert word_pairings_all(insert_trivial(p, i), 3) == sig
-    exits = [(a[1], "f", "b") for a in g.out_arrows(v)]
-    exits += [(a[0], "b", "f") for a in g.in_arrows(v)]
-    if exits:
-        u, there, back = rng.choice(exits)
-        detour = make_path(g, p.vertices[:i + 1] + (u,) + p.vertices[i:],
-                           p.orientations[:i] + (there, back) + p.orientations[i:])
+    detour = _detour(rng, p, i)
+    if detour is not None:
         assert word_pairings_all(detour, 3) == sig
+
+
+# form values whose denominators are coprime, so that every common
+# denominator of a word is a product of several of them
+COPRIME_VALUES = (Fraction(1, 7), Fraction(-5, 9), Fraction(11, 4), Fraction(0))
+
+
+def _coprime_word(rng, g, degree):
+    return [OneForm(g, {a: rng.choice(COPRIME_VALUES) for a in g.arrows})
+            for _ in range(degree)]
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=0, max_value=5))
+def test_integral_matches_direct_sum_with_planted_detours(seed, degree):
+    rng = random.Random(seed)
+    g = random_digraph(rng, max_vertices=4, p=0.5)
+    p = random_path(rng, g, max_len=5)
+    for _ in range(2):  # each pass plants a backtrack and a trivial step
+        i = rng.randint(0, p.length)
+        p = insert_trivial(_detour(rng, p, i) or p, rng.randint(0, p.length))
+    word = _coprime_word(rng, g, degree)
+    assert iterated_integral(p, word) == iterated_integral_direct(p, word)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=0, max_value=5))
+def test_integral_ignores_backtracks_and_trivial_steps(seed, degree):
+    rng, g, p = _random_case(seed)
+    word = _coprime_word(rng, g, degree)
+    value = iterated_integral(p, word)
+    i = rng.randint(0, p.length)
+    assert iterated_integral(insert_trivial(p, i), word) == value
+    detour = _detour(rng, p, i)
+    if detour is not None:
+        assert iterated_integral(detour, word) == value
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32),
@@ -157,6 +202,57 @@ def test_pair_is_bilinear(rng):
     v = word_element(g, (g.arrows[0], g.arrows[0]))
     combo = 2 * u - 3 * v
     assert pair(combo, p) == 2 * pair(u, p) - 3 * pair(v, p)
+
+
+def test_pair_of_a_combination_is_the_combination_of_pairings(rng):
+    W = wedge_of_cycles()
+    paths = [random_path(rng, W, max_len=10, start="v0") for _ in range(3)]
+    coeffs = [Fraction(2, 3), Fraction(-5, 7), Fraction(11)]
+    elem = AlgebraElement(W, {w: Fraction(1, 1 + i) for i, w in
+                              enumerate(all_words(W.arrows, 2, min_degree=1))})
+    combo = list(zip(coeffs, paths))
+    assert pair(elem, combo) == sum(c * pair(elem, p) for c, p in combo)
+
+
+def test_pair_with_the_empty_word_and_mixed_denominators(rng):
+    # degrees 0-4 in one element, so the common denominator spans several
+    # factorials and coefficient denominators
+    D = double_edge()
+    a, b = D.arrows
+    coeffs = {(): Fraction(5, 7), (a,): Fraction(-1, 9), (b, a): Fraction(11, 4),
+              (a, a, b): Fraction(3, 25), (a, b, a, b): Fraction(-13, 6),
+              (b, b, b, b): Fraction(1, 11)}
+    elem = AlgebraElement(D, coeffs)
+    for _ in range(10):
+        p = random_path(rng, D, max_len=7, start="v0")
+        expected = sum((c * iterated_integral_direct(p, [OneForm.basis(D, x) for x in w])
+                        for w, c in coeffs.items()), Fraction(0))
+        assert pair(elem, p) == expected
+
+
+def test_pair_of_the_zero_element():
+    D = double_edge()
+    a = make_path(D, ["v0", "v1"], ["f"])
+    b = make_path(D, ["v1", "v0"], ["f"])
+    assert pair(zero(D), a) == 0
+    assert pair(zero(D), [(Fraction(1, 3), a), (Fraction(2), a)]) == 0
+    with pytest.raises(PairingError):
+        pair(zero(D), [(Fraction(1), a), (Fraction(1), b)])
+    with pytest.raises(PairingError):
+        pair(zero(standard_triangle()), a)
+
+
+def test_high_degree_on_the_double_edge():
+    # <a^k, exp(a) exp(b) exp(a)> = sum over i + j = k of 1/(i! j!) = 2^k/k!
+    D = double_edge()
+    a = D.arrows[0]
+    p = make_path(D, ["v0", "v1", "v0", "v1"], ["f", "f", "f"])
+    for k in range(81):
+        expected = Fraction(2 ** k, math.factorial(k))
+        assert word_pairing(p, (a,) * k) == expected
+        assert pair(word_element(D, (a,) * k), p) == expected
+    assert iterated_integral(p, [OneForm.basis(D, a)] * 80) == expected
+    assert order(p, 80) == 1
 
 
 def test_pair_rejects_mixed_starts():
