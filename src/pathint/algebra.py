@@ -31,16 +31,23 @@ class AlgebraElement:
 
     def __init__(self, graph: Digraph, coeffs: dict[Word, Fraction] | None = None):
         self.graph = graph
+        arrows = graph.arrow_set
         clean: dict[Word, Fraction] = {}
+        repeated = False
         for w, c in (coeffs or {}).items():
             word = tuple(w)
-            for a in word:
-                if a not in graph.arrow_set:
-                    raise PairingError(f"word uses unknown arrow {a!r}")
-            c = Fraction(c)
-            if c != 0:
-                clean[word] = clean.get(word, Fraction(0)) + c
-        self.coeffs = _clean(clean)
+            if not arrows.issuperset(word):
+                raise PairingError(f"word uses unknown arrow "
+                                   f"{next(a for a in word if a not in arrows)!r}")
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                if word in clean:  # two keys spell one word: sum, maybe to 0
+                    clean[word] += c
+                    repeated = True
+                else:
+                    clean[word] = c
+        self.coeffs = _clean(clean) if repeated else clean
 
     @property
     def degree(self) -> int:

@@ -197,27 +197,29 @@ def omega2_basis(g: Digraph) -> list[TwoChain]:
     return basis
 
 
-def _closed_condition_rows(g: Digraph, method: str) -> list[list[Fraction]]:
+def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
+    """Int rows, one per closedness condition: the Omega_2 basis chains
+    have coefficients +-1, so their boundaries are integral."""
     n = len(g.arrows)
     idx = g.arrow_index
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     if method == "kernel":
         for boundary in _omega2_boundaries(g):
-            row = [Fraction(0)] * n
+            row = [0] * n
             for pair, c in boundary:
-                row[idx[pair]] = c
+                row[idx[pair]] = int(c)
             rows.append(row)
     elif method == "patterns":
         for emb in enumerate_patterns(g, "triangle"):
             a1, a2, a3 = emb.arrows
-            row = [Fraction(0)] * n
+            row = [0] * n
             row[idx[a1]] += 1
             row[idx[a2]] += 1
             row[idx[a3]] -= 1
             rows.append(row)
         for emb in enumerate_patterns(g, "square"):
             a1, a2, a3, a4 = emb.arrows
-            row = [Fraction(0)] * n
+            row = [0] * n
             row[idx[a1]] += 1
             row[idx[a2]] += 1
             row[idx[a3]] -= 1
@@ -225,7 +227,7 @@ def _closed_condition_rows(g: Digraph, method: str) -> list[list[Fraction]]:
             rows.append(row)
         for emb in enumerate_patterns(g, "double-edge"):
             a1, a2 = emb.arrows
-            row = [Fraction(0)] * n
+            row = [0] * n
             row[idx[a1]] += 1
             row[idx[a2]] += 1
             rows.append(row)

@@ -11,6 +11,8 @@ and transports loop functionals along a connecting path.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -21,8 +23,9 @@ from .errors import MapError, PathError
 from .forms import (OneForm, _closed_basis_vectors, _omega2_boundaries,
                     closed_arrows, is_closed)
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .integrals import Word, all_words, pair, signature, word_pairings_all
-from .linalg import Echelon, complement_basis
+from .integrals import (Word, _all_words_plan, _evaluate, all_words, pair,
+                        signature)
+from .linalg import Echelon
 from .paths import (FORWARD, PathMap, _build, _runs, enumerate_paths,
                     inverse, make_path, runs)
 
@@ -571,19 +574,24 @@ def _certify(elem: AlgebraElement, closed: frozenset[Arrow]) -> bool:
 
 def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
               words: Sequence[Word]) -> tuple[set[tuple], set[tuple]]:
-    """The nonzero rows of pairings over words: one per sampled (loop,
-    neighbor) pair of different signature, the difference of the two, and
-    one per sampled loop, its own.  Paths with equal `runs` have equal
-    signatures (Chen's identity), so each distinct run sequence is paired
-    once and its row built once.  A zero entry is the int 0, which hashes
-    and subtracts without `Fraction` arithmetic."""
+    """The nonzero rows of pairings over words, each times degree_bound!:
+    one per sampled (loop, neighbor) pair of different signature, the
+    difference of the two, and one per sampled loop, its own.  Paths with
+    equal `runs` have equal signatures (Chen's identity), so each distinct
+    run sequence is paired once and its row built once.  The signature
+    kernel gives len(w)! <w, S>, so word w is scaled by degree_bound! /
+    len(w)! and every entry is an int: scaling all rows by one positive
+    constant keeps their spans, their duplicates and their sorted order."""
+    plan = _all_words_plan(g.arrows, degree_bound)
+    top = math.factorial(degree_bound)
+    scale = [top // math.factorial(len(w)) for w in words]
     row_of: dict[int, tuple] = {}  # by the number of the run sequence
 
     def row(path: PathMap, number: int) -> tuple:
         got = row_of.get(number)
         if got is None:
-            sig = word_pairings_all(path, degree_bound)
-            got = row_of[number] = tuple(sig[w] or 0 for w in words)
+            sig = _evaluate(path, plan)
+            got = row_of[number] = tuple(s * sig[w] for w, s in zip(words, scale))
         return got
 
     move_rows: set[tuple] = set()
@@ -596,7 +604,7 @@ def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
                 loop_rows.add(ra)
         if j != i:
             rb = row(nb, j)
-            diff = tuple(a - b if b else a for a, b in zip(ra, rb))
+            diff = tuple(a - b for a, b in zip(ra, rb))
             if any(diff):
                 move_rows.add(diff)
     return move_rows, loop_rows
@@ -617,22 +625,31 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
         return Pi1Result(g, base, degree_bound, length_bound, (), ())
 
     move_rows, loop_rows = _pi1_rows(g, base, degree_bound, length_bound, words)
-    # the null rows extend the invariant rows, so one elimination gives both
     echelon = Echelon(ncols, sorted(move_rows))
-    invariant_basis = echelon.kernel()
+    held = echelon.pivots()
+    free = sorted(set(range(ncols)).difference(held))
+    invariant_kernel = []
+    for j, vec in zip(free, echelon.kernel()):
+        # the vector of free column j vanishes off j and the pivots left of
+        # j (a reduced row vanishes left of its pivot)
+        support = held[:bisect(held, j)] + [j]
+        invariant_kernel.append(
+            AlgebraElement(g, {words[k]: vec[k] for k in support if vec[k]}))
+    # The representatives extend a basis of the null kernel (move and loop
+    # rows) to the invariant kernel, scanning the invariant basis in order.
+    # An invariant vector is fixed by its entries at the free columns: the
+    # vector of j is e_j there, and the null vector of a column k still free
+    # with the loop rows added is e_k plus entries at columns left of k that
+    # the loop rows made pivots.  So the scan keeps the vector of j exactly
+    # when the loop rows make j a pivot, and the null kernel is not needed.
     for r in sorted(loop_rows):
         echelon.add(r)
-    null_basis = echelon.kernel()
-    reps = complement_basis(null_basis, invariant_basis, ncols)
-
-    def to_elem(vec) -> AlgebraElement:
-        return AlgebraElement(g, {w: c for w, c in zip(words, vec) if c})
-
+    pivots = set(echelon.pivots())
     closed = frozenset(closed_arrows(g))
     candidates = tuple(Pi1Candidate(u, _certify(u, closed))
-                       for u in map(to_elem, reps))
+                       for j, u in zip(free, invariant_kernel) if j in pivots)
     return Pi1Result(g, base, degree_bound, length_bound, candidates,
-                     tuple(to_elem(v) for v in invariant_basis))
+                     tuple(invariant_kernel))
 
 
 def change_base_point(gamma: PathMap, elem):

@@ -1,72 +1,105 @@
 """Exact rational linear algebra: reduced row echelon form, kernels, spans.
 
-Everything runs over fractions.Fraction; no floating point anywhere.  One
-elimination, `Echelon`, holds a row space in reduced row echelon form and
-grows it one vector at a time; `rref`, `rank`, `kernel`, `span_equal` and
-`complement_basis` are views of it.  The reduced row echelon form of a row
-space is unique, so every basis and pivot list depends only on the span of
-the input, never on its row order.
+No floating point anywhere.  One elimination, `Echelon`, holds a row space
+in reduced row echelon form and grows it one vector at a time; `rref`,
+`rank`, `kernel`, `span_equal` and `complement_basis` are views of it.
+
+The elimination is fraction-free: it stores each reduced row as its least
+positive integer multiple, a primitive int vector (gcd 1) whose pivot entry
+is the row's denominator, and a row operation is int multiplies and one gcd
+to divide out the new content, where `Fraction` arithmetic would pay a gcd
+per entry.  A row of `Fraction`s is scaled once by the lcm of its
+denominators, an int row goes in as it is, and only the views make
+`Fraction`s, one per nonzero entry they return.  The reduced row echelon
+form of a row space is unique, so every basis and pivot list depends only on
+the span of the input, never on its row order or on how the elimination
+scales its rows: the views return exactly the `Fraction`s of a Gauss-Jordan
+elimination over the rationals.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _eliminate(a: dict[int, int], b: dict[int, int], col: int) -> None:
+    """a := b[col] a - a[col] b in place, clearing a at col; b[col] > 0."""
+    den, c = b[col], a[col]
+    if den != 1:
+        for j in a:
+            a[j] *= den
+    for j, x in b.items():
+        y = a.get(j, 0) - c * x
+        if y:
+            a[j] = y
+        else:
+            del a[j]
+
+
+def _make_primitive(a: dict[int, int], lead: int) -> None:
+    """Divide a by the gcd of its entries, signed to make a[lead] > 0."""
+    g = math.gcd(*a.values())
+    if a[lead] < 0:
+        g = -g
+    if g != 1:
+        for j in a:
+            a[j] //= g
+
+
 class Echelon:
     """The span of the vectors added so far, kept in reduced row echelon
-    form: one row per pivot column, with entry 1 there and 0 on every other
-    pivot column.  Rows are stored sparsely, column -> nonzero entry."""
+    form: one row per pivot column, nonzero there and 0 on every other
+    pivot column.  Row p is stored sparsely as ints, column -> nonzero
+    entry, and stands for itself divided by den = row[p]; den > 0 and the
+    entries have gcd 1, so the stored row is the reduced row's least
+    positive integer multiple."""
 
-    def __init__(self, ncols: int, rows: Iterable[Sequence[Fraction]] = ()):
+    def __init__(self, ncols: int, rows: Iterable[Sequence] = ()):
         self.ncols = ncols
-        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot -> row
+        self._rows: dict[int, dict[int, int]] = {}  # pivot -> row
         for r in rows:
             self.add(r)
 
-    def add(self, vec: Sequence[Fraction]) -> bool:
-        """Insert vec; True iff it was independent of the rows already held.
+    def add(self, vec: Sequence) -> bool:
+        """Insert vec, a row of ints or rationals; True iff it was
+        independent of the rows already held.
 
         vec is reduced against each stored row whose pivot it touches, then,
-        if anything is left, normalised and eliminated from the stored rows,
-        O(rank * ncols) in all."""
+        if anything is left, made primitive with a positive lead and
+        eliminated from the stored rows, O(rank * ncols) row operations in
+        all."""
         if len(vec) != self.ncols:
             raise ValueError(f"row of length {len(vec)}, expected {self.ncols}")
-        v = {j: _fraction(x) for j, x in enumerate(vec) if x}
+        v = {j: x for j, x in enumerate(vec) if x}
+        if any(type(x) is not int for x in v.values()):
+            fr = [(j, _fraction(x)) for j, x in v.items()]
+            d = math.lcm(*(x.denominator for _, x in fr))
+            v = {j: x.numerator * (d // x.denominator) for j, x in fr if x}
+        rows = self._rows
         # stored rows vanish on each other's pivots, so the entries of v on
-        # pivot columns are final until their own row is subtracted
-        for p in [p for p in v if p in self._rows]:
-            c = v[p]
-            for j, b in self._rows[p].items():
-                x = v.get(j, _ZERO) - c * b
-                if x:
-                    v[j] = x
-                else:
-                    del v[j]
+        # pivot columns stay nonzero until their own row is subtracted
+        for p in [p for p in v if p in rows]:
+            _eliminate(v, rows[p], p)
         if not v:
             return False
         lead = min(v)
-        inv = 1 / v[lead]
-        new = {j: x * inv for j, x in v.items()}
-        for row in self._rows.values():
-            c = row.get(lead)
-            if c:
-                for j, b in new.items():
-                    x = row.get(j, _ZERO) - c * b
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-        self._rows[lead] = new
+        _make_primitive(v, lead)
+        for p, row in rows.items():
+            if lead in row:
+                _eliminate(row, v, lead)
+                _make_primitive(row, p)
+        rows[lead] = v
         return True
 
     @property
@@ -78,43 +111,52 @@ class Echelon:
 
     def rows(self) -> list[list[Fraction]]:
         """The dense reduced rows in pivot order."""
-        return [[row.get(j, _ZERO) for j in range(self.ncols)]
-                for row in map(self._rows.get, self.pivots())]
+        out = []
+        for p in self.pivots():
+            row = self._rows[p]
+            den = row[p]
+            dense = [_ZERO] * self.ncols
+            for j, x in row.items():
+                dense[j] = Fraction(x, den)
+            out.append(dense)
+        return out
 
     def kernel(self) -> list[Vector]:
         """Basis of the null space {v : M v = 0}, one vector per free column.
 
         Each basis vector has entry 1 at its free column and is supported on
-        that column plus pivot columns, the standard RREF parametrization.
+        that column plus pivot columns, the standard RREF parametrization:
+        the vector of free column j has -row_p[j] / den_p at pivot p.
         """
-        basis: list[Vector] = []
+        basis: dict[int, list[Fraction]] = {}
         for free in range(self.ncols):
-            if free in self._rows:
-                continue
-            v = [_ZERO] * self.ncols
-            v[free] = Fraction(1)
-            for p, row in self._rows.items():
-                v[p] = -row.get(free, _ZERO)
-            basis.append(tuple(v))
-        return basis
+            if free not in self._rows:
+                v = basis[free] = [_ZERO] * self.ncols
+                v[free] = _ONE
+        for p, row in self._rows.items():
+            den = row[p]
+            for j, x in row.items():
+                if j != p:
+                    basis[j][p] = Fraction(-x, den)
+        return [tuple(v) for v in basis.values()]
 
 
-def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Iterable[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
     e = Echelon(ncols, rows)
     return e.rows(), e.pivots()
 
 
-def rank(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
+def rank(rows: Iterable[Sequence], ncols: int) -> int:
     return Echelon(ncols, rows).rank
 
 
-def kernel(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[Vector]:
+def kernel(rows: Iterable[Sequence], ncols: int) -> list[Vector]:
     """Basis of the null space of the rows; see `Echelon.kernel`."""
     return Echelon(ncols, rows).kernel()
 
 
-def span_equal(b1: Sequence[Vector], b2: Sequence[Vector], ncols: int) -> bool:
+def span_equal(b1: Sequence[Sequence], b2: Sequence[Sequence], ncols: int) -> bool:
     """True iff the two families span the same subspace."""
     e = Echelon(ncols, b1)
     r1 = e.rank
@@ -123,11 +165,12 @@ def span_equal(b1: Sequence[Vector], b2: Sequence[Vector], ncols: int) -> bool:
     return r1 == e.rank == Echelon(ncols, b2).rank
 
 
-def complement_basis(sub: Sequence[Vector], full: Sequence[Vector], ncols: int) -> list[Vector]:
+def complement_basis(sub: Sequence[Sequence], full: Sequence[Sequence], ncols: int) -> list[Vector]:
     """Vectors from full that extend a basis of span(sub) to span(sub+full).
 
     Deterministic: full is scanned in order and a vector is kept exactly when
-    it is independent of sub plus the vectors already kept.
+    it is independent of sub plus the vectors already kept.  The kept
+    vectors are returned as `Fraction`s.
     """
     e = Echelon(ncols, sub)
     return [tuple(map(_fraction, v)) for v in full if e.add(v)]

@@ -31,6 +31,34 @@ def test_element_rejects_foreign_arrows():
         AlgebraElement(D, {(("x", "y"),): Fraction(1)})
 
 
+def test_unknown_arrow_mid_word_is_named_in_the_error():
+    T = standard_triangle()
+    a, b, _ = T.arrows
+    with pytest.raises(PairingError) as info:
+        AlgebraElement(T, {(a,): 1,
+                           (a, ("v2", "v0"), ("v9", "v1"), b): Fraction(1, 2)})
+    assert str(info.value) == "word uses unknown arrow ('v2', 'v0')"
+
+
+class _Spelled:
+    """A key that spells a word without being equal to its tuple."""
+
+    def __init__(self, *letters):
+        self.letters = letters
+
+    def __iter__(self):
+        return iter(self.letters)
+
+
+def test_keys_spelling_one_word_are_summed():
+    T = standard_triangle()
+    a, b, _ = T.arrows
+    u = AlgebraElement(T, {(a,): 1, (b,): 2, _Spelled(a): -1,
+                           _Spelled(b): Fraction(1, 2), _Spelled(b, a): 3})
+    assert u.coeffs == {(b,): Fraction(5, 2), (b, a): 3}
+    assert all(type(c) is Fraction for c in u.coeffs.values())
+
+
 def test_degree_and_components():
     D = double_edge()
     u = word_element(D, (a1(D),)) + word_element(D, (a1(D), a1(D)), Fraction(3))

@@ -1,6 +1,7 @@
 """End-to-end command line checks over temp files."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathint.cli import COMMANDS, build_parser, main
 from pathint import serialization as ser
-from pathint import (double_edge, directed_cycle, make_path,
+from pathint import (box_product, double_edge, directed_cycle, make_path,
                      standard_triangle, wedge_of_cycles)
 
 
@@ -317,11 +318,11 @@ def test_byte_determinism(files, capsys):
     assert out1 == out2
 
 
-def _grid_3x3():
-    """The 3x3 grid, arrows x_ij -> x_(i+1)j and x_ij -> x_i(j+1)."""
-    vs = [f"x{i}{j}" for i in range(3) for j in range(3)]
-    arrows = [[f"x{i}{j}", f"x{i + 1}{j}"] for i in range(2) for j in range(3)]
-    arrows += [[f"x{i}{j}", f"x{i}{j + 1}"] for i in range(3) for j in range(2)]
+def _grid(n):
+    """The n x n grid, arrows x_ij -> x_(i+1)j and x_ij -> x_i(j+1)."""
+    vs = [f"x{i}{j}" for i in range(n) for j in range(n)]
+    arrows = [[f"x{i}{j}", f"x{i + 1}{j}"] for i in range(n - 1) for j in range(n)]
+    arrows += [[f"x{i}{j}", f"x{i}{j + 1}"] for i in range(n) for j in range(n - 1)]
     return {"vertices": vs, "arrows": arrows, "base": "x00"}
 
 
@@ -360,7 +361,7 @@ _PINNED_INPUTS = {
         None,
         3),
     "grid": (
-        _grid_3x3(),
+        _grid(3),
         {"vertices": ["x00", "x10", "x11", "x01", "x00", "x01", "x02", "x12",
                       "x12", "x22", "x21", "x22", "x21", "x11", "x10", "x20"]},
         {"word": [{"form": {"x00->x10": "17/1000003", "x10->x11": "-4/3"}},
@@ -423,6 +424,42 @@ def test_integrate_with_eighty_forms(files, capsys):
     code, out, _ = run(capsys, "integrate", "--graph", g, "--path", p,
                        "--word", w)
     assert code == 0 and out == f"{Fraction(2 ** 80, math.factorial(80))}\n"
+
+
+def _torus_c4():
+    """box_product(directed_cycle(4), directed_cycle(4)) with each vertex
+    pair (x, y) named x + y, based at v0v0."""
+    c4 = directed_cycle(4)
+    g = box_product(c4, c4)
+    return {"vertices": ["".join(v) for v in g.vertices],
+            "arrows": [["".join(u), "".join(v)] for u, v in g.arrows],
+            "base": "v0v0"}
+
+
+# the JSON output of three elimination-heavy queries, by length and sha256
+# of its bytes; recorded before the elimination ran on integers
+_PINNED_ELIMINATIONS = {
+    "wedge-pi1": (lambda: ser.digraph_to_dict(wedge_of_cycles()),
+                  ["pi1", "--degree", "3", "--length-bound", "6"], 27361,
+                  "219bab0a8e8171a9ba64573a50244bfa58811240600daf3f09534543e4cc5d26"),
+    "torus-pi1": (_torus_c4, ["pi1", "--degree", "2", "--length-bound", "4"],
+                  135164,
+                  "15749812443ad95e83acd820a8653b82582a26df4625b87578e3e927e42e5bca"),
+    "grid-closed-forms": (lambda: _grid(4), ["closed-forms", "--method", "both"],
+                          4759,
+                          "8f89aa9195e120c3d220aafb1dde07130bbddc8530f018a2b10d7cccb03f7d47"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_ELIMINATIONS))
+def test_elimination_output_bytes_are_pinned(files, capsys, name):
+    graph, argv, size, digest = _PINNED_ELIMINATIONS[name]
+    g = files("g.json", graph())
+    code, out, err = run(capsys, argv[0], "--graph", g, *argv[1:],
+                         "--format", "json")
+    data = out.encode()
+    assert (code, err) == (0, "")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_emitted_json_reparses(files, capsys, tmp_path):

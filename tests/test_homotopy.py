@@ -785,12 +785,13 @@ def test_pi1_degree_three_on_the_directed_triangle():
                 if p not in values:
                     values[p] = pair(c.element, p)
             assert values[loop] == values[nb]
-    # per-pair assembly: one signature per path, one row per (loop, neighbor)
+    # per-pair assembly: one signature per path, one row per (loop, neighbor),
+    # every pairing times 3! (the rows are the kernel's ints over one scale)
     words = all_words(C.arrows, 3, min_degree=1)
     rows = {}
     for p in {p for pair_ in sample for p in pair_}:
         sig = word_pairings_all(p, 3)
-        rows[p] = tuple(sig[w] for w in words)
+        rows[p] = tuple(6 * sig[w] for w in words)
     move_rows, loop_rows = set(), set()
     for loop, nb in sample:
         diff = tuple(a - b for a, b in zip(rows[loop], rows[nb]))
@@ -798,25 +799,31 @@ def test_pi1_degree_three_on_the_directed_triangle():
             move_rows.add(diff)
         if any(v != 0 for v in rows[loop]):
             loop_rows.add(rows[loop])
-    assert _pi1_rows(C, "v0", 3, 6, words) == (move_rows, loop_rows)
+    got = _pi1_rows(C, "v0", 3, 6, words)
+    assert got == (move_rows, loop_rows)
+    assert all(type(x) is int for rows_ in got for r in rows_ for x in r)
 
 
 def test_pi1_kernels_match_two_separate_eliminations():
-    # one echelon gives the invariant kernel, then the null kernel once the
-    # loop rows are added; the reference eliminates every row twice
-    for g in _fixtures():
-        for degree, bound in ((1, 5), (2, 4)):
-            result = pi1_candidates(g, g.vertices[0], degree, length_bound=bound)
-            words = all_words(g.arrows, degree, min_degree=1)
-            move_rows, loop_rows = _pi1_rows(g, g.vertices[0], degree, bound, words)
-            invariant = kernel(sorted(move_rows), len(words))
-            null = kernel(sorted(move_rows | loop_rows), len(words))
-            reps = complement_basis(null, invariant, len(words))
+    # one echelon gives the invariant kernel and, once the loop rows are
+    # added, the representatives; the reference eliminates every row twice
+    # and picks them with complement_basis
+    C3 = directed_cycle(3)
+    cases = [(g, degree, bound) for g in _fixtures()
+             for degree, bound in ((1, 5), (2, 4))]
+    cases += [(C3, 3, 6), (wedge_of_cycles(), 3, 6), (box_product(C3, C3), 2, 4)]
+    for g, degree, bound in cases:
+        result = pi1_candidates(g, g.vertices[0], degree, length_bound=bound)
+        words = all_words(g.arrows, degree, min_degree=1)
+        move_rows, loop_rows = _pi1_rows(g, g.vertices[0], degree, bound, words)
+        invariant = kernel(sorted(move_rows), len(words))
+        null = kernel(sorted(move_rows | loop_rows), len(words))
+        reps = complement_basis(null, invariant, len(words))
 
-            def vector(u):
-                return tuple(u.coeffs.get(w, 0) for w in words)
-            assert [vector(u) for u in result.invariant_kernel] == invariant
-            assert [vector(c.element) for c in result.candidates] == reps
+        def vector(u):
+            return tuple(u.coeffs.get(w, 0) for w in words)
+        assert [vector(u) for u in result.invariant_kernel] == invariant
+        assert [vector(c.element) for c in result.candidates] == reps
 
 
 def test_pi1_rejects_bad_degree():

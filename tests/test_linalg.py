@@ -1,6 +1,8 @@
 """Exact elimination: the incremental echelon views against reference
 implementations, and against sympy's RREF when sympy is installed."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,6 +120,94 @@ def test_views_equal_the_references(case):
             _ref_complement_basis(b1, b2, ncols)
 
 
+@st.composite
+def large_mixed_rows(draw):
+    """(ncols, rows): combinations of at most four vectors whose entries have
+    numerators up to 10**9 and denominators up to 10**6, mixed with zero rows
+    and duplicates; each integral entry is an int or a Fraction at random,
+    so rows mix the two."""
+    ncols = draw(st.integers(0, 7))
+    big = st.integers(-10**9, 10**9)
+    entry = st.one_of(big, st.builds(Fraction, big, st.integers(1, 10**6)))
+    spanning = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             max_size=4))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["combo", "zero", "dup"]),
+                              max_size=8)):
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "dup" and rows:
+            rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+        else:
+            coeffs = [draw(st.integers(-3, 3)) for _ in spanning]
+            combo = [Fraction(sum(c * v[j] for c, v in zip(coeffs, spanning)))
+                     for j in range(ncols)]
+            rows.append([int(x) if x.denominator == 1 and draw(st.booleans())
+                         else x for x in combo])
+    return ncols, rows
+
+
+def _fractions_only(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_mixed_rows())
+def test_views_equal_the_references_on_large_mixed_entries(case):
+    ncols, rows = case
+    reduced = rref(rows, ncols)
+    assert reduced == rref(rows[::-1], ncols) == _ref_rref(rows, ncols)
+    assert _fractions_only(reduced[0])
+    basis = kernel(rows, ncols)
+    assert basis == _ref_kernel(rows, ncols) and _fractions_only(basis)
+    vecs = [tuple(r) for r in rows]
+    half = len(vecs) // 2
+    for b1, b2 in ((vecs[:half], vecs[half:]), (vecs[half:], vecs)):
+        kept = complement_basis(b1, b2, ncols)
+        assert kept == _ref_complement_basis(b1, b2, ncols)
+        assert _fractions_only(kept)
+
+
+def test_large_mixed_rref_equals_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=60, deadline=None)
+    @given(large_mixed_rows())
+    def check(case):
+        ncols, rows = case
+        m = sympy.Matrix(len(rows), ncols,
+                         [sympy.Rational(x.numerator, x.denominator)
+                          if isinstance(x, Fraction) else x
+                          for r in rows for x in r])
+        reduced, pivots = m.rref()
+        expected = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)]
+                    for i in range(len(pivots))]
+        assert rref(rows, ncols) == (expected, list(pivots))
+
+    check()
+
+
+def test_stored_rows_stay_primitive_with_positive_denominator():
+    # each stored row is the reduced row's least positive integer multiple:
+    # int entries of gcd 1, positive at its pivot and 0 on the other pivots
+    rng = random.Random(12)
+    m = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(9)]
+    for _ in range(3):
+        coeffs = [rng.randint(-2, 2) for _ in m]
+        m.append([sum(c * r[j] for c, r in zip(coeffs, m)) for j in range(12)])
+    rng.shuffle(m)
+    e = Echelon(12)
+    for r in m:
+        e.add(r)
+        for p, row in e._rows.items():
+            assert all(type(x) is int and x for x in row.values())
+            assert row[p] > 0 and math.gcd(*row.values()) == 1
+            assert not any(q in row for q in e._rows if q != p)
+    assert e.rank == 9
+    assert e.rows() == _ref_rref(m, 12)[0] and _fractions_only(e.rows())
+    assert e.kernel() == _ref_kernel(m, 12) and _fractions_only(e.kernel())
+
+
 def test_rref_equals_sympy():
     sympy = pytest.importorskip("sympy")
 
@@ -142,6 +232,8 @@ def test_echelon_grows_one_vector_at_a_time():
     assert e.pivots() == [0, 1]
     assert e.rows() == [[1, 0, -1], [0, 1, 2]]
     assert e.kernel() == [(1, -2, 1)]
+    assert _fractions_only(e.rows()) and _fractions_only(e.kernel())
+    assert _fractions_only(complement_basis([(0, 1, 2)], [(0, 2, 4), (1, 0, 0)], 3))
 
 
 def test_wrong_row_length_is_a_value_error():
