@@ -73,11 +73,7 @@ class AlgebraElement:
         return AlgebraElement(self.graph, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_host(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, Fraction(0)) - c
-        return AlgebraElement(self.graph, out)
+        return self + (-1) * other
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.graph, {w: -c for w, c in self.coeffs.items()})
@@ -215,10 +211,7 @@ class TensorPair:
         return TensorPair(self.graph, out)
 
     def __sub__(self, other: "TensorPair") -> "TensorPair":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return TensorPair(self.graph, out)
+        return self + (-1) * other
 
     def __rmul__(self, scalar) -> "TensorPair":
         s = Fraction(scalar)
@@ -358,11 +351,6 @@ class BasedFunctional:
                                 self.flavor, length_bound)
 
 
-def _word_sort_key(graph: Digraph):
-    idx = graph.arrow_index
-    return lambda w: (len(w), tuple(idx[a] for a in w))
-
-
 def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
                       loop_length_bound: int = 8,
                       antipode_fn: Callable[[AlgebraElement], AlgebraElement] | None = None,
@@ -380,7 +368,7 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
         antipode_fn = antipode
     if coproduct_fn is None:
         coproduct_fn = coproduct
-    words = sorted(all_words(graph.arrows, degree_bound), key=_word_sort_key(graph))
+    words = all_words(graph.arrows, degree_bound)
     elements = {w: word_element(graph, w) for w in words}
 
     def delta(w: Word) -> dict:

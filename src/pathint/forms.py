@@ -239,8 +239,7 @@ def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
 def _closed_basis_vectors(g: Digraph, method: str) -> tuple:
     got = g._closed_bases.get(method)
     if got is None:
-        n = len(g.arrows)
-        got = tuple(kernel(_closed_condition_rows(g, method), n)) if n else ()
+        got = tuple(kernel(_closed_condition_rows(g, method), len(g.arrows)))
         g._closed_bases[method] = got
     return got
 
@@ -248,8 +247,6 @@ def _closed_basis_vectors(g: Digraph, method: str) -> tuple:
 def closed_one_forms(g: Digraph, method: str = "kernel") -> list[OneForm]:
     """Basis of the closed 1-forms, by boundary pairing ("kernel") or by the
     triangle/square/double-edge linear conditions ("patterns")."""
-    if method not in ("kernel", "patterns"):
-        raise FormError(f"unknown closedness method {method!r}")
     return [OneForm.from_vector(g, vec) for vec in _closed_basis_vectors(g, method)]
 
 

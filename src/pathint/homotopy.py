@@ -81,32 +81,6 @@ def _splice(vertices: tuple, orientations: tuple, position: int,
             orientations[:position] + after[1] + orientations[position + k - 1:])
 
 
-def _is_stated_move(g: Digraph, move: Move) -> bool:
-    """True iff the move's two windows are related by its kind in its
-    direction: read as a contraction, the longer window must shrink to the
-    shorter one through the stated pattern of g."""
-    if move.direction == "apply":
-        (lv, _), (sv, _) = move.before, move.after
-    elif move.direction == "unapply":
-        (lv, _), (sv, _) = move.after, move.before
-    else:
-        return False
-    kind = move.kind
-    if kind == "triangle-contract":
-        return len(lv) == 3 and sv == (lv[0], lv[2]) and g.is_triangle_set(*lv)
-    if kind == "square-replace":
-        return (len(lv) == len(sv) == 3 and (sv[0], sv[2]) == (lv[0], lv[2])
-                and g.is_square_tuple((lv[0], lv[1], sv[1], lv[2])))
-    if kind == "square-contract":
-        return (len(lv) == 4 and sv == (lv[0], lv[3])
-                and g.is_square_tuple((lv[0], lv[1], lv[3], lv[2])))
-    if kind == "backtrack":
-        return len(lv) == 3 and lv[0] == lv[2] and sv == (lv[0], lv[0])
-    if kind == "trivial-drop":
-        return len(lv) == 2 and lv[0] == lv[1] and sv == (lv[0],)
-    return False
-
-
 @dataclass(frozen=True)
 class MoveCertificate:
     """A replayable chain of moves connecting two loops."""
@@ -116,14 +90,17 @@ class MoveCertificate:
 
     def replay(self) -> list[PathMap]:
         """All intermediate paths, including both endpoints; raises if any
-        move is not the stated kind in the stated direction, fails to apply,
-        or the chain does not land on `end`."""
+        move fails to apply, is not a move of `_moves` from its path or the
+        inverse of one from the next path, or the chain does not land on
+        `end`."""
         states = [self.start]
         for i, move in enumerate(self.moves):
-            if not _is_stated_move(self.start.graph, move):
+            here = states[-1]
+            there = apply_move(here, move)
+            if not (_lists(here, move) or _lists(there, invert_move(move))):
                 raise PathError(
                     f"move {i + 1} is not a {move.kind} ({move.direction})")
-            states.append(apply_move(states[-1], move))
+            states.append(there)
         if states[-1] != self.end:
             raise PathError("certificate does not land on its end loop")
         return states
@@ -197,6 +174,13 @@ def _moves(g: Digraph, V: tuple, O: tuple) -> Iterator[tuple]:
     # (v) expansion: insert a trivial step at any vertex
     for p in range(n + 1):
         yield ("trivial-drop", "unapply", p, ((V[p],), ()), ((V[p], V[p]), (FORWARD,)))
+
+
+def _lists(path: PathMap, move: Move) -> bool:
+    """True iff `_moves` lists the move from the path."""
+    fields = (move.kind, move.direction, move.position, move.before, move.after)
+    return any(t == fields for t in _moves(path.graph, path.vertices,
+                                           path.orientations))
 
 
 def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
@@ -387,40 +371,24 @@ def one_step_map_homotopy(f: DigraphMap, g: DigraphMap) -> bool:
     return rungs_ok(f, g) or rungs_ok(g, f)
 
 
-def _pair_values(word: Sequence[OneForm], p: Arrow, q: Arrow) -> list[tuple[Fraction, Fraction]]:
-    return [(omega(p), omega(q)) for omega in word]
-
-
 def _isosceles_on_pair(word: Sequence[OneForm], p: Arrow, q: Arrow) -> bool:
-    """Tuple products over {p, q} are permutation-symmetric."""
-    r = len(word)
-    values = _pair_values(word, p, q)
-    if r <= 6:
-        # The permutation orbit of a tuple over a two-letter alphabet is the
-        # set of tuples with the same letter counts, so full symmetry is
-        # equality of the product within each count class.
-        reference: dict[int, Fraction] = {}
-        for t in product((0, 1), repeat=r):
-            prod = Fraction(1)
-            for i, pick in enumerate(t):
-                prod *= values[i][pick]
-            k = sum(t)
-            if k not in reference:
-                reference[k] = prod
-            elif reference[k] != prod:
-                return False
-        return True
+    """Tuple products over {p, q} are permutation-symmetric: some letter
+    vanishes on both arrows (every product is 0), or the letters' value
+    pairs are pairwise proportional (the products are lambda a^(r-k) b^k).
+    Otherwise swapping two positions whose pairs are not proportional, the
+    other letters taking nonzero values, changes the product."""
+    values = [(omega(p), omega(q)) for omega in word]
     if any(vp == 0 and vq == 0 for vp, vq in values):
         return True
-    return all(values[i][0] * values[j][1] == values[j][0] * values[i][1]
-               for i in range(r) for j in range(i + 1, r))
+    return all(vp * wq == wp * vq
+               for i, (vp, vq) in enumerate(values) for wp, wq in values[i + 1:])
 
 
 def is_isosceles(word: Sequence[OneForm], g: Digraph) -> bool:
     """Permutation symmetry of the word's products over the composable side
     arrows of every embedded triangle, and over each of the two side pairs
-    of every embedded square; brute force for short words, the pairwise
-    determinant criterion beyond length 6."""
+    of every embedded square, by the pairwise proportionality criterion of
+    `_isosceles_on_pair`."""
     for omega in word:
         if omega.graph != g:
             raise PathError("form lives on a different digraph")
@@ -465,23 +433,18 @@ def _keeps_runs(kind: str, direction: str, _position: int, before: Window,
     return False
 
 
-def _move_pair_sample(g: Digraph, base: Vertex,
-                      length_bound: int) -> tuple[tuple[PathMap, PathMap, Move], ...]:
-    """(loop, neighbor, move) triples over every loop at base up to the
-    length bound, in enumeration order, keeping the first triple of each
-    distinct pair of run sequences.  A pairing depends on a path only
-    through its runs (Chen's identity), so the kept triples give the same
-    pairing values, and the same first differing pair, as the full list."""
-    return _numbered_sample(g, base, length_bound)[0]
-
-
 def _numbered_sample(g: Digraph, base: Vertex,
                      length_bound: int) -> tuple[tuple, tuple[tuple[int, int], ...]]:
-    """`_move_pair_sample`, and for each triple the numbers of the run
-    sequences of its loop and its neighbor (equal numbers, equal runs).
-    Moves are enumerated raw; a neighbor's runs come from its raw splice,
-    and only a kept triple gets a `Move` and a neighbor built by
-    `apply_move`.  Both are kept on the graph."""
+    """(loop, neighbor, move) triples over every loop at base up to the
+    length bound, in enumeration order, keeping the first triple of each
+    distinct pair of run sequences, and for each triple the numbers of the
+    run sequences of its loop and its neighbor (equal numbers, equal runs).
+    A pairing depends on a path only through its runs (Chen's identity), so
+    the kept triples give the same pairing values, and the same first
+    differing pair, as the full list.  Moves are enumerated raw; a
+    neighbor's runs come from its raw splice, and only a kept triple gets a
+    `Move` and a neighbor built by `apply_move`.  Both are kept on the
+    graph."""
     got = g._move_pair_samples.get((base, length_bound))
     if got is not None:
         return got
@@ -527,16 +490,17 @@ def invariance_verify(elem: AlgebraElement, base: Vertex,
     length bound and each of its one-move neighbors; the first differing
     pair is a counterexample, otherwise the sample certifies nothing beyond
     itself and says so."""
-    memo: dict = {}
+    memo: dict[int, Fraction] = {}  # by the number of the run sequence
 
-    def value(path: PathMap) -> Fraction:
-        got = memo.get(path)
+    def value(path: PathMap, number: int) -> Fraction:
+        got = memo.get(number)
         if got is None:
-            got = memo[path] = pair(elem, path)
+            got = memo[number] = pair(elem, path)
         return got
 
-    for loop, nb, move in _move_pair_sample(elem.graph, base, length_bound):
-        va, vb = value(loop), value(nb)
+    for (loop, nb, move), (i, j) in zip(*_numbered_sample(elem.graph, base,
+                                                           length_bound)):
+        va, vb = value(loop, i), value(nb, j)
         if va != vb:
             return InvarianceVerdict("counterexample", base, length_bound,
                                      loop=loop, neighbor=nb, move=move,

@@ -117,6 +117,12 @@ def test_closed_methods_validate():
         closed_one_forms(T, "nonsense")
 
 
+def test_closed_methods_validate_without_arrows():
+    with pytest.raises(FormError):
+        closed_one_forms(Digraph(["x"], []), "nonsense")
+    assert closed_one_forms(Digraph(["x"], [])) == []
+
+
 def test_is_closed_examples():
     T = standard_triangle()
     a1 = OneForm.basis(T, ("v0", "v1"))

@@ -1,13 +1,14 @@
 """Homotopy moves, search, invariance checking, and base-point transport."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations, product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (patterned_digraph, walked_square_role_tuples,
                       walked_triangle_sets)
@@ -25,7 +26,8 @@ from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      trivial_path, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all)
 from pathint.forms import closed_arrows
-from pathint.homotopy import (_move_pair_sample, _moves, _pi1_rows,
+from pathint.graphs import enumerate_patterns
+from pathint.homotopy import (MOVE_KINDS, _moves, _numbered_sample, _pi1_rows,
                               _separating_invariant,
                               _theorem_backed_invariants)
 from pathint.linalg import complement_basis, kernel
@@ -492,6 +494,74 @@ def test_replay_rejects_a_move_with_the_wrong_kind_or_direction():
             MoveCertificate(loop, (wrong,), neighbor).replay()
 
 
+def _is_stated_move(g, move):
+    """Reference for the replay rule: the move's two windows are related by
+    its kind in its direction; read as a contraction, the longer window must
+    shrink to the shorter one through the stated pattern of g."""
+    if move.direction == "apply":
+        (lv, _), (sv, _) = move.before, move.after
+    elif move.direction == "unapply":
+        (lv, _), (sv, _) = move.after, move.before
+    else:
+        return False
+    kind = move.kind
+    if kind == "triangle-contract":
+        return len(lv) == 3 and sv == (lv[0], lv[2]) and g.is_triangle_set(*lv)
+    if kind == "square-replace":
+        return (len(lv) == len(sv) == 3 and (sv[0], sv[2]) == (lv[0], lv[2])
+                and g.is_square_tuple((lv[0], lv[1], sv[1], lv[2])))
+    if kind == "square-contract":
+        return (len(lv) == 4 and sv == (lv[0], lv[3])
+                and g.is_square_tuple((lv[0], lv[1], lv[3], lv[2])))
+    if kind == "backtrack":
+        return len(lv) == 3 and lv[0] == lv[2] and sv == (lv[0], lv[0])
+    if kind == "trivial-drop":
+        return len(lv) == 2 and lv[0] == lv[1] and sv == (lv[0],)
+    return False
+
+
+def _replays_by_stated_move(path, move):
+    try:
+        apply_move(path, move)
+    except PathError:
+        return False
+    return _is_stated_move(path.graph, move)
+
+
+def _replays(path, move):
+    try:
+        MoveCertificate(path, (move,), apply_move(path, move)).replay()
+    except PathError:
+        return False
+    return True
+
+
+def _altered_copies(move):
+    """The move, and copies with its kind, direction or position changed."""
+    yield move
+    for kind in MOVE_KINDS:
+        if kind != move.kind:
+            yield replace(move, kind=kind)
+    yield replace(move, direction="unapply" if move.direction == "apply" else "apply")
+    for shift in (-1, 1):
+        yield replace(move, position=move.position + shift)
+
+
+def test_replay_accepts_what_the_stated_move_reference_accepts():
+    accepted = rejected = 0
+    for g in _fixtures():
+        for base in g.vertices:
+            for loop in enumerate_paths(g, base, 4, loops_only=True):
+                for neighbor, move in move_neighbors(loop):
+                    for path, m in ((loop, move), (neighbor, invert_move(move))):
+                        for copy in _altered_copies(m):
+                            verdict = _replays(path, copy)
+                            assert verdict == _replays_by_stated_move(path, copy)
+                            accepted += verdict
+                            rejected += not verdict
+    assert accepted and rejected
+
+
 def test_homotopic_loops_syntactic_equality():
     T = standard_triangle()
     loop = make_path(T, ["v0", "v1", "v2", "v0"], ["f", "f", "b"])
@@ -549,6 +619,41 @@ def test_is_isosceles_on_triangle():
     assert is_isosceles([], T) and is_isosceles([a1], T)
 
 
+def _products_are_symmetric(values):
+    """Oracle for `is_isosceles` on one side pair: the product of one value
+    per letter depends only on how many letters take their second value."""
+    by_count = {}
+    for picks in product((0, 1), repeat=len(values)):
+        prod = Fraction(1)
+        for pair_values, pick in zip(values, picks):
+            prod *= pair_values[pick]
+        if by_count.setdefault(sum(picks), prod) != prod:
+            return False
+    return True
+
+
+_LETTER = st.one_of(st.integers(-3, 3),
+                    st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+
+
+@settings(max_examples=200)
+@given(st.tuples(st.integers(-2, 2), st.integers(1, 2)),
+       st.lists(_LETTER, min_size=1, max_size=8))
+@example((1, 2), [1, 2, -1, 3, 1, 2, 1])  # proportional, seven letters
+@example((1, 2), [1, 2, -1, 3, 1, 2, 1, (1, 1)])  # one pair off the line
+@example((1, 2), [1, 2, -1, 3, 1, 2, 1, 0])  # a letter vanishing on both
+@example((0, 1), [(1, 0), 2, (0, 0)])
+@example((1, 1), [(1, 0), (0, 1)])
+def test_is_isosceles_matches_the_product_symmetry_oracle(direction, letters):
+    # an int letter is that multiple of the direction, a pair is its values
+    values = [(k * direction[0], k * direction[1]) if isinstance(k, int) else k
+              for k in letters]
+    T = standard_triangle()
+    p, q, _ = enumerate_patterns(T, "triangle")[0].arrows
+    word = [OneForm(T, {p: vp, q: vq}) for vp, vq in values]
+    assert is_isosceles(word, T) == _products_are_symmetric(values)
+
+
 def test_invariant_sufficient_requires_closed_letters():
     T = standard_triangle()
     a1 = OneForm.basis(T, ("v0", "v1"))
@@ -589,6 +694,11 @@ def test_invariance_verify_matches_the_full_pair_list():
                     verdict.values) == expected
             assert verdict.status == ("invariant-on-sample" if expected[0] is None
                                       else "counterexample")
+
+
+def _move_pair_sample(g, base, length_bound):
+    """The (loop, neighbor, move) triples of `_numbered_sample`."""
+    return _numbered_sample(g, base, length_bound)[0]
 
 
 def _sample_by_move_neighbors(g, base, length_bound):
