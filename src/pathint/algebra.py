@@ -19,7 +19,7 @@ from .errors import PairingError
 from .forms import OneForm
 from .graphs import Arrow, BasedDigraph, Digraph, DigraphMap
 from .integrals import Word, all_words, pair, word_pairings_all
-from .paths import PathMap, concat, enumerate_paths, inverse
+from .paths import PathMap, _check_bound, concat, enumerate_paths, inverse, runs
 
 
 def _clean(coeffs: dict) -> dict:
@@ -304,7 +304,9 @@ def functional_equal(u: AlgebraElement, v: AlgebraElement, base,
                      flavor: str = "loop",
                      length_bound: int = 8) -> FunctionalVerdict:
     """Compare two elements as integration functionals on paths (or loops)
-    from base, by enumerating all of them up to the length bound."""
+    from base, by enumerating all of them up to the length bound.  A path
+    with a same-arrow backtrack is skipped: it pairs as the path without
+    it (Chen's identity), which is shorter and so came first."""
     u._check_host(v)
     if flavor not in ("path", "loop"):
         raise PairingError(f"unknown flavor {flavor!r}")
@@ -315,6 +317,8 @@ def functional_equal(u: AlgebraElement, v: AlgebraElement, base,
         return FunctionalVerdict("equal-up-to-bound", base, flavor, length_bound)
     loops_only = flavor == "loop"
     for p in enumerate_paths(u.graph, base, length_bound, loops_only=loops_only):
+        if len(runs(p)) < p.length:
+            continue
         a = pair(u, p)
         b = pair(v, p)
         if a != b:
@@ -364,6 +368,7 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     law with one fails even when none is listed); antipode_fn and
     coproduct_fn are injectable so a deliberately broken antipode or
     coproduct is caught (negative controls)."""
+    _check_bound("loop_length_bound", loop_length_bound)
     if antipode_fn is None:
         antipode_fn = antipode
     if coproduct_fn is None:

@@ -26,7 +26,7 @@ from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, _all_words_plan, _evaluate, all_words, pair,
                         signature)
 from .linalg import Echelon
-from .paths import (FORWARD, PathMap, _build, _runs, enumerate_paths,
+from .paths import (FORWARD, PathMap, _build, _check_bound, _runs, _walk,
                     inverse, make_path, runs)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
@@ -106,18 +106,25 @@ class MoveCertificate:
         return states
 
 
-def _moves(g: Digraph, V: tuple, O: tuple) -> Iterator[tuple]:
+def _moves(g: Digraph, V: tuple, O: tuple,
+           reach: tuple[int, int] | None = None) -> Iterator[tuple]:
     """All one-move rewrites of the path with vertices V and orientations O
     on g, both directions, every position, as the field tuples
     (kind, direction, position, before, after) of `Move`.  Vertex-sequence
     moves come with every orientation realization the host's arrows allow,
     read off the host's step flags.  Candidate vertices come from the
-    host's move tables, in vertex input order."""
+    host's move tables, in vertex input order.  With reach = (a, b) only
+    the windows that start at step a or before and end at step b or after
+    are listed, in the same order (a window of s steps at position p ends
+    at step p + s - 1, so a trivial insertion at p ends at p - 1)."""
     t = g.move_tables()
     f = t.flags
     n = len(O)
+    a, b = (n, -1) if reach is None else reach
+    # the positions of the windows of s = 0, 1, 2, 3 steps
+    starts = [range(max(0, b - s + 1), min(n - s, a) + 1) for s in range(4)]
 
-    for p in range(n - 1):
+    for p in starts[2]:
         w = V[p:p + 3]
         x, _, z = w
         triangle = w in t.triangles
@@ -138,19 +145,19 @@ def _moves(g: Digraph, V: tuple, O: tuple) -> Iterator[tuple]:
             yield ("backtrack", "apply", p, before, ((x, x), (FORWARD,)))
 
     # (iii) square contraction: v0 v1 v3 v2 -> v0 v2
-    for p in range(n - 2):
+    for p in starts[3]:
         if (V[p], V[p + 1], V[p + 3], V[p + 2]) in t.squares:
             before = (V[p:p + 4], O[p:p + 3])
             for o in f.get((V[p], V[p + 3]), ()):
                 yield ("square-contract", "apply", p, before, ((V[p], V[p + 3]), (o,)))
 
     # (v) trivial-step removal, any position (a stationary step is dropped)
-    for p in range(n):
+    for p in starts[1]:
         if V[p] == V[p + 1]:
             yield ("trivial-drop", "apply", p, ((V[p], V[p]), (O[p],)), ((V[p],), ()))
 
     # inverse directions
-    for p in range(n):
+    for p in starts[1]:
         x, z = ends = V[p:p + 2]
         apexes = t.triangle_apex.get(ends, ())
         sides = t.square_sides.get(ends, ())
@@ -172,7 +179,7 @@ def _moves(g: Digraph, V: tuple, O: tuple) -> Iterator[tuple]:
                     yield ("backtrack", "unapply", p, before, ((x, u, x), o))
 
     # (v) expansion: insert a trivial step at any vertex
-    for p in range(n + 1):
+    for p in starts[0]:
         yield ("trivial-drop", "unapply", p, ((V[p],), ()), ((V[p], V[p]), (FORWARD,)))
 
 
@@ -272,6 +279,8 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
     functionals; otherwise a bidirectional search over the move graph looks
     for a certificate.  Exhausting the bounds yields an honest "unknown".
     """
+    _check_bound("length_bound", length_bound)
+    _check_bound("depth_bound", depth_bound)
     if a.graph != b.graph:
         raise PathError("loops live on different digraphs")
     if not (a.is_loop and b.is_loop):
@@ -438,36 +447,53 @@ def _numbered_sample(g: Digraph, base: Vertex,
     """(loop, neighbor, move) triples over every loop at base up to the
     length bound, in enumeration order, keeping the first triple of each
     distinct pair of run sequences, and for each triple the numbers of the
-    run sequences of its loop and its neighbor (equal numbers, equal runs).
-    A pairing depends on a path only through its runs (Chen's identity), so
-    the kept triples give the same pairing values, and the same first
-    differing pair, as the full list.  Moves are enumerated raw; a
-    neighbor's runs come from its raw splice, and only a kept triple gets a
-    `Move` and a neighbor built by `apply_move`.  Both are kept on the
-    graph."""
+    run sequences of its loop and its neighbor (equal numbers, equal runs,
+    numbered in order of first appearance).  A pairing depends on a path
+    only through its runs (Chen's identity), so the kept triples give the
+    same pairing values, and the same first differing pair, as the full
+    list.  Only a kept triple gets a `Move` and a neighbor built by
+    `apply_move`.  Both are kept on the graph.
+
+    Lemma.  Let a loop have a same-arrow backtrack b, vertices v u v with
+    opposite orientations.  A move whose window shares no step with b
+    gives the same pair of run sequences as the same move on the loop with
+    b removed: a move reads only its window, and free reduction is a
+    homomorphism, so removing b changes neither run sequence.  The shorter
+    loop is enumerated earlier, so its pair was kept or seen first.  Hence
+    a loop scans only the windows that touch every such backtrack, and a
+    loop whose backtracks no one window touches gives nothing new: the
+    walk does not extend a prefix once two of them start more than 3
+    steps apart (a window has at most 3 steps).  The moves that keep the
+    runs all give the pair (here, here).  `_moves` lists the trivial insertions
+    last, and an enumerated loop has no trivial step, so the first
+    trivial-drop listed is an insertion and the moves after it give that
+    pair again: the scan stops there.  On a loop without such a backtrack
+    the pair is new at its insertion at position 0; on a loop with one, it
+    was kept on the shorter loop.  Every run sequence a skipped move would
+    number was numbered first on a shorter loop, so the numbers agree with
+    those of the full scan as well."""
     got = g._move_pair_samples.get((base, length_bound))
     if got is not None:
         return got
     out = []
     seen: dict[tuple[int, int], None] = {}  # the kept pairs, in order
     ids: dict[tuple, int] = {}  # run sequence -> its number
-    id_of: dict[Window, int] = {}  # raw path -> the number of its runs
-
-    def run_id(raw: Window) -> int:
-        got = id_of.get(raw)
-        if got is None:
-            got = id_of[raw] = ids.setdefault(tuple(_runs(*raw)), len(ids))
-        return got
-
-    for loop in enumerate_paths(g, base, length_bound, loops_only=True):
-        V, O = loop.vertices, loop.orientations
-        here = run_id((V, O))
-        for t in _moves(g, V, O):
-            key = (here, here if _keeps_runs(*t) else run_id(_splice(V, O, *t[2:])))
-            if key not in seen:
-                seen[key] = None
+    for V, O, backtracks in _walk(g, base, length_bound, loops_only=True, span=3):
+        # the windows that start at or before the first backtrack's second
+        # step and end at or after the last one's first step
+        reach = None if backtracks is None else (backtracks[0] + 1, backtracks[1])
+        here = ids.setdefault(tuple(_runs(V, O)), len(ids))
+        loop = None
+        for t in _moves(g, V, O, reach):
+            there = here if _keeps_runs(*t) else ids.setdefault(
+                tuple(_runs(*_splice(V, O, *t[2:]))), len(ids))
+            if (here, there) not in seen:
+                seen[here, there] = None
+                loop = loop or _build(g, V, O)
                 move = Move(*t)
                 out.append((loop, apply_move(loop, move), move))
+            if t[0] == "trivial-drop":
+                break
     got = g._move_pair_samples[base, length_bound] = (tuple(out), tuple(seen))
     return got
 
@@ -490,6 +516,7 @@ def invariance_verify(elem: AlgebraElement, base: Vertex,
     length bound and each of its one-move neighbors; the first differing
     pair is a counterexample, otherwise the sample certifies nothing beyond
     itself and says so."""
+    _check_bound("length_bound", length_bound)
     memo: dict[int, Fraction] = {}  # by the number of the run sequence
 
     def value(path: PathMap, number: int) -> Fraction:
@@ -583,6 +610,7 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
     otherwise."""
     if degree_bound < 1:
         raise PathError("degree_bound must be at least 1")
+    _check_bound("length_bound", length_bound)
     words = all_words(g.arrows, degree_bound, min_degree=1)
     ncols = len(words)
     if ncols == 0:

@@ -248,23 +248,79 @@ def _extensions(g: Digraph, v: Vertex) -> list[tuple[Vertex, str]]:
     return out
 
 
+def _check_bound(name: str, value: int) -> None:
+    if value < 0:
+        raise PathError(f"{name} must be non-negative, got {value}")
+
+
+def _distances(g: Digraph, base: Vertex) -> dict[Vertex, int]:
+    """The number of steps from each vertex to base, arrows taken either
+    way; a vertex that cannot reach base is left out."""
+    dist = {base: 0}
+    level = [base]
+    while level:
+        nxt = []
+        for v in level:
+            for w, _ in _extensions(g, v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        level = nxt
+    return dist
+
+
+def _walk(g: Digraph, base: Vertex, max_length: int, loops_only: bool = False,
+          span: int | None = None) -> Iterator[tuple[tuple, tuple, tuple | None]]:
+    """The paths of `enumerate_paths` as unbuilt (vertices, orientations,
+    backtracks) triples, in the same order, one length at a time.
+    backtracks is None unless span is set.  Then it is None for a path
+    without a same-arrow backtrack (steps v u v over one arrow, both ways),
+    else the steps (first, last) where the first and the last of them
+    start, and a path is not extended once two of them start more than
+    span steps apart."""
+    if base not in g.vertex_set:
+        raise PathError(f"unknown base vertex {base!r}")
+    _check_bound("max_length", max_length)
+    # a path that ends more steps from base than it has left cannot close
+    # into a loop
+    dist = _distances(g, base) if loops_only else None
+    steps: dict[Vertex, list[tuple[Vertex, str]]] = {}
+    frontier: list[tuple] = [((base,), (), None)]
+    for length in range(max_length + 1):
+        left = max_length - length - 1  # steps left after one more
+        next_frontier = []
+        for vs, os, bt in frontier:
+            if not loops_only or vs[-1] == base:
+                yield vs, os, bt
+            if length == max_length:
+                continue
+            ext = steps.get(vs[-1])
+            if ext is None:
+                ext = steps[vs[-1]] = _extensions(g, vs[-1])
+            for w, o in ext:
+                if loops_only and dist[w] > left:
+                    continue
+                b = bt
+                if span is not None and length and w == vs[-2] and o != os[-1]:
+                    if bt is None:
+                        b = (length - 1, length - 1)
+                    elif length - 1 - bt[0] > span:
+                        continue
+                    else:
+                        b = (bt[0], length - 1)
+                next_frontier.append((vs + (w,), os + (o,), b))
+        frontier = next_frontier
+
+
 def enumerate_paths(g: Digraph, base: Vertex, max_length: int,
                     loops_only: bool = False) -> Iterator[PathMap]:
     """All path maps from base with non-trivial steps, by increasing length.
 
     Within one length, paths come in step-choice order: forward arrows in
     input order, then backward arrows in input order.  With loops_only only
-    paths returning to base are yielded (the trivial loop first).
+    paths returning to base are yielded (the trivial loop first), and a
+    path is not extended once it ends farther from base than it has steps
+    left.
     """
-    if base not in g.vertex_set:
-        raise PathError(f"unknown base vertex {base!r}")
-    frontier: list[tuple[tuple, tuple]] = [((base,), ())]
-    for length in range(max_length + 1):
-        next_frontier = []
-        for vs, os in frontier:
-            if not loops_only or vs[0] == vs[-1]:
-                yield _build(g, vs, os)
-            if length < max_length:
-                for w, o in _extensions(g, vs[-1]):
-                    next_frontier.append((vs + (w,), os + (o,)))
-        frontier = next_frontier
+    for vs, os, _ in _walk(g, base, max_length, loops_only):
+        yield _build(g, vs, os)

@@ -14,9 +14,12 @@ from pathint import Digraph, OneForm, ZeroForm, make_path, validate_digraph
 
 SEED = int(os.environ.get("PATHINT_SEED", "20260819"))
 
+# "suite" repeats exactly; "wide" draws fresh examples on every run
+# (PATHINT_HYPOTHESIS_PROFILE=wide), for the scheduled equivalence job
 settings.register_profile("suite", max_examples=25, deadline=None,
                           derandomize=True)
-settings.load_profile("suite")
+settings.register_profile("wide", max_examples=500, deadline=None)
+settings.load_profile(os.environ.get("PATHINT_HYPOTHESIS_PROFILE", "suite"))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Shuffle algebra, Hopf structure, functionals, pullback."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from conftest import random_digraph, random_rational
 
 from pathint import (AlgebraElement, BasedFunctional, DigraphMap,
-                     PairingError, antipode, coproduct, counit, double_edge,
-                     from_forms, functional_equal, hopf_axiom_report,
+                     PairingError, all_words, antipode, coproduct, counit,
+                     double_edge, enumerate_paths, from_forms,
+                     functional_equal, hopf_axiom_report,
                      make_path, pair, pullback_element, shuffle,
                      shuffle_words, standard_triangle, TensorPair, unit,
                      word_element, zero, OneForm)
@@ -158,6 +160,34 @@ def test_functional_equal_agrees_on_equal_elements():
     e1 = word_element(D, (("v0", "v1"),))
     verdict = functional_equal(e1, e1, "v0", length_bound=4)
     assert not verdict.separated
+
+
+def _first_differing_path(u, v, base, flavor, length_bound):
+    """Reference for `functional_equal`: every path (or loop) in
+    enumeration order, none skipped."""
+    for p in enumerate_paths(u.graph, base, length_bound,
+                             loops_only=flavor == "loop"):
+        a, b = pair(u, p), pair(v, p)
+        if a != b:
+            return p, (a, b)
+    return None, None
+
+
+@pytest.mark.parametrize("flavor", ["loop", "path"])
+def test_functional_equal_matches_the_full_scan(flavor):
+    rng = random.Random(7)
+    for _ in range(12):
+        g = random_digraph(rng, max_vertices=4, p=0.5)
+        base = rng.choice(g.vertices)
+        words = all_words(g.arrows, 2, min_degree=1)
+        u, v = (AlgebraElement(g, {w: random_rational(rng)
+                                   for w in rng.sample(words, min(3, len(words)))})
+                for _ in range(2))
+        for a, b in ((u, v), (u, u + v - v), (u, zero(g))):
+            verdict = functional_equal(a, b, base, flavor=flavor, length_bound=4)
+            assert (verdict.witness, verdict.values) == _first_differing_path(
+                a, b, base, flavor, 4)
+            assert verdict.separated == (verdict.witness is not None)
 
 
 def test_based_functional_call():

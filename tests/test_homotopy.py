@@ -10,28 +10,29 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (patterned_digraph, walked_square_role_tuples,
-                      walked_triangle_sets)
+from conftest import (patterned_digraph, random_path,
+                      walked_square_role_tuples, walked_triangle_sets)
 
 from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      MoveCertificate, OneForm, PathError, all_words,
                      apply_move, box_product, change_base_point,
                      closed_one_forms, directed_cycle, double_edge,
                      enumerate_paths, from_forms, homotopic_loops,
-                     identity_map, insert_trivial, invariance_verify,
-                     invariant_sufficient, inverse, invert_move,
-                     is_closed, is_isosceles, line_digraph, make_path,
-                     move_neighbors, one_step_map_homotopy, pair,
+                     hopf_axiom_report, identity_map, insert_trivial,
+                     invariance_verify, invariant_sufficient, inverse,
+                     invert_move, is_closed, is_isosceles, line_digraph,
+                     make_path, move_neighbors, one_step_map_homotopy, pair,
                      pi1_candidates, standard_square, standard_triangle,
                      trivial_path, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all)
+from pathint import homotopy
 from pathint.forms import closed_arrows
 from pathint.graphs import enumerate_patterns
 from pathint.homotopy import (MOVE_KINDS, _moves, _numbered_sample, _pi1_rows,
                               _separating_invariant,
                               _theorem_backed_invariants)
 from pathint.linalg import complement_basis, kernel
-from pathint.paths import runs
+from pathint.paths import _walk, runs
 
 
 def _fixtures():
@@ -751,6 +752,117 @@ def test_a_backtrack_through_two_arrows_changes_the_runs():
     # along one arrow the backtrack cancels
     there_and_back = make_path(D, ["v0", "v1", "v0"], ["f", "b"])
     assert runs(there_and_back) == []
+
+
+def _run_numbers(triples):
+    """Reference for the numbers of `_numbered_sample`: the run sequences of
+    each kept loop and neighbor, numbered in order of first appearance (a
+    run sequence first seen anywhere in the full scan is first seen in a
+    kept triple, and a loop's own comes before its neighbors')."""
+    ids = {}
+    return tuple((ids.setdefault(tuple(map(tuple, runs(loop))), len(ids)),
+                  ids.setdefault(tuple(map(tuple, runs(nb))), len(ids)))
+                 for loop, nb, _ in triples)
+
+
+def _torus():
+    return box_product(directed_cycle(4), directed_cycle(4))
+
+
+def _random_patterned(seed):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    return g, rng.choice(g.vertices)
+
+
+# The sample skips the loops and windows whose pairs a shorter loop gave:
+# these cases reach backtracks one and two steps apart, chains of them, a
+# backtrack through the two arrows of a double edge (which must not count
+# as cancelling), and loops whose backtracks lie too far apart to scan.
+@pytest.mark.parametrize("make, bound", [
+    (lambda: (wedge_of_cycles(), "v0"), 8),
+    (lambda: (_torus(), ("v0", "v0")), 6),
+    (lambda: (double_edge(), "v0"), 6),
+    (lambda: _random_patterned(12), 6),
+    (lambda: _random_patterned(25), 6),
+    (lambda: _random_patterned(30), 6),
+    (lambda: _random_patterned(38), 6),
+], ids=["wedge", "torus", "double-edge", "patterned-12", "patterned-25",
+        "patterned-30", "patterned-38"])
+def test_pruned_move_pair_sample_matches_the_full_neighbor_list(make, bound):
+    g, base = make()
+    triples, numbers = _numbered_sample(g, base, bound)
+    expected = _sample_by_move_neighbors(g, base, bound)
+    assert list(triples) == expected
+    assert numbers == _run_numbers(expected)
+
+
+def _backtrack_starts(loop):
+    """The steps where a same-arrow backtrack v u v starts."""
+    V, O = loop.vertices, loop.orientations
+    return [i for i in range(len(O) - 1) if V[i] == V[i + 2] and O[i] != O[i + 1]]
+
+
+def test_sampled_loops_are_the_loops_one_window_can_touch_whole(monkeypatch):
+    walked = []
+
+    def recording_walk(*args, **kwargs):
+        for item in _walk(*args, **kwargs):
+            walked.append(item)
+            yield item
+
+    monkeypatch.setattr(homotopy, "_walk", recording_walk)
+    for g, bound in [(g, 5) for g in _fixtures()] + [(_torus(), 6)]:
+        base = g.vertices[0]
+        expected = []
+        for loop in enumerate_paths(g, base, bound):
+            starts = _backtrack_starts(loop)
+            if not loop.is_loop or (starts and starts[-1] - starts[0] > 3):
+                continue
+            backtracks = (starts[0], starts[-1]) if starts else None
+            expected.append((loop.vertices, loop.orientations, backtracks))
+        walked.clear()
+        _numbered_sample(g, base, bound)
+        assert walked == expected
+
+
+def test_a_two_arrow_backtrack_is_scanned_whole():
+    D = double_edge()
+    # v0 v1 v0 out along one arrow and back along the other cancels nothing,
+    # so the loop is scanned at every window
+    sampled = {(V, O): backtracks for V, O, backtracks
+               in _walk(D, "v0", 4, loops_only=True, span=3)}
+    assert sampled[("v0", "v1", "v0"), ("f", "f")] is None
+    assert sampled[("v0", "v1", "v0", "v1", "v0"), ("f", "f", "f", "f")] is None
+    assert sampled[("v0", "v1", "v0"), ("f", "b")] == (0, 0)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_moves_in_reach_are_the_windows_that_start_and_end_there(seed):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    path = random_path(rng, g, max_len=7)
+    V, O = path.vertices, path.orientations
+    a, b = rng.randint(-1, len(O) + 1), rng.randint(-1, len(O) + 1)
+    full = list(_moves(g, V, O))
+    assert list(_moves(g, V, O, (a, b))) == [
+        t for t in full if t[2] <= a and t[2] + len(t[3][1]) - 1 >= b]
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, loop: pi1_candidates(g, "v0", 1, length_bound=-1),
+    lambda g, loop: invariance_verify(word_element(g, (g.arrows[0],)), "v0",
+                                      length_bound=-3),
+    lambda g, loop: homotopic_loops(loop, loop, length_bound=-1),
+    lambda g, loop: homotopic_loops(loop, loop, depth_bound=-2),
+    lambda g, loop: hopf_axiom_report(g, 1, "v0", loop_length_bound=-1),
+], ids=["pi1_candidates", "invariance_verify", "homotopic_loops-length",
+        "homotopic_loops-depth", "hopf_axiom_report"])
+def test_negative_bounds_are_rejected(call):
+    g = wedge_of_cycles()
+    loop = make_path(g, ["v0", "v1", "v2", "v3", "v0"], ["f"] * 4)
+    with pytest.raises(PathError, match="must be non-negative"):
+        call(g, loop)
 
 
 def _homotopic_loops_by_path_maps(a, b, length_bound, depth_bound):

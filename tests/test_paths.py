@@ -233,6 +233,38 @@ def test_enumerate_paths_counts():
     assert len([l for l in loops if l.length == 2]) == 4
 
 
+def test_enumerate_paths_rejects_a_negative_bound():
+    with pytest.raises(PathError, match="must be non-negative"):
+        list(enumerate_paths(standard_triangle(), "v0", -2))
+
+
+def _loops_by_filter(g, base, max_length):
+    """Reference for the loop enumeration: every path, unpruned, kept when
+    it returns to base."""
+    return [p for p in enumerate_paths(g, base, max_length) if p.is_loop]
+
+
+def test_loop_enumeration_matches_a_filter_over_every_path():
+    fixtures = [standard_triangle(), standard_square(), double_edge(),
+                directed_cycle(4), wedge_of_cycles(),
+                box_product(line_digraph("ff"), line_digraph("fb"))]
+    for g in fixtures:
+        for base in g.vertices:
+            for bound in range(6):
+                assert list(enumerate_paths(g, base, bound, loops_only=True)) == \
+                    _loops_by_filter(g, base, bound)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=0, max_value=5))
+def test_loop_enumeration_matches_a_filter_on_random_digraphs(seed, bound):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng) if seed % 2 else random_digraph(rng, 5, 0.3)
+    base = rng.choice(g.vertices)
+    assert list(enumerate_paths(g, base, bound, loops_only=True)) == \
+        _loops_by_filter(g, base, bound)
+
+
 @given(st.integers(min_value=0, max_value=3))
 def test_trivial_path_properties(n):
     T = standard_triangle()
