@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import PairingError
 from .forms import OneForm
 from .graphs import Arrow, BasedDigraph, Digraph, DigraphMap
-from .integrals import Word, all_words, pair, word_pairings_all
+from .integrals import Word, _pairing, all_words, pair, word_pairings_all
 from .paths import PathMap, _check_bound, concat, enumerate_paths, inverse, runs
 
 
@@ -316,11 +316,12 @@ def functional_equal(u: AlgebraElement, v: AlgebraElement, base,
     if diff.is_zero():
         return FunctionalVerdict("equal-up-to-bound", base, flavor, length_bound)
     loops_only = flavor == "loop"
+    pair_u, pair_v = _pairing(u.coeffs), _pairing(v.coeffs)
     for p in enumerate_paths(u.graph, base, length_bound, loops_only=loops_only):
-        if len(runs(p)) < p.length:
+        rs = runs(p)
+        if len(rs) < p.length:
             continue
-        a = pair(u, p)
-        b = pair(v, p)
+        a, b = pair_u(rs), pair_v(rs)
         if a != b:
             return FunctionalVerdict("certified-unequal", base, flavor,
                                      length_bound, witness=p, values=(a, b))

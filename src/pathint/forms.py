@@ -237,11 +237,8 @@ def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
 
 
 def _closed_basis_vectors(g: Digraph, method: str) -> tuple:
-    got = g._closed_bases.get(method)
-    if got is None:
-        got = tuple(kernel(_closed_condition_rows(g, method), len(g.arrows)))
-        g._closed_bases[method] = got
-    return got
+    return g.derived(("closed basis", method), lambda: tuple(
+        kernel(_closed_condition_rows(g, method), len(g.arrows))))
 
 
 def closed_one_forms(g: Digraph, method: str = "kernel") -> list[OneForm]:
@@ -251,10 +248,8 @@ def closed_one_forms(g: Digraph, method: str = "kernel") -> list[OneForm]:
 
 
 def _omega2_boundaries(g: Digraph) -> tuple:
-    if g._omega2_boundaries is None:
-        g._omega2_boundaries = tuple(tuple(chain.boundary().items())
-                                     for chain in omega2_basis(g))
-    return g._omega2_boundaries
+    return g.derived("omega2 boundaries", lambda: tuple(
+        tuple(chain.boundary().items()) for chain in omega2_basis(g)))
 
 
 def closed_arrows(g: Digraph) -> tuple[Arrow, ...]:

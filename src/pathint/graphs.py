@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import GraphError, MapError
 
@@ -63,14 +63,20 @@ class Digraph:
         for a in self.arrows:
             self._out[a[0]] += (a,)
             self._in[a[1]] += (a,)
-        # the move tables, built on demand
-        self._move_tables: MoveTables | None = None
-        # closedness data, filled by `forms` on first use
-        self._omega2_boundaries: tuple | None = None
-        self._closed_bases: dict[str, tuple] = {}
-        # move-pair samples and their run numbers by (base, length bound),
-        # filled by `homotopy`
-        self._move_pair_samples: dict[tuple, tuple] = {}
+        # data derived from the graph alone, by key, filled by `derived`
+        self._derived: dict = {}
+
+    def derived(self, key: Hashable, build: Callable[[], object]):
+        """The value build() returned at the first call with this key.  The
+        move tables, the closedness data of `forms` and the move-pair
+        samples of `homotopy` live here.  A value holds no object that
+        refers back to the graph, so the graph is freed by reference
+        counting alone."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            got = self._derived[key] = build()
+            return got
 
     def has_arrow(self, u: Vertex, v: Vertex) -> bool:
         return (u, v) in self.arrow_set
@@ -98,9 +104,7 @@ class Digraph:
 
     def move_tables(self) -> "MoveTables":
         """Candidate vertices of the local homotopy moves, built on demand."""
-        if self._move_tables is None:
-            self._move_tables = MoveTables(self)
-        return self._move_tables
+        return self.derived("move tables", lambda: MoveTables(self))
 
     def is_triangle_set(self, x: Vertex, y: Vertex, z: Vertex) -> bool:
         """True if {x, y, z} admits an ordering with x->y, y->z, x->z."""

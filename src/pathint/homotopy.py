@@ -15,6 +15,7 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -23,7 +24,7 @@ from .errors import MapError, PathError
 from .forms import (OneForm, _closed_basis_vectors, _omega2_boundaries,
                     closed_arrows, is_closed)
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .integrals import (Word, _all_words_plan, _evaluate, all_words, pair,
+from .integrals import (Word, _all_words_plan, _evaluate, _pairing, all_words,
                         signature)
 from .linalg import Echelon
 from .paths import (FORWARD, PathMap, _build, _check_bound, _runs, _walk,
@@ -442,17 +443,18 @@ def _keeps_runs(kind: str, direction: str, _position: int, before: Window,
     return False
 
 
-def _numbered_sample(g: Digraph, base: Vertex,
-                     length_bound: int) -> tuple[tuple, tuple[tuple[int, int], ...]]:
-    """(loop, neighbor, move) triples over every loop at base up to the
-    length bound, in enumeration order, keeping the first triple of each
-    distinct pair of run sequences, and for each triple the numbers of the
-    run sequences of its loop and its neighbor (equal numbers, equal runs,
-    numbered in order of first appearance).  A pairing depends on a path
-    only through its runs (Chen's identity), so the kept triples give the
-    same pairing values, and the same first differing pair, as the full
-    list.  Only a kept triple gets a `Move` and a neighbor built by
-    `apply_move`.  Both are kept on the graph.
+def _numbered_sample(g: Digraph, base: Vertex, length_bound: int) -> tuple[
+        tuple[tuple, ...], tuple[tuple[int, int], ...], tuple[tuple, ...]]:
+    """(seqs, pairs, witnesses): the sample of (loop, one-move neighbor)
+    pairs over every loop at base up to the length bound, as plain data.
+    seqs are the run sequences met, numbered in order of first appearance;
+    pairs are the distinct pairs (number of the loop's runs, number of the
+    neighbor's), in enumeration order; and witnesses holds, for each pair,
+    the first (loop vertices, loop orientations, move fields of `_moves`)
+    that gives it.  A pairing depends on a path only through its runs
+    (Chen's identity), so the pairs give the same pairing values, and the
+    same first differing pair, as the full list of (loop, neighbor)
+    pairs.  No path or `Move` is built; the sample is kept on the graph.
 
     Lemma.  Let a loop have a same-arrow backtrack b, vertices v u v with
     opposite orientations.  A move whose window shares no step with b
@@ -461,41 +463,40 @@ def _numbered_sample(g: Digraph, base: Vertex,
     homomorphism, so removing b changes neither run sequence.  The shorter
     loop is enumerated earlier, so its pair was kept or seen first.  Hence
     a loop scans only the windows that touch every such backtrack, and a
-    loop whose backtracks no one window touches gives nothing new: the
-    walk does not extend a prefix once two of them start more than 3
-    steps apart (a window has at most 3 steps).  The moves that keep the
-    runs all give the pair (here, here).  `_moves` lists the trivial insertions
-    last, and an enumerated loop has no trivial step, so the first
-    trivial-drop listed is an insertion and the moves after it give that
-    pair again: the scan stops there.  On a loop without such a backtrack
-    the pair is new at its insertion at position 0; on a loop with one, it
-    was kept on the shorter loop.  Every run sequence a skipped move would
-    number was numbered first on a shorter loop, so the numbers agree with
-    those of the full scan as well."""
-    got = g._move_pair_samples.get((base, length_bound))
-    if got is not None:
-        return got
-    out = []
-    seen: dict[tuple[int, int], None] = {}  # the kept pairs, in order
-    ids: dict[tuple, int] = {}  # run sequence -> its number
-    for V, O, backtracks in _walk(g, base, length_bound, loops_only=True, span=3):
-        # the windows that start at or before the first backtrack's second
-        # step and end at or after the last one's first step
-        reach = None if backtracks is None else (backtracks[0] + 1, backtracks[1])
-        here = ids.setdefault(tuple(_runs(V, O)), len(ids))
-        loop = None
-        for t in _moves(g, V, O, reach):
-            there = here if _keeps_runs(*t) else ids.setdefault(
-                tuple(_runs(*_splice(V, O, *t[2:]))), len(ids))
-            if (here, there) not in seen:
-                seen[here, there] = None
-                loop = loop or _build(g, V, O)
-                move = Move(*t)
-                out.append((loop, apply_move(loop, move), move))
-            if t[0] == "trivial-drop":
-                break
-    got = g._move_pair_samples[base, length_bound] = (tuple(out), tuple(seen))
-    return got
+    loop whose backtracks no one window touches gives nothing new.  A
+    window has at most 3 steps, so two backtracks that start more than 3
+    steps apart are never touched by one window.  Two that start exactly 3
+    apart, v u v x y x, are touched together only by the square
+    contraction of u v x y; its neighbor v u y x has the runs of the
+    square replacement u v x -> u y x on the shorter loop v u v x, which
+    is listed there because both moves test (u, v, y, x) in
+    `MoveTables.squares`, with every orientation of u y and of y x.  So
+    the walk does not extend a prefix once two backtracks start more than
+    2 steps apart: every extension keeps both.  The moves that keep the
+    runs all give the pair (here, here).  `_moves` lists the trivial
+    insertions last, and an enumerated loop has no trivial step, so the
+    first trivial-drop listed is an insertion and the moves after it give
+    that pair again: the scan stops there.  On a loop without such a
+    backtrack the pair is new at its insertion at position 0; on a loop
+    with one, it was kept on the shorter loop.  Every run sequence a
+    skipped move would number was numbered first on a shorter loop, so
+    the numbers agree with those of the full scan as well."""
+    def build():
+        witnesses: dict[tuple[int, int], tuple] = {}  # by kept pair, in order
+        ids: dict[tuple, int] = {}  # run sequence -> its number
+        for V, O, backtracks in _walk(g, base, length_bound, loops_only=True, span=2):
+            # the windows that start at or before the first backtrack's
+            # second step and end at or after the last one's first step
+            reach = None if backtracks is None else (backtracks[0] + 1, backtracks[1])
+            here = ids.setdefault(tuple(_runs(V, O)), len(ids))
+            for t in _moves(g, V, O, reach):
+                there = here if _keeps_runs(*t) else ids.setdefault(
+                    tuple(_runs(*_splice(V, O, *t[2:]))), len(ids))
+                witnesses.setdefault((here, there), (V, O, t))
+                if t[0] == "trivial-drop":
+                    break
+        return tuple(ids), tuple(witnesses), tuple(witnesses.values())
+    return g.derived(("move-pair sample", base, length_bound), build)
 
 
 @dataclass(frozen=True)
@@ -517,21 +518,17 @@ def invariance_verify(elem: AlgebraElement, base: Vertex,
     pair is a counterexample, otherwise the sample certifies nothing beyond
     itself and says so."""
     _check_bound("length_bound", length_bound)
-    memo: dict[int, Fraction] = {}  # by the number of the run sequence
-
-    def value(path: PathMap, number: int) -> Fraction:
-        got = memo.get(number)
-        if got is None:
-            got = memo[number] = pair(elem, path)
-        return got
-
-    for (loop, nb, move), (i, j) in zip(*_numbered_sample(elem.graph, base,
-                                                           length_bound)):
-        va, vb = value(loop, i), value(nb, j)
+    g = elem.graph
+    seqs, pairs, witnesses = _numbered_sample(g, base, length_bound)
+    pairing = _pairing(elem.coeffs)
+    value = cache(lambda k: pairing(seqs[k]))  # by the number of the run sequence
+    for (i, j), (V, O, t) in zip(pairs, witnesses):
+        va, vb = value(i), value(j)
         if va != vb:
+            loop, move = _build(g, V, O), Move(*t)
             return InvarianceVerdict("counterexample", base, length_bound,
-                                     loop=loop, neighbor=nb, move=move,
-                                     values=(va, vb))
+                                     loop=loop, neighbor=apply_move(loop, move),
+                                     move=move, values=(va, vb))
     return InvarianceVerdict("invariant-on-sample", base, length_bound)
 
 
@@ -568,36 +565,23 @@ def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
     """The nonzero rows of pairings over words, each times degree_bound!:
     one per sampled (loop, neighbor) pair of different signature, the
     difference of the two, and one per sampled loop, its own.  Paths with
-    equal `runs` have equal signatures (Chen's identity), so each distinct
-    run sequence is paired once and its row built once.  The signature
+    equal `runs` have equal signatures (Chen's identity), so the row of
+    each run sequence of the sample is built once.  The signature
     kernel gives len(w)! <w, S>, so word w is scaled by degree_bound! /
     len(w)! and every entry is an int: scaling all rows by one positive
     constant keeps their spans, their duplicates and their sorted order."""
     plan = _all_words_plan(g.arrows, degree_bound)
     top = math.factorial(degree_bound)
     scale = [top // math.factorial(len(w)) for w in words]
-    row_of: dict[int, tuple] = {}  # by the number of the run sequence
-
-    def row(path: PathMap, number: int) -> tuple:
-        got = row_of.get(number)
-        if got is None:
-            sig = _evaluate(path, plan)
-            got = row_of[number] = tuple(s * sig[w] for w, s in zip(words, scale))
-        return got
-
-    move_rows: set[tuple] = set()
-    loop_rows: set[tuple] = set()
-    loop = None
-    for (path, nb, _), (i, j) in zip(*_numbered_sample(g, base, length_bound)):
-        if path is not loop:  # the sample lists each loop's pairs together
-            loop, ra = path, row(path, i)
-            if any(ra):
-                loop_rows.add(ra)
-        if j != i:
-            rb = row(nb, j)
-            diff = tuple(a - b for a, b in zip(ra, rb))
-            if any(diff):
-                move_rows.add(diff)
+    seqs, pairs, _ = _numbered_sample(g, base, length_bound)
+    rows = []
+    for rs in seqs:
+        sig = _evaluate(rs, plan)
+        rows.append(tuple(s * sig[w] for w, s in zip(words, scale)))
+    zero = (0,) * len(words)
+    move_rows = {tuple(a - b for a, b in zip(rows[i], rows[j]))
+                 for i, j in pairs if i != j} - {zero}
+    loop_rows = {rows[i] for i, _ in pairs} - {zero}
     return move_rows, loop_rows
 
 

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import PairingError, PathError
 from .forms import OneForm
@@ -145,7 +145,7 @@ def signature(path: PathMap, words: Iterable[Word]) -> dict[Word, Fraction]:
     product of the k_i! divides L!.  In these terms the update is
     L! <w, S> += C(L, k) c^k (L - k)! <w[:-k], S>, all in ints, and one
     `Fraction` is made per word at the end."""
-    return _as_fractions(_evaluate(path, _plan(words)))
+    return _as_fractions(_evaluate(runs(path), _plan(words)))
 
 
 def _as_fractions(sig: dict[Word, int]) -> dict[Word, Fraction]:
@@ -183,12 +183,13 @@ def _all_words_plan(arrows: tuple[Arrow, ...], max_degree: int) -> tuple:
     return _plan(all_words(arrows, max_degree))
 
 
-def _evaluate(path: PathMap, plan: tuple) -> dict[Word, int]:
-    """L! <w, S> for every key w of the plan, L = len(w): see `signature`."""
+def _evaluate(rs: Sequence[tuple], plan: tuple) -> dict[Word, int]:
+    """L! <w, S> for every key w of the plan, L = len(w), on a path whose
+    `runs` are rs: see `signature`."""
     keys, updates = plan
     sig = dict.fromkeys(keys, 0)
     sig[()] = 1
-    for run in runs(path):
+    for run in rs:
         for w, prefixes, row in updates.get(run, ()):
             acc = sig[w]
             for p, c in zip(prefixes, row):
@@ -202,24 +203,21 @@ def _evaluate(path: PathMap, plan: tuple) -> dict[Word, int]:
 def word_pairing(path: PathMap, word: Word) -> Fraction:
     """Iterated integral of the arrow basis word e^{a_1}..e^{a_r}."""
     word = tuple(word)
-    sig = _evaluate(path, _plan(word[:i] for i in range(len(word) + 1)))
+    sig = _evaluate(runs(path), _plan(word[:i] for i in range(len(word) + 1)))
     return Fraction(sig[word], math.factorial(len(word)))
 
 
 def word_pairings_all(path: PathMap, max_degree: int) -> dict[Word, Fraction]:
     """Pairings of every arrow word up to max_degree against path, keyed in
     `all_words` order (the degree-truncated signature of the path)."""
-    return _as_fractions(_evaluate(path, _all_words_plan(path.graph.arrows, max_degree)))
+    return _as_fractions(_evaluate(runs(path),
+                                   _all_words_plan(path.graph.arrows, max_degree)))
 
 
 def pair(elem, paths: PathMap | Iterable[tuple[Fraction, PathMap]]) -> Fraction:
     """Bilinear pairing of an algebra element with a path or a rational
-    combination of paths sharing host and start vertex.
-
-    With M the element's degree and q the least common denominator of its
-    coefficients n_w / q_w, each path's pairing is the one fraction
-    sum of n_w (q / q_w) (M! / L!) L! <w, S> over q M!, read off the
-    signature kernel's scaled ints (L = len(w))."""
+    combination of paths sharing host and start vertex, each path paired
+    through `_pairing`."""
     if isinstance(paths, PathMap):
         combo: list[tuple[Fraction, PathMap]] = [(Fraction(1), paths)]
     else:
@@ -233,17 +231,27 @@ def pair(elem, paths: PathMap | Iterable[tuple[Fraction, PathMap]]) -> Fraction:
         elif p.start != base:
             raise PairingError(
                 f"paths start at different vertices: {base!r} and {p.start!r}")
-    coeffs = elem.coeffs
+    value = _pairing(elem.coeffs)
+    return sum((c * value(runs(p)) for c, p in combo), Fraction(0))
+
+
+def _pairing(coeffs: dict[Word, Fraction]) -> Callable[[Sequence[tuple]], Fraction]:
+    """value(rs): the pairing of the element with these coefficients with a
+    path whose `runs` are rs.  With M the element's degree and q the least
+    common denominator of its coefficients n_w / q_w, it is the one
+    fraction sum of n_w (q / q_w) (M! / L!) L! <w, S> over q M!, read off
+    the signature kernel's scaled ints (L = len(w)).  The weights and the
+    plan are made once, for every path paired."""
     m_fact = math.factorial(max(map(len, coeffs), default=0))
     q = math.lcm(*(c.denominator for c in coeffs.values()))
     weights = [(w, c.numerator * (q // c.denominator) * (m_fact // math.factorial(len(w))))
                for w, c in coeffs.items()]
     plan = _plan(w[:i] for w in coeffs for i in range(len(w) + 1))
-    total = Fraction(0)
-    for c, p in combo:
-        sig = _evaluate(p, plan)
-        total += c * Fraction(sum(k * sig[w] for w, k in weights), q * m_fact)
-    return total
+
+    def value(rs: Sequence[tuple]) -> Fraction:
+        sig = _evaluate(rs, plan)
+        return Fraction(sum(k * sig[w] for w, k in weights), q * m_fact)
+    return value
 
 
 def order(path: PathMap, max_degree: int) -> int | None:
@@ -255,12 +263,13 @@ def order(path: PathMap, max_degree: int) -> int | None:
     0 matters, so the kernel's scaled ints are read as they are."""
     if max_degree < 1:
         raise PairingError("max_degree must be at least 1")
-    if not runs(path):  # the signature of the trivial path
+    rs = runs(path)
+    if not rs:  # the signature of the trivial path
         return None
     # the pairings of words up to degree d do not depend on longer words,
     # and those of degree below d were all 0 at the degrees before
     for d in range(1, max_degree + 1):
-        sig = _evaluate(path, _all_words_plan(path.graph.arrows, d))
+        sig = _evaluate(rs, _all_words_plan(path.graph.arrows, d))
         if any(v for w, v in sig.items() if w):
             return d
     return None

@@ -12,8 +12,9 @@ from conftest import patterned_digraph, random_digraph, random_zero_form
 
 from pathint import (Digraph, DigraphMap, FormError, OneForm, TwoChain,
                      ZeroForm, box_product, closed_one_forms, d0, directed_cycle,
-                     double_edge, invariance_verify, is_closed, line_digraph,
-                     omega2_basis, pi1_candidates, pullback_one_form,
+                     double_edge, from_forms, homotopic_loops, invariance_verify,
+                     is_closed, line_digraph, make_path, omega2_basis,
+                     pi1_candidates, pullback_one_form,
                      standard_square, standard_triangle, wedge_of_cycles,
                      word_element)
 from pathint.forms import _omega2_boundaries, allowed_two_paths, closed_arrows
@@ -101,14 +102,40 @@ def test_closedness_data_is_freed_with_its_graph():
     assert ref() is None
 
 
+def _freed_by_reference_counting(make, query):
+    """True iff the graph make() gives is freed, with the cyclic collector
+    off, once query(graph) has run and its result is dropped."""
+    gc.disable()
+    try:
+        g = make()
+        query(g)
+        ref = weakref.ref(g)
+        del g
+        return ref() is None
+    finally:
+        gc.enable()
+
+
+def _invariance_status(elem, status):
+    assert invariance_verify(elem, "v0", length_bound=4).status == status
+
+
 def test_move_pair_sample_is_freed_with_its_graph():
-    g = wedge_of_cycles()
-    pi1_candidates(g, "v0", 1, length_bound=4)
-    invariance_verify(word_element(g, (g.arrows[0],)), "v0", length_bound=4)
-    ref = weakref.ref(g)
-    del g
-    gc.collect()
-    assert ref() is None
+    loop = ["v0", "v1", "v2", "v3", "v0"]
+    queries = [
+        lambda g: pi1_candidates(g, "v0", 1, length_bound=4),
+        closed_one_forms,
+        lambda g: closed_one_forms(g, "patterns"),
+        lambda g: homotopic_loops(make_path(g, loop, "ffff"),
+                                  make_path(g, loop[::-1], "bbbb"), 6, 2),
+        lambda g: _invariance_status(from_forms(g, closed_one_forms(g)[:1]),
+                                     "invariant-on-sample"),
+    ]
+    for query in queries:
+        assert _freed_by_reference_counting(wedge_of_cycles, query)
+    # a counterexample is built from the sample's raw witness
+    assert _freed_by_reference_counting(standard_triangle, lambda g: _invariance_status(
+        word_element(g, (g.arrows[0],)), "counterexample"))
 
 
 def test_closed_methods_validate():

@@ -1,5 +1,6 @@
 """Homotopy moves, search, invariance checking, and base-point transport."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -698,8 +699,14 @@ def test_invariance_verify_matches_the_full_pair_list():
 
 
 def _move_pair_sample(g, base, length_bound):
-    """The (loop, neighbor, move) triples of `_numbered_sample`."""
-    return _numbered_sample(g, base, length_bound)[0]
+    """The (loop, neighbor, move) triples that the witnesses of
+    `_numbered_sample` spell, each loop checked by `make_path` and each
+    neighbor built by `apply_move`."""
+    triples = []
+    for V, O, fields in _numbered_sample(g, base, length_bound)[2]:
+        loop, move = make_path(g, V, O), Move(*fields)
+        triples.append((loop, apply_move(loop, move), move))
+    return triples
 
 
 def _sample_by_move_neighbors(g, base, length_bound):
@@ -791,10 +798,12 @@ def _random_patterned(seed):
         "patterned-30", "patterned-38"])
 def test_pruned_move_pair_sample_matches_the_full_neighbor_list(make, bound):
     g, base = make()
-    triples, numbers = _numbered_sample(g, base, bound)
+    seqs, numbers, _ = _numbered_sample(g, base, bound)
     expected = _sample_by_move_neighbors(g, base, bound)
-    assert list(triples) == expected
+    assert _move_pair_sample(g, base, bound) == expected
     assert numbers == _run_numbers(expected)
+    assert [(seqs[i], seqs[j]) for i, j in numbers] == [
+        (tuple(runs(loop)), tuple(runs(nb))) for loop, nb, _ in expected]
 
 
 def _backtrack_starts(loop):
@@ -817,7 +826,7 @@ def test_sampled_loops_are_the_loops_one_window_can_touch_whole(monkeypatch):
         expected = []
         for loop in enumerate_paths(g, base, bound):
             starts = _backtrack_starts(loop)
-            if not loop.is_loop or (starts and starts[-1] - starts[0] > 3):
+            if not loop.is_loop or (starts and starts[-1] - starts[0] > 2):
                 continue
             backtracks = (starts[0], starts[-1]) if starts else None
             expected.append((loop.vertices, loop.orientations, backtracks))
@@ -831,10 +840,35 @@ def test_a_two_arrow_backtrack_is_scanned_whole():
     # v0 v1 v0 out along one arrow and back along the other cancels nothing,
     # so the loop is scanned at every window
     sampled = {(V, O): backtracks for V, O, backtracks
-               in _walk(D, "v0", 4, loops_only=True, span=3)}
+               in _walk(D, "v0", 4, loops_only=True, span=2)}
     assert sampled[("v0", "v1", "v0"), ("f", "f")] is None
     assert sampled[("v0", "v1", "v0", "v1", "v0"), ("f", "f", "f", "f")] is None
     assert sampled[("v0", "v1", "v0"), ("f", "b")] == (0, 0)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=4))
+def test_pi1_rows_match_the_move_pair_sample_paired_per_pair_on_random_digraphs(
+        seed, degree, bound):
+    # the reference pairs every kept (loop, neighbor) pair of the full
+    # neighbor list through `word_pairings_all`, one path at a time
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    base = rng.choice(g.vertices)
+    words = all_words(g.arrows, degree, min_degree=1)
+    top = math.factorial(degree)
+
+    def row(path):
+        sig = word_pairings_all(path, degree)
+        return tuple(top * sig[w] for w in words)
+    move_rows, loop_rows = set(), set()
+    for loop, nb, _ in _sample_by_move_neighbors(g, base, bound):
+        diff = tuple(a - b for a, b in zip(row(loop), row(nb)))
+        if any(diff):
+            move_rows.add(diff)
+        if any(row(loop)):
+            loop_rows.add(row(loop))
+    assert _pi1_rows(g, base, degree, bound, words) == (move_rows, loop_rows)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32))
