@@ -49,6 +49,14 @@ class AlgebraElement:
                     clean[word] = c
         self.coeffs = _clean(clean) if repeated else clean
 
+    @classmethod
+    def _unchecked(cls, graph: Digraph, coeffs: dict[Word, Fraction]) -> "AlgebraElement":
+        """An element from nonzero `Fraction` coefficients keyed by distinct
+        word tuples over the graph's arrows, taken as they are."""
+        elem = cls.__new__(cls)
+        elem.graph, elem.coeffs = graph, coeffs
+        return elem
+
     @property
     def degree(self) -> int:
         """Largest supported word length (0 for the zero element)."""

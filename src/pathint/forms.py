@@ -16,9 +16,7 @@ from typing import Mapping, Sequence
 
 from .errors import FormError
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .linalg import Vector, kernel
-
-_ONE = Fraction(1)
+from .linalg import Echelon, Vector, kernel
 
 
 class ZeroForm:
@@ -129,22 +127,7 @@ class TwoChain:
     def boundary(self) -> dict[tuple, Fraction]:
         """Boundary as a combination of vertex pairs; the middle term is
         dropped when the 2-path closes up (u = w)."""
-        out: dict[tuple, Fraction] = {}
-
-        def add(pair, c):
-            old = out.get(pair)
-            new = c if old is None else old + c
-            if new == 0:
-                out.pop(pair, None)
-            else:
-                out[pair] = new
-
-        for (u, v, w), c in self.coeffs.items():
-            add((v, w), c)
-            add((u, v), c)
-            if u != w:
-                add((u, w), -c)
-        return out
+        return _boundary(self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, TwoChain) and self.graph == other.graph
@@ -152,6 +135,27 @@ class TwoChain:
 
     def __repr__(self):
         return f"TwoChain({({p: str(c) for p, c in self.coeffs.items()})!r})"
+
+
+def _boundary(coeffs: Mapping[TwoPath, Fraction]) -> dict[tuple, Fraction]:
+    """The boundary of the chain with these coefficients, in their own
+    number type: int coefficients give an int boundary."""
+    out: dict[tuple, Fraction] = {}
+
+    def add(pair, c):
+        old = out.get(pair)
+        new = c if old is None else old + c
+        if new == 0:
+            out.pop(pair, None)
+        else:
+            out[pair] = new
+
+    for (u, v, w), c in coeffs.items():
+        add((v, w), c)
+        add((u, v), c)
+        if u != w:
+            add((u, w), -c)
+    return out
 
 
 def d0(f: ZeroForm) -> OneForm:
@@ -181,8 +185,15 @@ def omega2_basis(g: Digraph) -> list[TwoChain]:
     minus the group's first is one.  This is the reduced row echelon
     kernel basis, in its order (by free column).
     """
+    return [TwoChain._unchecked(g, {p: Fraction(c) for p, c in chain.items()})
+            for chain in _omega2_chains(g)]
+
+
+def _omega2_chains(g: Digraph) -> list[dict[TwoPath, int]]:
+    """The coefficients of the `omega2_basis` chains, in its order, as the
+    ints +-1."""
     first: dict[tuple, TwoPath] = {}
-    basis = []
+    chains = []
     for p in allowed_two_paths(g):
         u, _, w = p
         if u != w and not g.has_arrow(u, w):
@@ -190,11 +201,10 @@ def omega2_basis(g: Digraph) -> list[TwoChain]:
             if lead is None:
                 first[(u, w)] = p
                 continue
-            coeffs = {lead: -_ONE, p: _ONE}
+            chains.append({lead: -1, p: 1})
         else:
-            coeffs = {p: _ONE}
-        basis.append(TwoChain._unchecked(g, coeffs))
-    return basis
+            chains.append({p: 1})
+    return chains
 
 
 def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
@@ -207,7 +217,7 @@ def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
         for boundary in _omega2_boundaries(g):
             row = [0] * n
             for pair, c in boundary:
-                row[idx[pair]] = int(c)
+                row[idx[pair]] = c
             rows.append(row)
     elif method == "patterns":
         for emb in enumerate_patterns(g, "triangle"):
@@ -236,9 +246,20 @@ def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
     return rows
 
 
+def _boundary_span(g: Digraph) -> Echelon:
+    """The span of the Omega_2 boundaries as int vectors over the arrows,
+    eliminated once per graph.  Its kernel is the closed 1-forms, and a
+    vector of net arrow counts in it pairs to 0 with every closed form."""
+    return g.derived("omega2 boundary span", lambda: Echelon(
+        len(g.arrows), _closed_condition_rows(g, "kernel")))
+
+
 def _closed_basis_vectors(g: Digraph, method: str) -> tuple:
-    return g.derived(("closed basis", method), lambda: tuple(
-        kernel(_closed_condition_rows(g, method), len(g.arrows))))
+    def build():
+        if method == "kernel":
+            return tuple(_boundary_span(g).kernel())
+        return tuple(kernel(_closed_condition_rows(g, method), len(g.arrows)))
+    return g.derived(("closed basis", method), build)
 
 
 def closed_one_forms(g: Digraph, method: str = "kernel") -> list[OneForm]:
@@ -248,8 +269,9 @@ def closed_one_forms(g: Digraph, method: str = "kernel") -> list[OneForm]:
 
 
 def _omega2_boundaries(g: Digraph) -> tuple:
+    """The boundary of each `omega2_basis` chain as (arrow, int) pairs."""
     return g.derived("omega2 boundaries", lambda: tuple(
-        tuple(chain.boundary().items()) for chain in omega2_basis(g)))
+        tuple(_boundary(chain).items()) for chain in _omega2_chains(g)))
 
 
 def closed_arrows(g: Digraph) -> tuple[Arrow, ...]:

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import AlgebraElement, BasedFunctional
 from .errors import MapError, PathError
-from .forms import (OneForm, _closed_basis_vectors, _omega2_boundaries,
-                    closed_arrows, is_closed)
+from .forms import (OneForm, _boundary_span, _closed_basis_vectors,
+                    _omega2_boundaries, closed_arrows, is_closed)
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, _all_words_plan, _evaluate, _pairing, all_words,
                         signature)
@@ -209,15 +209,29 @@ class HomotopyVerdict:
     depth_bound: int = 0
 
 
+def _winding_is_closed(g: Digraph) -> bool:
+    """True iff the all-ones 1-form (total winding) is closed."""
+    return all(sum(c for _, c in row) == 0 for row in _omega2_boundaries(g))
+
+
 def _theorem_backed_invariants(g: Digraph) -> Iterator[dict[Word, Fraction]]:
     """Separating functionals whose homotopy invariance is certified, as
     coefficients over arrow words: the all-ones 1-form when closed (total
     winding), then the closed basis, then the degree-2 words over closed
     arrows.  Such a word passes `invariant_sufficient`, because no closed
     arrow is a side of a triangle or a square; a word with a letter that is
-    not closed fails it.  The closed basis is eliminated only when reached."""
-    boundaries = _omega2_boundaries(g)
-    if all(sum(c for _, c in row) == 0 for row in boundaries):
+    not closed fails it.  The closed basis is formed only when reached.
+
+    Separation lemma.  A closed form pairs with a loop through the loop's
+    net arrow counts, and the closed forms are exactly the forms that
+    vanish on the Omega_2 boundaries (H_1 = Z_1 / d Omega_2).  So some closed
+    form separates two loops exactly when the difference of their net
+    counts lies outside the boundary span, and then a vector of any basis
+    of the closed forms does.  `_separating_invariant` decides this by
+    reducing the difference against `forms._boundary_span`, the one
+    elimination of the boundaries per graph that the closed basis is read
+    from."""
+    if _winding_is_closed(g):
         yield {(a,): _ONE for a in g.arrows}
     for vec in _closed_basis_vectors(g, "kernel"):
         yield {(a,): c for a, c in zip(g.arrows, vec) if c}
@@ -225,50 +239,58 @@ def _theorem_backed_invariants(g: Digraph) -> Iterator[dict[Word, Fraction]]:
         yield {w: _ONE}
 
 
-def _net_counts(path: PathMap) -> dict[Word, int]:
+def _net_counts(path: PathMap) -> dict[int, int]:
     """The path's degree-1 signature: the net traversals of each arrow,
-    keyed by its one-letter word."""
-    counts: dict[Word, int] = {}
+    keyed by its index."""
+    idx = path.graph.arrow_index
+    counts: dict[int, int] = {}
     for arrow, sign in runs(path):
-        counts[(arrow,)] = counts.get((arrow,), 0) + sign
+        j = idx[arrow]
+        counts[j] = counts.get(j, 0) + sign
     return counts
 
 
-def _first_difference(g: Digraph, invariants: Iterable[dict[Word, Fraction]],
-                      sig_a: dict, sig_b: dict):
-    """The first invariant whose pairings with the two signatures differ, as
-    an element with its two values, or None.  An invariant is tested on the
-    words where the signatures differ; only the one that separates is
-    paired in full."""
-    diff = {w: d for w in {**sig_a, **sig_b}
-            if (d := sig_a.get(w, 0) - sig_b.get(w, 0))}
-    for coeffs in invariants:
-        if sum(c * diff[w] for w, c in coeffs.items() if w in diff):
-            va, vb = (sum((c * sig.get(w, 0) for w, c in coeffs.items()), _ZERO)
-                      for sig in (sig_a, sig_b))
-            return AlgebraElement(g, coeffs), (va, vb)
-    return None
-
-
 def _separating_invariant(a: PathMap, b: PathMap):
-    """The first theorem-backed invariant that differs on the two loops,
-    with its two values, or None.  Degree-1 invariants pair through the
-    loops' net arrow counts; once a longer word comes up, the invariants
-    left pair through one `signature` per loop over their prefix-closed
+    """The first of `_theorem_backed_invariants` that differs on the two
+    loops, with its two values, or None.
+
+    The degree-1 stage is decided in ints by the separation lemma: the
+    difference d of the loops' net arrow counts is reduced against the
+    boundary span.  Nothing left (d = 0 or d in the span) means that no
+    closed form separates the loops, and every degree-1 invariant is
+    skipped with the closed basis unformed.  Otherwise the reduction left
+    r = lambda d - s, with lambda > 0, s in the span and r zero on the
+    span's pivots.  The closed basis vector k_f of a free column f is e_f
+    on the free columns and orthogonal to the span, so <k_f, d> =
+    r[f] / lambda: the first basis vector that separates is that of the
+    least column of r.  The all-ones form, tried first when closed,
+    separates when d sums to nonzero.  The separator's two values are
+    paired from each loop's net counts.  The degree-2 words over closed
+    arrows pair through one `signature` per loop over their prefix-closed
     word set."""
     g = a.graph
     nets = (_net_counts(a), _net_counts(b))
-    invariants = _theorem_backed_invariants(g)
-    for coeffs in invariants:
-        if max(map(len, coeffs), default=1) > 1:
-            rest = [coeffs, *invariants]
-            words = dict.fromkeys(w[:i] for c in rest for w in c
-                                  for i in range(len(w) + 1))
-            return _first_difference(g, rest, signature(a, words),
-                                     signature(b, words))
-        found = _first_difference(g, [coeffs], *nets)
-        if found is not None:
-            return found
+    diff = {j: d for j in {**nets[0], **nets[1]}
+            if (d := nets[0].get(j, 0) - nets[1].get(j, 0))}
+    rest = diff and _boundary_span(g).residue(diff)
+    if rest:
+        if sum(diff.values()) and _winding_is_closed(g):
+            vec = (_ONE,) * len(g.arrows)
+        else:
+            f = min(rest)
+            vec = next(v for v in _closed_basis_vectors(g, "kernel") if v[f])
+        values = tuple(sum((vec[j] * k for j, k in net.items()), _ZERO)
+                       for net in nets)
+        return AlgebraElement(
+            g, {(x,): c for x, c in zip(g.arrows, vec) if c}), values
+    words = list(product(closed_arrows(g), repeat=2))
+    if not words:
+        return None
+    prefixes = dict.fromkeys(w[:i] for w in words for i in range(3))
+    sig_a, sig_b = signature(a, prefixes), signature(b, prefixes)
+    for w in words:
+        if sig_a[w] != sig_b[w]:
+            return AlgebraElement(g, {w: _ONE}), (sig_a[w], sig_b[w])
     return None
 
 

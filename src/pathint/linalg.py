@@ -2,7 +2,9 @@
 
 No floating point anywhere.  One elimination, `Echelon`, holds a row space
 in reduced row echelon form and grows it one vector at a time; `rref`,
-`rank`, `kernel`, `span_equal` and `complement_basis` are views of it.
+`rank`, `kernel`, `span_equal` and `complement_basis` are views of it, and
+`Echelon.residue` reduces a vector against it, empty exactly when the
+vector lies in the span.
 
 The elimination is fraction-free: it stores each reduced row as its least
 positive integer multiple, a primitive int vector (gcd 1) whose pivot entry
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -75,10 +77,9 @@ class Echelon:
         """Insert vec, a row of ints or rationals; True iff it was
         independent of the rows already held.
 
-        vec is reduced against each stored row whose pivot it touches, then,
-        if anything is left, made primitive with a positive lead and
-        eliminated from the stored rows, O(rank * ncols) row operations in
-        all."""
+        vec is reduced to its `residue`, then, if anything is left, made
+        primitive with a positive lead and eliminated from the stored rows,
+        O(rank * ncols) row operations in all."""
         if len(vec) != self.ncols:
             raise ValueError(f"row of length {len(vec)}, expected {self.ncols}")
         v = {j: x for j, x in enumerate(vec) if x}
@@ -86,13 +87,10 @@ class Echelon:
             fr = [(j, _fraction(x)) for j, x in v.items()]
             d = math.lcm(*(x.denominator for _, x in fr))
             v = {j: x.numerator * (d // x.denominator) for j, x in fr if x}
-        rows = self._rows
-        # stored rows vanish on each other's pivots, so the entries of v on
-        # pivot columns stay nonzero until their own row is subtracted
-        for p in [p for p in v if p in rows]:
-            _eliminate(v, rows[p], p)
+        v = self.residue(v)
         if not v:
             return False
+        rows = self._rows
         lead = min(v)
         _make_primitive(v, lead)
         for p, row in rows.items():
@@ -101,6 +99,21 @@ class Echelon:
                 _make_primitive(row, p)
         rows[lead] = v
         return True
+
+    def residue(self, vec: Mapping[int, int]) -> dict[int, int]:
+        """The part of the sparse int vector vec (column -> entry) outside
+        the span, as a membership query: vec reduced against each stored
+        row whose pivot it touches.  Stored rows vanish on each other's
+        pivots, so the entries of vec on pivot columns stay nonzero until
+        their own row is subtracted.  The result is lambda vec - s for an
+        int lambda > 0 and an s in the span, and is 0 on every pivot column,
+        so it is empty exactly when vec lies in the span.  The stored rows
+        do not change."""
+        v = dict(vec)
+        rows = self._rows
+        for p in [p for p in v if p in rows]:
+            _eliminate(v, rows[p], p)
+        return v
 
     @property
     def rank(self) -> int:

@@ -229,9 +229,17 @@ def element_to_dict(u: AlgebraElement) -> dict:
 
 
 def element_from_dict(g: Digraph, d: dict) -> AlgebraElement:
-    coeffs = _field(d, "element", dict, "element", FormError)
-    return AlgebraElement(g, {parse_word_label(g, k): parse_rational(v)
-                              for k, v in coeffs.items()})
+    """The element of an element document.  Each label and coefficient is
+    parsed once, and `parse_word_label` checks every arrow, so the element
+    is built unchecked.  Distinct labels name distinct words (a parsed word
+    gives back its label), so no two keys are summed; zero coefficients are
+    dropped."""
+    coeffs = {}
+    for k, v in _field(d, "element", dict, "element", FormError).items():
+        word, c = parse_word_label(g, k), parse_rational(v)
+        if c:
+            coeffs[word] = c
+    return AlgebraElement._unchecked(g, coeffs)
 
 
 def tensor_to_dict(t: TensorPair) -> dict:

@@ -32,7 +32,7 @@ from pathint.graphs import enumerate_patterns
 from pathint.homotopy import (MOVE_KINDS, _moves, _numbered_sample, _pi1_rows,
                               _separating_invariant,
                               _theorem_backed_invariants)
-from pathint.linalg import complement_basis, kernel
+from pathint.linalg import Echelon, complement_basis, kernel
 from pathint.paths import _walk, runs
 
 
@@ -342,6 +342,14 @@ def test_homotopic_loops_refutes_like_the_pairing_on_random_digraphs(seed):
     loops = list(islice(enumerate_paths(g, base, 4, loops_only=True), 100))
     for _ in range(3):
         _assert_refutes_like_the_pairing(rng.choice(loops), rng.choice(loops))
+    # a triangle or square move changes the net counts by a boundary, so
+    # the pair's difference is nonzero and inside the boundary span
+    for loop in rng.sample(loops, min(3, len(loops))):
+        moved = [nb for nb, move in move_neighbors(loop)
+                 if move.kind in ("triangle-contract", "square-replace",
+                                  "square-contract")]
+        if moved:
+            _assert_refutes_like_the_pairing(loop, rng.choice(moved))
 
 
 def test_equal_winding_is_separated_at_degree_two():
@@ -360,6 +368,48 @@ def test_equal_winding_is_separated_at_degree_two():
     for elem in _exhaustive_invariants(W):
         if elem.degree == 1:
             assert pair(elem, ab) == pair(elem, ba)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel_of = Echelon.kernel
+
+    def counted(self):
+        calls.append(self)
+        return kernel_of(self)
+
+    monkeypatch.setattr(Echelon, "kernel", counted)
+    return calls
+
+
+def test_homotopic_pair_skips_the_closed_basis(monkeypatch):
+    # a square replacement changes the net counts by the square's boundary:
+    # the difference is nonzero but in the boundary span, so no degree-1
+    # invariant is tried and the closed basis is never formed
+    g = box_product(line_digraph("ff"), line_digraph("ff"))
+    a = make_path(g, [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)], "ffbb")
+    b = make_path(g, [(0, 0), (0, 1), (1, 1), (0, 1), (0, 0)], "ffbb")
+    assert dict(runs(a)) != dict(runs(b))
+    calls = _count_kernel_calls(monkeypatch)
+    assert homotopic_loops(a, b, length_bound=6, depth_bound=2).status == "yes"
+    assert calls == []
+
+
+def test_a_separation_by_the_closed_basis_forms_it_once(monkeypatch):
+    # the two generating cycles of the torus have equal length, so the
+    # total winding agrees and only a closed basis vector separates them
+    g = box_product(directed_cycle(4), directed_cycle(4))
+    ring = ["v0", "v1", "v2", "v3", "v0"]
+    a = make_path(g, [(v, "v0") for v in ring], "ffff")
+    b = make_path(g, [("v0", v) for v in ring], "ffff")
+    calls = _count_kernel_calls(monkeypatch)
+    verdict = homotopic_loops(a, b, length_bound=8, depth_bound=0)
+    assert len(calls) == 1
+    assert verdict.status == "certified-no"
+    assert (verdict.invariant, verdict.values) == _refutation_by_pairing(a, b)
+    assert verdict.invariant.degree == 1
+    ones = AlgebraElement(g, {(x,): 1 for x in g.arrows})
+    assert pair(ones, a) == pair(ones, b)
 
 
 def test_words_over_closed_arrows_pass_the_sufficiency_test():

@@ -224,6 +224,53 @@ def test_rref_equals_sympy():
     check()
 
 
+@st.composite
+def rows_and_a_query(draw):
+    """(ncols, rows, vec): int rows of low rank and a sparse int vector that
+    is a combination of the rows or is drawn freely."""
+    ncols = draw(st.integers(1, 7))
+    dense = st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)
+
+    def combination(vectors):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(vectors),
+                               max_size=len(vectors)))
+        return [sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(ncols)]
+
+    spanning = draw(st.lists(dense, max_size=4))
+    rows = [combination(spanning) for _ in range(draw(st.integers(0, 5)))]
+    vec = combination(rows) if draw(st.booleans()) else draw(dense)
+    return ncols, rows, {j: x for j, x in enumerate(vec) if x}
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_and_a_query())
+def test_residue_decides_membership_like_the_rank(case):
+    ncols, rows, vec = case
+    e = Echelon(ncols, rows)
+    stored = {p: dict(row) for p, row in e._rows.items()}
+    rest = e.residue(vec)
+    assert e._rows == stored
+    dense = [vec.get(j, 0) for j in range(ncols)]
+    assert (not rest) == (_ref_rank(rows + [dense], ncols) == _ref_rank(rows, ncols))
+    assert all(type(x) is int and x for x in rest.values())
+    assert not set(rest) & set(e.pivots())
+    # the kernel vector of free column f pairs with vec to rest[f] / lambda,
+    # one lambda > 0 for every f
+    free = [j for j in range(ncols) if j not in stored]
+    pairings = [sum(k[j] * x for j, x in vec.items()) for k in e.kernel()]
+    ratios = {Fraction(rest[f]) / p for f, p in zip(free, pairings) if p}
+    assert all((f in rest) == (p != 0) for f, p in zip(free, pairings))
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+def test_residue_of_a_vector_outside_the_span_is_not_empty():
+    e = Echelon(3, [[1, 1, 0], [0, 2, 2]])
+    assert e.residue({0: 1, 2: -1}) == {}
+    assert e.residue({0: 1}) == {2: 1}
+    assert e.residue({1: 3, 2: 2}) == {2: -1}
+    assert e.rows() == [[1, 0, -1], [0, 1, 1]]
+
+
 def test_echelon_grows_one_vector_at_a_time():
     e = Echelon(3)
     assert e.add([0, 2, 4]) and e.rank == 1

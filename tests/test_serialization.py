@@ -1,12 +1,14 @@
 """JSON and DOT readers/writers: round trips and error handling."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from pathint import (BasedDigraph, FormError, GraphError, OneForm, PathError,
-                     TwoChain, coproduct, double_edge, make_path, omega2_basis,
-                     standard_triangle, word_element)
+from pathint import (AlgebraElement, BasedDigraph, FormError, GraphError,
+                     OneForm, PathError, TwoChain, all_words, coproduct,
+                     double_edge, make_path, omega2_basis, standard_triangle,
+                     word_element)
 from pathint import serialization as ser
 
 
@@ -97,6 +99,26 @@ def test_element_round_trip():
     assert d["element"][""] == "-2"
     assert d["element"]["v0->v1,v1->v0"] == "1"
     assert ser.element_from_dict(D, d) == u
+
+
+def test_element_reader_keeps_the_last_duplicate_key_and_drops_zeros():
+    # JSON keeps the last value of a key spelled twice, and distinct labels
+    # never spell one word, so the reader has nothing to sum
+    D = double_edge()
+    text = ('{"element": {"v0->v1": "2", "v0->v1": "3/2", "": "0",'
+            ' "v1->v0,v0->v1": "0/5", "v1->v0": "-1"}}')
+    u = ser.element_from_dict(D, json.loads(text))
+    assert u.coeffs == {(("v0", "v1"),): Fraction(3, 2), (("v1", "v0"),): -1}
+    assert all(type(c) is Fraction for c in u.coeffs.values())
+    assert u == AlgebraElement(D, {(("v0", "v1"),): "3/2", (("v1", "v0"),): -1,
+                                   (): 0})
+    for w in all_words(D.arrows, 3):
+        assert ser.parse_word_label(D, ser.word_label(w)) == w
+    for doc, message in [({"element": {"v0->v2": "1"}}, "unknown arrow 'v0->v2'"),
+                         ({"element": {"v0->v1": "x"}}, "not a rational: 'x'"),
+                         ({"element": {"v0": "1"}}, "is not of the form src->dst")]:
+        with pytest.raises(FormError, match=message):
+            ser.element_from_dict(D, doc)
 
 
 def test_tensor_round_trip():
