@@ -4,6 +4,7 @@ is deterministic, with exact rationals rendered as "p/q" strings."""
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from . import serialization as ser
 from .algebra import antipode, coproduct, hopf_axiom_report
 from .errors import GraphError, PathintError
 from .forms import closed_one_forms, omega2_basis
-from .graphs import BasedDigraph, Digraph, enumerate_patterns
+from .graphs import Digraph, enumerate_patterns
 from .homotopy import change_base_point, homotopic_loops, pi1_candidates
 from .integrals import iterated_integral, order, pair, volume_number
 from .linalg import span_equal
@@ -23,16 +24,29 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(args) -> Digraph:
-    return ser.parse_digraph(_read(args.graph))
+# document flag -> the name of its `serialization` reader, looked up at each
+# call (so that a wrapper installed on the module is the one called)
+_READERS = {**dict.fromkeys(("path", "path_a", "path_b", "loop_a", "loop_b"),
+                            "path_from_dict"),
+            **dict.fromkeys(("element", "element_a", "element_b"),
+                            "element_from_dict"),
+            "word": "word_from_dict"}
 
 
-def _load_json(filename: str) -> dict:
-    import json
-    try:
-        return json.loads(_read(filename))
-    except json.JSONDecodeError as exc:
-        raise PathintError(f"malformed JSON in {filename}: {exc}") from exc
+def _read_operands(args, flags) -> Digraph | None:
+    """The digraph of --graph (None without one), after replacing each
+    document flag in `flags` by the value its file holds: the graph is read
+    first, then the documents in flag order."""
+    g = ser.parse_digraph(_read(args.graph)) if "graph" in flags else None
+    for flag in flags:
+        if flag in _READERS:
+            filename = getattr(args, flag)
+            try:
+                doc = json.loads(_read(filename))
+            except json.JSONDecodeError as exc:
+                raise PathintError(f"malformed JSON in {filename}: {exc}") from exc
+            setattr(args, flag, getattr(ser, _READERS[flag])(g, doc))
+    return g
 
 
 def _json_safe(obj):
@@ -56,10 +70,19 @@ def _resolve_base(g: Digraph, explicit):
     return base
 
 
-# ------------------------------------------------------------- subcommands
+def _value(x):
+    """The payload and text of a command whose answer is one number."""
+    text = ser.format_rational(x)
+    return {"value": text}, text
 
-def _cmd_validate(args):
-    g = _load_graph(args)
+
+# ------------------------------------------------------------- subcommands
+#
+# A handler takes the digraph and the parsed arguments, each document flag
+# already holding its value, and returns (payload, text); text None means
+# that the text output is the JSON output.
+
+def _cmd_validate(g, args):
     triangles = len(enumerate_patterns(g, "triangle"))
     squares = len(enumerate_patterns(g, "square"))
     payload = {"valid": True,
@@ -73,61 +96,36 @@ def _cmd_validate(args):
     return payload, text
 
 
-def _cmd_integrate(args):
-    g = _load_graph(args)
-    p = ser.path_from_dict(g, _load_json(args.path))
-    word = ser.word_from_dict(g, _load_json(args.word))
-    value = iterated_integral(p, word)
-    return {"value": ser.format_rational(value)}, ser.format_rational(value)
+def _cmd_integrate(g, args):
+    return _value(iterated_integral(args.path, args.word))
 
 
-def _cmd_pair(args):
-    g = _load_graph(args)
-    u = ser.element_from_dict(g, _load_json(args.element))
-    p = ser.path_from_dict(g, _load_json(args.path))
-    value = pair(u, p)
-    return {"value": ser.format_rational(value)}, ser.format_rational(value)
+def _cmd_pair(g, args):
+    return _value(pair(args.element, args.path))
 
 
-def _cmd_reduce(args):
-    g = _load_graph(args)
-    p = reduce(ser.path_from_dict(g, _load_json(args.path)))
-    payload = ser.path_to_dict(p)
-    return payload, ser.canonical_dumps(payload).rstrip("\n")
+def _cmd_reduce(g, args):
+    return ser.path_to_dict(reduce(args.path)), None
 
 
-def _cmd_equiv(args):
-    g = _load_graph(args)
-    a = ser.path_from_dict(g, _load_json(args.path_a))
-    b = ser.path_from_dict(g, _load_json(args.path_b))
-    verdict = elem_equivalent(a, b)
+def _cmd_equiv(g, args):
+    verdict = elem_equivalent(args.path_a, args.path_b)
     return {"equivalent": verdict}, "true" if verdict else "false"
 
 
-def _cmd_shuffle(args):
-    g = _load_graph(args)
-    u = ser.element_from_dict(g, _load_json(args.element_a))
-    v = ser.element_from_dict(g, _load_json(args.element_b))
-    payload = ser.element_to_dict(u * v)
-    return payload, ser.canonical_dumps(payload).rstrip("\n")
+def _cmd_shuffle(g, args):
+    return ser.element_to_dict(args.element_a * args.element_b), None
 
 
-def _cmd_coproduct(args):
-    g = _load_graph(args)
-    u = ser.element_from_dict(g, _load_json(args.element))
-    payload = ser.tensor_to_dict(coproduct(u))
-    return payload, ser.canonical_dumps(payload).rstrip("\n")
+def _cmd_coproduct(g, args):
+    return ser.tensor_to_dict(coproduct(args.element)), None
 
 
-def _cmd_antipode(args):
-    g = _load_graph(args)
-    u = ser.element_from_dict(g, _load_json(args.element))
-    payload = ser.element_to_dict(antipode(u))
-    return payload, ser.canonical_dumps(payload).rstrip("\n")
+def _cmd_antipode(g, args):
+    return ser.element_to_dict(antipode(args.element)), None
 
 
-def _cmd_hopf_check(args):
-    g = _load_graph(args)
+def _cmd_hopf_check(g, args):
     base = _resolve_base(g, args.base)
     report = hopf_axiom_report(g, args.max_degree, base=base,
                                loop_length_bound=args.loop_bound)
@@ -138,8 +136,7 @@ def _cmd_hopf_check(args):
     return payload, "\n".join(lines)
 
 
-def _cmd_closed_forms(args):
-    g = _load_graph(args)
+def _cmd_closed_forms(g, args):
     if args.method == "both":
         bases = {m: closed_one_forms(g, m) for m in ("kernel", "patterns")}
         n = len(g.arrows)
@@ -161,18 +158,15 @@ def _cmd_closed_forms(args):
     return payload, text
 
 
-def _cmd_omega2(args):
-    g = _load_graph(args)
+def _cmd_omega2(g, args):
     basis = omega2_basis(g)
     payload = {"basis": [ser.two_chain_to_dict(c) for c in basis],
                "dimension": len(basis)}
     return payload, f"dimension {len(basis)}"
 
 
-def _cmd_order(args):
-    g = _load_graph(args)
-    p = ser.path_from_dict(g, _load_json(args.path))
-    k = order(p, args.max_degree)
+def _cmd_order(g, args):
+    k = order(args.path, args.max_degree)
     if k is None:
         payload = {"order": None, "max_degree": args.max_degree,
                    "lower_bound": args.max_degree + 1}
@@ -193,11 +187,9 @@ def _move_to_dict(move) -> dict:
                       "orientations": list(move.after[1])}}
 
 
-def _cmd_homotopy(args):
-    g = _load_graph(args)
-    a = ser.path_from_dict(g, _load_json(args.loop_a))
-    b = ser.path_from_dict(g, _load_json(args.loop_b))
-    verdict = homotopic_loops(a, b, length_bound=args.length_bound,
+def _cmd_homotopy(g, args):
+    verdict = homotopic_loops(args.loop_a, args.loop_b,
+                              length_bound=args.length_bound,
                               depth_bound=args.depth_bound)
     payload = {"status": verdict.status,
                "length_bound": verdict.length_bound,
@@ -221,8 +213,7 @@ def _cmd_homotopy(args):
     return payload, text
 
 
-def _cmd_pi1(args):
-    g = _load_graph(args)
+def _cmd_pi1(g, args):
     base = _resolve_base(g, args.base)
     if base is None:
         raise GraphError("a base vertex is required (use --base or a based digraph)")
@@ -241,21 +232,16 @@ def _cmd_pi1(args):
     return payload, text
 
 
-def _cmd_change_base(args):
-    g = _load_graph(args)
-    gamma = ser.path_from_dict(g, _load_json(args.path))
-    u = ser.element_from_dict(g, _load_json(args.element))
-    payload = ser.element_to_dict(change_base_point(gamma, u))
-    return payload, ser.canonical_dumps(payload).rstrip("\n")
+def _cmd_change_base(g, args):
+    return ser.element_to_dict(change_base_point(args.path, args.element)), None
 
 
-def _cmd_volume(args):
+def _cmd_volume(g, args):
     try:
         seq = [int(part) for part in args.seq.split(",") if part.strip()]
     except ValueError as exc:
         raise PathintError(f"malformed index sequence {args.seq!r}") from exc
-    value = volume_number(seq)
-    return {"value": str(value)}, str(value)
+    return _value(volume_number(seq))
 
 
 # ------------------------------------------------------------------ parser
@@ -343,14 +329,13 @@ COMMANDS = {
 
 
 def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Add the arguments and handler of command `name` to parser, --format
-    first; returns parser."""
-    handler, _, flags = COMMANDS[name]
+    """Add the arguments of command `name` to parser, --format first, and
+    its name as the default of `command`; returns parser."""
     parser.add_argument("--format", choices=("json", "text"), default="text",
                         help="output format (default: text)")
-    for flag, kwargs in flags.items():
+    for flag, kwargs in COMMANDS[name][2].items():
         parser.add_argument("--" + flag.replace("_", "-"), **kwargs)
-    parser.set_defaults(handler=handler)
+    parser.set_defaults(command=name)
     return parser
 
 
@@ -383,12 +368,13 @@ def main(argv=None) -> int:
         args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    handler, _, flags = COMMANDS[args.command]
     try:
-        payload, text = args.handler(args)
+        payload, text = handler(_read_operands(args, flags), args)
     except (PathintError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
+    if text is None or args.format == "json":
         sys.stdout.write(ser.canonical_dumps(payload))
     else:
         print(text)

@@ -111,7 +111,9 @@ class Digraph:
         return (x, y, z) in self.move_tables().triangles
 
     def is_square_tuple(self, quad: Sequence[Vertex]) -> bool:
-        """True if some cyclic shift of the tuple realizes the standard square."""
+        """True if the tuple is a walk once around an embedded square: for
+        the square v0->v1, v1->v3, v0->v2, v2->v3, a cyclic shift of
+        (v0, v1, v3, v2) or of its reverse (v0, v2, v3, v1)."""
         return tuple(quad) in self.move_tables().squares
 
 
@@ -119,13 +121,14 @@ class MoveTables:
     """The vertices a local move can bring into a path, keyed by the path
     vertices that the move keeps; every list is in vertex input order.
 
-    squares        every cyclic shift of (v0, v1, v2, v3) and (v0, v2, v1, v3)
-                   over the embedded squares v0->v1, v1->v3, v0->v2, v2->v3
+    squares        the 8 walks once around each embedded square v0->v1,
+                   v1->v3, v0->v2, v2->v3, as they appear in a path: every
+                   cyclic shift of (v0, v1, v3, v2) and of (v0, v2, v3, v1)
     triangles      every ordering of the vertices of an embedded triangle
     flags          (u, v) -> the orientation flags of a step from u to v,
                    forward before backward
-    square_corner  (t0, t1, t3) -> [t2] over the squares t
-    square_sides   (t0, t2) -> [(t1, t3)] over the squares t
+    square_corner  (w0, w1, w2) -> [w3] over the walks w
+    square_sides   (w0, w3) -> [(w1, w2)] over the walks w
     triangle_apex  (x, z) -> [y] with {x, y, z} a triangle set
     star           v -> [v and every vertex sharing an arrow with v]
     """
@@ -137,14 +140,14 @@ class MoveTables:
             return sorted(tuples, key=lambda t: [rank[v] for v in t])
 
         squares = [e.vertices for e in enumerate_patterns(g, "square")]
-        self.squares = frozenset(t[i:] + t[:i] for v0, v1, v2, v3 in squares
-                                 for t in ((v0, v1, v2, v3), (v0, v2, v1, v3))
+        self.squares = frozenset(w[i:] + w[:i] for v0, v1, v2, v3 in squares
+                                 for w in ((v0, v1, v3, v2), (v0, v2, v3, v1))
                                  for i in range(4))
         self.square_corner: dict[tuple, list] = {}
         self.square_sides: dict[tuple, list] = {}
-        for t in ranked(self.squares):
-            self.square_corner.setdefault((t[0], t[1], t[3]), []).append(t[2])
-            self.square_sides.setdefault((t[0], t[2]), []).append((t[1], t[3]))
+        for w in ranked(self.squares):
+            self.square_corner.setdefault(w[:3], []).append(w[3])
+            self.square_sides.setdefault((w[0], w[3]), []).append(w[1:3])
         self.triangles = frozenset(p for e in enumerate_patterns(g, "triangle")
                                    for p in permutations(e.vertices))
         self.triangle_apex: dict[tuple, list] = {}

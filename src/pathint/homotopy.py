@@ -147,7 +147,7 @@ def _moves(g: Digraph, V: tuple, O: tuple,
 
     # (iii) square contraction: v0 v1 v3 v2 -> v0 v2
     for p in starts[3]:
-        if (V[p], V[p + 1], V[p + 3], V[p + 2]) in t.squares:
+        if V[p:p + 4] in t.squares:
             before = (V[p:p + 4], O[p:p + 3])
             for o in f.get((V[p], V[p + 3]), ()):
                 yield ("square-contract", "apply", p, before, ((V[p], V[p + 3]), (o,)))
@@ -185,10 +185,13 @@ def _moves(g: Digraph, V: tuple, O: tuple,
 
 
 def _lists(path: PathMap, move: Move) -> bool:
-    """True iff `_moves` lists the move from the path."""
-    fields = (move.kind, move.direction, move.position, move.before, move.after)
+    """True iff `_moves` lists the move from the path; only the windows that
+    cover the move's window are listed."""
+    p = move.position
+    fields = (move.kind, move.direction, p, move.before, move.after)
+    reach = (p, p + len(move.before[1]) - 1)
     return any(t == fields for t in _moves(path.graph, path.vertices,
-                                           path.orientations))
+                                           path.orientations, reach))
 
 
 def move_neighbors(loop: PathMap) -> list[tuple[PathMap, Move]]:
@@ -214,31 +217,6 @@ def _winding_is_closed(g: Digraph) -> bool:
     return all(sum(c for _, c in row) == 0 for row in _omega2_boundaries(g))
 
 
-def _theorem_backed_invariants(g: Digraph) -> Iterator[dict[Word, Fraction]]:
-    """Separating functionals whose homotopy invariance is certified, as
-    coefficients over arrow words: the all-ones 1-form when closed (total
-    winding), then the closed basis, then the degree-2 words over closed
-    arrows.  Such a word passes `invariant_sufficient`, because no closed
-    arrow is a side of a triangle or a square; a word with a letter that is
-    not closed fails it.  The closed basis is formed only when reached.
-
-    Separation lemma.  A closed form pairs with a loop through the loop's
-    net arrow counts, and the closed forms are exactly the forms that
-    vanish on the Omega_2 boundaries (H_1 = Z_1 / d Omega_2).  So some closed
-    form separates two loops exactly when the difference of their net
-    counts lies outside the boundary span, and then a vector of any basis
-    of the closed forms does.  `_separating_invariant` decides this by
-    reducing the difference against `forms._boundary_span`, the one
-    elimination of the boundaries per graph that the closed basis is read
-    from."""
-    if _winding_is_closed(g):
-        yield {(a,): _ONE for a in g.arrows}
-    for vec in _closed_basis_vectors(g, "kernel"):
-        yield {(a,): c for a, c in zip(g.arrows, vec) if c}
-    for w in product(closed_arrows(g), repeat=2):
-        yield {w: _ONE}
-
-
 def _net_counts(path: PathMap) -> dict[int, int]:
     """The path's degree-1 signature: the net traversals of each arrow,
     keyed by its index."""
@@ -251,12 +229,25 @@ def _net_counts(path: PathMap) -> dict[int, int]:
 
 
 def _separating_invariant(a: PathMap, b: PathMap):
-    """The first of `_theorem_backed_invariants` that differs on the two
-    loops, with its two values, or None.
+    """The first theorem-backed invariant that differs on the two loops,
+    with its two values, or None.  The invariants, in order: the all-ones
+    1-form (total winding) when it is closed, then the vectors of the
+    closed basis `_closed_basis_vectors(g, "kernel")`, then the degree-2
+    words over `closed_arrows(g)`, in `product` order.  Such a word passes
+    `invariant_sufficient`, because no closed arrow is a side of a triangle
+    or a square; a word with a letter that is not closed fails it.
 
-    The degree-1 stage is decided in ints by the separation lemma: the
-    difference d of the loops' net arrow counts is reduced against the
-    boundary span.  Nothing left (d = 0 or d in the span) means that no
+    Separation lemma.  A closed form pairs with a loop through the loop's
+    net arrow counts, and the closed forms are exactly the forms that
+    vanish on the Omega_2 boundaries (H_1 = Z_1 / d Omega_2).  So some closed
+    form separates two loops exactly when the difference of their net
+    counts lies outside the boundary span, and then a vector of any basis
+    of the closed forms does.
+
+    The degree-1 stage is therefore decided in ints: the difference d of
+    the loops' net arrow counts is reduced against `forms._boundary_span`,
+    the one elimination of the boundaries per graph that the closed basis
+    is read from.  Nothing left (d = 0 or d in the span) means that no
     closed form separates the loops, and every degree-1 invariant is
     skipped with the closed basis unformed.  Otherwise the reduction left
     r = lambda d - s, with lambda > 0, s in the span and r zero on the
@@ -325,13 +316,14 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
                                depth_bound=depth_bound)
 
     # Bidirectional breadth-first search over raw (vertices, orientations)
-    # states; parents map each state to the (previous state, move from it)
-    # pair on its own side.  A `Move` is made only for a new state, and no
-    # state is built as a path: `cert.replay()` validates the chain found.
+    # states; parents map each state to the (previous state, move fields of
+    # `_moves` from it) pair on its own side.  A `Move` is made only for the
+    # certificate, and no state is built as a path: `cert.replay()`
+    # validates the chain found.
     g = a.graph
     start_a, start_b = (a.vertices, a.orientations), (b.vertices, b.orientations)
-    parents_a: dict[Window, tuple[Window, Move] | None] = {start_a: None}
-    parents_b: dict[Window, tuple[Window, Move] | None] = {start_b: None}
+    parents_a: dict[Window, tuple[Window, tuple] | None] = {start_a: None}
+    parents_b: dict[Window, tuple[Window, tuple] | None] = {start_b: None}
     frontier_a, frontier_b = [start_a], [start_b]
     depth_used = 0
     meet: Window | None = None
@@ -353,7 +345,7 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
                 nb = _splice(V, O, p, before, after)
                 if nb in parents:
                     continue
-                parents[nb] = (here, Move(*t))
+                parents[nb] = (here, t)
                 new_frontier.append(nb)
                 if nb in other:
                     meet = nb
@@ -373,14 +365,14 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
     moves: list[Move] = []
     node = meet
     while parents_a[node] is not None:
-        prev, move = parents_a[node]
-        moves.append(move)
+        prev, t = parents_a[node]
+        moves.append(Move(*t))
         node = prev
     moves.reverse()
     node = meet
     while parents_b[node] is not None:
-        prev, move = parents_b[node]
-        moves.append(invert_move(move))
+        prev, t = parents_b[node]
+        moves.append(invert_move(Move(*t)))
         node = prev
     cert = MoveCertificate(a, tuple(moves), b)
     cert.replay()
@@ -491,10 +483,10 @@ def _numbered_sample(g: Digraph, base: Vertex, length_bound: int) -> tuple[
     apart, v u v x y x, are touched together only by the square
     contraction of u v x y; its neighbor v u y x has the runs of the
     square replacement u v x -> u y x on the shorter loop v u v x, which
-    is listed there because both moves test (u, v, y, x) in
-    `MoveTables.squares`, with every orientation of u y and of y x.  So
-    the walk does not extend a prefix once two backtracks start more than
-    2 steps apart: every extension keeps both.  The moves that keep the
+    is listed there because both moves look up the walk u v x y in the
+    move tables, with every orientation of u y and of y x.  So the walk
+    does not extend a prefix once two backtracks start more than 2 steps
+    apart: every extension keeps both.  The moves that keep the
     runs all give the pair (here, here).  `_moves` lists the trivial
     insertions last, and an enumerated loop has no trivial step, so the
     first trivial-drop listed is an insertion and the moves after it give
@@ -574,7 +566,9 @@ def _certify(elem: AlgebraElement, closed: frozenset[Arrow]) -> bool:
     """Theorem-backed certification per homogeneous component: the degree-1
     part must assemble to a closed form, and every supported word of higher
     degree must pass the sufficiency test letterwise, that is, be a word
-    over the closed arrows (see `_theorem_backed_invariants`)."""
+    over the closed arrows.  These are the invariants `_separating_invariant`
+    tries: closed 1-forms (the all-ones form when closed, then the closed
+    basis), then words over the closed arrows."""
     g = elem.graph
     deg1 = {w[0]: c for w, c in elem.coeffs.items() if len(w) == 1}
     if deg1 and not is_closed(OneForm(g, deg1)):

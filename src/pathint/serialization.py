@@ -83,9 +83,6 @@ def digraph_from_dict(d: dict) -> Digraph:
     return validate_digraph(vertices, arrows, base)
 
 
-_DOT_EDGE = re.compile(r'"([^"]+)"|([A-Za-z0-9_.]+)|(->)|(\{)|(\})|(;)|(digraph|strict)')
-
-
 def parse_dot(text: str) -> Digraph:
     """Minimal DOT reader: directed edges only, no attributes.  Vertices
     appear in first-mention order; chained edges a -> b -> c are allowed."""

@@ -72,6 +72,18 @@ def walked_square_role_tuples(g):
     return found
 
 
+def walked_square_walks(g):
+    """The walks once around a square of `walked_square_role_tuples`, as a
+    path meets them: the cycle v0 v1 v3 v2 from any corner, either way."""
+    walks = set()
+    for v0, v1, v2, v3 in walked_square_role_tuples(g):
+        cycle = (v0, v1, v3, v2)
+        for i in range(4):
+            turned = cycle[i:] + cycle[:i]
+            walks |= {turned, turned[::-1]}
+    return walks
+
+
 def random_path(rng: random.Random, g, max_len: int = 8, start=None,
                 length=None, allow_trivial: bool = True):
     v = start if start is not None else rng.choice(g.vertices)

@@ -4,8 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import (random_digraph, walked_square_role_tuples,
-                      walked_triangle_sets)
+from conftest import random_digraph, walked_square_walks, walked_triangle_sets
 
 from pathint import (BasedDigraph, Digraph, DigraphMap, GraphError, MapError,
                      box_product, compose_maps, cylinder, directed_cycle,
@@ -57,10 +56,12 @@ def test_triangle_detection():
 
 
 def test_square_detection():
-    S = standard_square()
-    assert S.is_square_tuple(("v0", "v1", "v2", "v3"))
-    assert S.is_square_tuple(("v1", "v2", "v3", "v0"))  # cyclic shift
-    assert not S.is_square_tuple(("v0", "v1", "v3", "v2"))
+    S = standard_square()  # v0->v1, v1->v3, v0->v2, v2->v3
+    assert S.is_square_tuple(("v0", "v1", "v3", "v2"))  # a walk around it
+    assert S.is_square_tuple(("v3", "v2", "v0", "v1"))  # from another corner
+    assert S.is_square_tuple(("v1", "v0", "v2", "v3"))  # the other way round
+    assert not S.is_square_tuple(("v0", "v1", "v2", "v3"))  # v1 v2: no arrow
+    assert not S.is_square_tuple(("v1", "v2", "v3", "v0"))
     assert len(enumerate_patterns(S, "square")) == 1
     assert len(enumerate_patterns(S, "triangle")) == 0
 
@@ -75,13 +76,15 @@ def test_pattern_sets_match_the_arrow_walks(rng):
         triangle_sets = walked_triangle_sets(g)
         assert tables.triangles == {p for tri in triangle_sets
                                     for p in permutations(tri)}
-        roles = walked_square_role_tuples(g)
-        assert tables.squares == {t[i:] + t[:i] for t in roles for i in range(4)}
+        walks = walked_square_walks(g)
+        assert tables.squares == walks
+        for w in walks:  # each closes up along arrows of g
+            assert all(g.has_arrow(x, y) or g.has_arrow(y, x)
+                       for x, y in zip(w, w[1:] + w[:1]))
         for triple in permutations(g.vertices[:6], 3):
             assert g.is_triangle_set(*triple) == (frozenset(triple) in triangle_sets)
         for quad in permutations(g.vertices[:6], 4):
-            assert g.is_square_tuple(quad) == any(
-                quad[i:] + quad[:i] in roles for i in range(4))
+            assert g.is_square_tuple(quad) == (quad in walks)
 
 
 def test_plain_fixtures_have_no_patterns():

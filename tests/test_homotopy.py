@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (patterned_digraph, random_path,
-                      walked_square_role_tuples, walked_triangle_sets)
+                      walked_square_walks, walked_triangle_sets)
 
 from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
                      MoveCertificate, OneForm, PathError, all_words,
@@ -30,8 +30,7 @@ from pathint import homotopy
 from pathint.forms import closed_arrows
 from pathint.graphs import enumerate_patterns
 from pathint.homotopy import (MOVE_KINDS, _moves, _numbered_sample, _pi1_rows,
-                              _separating_invariant,
-                              _theorem_backed_invariants)
+                              _separating_invariant)
 from pathint.linalg import Echelon, complement_basis, kernel
 from pathint.paths import _walk, runs
 
@@ -72,13 +71,15 @@ def _candidate_tables(g):
     def ranked(tuples):
         return sorted(tuples, key=lambda t: [rank[v] for v in t])
 
-    squares = {t[i:] + t[:i] for t in walked_square_role_tuples(g) for i in range(4)}
+    squares = walked_square_walks(g)
     triangles = {p for tri in walked_triangle_sets(g) for p in permutations(tri)}
     tables = SimpleNamespace(squares=squares, triangles=triangles, square_corner={},
                              square_sides={}, triangle_apex={})
-    for t in ranked(squares):
-        tables.square_corner.setdefault((t[0], t[1], t[3]), []).append(t[2])
-        tables.square_sides.setdefault((t[0], t[2]), []).append((t[1], t[3]))
+    # a square walk w0 w1 w2 w3 goes back to w0, so w0 w1 w2 and w0 w3 w2
+    # are the two sides of the square from w0 to w2
+    for w in ranked(squares):
+        tables.square_corner.setdefault(w[:3], []).append(w[3])
+        tables.square_sides.setdefault((w[0], w[3]), []).append((w[1], w[2]))
     for x, y, z in ranked(triangles):
         tables.triangle_apex.setdefault((x, z), []).append(y)
     tables.star = {v: sorted({v, *(a[1] for a in g.out_arrows(v)),
@@ -107,7 +108,7 @@ def _moves_by_candidates(loop):
         if V[p] == V[p + 2]:
             yield Move("backtrack", "apply", p, before, ((V[p], V[p]), ("f",)))
     for p in range(n - 2):
-        if (V[p], V[p + 1], V[p + 3], V[p + 2]) in tables.squares:
+        if V[p:p + 4] in tables.squares:
             before = (V[p:p + 4], O[p:p + 3])
             for fill in _segment_fills(g, (V[p], V[p + 3])):
                 yield Move("square-contract", "apply", p, before,
@@ -187,13 +188,13 @@ def _scan_move_neighbors(loop):
             for fill in _segment_fills(g, (V[p], V[p + 2])):
                 emit("triangle-contract", "apply", p, before, ((V[p], V[p + 2]), fill))
         for v2 in g.vertices:
-            if g.is_square_tuple((V[p], V[p + 1], v2, V[p + 2])):
+            if g.is_square_tuple((V[p], V[p + 1], V[p + 2], v2)):
                 for fill in _segment_fills(g, (V[p], v2, V[p + 2])):
                     emit("square-replace", "apply", p, before, ((V[p], v2, V[p + 2]), fill))
         if V[p] == V[p + 2]:
             emit("backtrack", "apply", p, before, ((V[p], V[p]), ("f",)))
     for p in range(n - 2):
-        if g.is_square_tuple((V[p], V[p + 1], V[p + 3], V[p + 2])):
+        if g.is_square_tuple(V[p:p + 4]):
             before = (V[p:p + 4], O[p:p + 3])
             for fill in _segment_fills(g, (V[p], V[p + 3])):
                 emit("square-contract", "apply", p, before, ((V[p], V[p + 3]), fill))
@@ -208,7 +209,7 @@ def _scan_move_neighbors(loop):
                     emit("triangle-contract", "unapply", p, before,
                          ((V[p], v1, V[p + 1]), fill))
         for v1, v3 in product(g.vertices, repeat=2):
-            if g.is_square_tuple((V[p], v1, V[p + 1], v3)):
+            if g.is_square_tuple((V[p], v1, v3, V[p + 1])):
                 for fill in _segment_fills(g, (V[p], v1, v3, V[p + 1])):
                     emit("square-contract", "unapply", p, before,
                          ((V[p], v1, v3, V[p + 1]), fill))
@@ -292,12 +293,6 @@ def _exhaustive_invariants(g):
     out += [word_element(g, w) for w in all_words(g.arrows, 2, min_degree=2)
             if invariant_sufficient([OneForm.basis(g, a) for a in w], g)]
     return tuple(out)
-
-
-def test_theorem_backed_invariants_match_the_exhaustive_scan():
-    for g in _fixtures():
-        got = [AlgebraElement(g, coeffs) for coeffs in _theorem_backed_invariants(g)]
-        assert got == list(_exhaustive_invariants(g))
 
 
 def _refutation_by_pairing(a, b):
@@ -487,6 +482,47 @@ def test_square_replacement_neighbors():
     assert bottom in [p for p, _ in move_neighbors(top)]
 
 
+def _square_with_chords():
+    """`standard_square()` (v0->v1, v1->v3, v0->v2, v2->v3) plus the
+    arrows v1->v2 and v3->v0: one square and the triangles v0 v1 v2 and
+    v1 v2 v3."""
+    S = standard_square()
+    return Digraph(S.vertices, S.arrows + (("v1", "v2"), ("v3", "v0")))
+
+
+def test_square_moves_follow_the_walks_around_the_square():
+    g = _square_with_chords()
+    loop = make_path(g, ["v1", "v2", "v0", "v1"], "fbf")
+    # v1 v2 v0 is no walk along the square, so it has no square replacement
+    replaced = [t for t in _moves(g, loop.vertices, loop.orientations)
+                if t[0] == "square-replace"]
+    assert all(t[3][0] + t[4][0][1:2] in walked_square_walks(g) for t in replaced)
+    forged = Move("square-replace", "apply", 0, (("v1", "v2", "v0"), ("f", "b")),
+                  (("v1", "v3", "v0"), ("f", "f")))
+    assert (forged.before, forged.after) not in [t[3:] for t in replaced]
+    other = apply_move(loop, forged)
+    with pytest.raises(PathError):
+        MoveCertificate(loop, (forged,), other).replay()
+    assert homotopic_loops(loop, other).status == "certified-no"
+
+
+def test_pi1_count_of_the_square_with_chords_is_its_first_betti_number():
+    g = _square_with_chords()
+    # dim H^1 = dim closed 1-forms - (|V| - 1) = 4 - 3
+    assert len(closed_one_forms(g)) - (len(g.vertices) - 1) == 1
+    assert len(pi1_candidates(g, "v0", 1, 6).candidates) == 1
+
+
+def test_a_square_walk_is_reached_from_either_end():
+    S = standard_square()
+    there_and_back = make_path(S, ["v0", "v1", "v0", "v2", "v0"], "fbfb")
+    around = make_path(S, ["v0", "v1", "v3", "v2", "v0"], "ffbb")
+    for a, b in ((there_and_back, around), (around, there_and_back)):
+        verdict = homotopic_loops(a, b, 12, 1)
+        assert verdict.status == "yes"
+        verdict.certificate.replay()
+
+
 def test_apply_move_verifies_window():
     T = standard_triangle()
     loop = make_path(T, ["v0", "v1", "v2", "v0"], ["f", "f", "b"])
@@ -561,10 +597,10 @@ def _is_stated_move(g, move):
         return len(lv) == 3 and sv == (lv[0], lv[2]) and g.is_triangle_set(*lv)
     if kind == "square-replace":
         return (len(lv) == len(sv) == 3 and (sv[0], sv[2]) == (lv[0], lv[2])
-                and g.is_square_tuple((lv[0], lv[1], sv[1], lv[2])))
+                and g.is_square_tuple((*lv, sv[1])))
     if kind == "square-contract":
         return (len(lv) == 4 and sv == (lv[0], lv[3])
-                and g.is_square_tuple((lv[0], lv[1], lv[3], lv[2])))
+                and g.is_square_tuple(lv))
     if kind == "backtrack":
         return len(lv) == 3 and lv[0] == lv[2] and sv == (lv[0], lv[0])
     if kind == "trivial-drop":
@@ -1038,19 +1074,26 @@ def test_homotopic_loops_searches_like_the_path_map_search():
         other = rng.choice(loops)
         statuses.add(_assert_searches_like_the_reference(
             loops[0], other, other.length + 2, 2).status)
+    # refutations drawn by hand: a cycle of the torus against the trivial
+    # loop, against the other cycle and against its own inverse
+    torus, o = graphs[2], ("v0", "v0")
+    first = make_path(torus, [o, ("v1", "v0"), ("v2", "v0"), o], "fff")
+    second = make_path(torus, [o, ("v0", "v1"), ("v0", "v2"), o], "fff")
+    for a, b in ((first, make_path(torus, [o], "")), (first, second),
+                 (second, inverse(second))):
+        statuses.add(_assert_searches_like_the_reference(a, b, 5, 2).status)
     assert statuses == {"yes", "unknown", "certified-no"}
 
 
 def test_a_route_through_a_longer_loop_is_closed_at_a_tight_bound():
     cone = _cone()
-    torus = box_product(directed_cycle(3), directed_cycle(3))
-    o, t = ("v0", "v0"), ("v2", "v2")
     pairs = [
         # v2 v3 v0 becomes v2 c v0 only through v2 c v3 v0, one step longer
         (make_path(cone, ["v0", "v1", "v2", "v3", "v0"], "ffff"),
          make_path(cone, ["v0", "v1", "v2", "c", "v0"], "ffbf")),
-        (make_path(torus, [o, ("v0", "v2"), t, ("v2", "v0"), o], "bbff"),
-         make_path(torus, [o, ("v2", "v0"), t, ("v2", "v0"), o], "bbff")),
+        # v0 v1 v2 becomes v0 c v2 only through v0 c v1 v2, one step longer
+        (make_path(cone, ["v0", "v1", "v2", "v3", "v0"], "ffff"),
+         make_path(cone, ["v0", "c", "v2", "v3", "v0"], "bfff")),
     ]
     for a, b in pairs:
         loose = _assert_searches_like_the_reference(a, b, 6, 3)
