@@ -131,30 +131,42 @@ class MoveTables:
     square_sides   (w0, w3) -> [(w1, w2)] over the walks w
     triangle_apex  (x, z) -> [y] with {x, y, z} a triangle set
     star           v -> [v and every vertex sharing an arrow with v]
-    """
+
+    The squares and triangles are those of `enumerate_patterns`, which
+    meets each square once.  One pass over them fills the sets and the
+    keyed lists, each walk or ordering entered at its first meeting (two
+    embeddings with different arrows can share a vertex walk); then each
+    list of more than one entry is sorted by vertex rank."""
 
     def __init__(self, g: Digraph):
         rank = {v: i for i, v in enumerate(g.vertices)}
-
-        def ranked(tuples):
-            return sorted(tuples, key=lambda t: [rank[v] for v in t])
-
-        squares = [e.vertices for e in enumerate_patterns(g, "square")]
-        self.squares = frozenset(w[i:] + w[:i] for v0, v1, v2, v3 in squares
-                                 for w in ((v0, v1, v3, v2), (v0, v2, v3, v1))
-                                 for i in range(4))
+        self.squares: set[tuple] = set()
         self.square_corner: dict[tuple, list] = {}
         self.square_sides: dict[tuple, list] = {}
-        for w in ranked(self.squares):
-            self.square_corner.setdefault(w[:3], []).append(w[3])
-            self.square_sides.setdefault((w[0], w[3]), []).append(w[1:3])
-        self.triangles = frozenset(p for e in enumerate_patterns(g, "triangle")
-                                   for p in permutations(e.vertices))
+        for e in enumerate_patterns(g, "square"):
+            v0, v1, v2, v3 = e.vertices
+            for cycle in ((v0, v1, v3, v2), (v0, v2, v3, v1)):
+                for i in range(4):
+                    w = cycle[i:] + cycle[:i]
+                    if w not in self.squares:
+                        self.squares.add(w)
+                        self.square_corner.setdefault(w[:3], []).append(w[3])
+                        self.square_sides.setdefault((w[0], w[3]), []).append(w[1:3])
+        self.triangles: set[tuple] = set()
         self.triangle_apex: dict[tuple, list] = {}
-        for x, y, z in ranked(self.triangles):
-            self.triangle_apex.setdefault((x, z), []).append(y)
+        for e in enumerate_patterns(g, "triangle"):
+            for p in permutations(e.vertices):
+                if p not in self.triangles:
+                    self.triangles.add(p)
+                    self.triangle_apex.setdefault((p[0], p[2]), []).append(p[1])
+        by_rank = rank.__getitem__
+        for table, key in ((self.square_corner, by_rank), (self.triangle_apex, by_rank),
+                           (self.square_sides, lambda s: (rank[s[0]], rank[s[1]]))):
+            for got in table.values():
+                if len(got) > 1:
+                    got.sort(key=key)
         self.star = {v: sorted({v, *(a[1] for a in g.out_arrows(v)),
-                                *(a[0] for a in g.in_arrows(v))}, key=rank.__getitem__)
+                                *(a[0] for a in g.in_arrows(v))}, key=by_rank)
                      for v in g.vertices}
         self.flags = {(v, v): (FORWARD,) for v in g.vertices}
         self.flags.update(((u, v), (FORWARD,)) for u, v in g.arrows)
@@ -336,49 +348,38 @@ class PatternEmbedding:
 
 
 def enumerate_patterns(g: Digraph, kind: str) -> list[PatternEmbedding]:
-    """All injective embeddings of the standard pattern as a subdigraph,
-    deduplicated by bound arrow set, in deterministic input order."""
+    """All injective embeddings of the standard pattern as a subdigraph, one
+    per bound arrow set, in deterministic input order.
+
+    The scan meets a pattern from each of its arrows out of v0 in turn, in
+    g.arrows order.  A triangle has one (v0 -> v1 then v1 -> v2); a square
+    has two, v0 -> v1 and v0 -> v2, whose meetings differ by the swap of
+    v1 and v2, and a double edge is met from both of its arrows.  Only the
+    meeting from the arrow that comes first in g.arrows is kept, which is
+    the first one met."""
     if kind not in PATTERN_KINDS:
         raise GraphError(f"unknown pattern kind {kind!r}")
+    index = g.arrow_index
     out: list[PatternEmbedding] = []
-    seen: set[frozenset] = set()
-    if kind == "triangle":
-        for v0, v1 in g.arrows:
+    for i, (v0, v1) in enumerate(g.arrows):
+        if kind == "triangle":
             for a in g.out_arrows(v1):
                 v2 = a[1]
-                if v2 == v0 or not g.has_arrow(v0, v2):
-                    continue
-                emb = PatternEmbedding(
-                    "triangle", (v0, v1, v2),
-                    ((v0, v1), (v1, v2), (v0, v2)))
-                key = frozenset(emb.arrows)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(emb)
-    elif kind == "square":
-        for v0, v1 in g.arrows:
+                if v2 != v0 and (v0, v2) in index:
+                    out.append(PatternEmbedding(
+                        "triangle", (v0, v1, v2), ((v0, v1), (v1, v2), (v0, v2))))
+        elif kind == "square":
             for a in g.out_arrows(v1):
                 v3 = a[1]
                 if v3 == v0:
                     continue
                 for b in g.in_arrows(v3):
                     v2 = b[0]
-                    if v2 in (v0, v1, v3) or not g.has_arrow(v0, v2):
-                        continue
-                    emb = PatternEmbedding(
-                        "square", (v0, v1, v2, v3),
-                        ((v0, v1), (v1, v3), (v0, v2), (v2, v3)))
-                    key = frozenset(emb.arrows)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(emb)
-    else:
-        for v0, v1 in g.arrows:
-            if g.has_arrow(v1, v0):
-                emb = PatternEmbedding(
-                    "double-edge", (v0, v1), ((v0, v1), (v1, v0)))
-                key = frozenset(emb.arrows)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(emb)
+                    # v2 = v1 is arrow i itself, and v2 = v0 no arrow
+                    if index.get((v0, v2), -1) > i:
+                        out.append(PatternEmbedding(
+                            "square", (v0, v1, v2, v3),
+                            ((v0, v1), (v1, v3), (v0, v2), (v2, v3))))
+        elif index.get((v1, v0), -1) > i:
+            out.append(PatternEmbedding("double-edge", (v0, v1), ((v0, v1), (v1, v0))))
     return out

@@ -107,8 +107,8 @@ class MoveCertificate:
         return states
 
 
-def _moves(g: Digraph, V: tuple, O: tuple,
-           reach: tuple[int, int] | None = None) -> Iterator[tuple]:
+def _moves(g: Digraph, V: tuple, O: tuple, reach: tuple[int, int] | None = None,
+           room: int | None = None) -> Iterator[tuple]:
     """All one-move rewrites of the path with vertices V and orientations O
     on g, both directions, every position, as the field tuples
     (kind, direction, position, before, after) of `Move`.  Vertex-sequence
@@ -117,7 +117,22 @@ def _moves(g: Digraph, V: tuple, O: tuple,
     host's move tables, in vertex input order.  With reach = (a, b) only
     the windows that start at step a or before and end at step b or after
     are listed, in the same order (a window of s steps at position p ends
-    at step p + s - 1, so a trivial insertion at p ends at p - 1)."""
+    at step p + s - 1, so a trivial insertion at p ends at p - 1).
+
+    With a room r, the steps a rewrite may add to the path (for a search,
+    its length bound less the path's length), only the moves that add at
+    most r steps are listed, in the same order.  A move's growth is fixed
+    by its kind and direction: a square expansion adds 2 steps; a
+    triangle expansion, a backtrack insertion and a trivial insertion add
+    1; a square replacement adds 0; the other apply-direction moves remove
+    1 or 2.  So r < 1 skips the inverse directions and the trivial
+    insertions, and r < 2 skips the square expansions.  A path already
+    longer than a search's bound (r < 0) is rare: its moves are filtered
+    one by one."""
+    if room is not None and room < 0:
+        yield from (m for m in _moves(g, V, O, reach)
+                    if len(m[4][1]) - len(m[3][1]) <= room)
+        return
     t = g.move_tables()
     f = t.flags
     n = len(O)
@@ -157,11 +172,15 @@ def _moves(g: Digraph, V: tuple, O: tuple,
         if V[p] == V[p + 1]:
             yield ("trivial-drop", "apply", p, ((V[p], V[p]), (O[p],)), ((V[p],), ()))
 
+    if room is not None and room < 1:
+        return
+    wide = room is None or room >= 2
+
     # inverse directions
     for p in starts[1]:
         x, z = ends = V[p:p + 2]
         apexes = t.triangle_apex.get(ends, ())
-        sides = t.square_sides.get(ends, ())
+        sides = t.square_sides.get(ends, ()) if wide else ()
         if not (apexes or sides or x == z):
             continue
         before = (ends, O[p:p + 1])
@@ -319,7 +338,10 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
     # states; parents map each state to the (previous state, move fields of
     # `_moves` from it) pair on its own side.  A `Move` is made only for the
     # certificate, and no state is built as a path: `cert.replay()`
-    # validates the chain found.
+    # validates the chain found.  `_moves` is given the room left under
+    # the length bound, so it lists only the moves whose result fits; the
+    # bound test below drops nothing more, and is kept so that the bound
+    # holds by itself and not through the growths `_moves` assigns.
     g = a.graph
     start_a, start_b = (a.vertices, a.orientations), (b.vertices, b.orientations)
     parents_a: dict[Window, tuple[Window, tuple] | None] = {start_a: None}
@@ -338,7 +360,7 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
         new_frontier: list[Window] = []
         for here in frontier:
             V, O = here
-            for t in _moves(g, V, O):
+            for t in _moves(g, V, O, room=length_bound - len(O)):
                 p, before, after = t[2:]
                 if len(O) - len(before[1]) + len(after[1]) > length_bound:
                     continue

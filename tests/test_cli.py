@@ -450,14 +450,17 @@ def test_integrate_with_eighty_forms(files, capsys):
     assert code == 0 and out == f"{Fraction(2 ** 80, math.factorial(80))}\n"
 
 
-def _torus_c4():
-    """box_product(directed_cycle(4), directed_cycle(4)) with each vertex
+def _torus(m, n):
+    """box_product(directed_cycle(m), directed_cycle(n)) with each vertex
     pair (x, y) named x + y, based at v0v0."""
-    c4 = directed_cycle(4)
-    g = box_product(c4, c4)
+    g = box_product(directed_cycle(m), directed_cycle(n))
     return {"vertices": ["".join(v) for v in g.vertices],
             "arrows": [["".join(u), "".join(v)] for u, v in g.arrows],
             "base": "v0v0"}
+
+
+def _torus_c4():
+    return _torus(4, 4)
 
 
 # the JSON output of three elimination-heavy queries, by length and sha256
@@ -485,6 +488,42 @@ def test_elimination_output_bytes_are_pinned(files, capsys, name):
                          "--format", "json")
     data = out.encode()
     assert (code, err) == (0, "")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# the JSON output of two homotopy "yes" queries 3 moves apart, by length
+# and sha256 of its bytes: graph, the two loops, the bounds; recorded before
+# the search listed only the moves its length bound admits
+_PINNED_HOMOTOPY = {
+    "grid": (lambda: _grid(4),
+             {"vertices": ["x00", "x10", "x11", "x01", "x00"],
+              "orientations": ["f", "f", "b", "b"]},
+             {"vertices": ["x00", "x10", "x20", "x21", "x22", "x12", "x02", "x01",
+                           "x00"],
+              "orientations": ["f", "f", "f", "f", "b", "b", "b", "b"]},
+             ["--length-bound", "9", "--depth-bound", "4"], 2168,
+             "ef7b12f11c3f3d2f2f886497eaf755214e5c24f7999e14fedb7db3d59988f8ac"),
+    "torus": (lambda: _torus(3, 4),
+              {"vertices": ["v0v0", "v0v1", "v1v1", "v1v0", "v0v0"],
+               "orientations": ["f", "f", "b", "b"]},
+              {"vertices": ["v0v0", "v1v0", "v1v0", "v2v0", "v2v1", "v1v1", "v1v0",
+                            "v0v0"],
+               "orientations": ["f", "f", "f", "f", "b", "b", "b"]},
+              ["--length-bound", "8", "--depth-bound", "4"], 2045,
+              "62a3f7f899fb1b946eaf50767cfaa563badd6d4b98e9f5434981b3e280847a94"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_HOMOTOPY))
+def test_homotopy_yes_output_bytes_are_pinned(files, capsys, name):
+    graph, loop_a, loop_b, bounds, size, digest = _PINNED_HOMOTOPY[name]
+    g = files("g.json", graph())
+    a, b = files("a.json", loop_a), files("b.json", loop_b)
+    code, out, err = run(capsys, "homotopy", "--graph", g, "--loop-a", a,
+                         "--loop-b", b, *bounds, "--format", "json")
+    data = out.encode()
+    assert (code, err) == (0, "")
+    assert json.loads(data)["status"] == "yes"
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 

@@ -4,13 +4,15 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_digraph, walked_square_walks, walked_triangle_sets
+from conftest import (patterned_digraph, random_digraph, walked_square_walks,
+                      walked_triangle_sets)
 
 from pathint import (BasedDigraph, Digraph, DigraphMap, GraphError, MapError,
                      box_product, compose_maps, cylinder, directed_cycle,
                      double_edge, enumerate_patterns, identity_map,
                      is_digraph_map, line_digraph, standard_square,
                      standard_triangle, validate_digraph, wedge_of_cycles)
+from pathint.graphs import PATTERN_KINDS, PatternEmbedding
 
 
 def test_rejects_self_loops():
@@ -66,6 +68,34 @@ def test_square_detection():
     assert len(enumerate_patterns(S, "triangle")) == 0
 
 
+def _tables_by_sorted_walks(g):
+    """Reference for the keyed lists of `MoveTables`: every square walk and
+    triangle ordering of the arrow walks, sorted by its list of vertex
+    ranks, entered in that order; the step flags of each ordered vertex
+    pair, forward before backward."""
+    rank = {v: i for i, v in enumerate(g.vertices)}
+
+    def ranked(tuples):
+        return sorted(tuples, key=lambda t: [rank[v] for v in t])
+
+    corner, sides, apex = {}, {}, {}
+    for w in ranked(walked_square_walks(g)):
+        corner.setdefault(w[:3], []).append(w[3])
+        sides.setdefault((w[0], w[3]), []).append(w[1:3])
+    for x, y, z in ranked(p for tri in walked_triangle_sets(g) for p in permutations(tri)):
+        apex.setdefault((x, z), []).append(y)
+    star = {v: [u for u in g.vertices if u == v or g.has_arrow(u, v)
+                or g.has_arrow(v, u)] for v in g.vertices}
+    flags = {}
+    for u in g.vertices:
+        for v in g.vertices:
+            got = ("f",) if u == v else (("f",) * g.has_arrow(u, v)
+                                         + ("b",) * g.has_arrow(v, u))
+            if got:
+                flags[u, v] = got
+    return corner, sides, apex, star, flags
+
+
 def test_pattern_sets_match_the_arrow_walks(rng):
     graphs = [standard_triangle(), standard_square(), double_edge(),
               directed_cycle(4), wedge_of_cycles(),
@@ -73,6 +103,9 @@ def test_pattern_sets_match_the_arrow_walks(rng):
     graphs += [random_digraph(rng, p=0.5) for _ in range(30)]
     for g in graphs:
         tables = g.move_tables()
+        # values and list order
+        assert (tables.square_corner, tables.square_sides, tables.triangle_apex,
+                tables.star, tables.flags) == _tables_by_sorted_walks(g)
         triangle_sets = walked_triangle_sets(g)
         assert tables.triangles == {p for tri in triangle_sets
                                     for p in permutations(tri)}
@@ -85,6 +118,46 @@ def test_pattern_sets_match_the_arrow_walks(rng):
             assert g.is_triangle_set(*triple) == (frozenset(triple) in triangle_sets)
         for quad in permutations(g.vertices[:6], 4):
             assert g.is_square_tuple(quad) == (quad in walks)
+
+
+def _patterns_by_seen_arrow_sets(g, kind):
+    """Reference for `enumerate_patterns`: every meeting of the pattern
+    along the arrows, in scan order, the first one per arrow set kept."""
+    meetings = []
+    for v0, v1 in g.arrows:
+        if kind == "double-edge":
+            if g.has_arrow(v1, v0):
+                meetings.append(((v0, v1), ((v0, v1), (v1, v0))))
+            continue
+        for a in g.out_arrows(v1):
+            v3 = a[1]
+            if kind == "triangle":
+                if v3 != v0 and g.has_arrow(v0, v3):
+                    meetings.append(((v0, v1, v3), ((v0, v1), (v1, v3), (v0, v3))))
+                continue
+            for b in g.in_arrows(v3):
+                v2 = b[0]
+                if v3 != v0 and v2 not in (v0, v1, v3) and g.has_arrow(v0, v2):
+                    meetings.append(((v0, v1, v2, v3),
+                                     ((v0, v1), (v1, v3), (v0, v2), (v2, v3))))
+    seen, out = set(), []
+    for vertices, arrows in meetings:
+        if frozenset(arrows) not in seen:
+            seen.add(frozenset(arrows))
+            out.append(PatternEmbedding(kind, vertices, arrows))
+    return out
+
+
+def test_patterns_are_the_first_meeting_per_arrow_set(rng):
+    graphs = [standard_triangle(), standard_square(), double_edge(),
+              directed_cycle(4), wedge_of_cycles(),
+              box_product(directed_cycle(3), directed_cycle(4)),
+              box_product(line_digraph("fbf"), line_digraph("ff"))]
+    graphs += [random_digraph(rng, p=0.5) for _ in range(30)]
+    graphs += [patterned_digraph(rng) for _ in range(30)]  # arrows shuffled
+    for g in graphs:
+        for kind in PATTERN_KINDS:
+            assert enumerate_patterns(g, kind) == _patterns_by_seen_arrow_sets(g, kind)
 
 
 def test_plain_fixtures_have_no_patterns():

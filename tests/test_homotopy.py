@@ -969,6 +969,84 @@ def test_moves_in_reach_are_the_windows_that_start_and_end_there(seed):
         t for t in full if t[2] <= a and t[2] + len(t[3][1]) - 1 >= b]
 
 
+def _growth(t):
+    """The steps the move with fields t adds to a path."""
+    return len(t[4][1]) - len(t[3][1])
+
+
+def _assert_bounded_listing_is_the_full_listing_cut_by_growth(path):
+    g, V, O = path.graph, path.vertices, path.orientations
+    full = list(_moves(g, V, O))
+    for room in (-1, 0, 1, 2, 3):
+        assert list(_moves(g, V, O, room=room)) == [
+            t for t in full if _growth(t) <= room]
+
+
+def test_bounded_listing_is_the_full_listing_cut_by_growth_on_fixtures():
+    for g in _fixtures():
+        for base in g.vertices:
+            for path in enumerate_paths(g, base, 3):
+                _assert_bounded_listing_is_the_full_listing_cut_by_growth(path)
+                stationary = insert_trivial(path, path.length // 2)
+                _assert_bounded_listing_is_the_full_listing_cut_by_growth(stationary)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_bounded_listing_is_the_full_listing_cut_by_growth_on_random_digraphs(seed):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    for _ in range(6):
+        path = random_path(rng, g, max_len=7)  # with trivial steps
+        _assert_bounded_listing_is_the_full_listing_cut_by_growth(path)
+
+
+def test_the_search_lists_only_the_moves_under_its_bound(monkeypatch):
+    # a grid pair 3 moves apart: every move the search lists is spliced,
+    # so none of them is listed only to be dropped by the length bound
+    g = box_product(line_digraph("fff"), line_digraph("fff"))
+    o = (0, 0)
+    a = make_path(g, [o, (1, 0), (1, 1), (0, 1), o], "ffbb")
+    b = make_path(g, [o, (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1), o],
+                  "ffffbbbb")
+    listed, spliced = [], []
+    moves, splice = homotopy._moves, homotopy._splice
+
+    def listing(g, V, O, reach=None, **room):
+        for t in moves(g, V, O, reach, **room):
+            if reach is None:  # the search's own listing, not replay's
+                listed.append(len(O) + _growth(t))
+            yield t
+
+    def splicing(*args):
+        spliced.append(args)
+        return splice(*args)
+
+    monkeypatch.setattr(homotopy, "_moves", listing)
+    monkeypatch.setattr(homotopy, "_splice", splicing)
+    verdict = homotopic_loops(a, b, 9, 4)
+    assert verdict.status == "yes" and len(verdict.certificate.moves) == 3
+    assert max(listed) <= 9
+    # replay splices each move of the certificate once more
+    assert len(listed) == len(spliced) - len(verdict.certificate.moves)
+
+
+def test_a_start_loop_over_the_bound_searches_like_the_path_map_search():
+    g = box_product(line_digraph("fff"), line_digraph("fff"))
+    o = (0, 0)
+    six = make_path(g, [o, (1, 0), (2, 0), (2, 1), (1, 1), (0, 1), o], "fffbbb")
+    four = make_path(g, [o, (1, 0), (1, 1), (0, 1), o], "ffbb")
+    stationary = insert_trivial(insert_trivial(four, 2), 0)
+    back = make_path(g, [o, (1, 0), o], "fb")
+    cases = [(six, four, 4, 2), (six, four, 5, 2), (stationary, four, 4, 2),
+             (four, stationary, 5, 3), (six, back, 4, 3), (six, back, 3, 4)]
+    statuses = set()
+    for a, b, length_bound, depth_bound in cases:
+        assert max(a.length, b.length) > length_bound
+        statuses.add(_assert_searches_like_the_reference(
+            a, b, length_bound, depth_bound).status)
+    assert statuses == {"yes", "unknown"}
+
+
 @pytest.mark.parametrize("call", [
     lambda g, loop: pi1_candidates(g, "v0", 1, length_bound=-1),
     lambda g, loop: invariance_verify(word_element(g, (g.arrows[0],)), "v0",
