@@ -1,10 +1,16 @@
 """Shuffle algebra of arrow words with its Hopf structure.
 
-Elements are finitely supported rational combinations of arrow words.  The
-product is the shuffle, the coproduct is deconcatenation, the counit picks
-the empty-word coefficient, and the antipode is signed reversal.  Functional
-equality of elements (as integration functionals on based paths or loops) is
-decided up to a caller-supplied length bound with explicit verdicts.
+Elements are finitely supported rational combinations of arrow words, and
+tensors of ordered pairs of them; both are one combination type on a host
+digraph that differs only in how a key is checked.  The product is the
+shuffle, the coproduct is deconcatenation, the counit picks the empty-word
+coefficient, and the antipode is signed reversal.  Each linear map builds
+its result once: the maps injective on keys (deconcatenation, reversal,
+extending by a letter, pullback) build it directly, the others sum their
+terms through one accumulator, and no map checks again a key it built
+from checked ones.  Functional equality of elements (as integration
+functionals on based paths or loops) is decided up to a caller-supplied
+length bound with explicit verdicts.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations, combinations_with_replacement, islice, product
 from typing import Callable, Iterable, Sequence
 
 from .errors import PairingError
@@ -22,40 +28,76 @@ from .integrals import Word, _pairing, all_words, pair, word_pairings_all
 from .paths import PathMap, _check_bound, concat, enumerate_paths, inverse, runs
 
 
-def _clean(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if v != 0}
+def _sum_terms(terms: Iterable[tuple]) -> dict:
+    """The nonzero sums of (key, coefficient) terms, keyed in first-seen
+    order."""
+    out: dict = {}
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
 
 
-class AlgebraElement:
-    """Rational combination of arrow words on a fixed host digraph."""
+def _word(arrows: frozenset, w: Iterable[Arrow]) -> Word:
+    word = tuple(w)
+    if not arrows.issuperset(word):
+        raise PairingError(f"word uses unknown arrow "
+                           f"{next(a for a in word if a not in arrows)!r}")
+    return word
 
-    def __init__(self, graph: Digraph, coeffs: dict[Word, Fraction] | None = None):
+
+class _Combination:
+    """Rational combination of keys on a fixed host digraph: `coeffs` maps
+    each key to a nonzero `Fraction`.  The checked constructor reads each
+    key through the class's `_key` and sums keys that spell one key; a map
+    that builds its terms from keys already checked takes `_unchecked`."""
+
+    def __init__(self, graph: Digraph, coeffs: dict | None = None):
         self.graph = graph
         arrows = graph.arrow_set
-        clean: dict[Word, Fraction] = {}
-        repeated = False
-        for w, c in (coeffs or {}).items():
-            word = tuple(w)
-            if not arrows.issuperset(word):
-                raise PairingError(f"word uses unknown arrow "
-                                   f"{next(a for a in word if a not in arrows)!r}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                if word in clean:  # two keys spell one word: sum, maybe to 0
-                    clean[word] += c
-                    repeated = True
-                else:
-                    clean[word] = c
-        self.coeffs = _clean(clean) if repeated else clean
+        self.coeffs = _sum_terms(
+            (self._key(arrows, k), c if type(c) is Fraction else Fraction(c))
+            for k, c in (coeffs or {}).items())
 
     @classmethod
-    def _unchecked(cls, graph: Digraph, coeffs: dict[Word, Fraction]) -> "AlgebraElement":
-        """An element from nonzero `Fraction` coefficients keyed by distinct
-        word tuples over the graph's arrows, taken as they are."""
+    def _unchecked(cls, graph: Digraph, coeffs: dict):
+        """A combination from nonzero `Fraction` coefficients keyed by
+        distinct checked keys, taken as they are."""
         elem = cls.__new__(cls)
         elem.graph, elem.coeffs = graph, coeffs
         return elem
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_host(other)
+        return self._unchecked(self.graph, _sum_terms(
+            chain(self.coeffs.items(), other.coeffs.items())))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._unchecked(self.graph, {k: -c for k, c in self.coeffs.items()})
+
+    def __rmul__(self, scalar):
+        s = Fraction(scalar)
+        return self._unchecked(
+            self.graph, {k: s * c for k, c in self.coeffs.items()} if s else {})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.graph == other.graph and self.coeffs == other.coeffs
+
+    def _check_host(self, other: "_Combination") -> None:
+        if self.graph != other.graph:
+            raise PairingError("elements live on different digraphs")
+
+
+class AlgebraElement(_Combination):
+    """Rational combination of arrow words on a fixed host digraph."""
+
+    _key = staticmethod(_word)
 
     @property
     def degree(self) -> int:
@@ -66,40 +108,17 @@ class AlgebraElement:
         return not self.coeffs
 
     def homogeneous_component(self, r: int) -> "AlgebraElement":
-        return AlgebraElement(
+        return self._unchecked(
             self.graph, {w: c for w, c in self.coeffs.items() if len(w) == r})
 
     def support(self) -> list[Word]:
         idx = self.graph.arrow_index
         return sorted(self.coeffs, key=lambda w: (len(w), tuple(idx[a] for a in w)))
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_host(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return AlgebraElement(self.graph, out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1) * other
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.graph, {w: -c for w, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        s = Fraction(scalar)
-        return AlgebraElement(self.graph, {w: s * c for w, c in self.coeffs.items()})
-
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return shuffle(self, other)
-        return AlgebraElement(
-            self.graph, {w: c * Fraction(other) for w, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.graph == other.graph and self.coeffs == other.coeffs
+        return self.__rmul__(other)
 
     def __hash__(self):
         return hash((self.graph, frozenset(self.coeffs.items())))
@@ -112,10 +131,6 @@ class AlgebraElement:
             label = ".".join(f"{a[0]}->{a[1]}" for a in w) if w else "1"
             bits.append(f"{self.coeffs[w]}*{label}")
         return f"AlgebraElement({' + '.join(bits)})"
-
-    def _check_host(self, other: "AlgebraElement") -> None:
-        if self.graph != other.graph:
-            raise PairingError("elements live on different digraphs")
 
 
 def zero(graph: Digraph) -> AlgebraElement:
@@ -132,22 +147,16 @@ def word_element(graph: Digraph, word: Iterable[Arrow],
 
 
 def from_forms(graph: Digraph, forms: Sequence[OneForm]) -> AlgebraElement:
-    """Expand a word of 1-forms into the arrow-word basis multilinearly."""
+    """Expand a word of 1-forms into the arrow-word basis multilinearly.
+    Each step extends every word by one arrow, so no two terms meet; every
+    form's host is checked, also after a zero form has emptied the sum."""
     terms: dict[Word, Fraction] = {(): Fraction(1)}
     for omega in forms:
         if omega.graph != graph:
             raise PairingError("form lives on a different digraph")
-        new: dict[Word, Fraction] = {}
-        for w, c in terms.items():
-            for a in graph.arrows:
-                v = omega(a)
-                if v != 0:
-                    key = w + (a,)
-                    new[key] = new.get(key, Fraction(0)) + c * v
-        terms = new
-        if not terms:
-            break
-    return AlgebraElement(graph, terms)
+        values = [(a, v) for a in graph.arrows if (v := omega(a))]
+        terms = {w + (a,): c * v for w, c in terms.items() for a, v in values}
+    return AlgebraElement._unchecked(graph, terms)
 
 
 @lru_cache(maxsize=None)
@@ -188,74 +197,48 @@ def shuffle_words(w1: Word, w2: Word) -> dict[Word, int]:
 def _shuffle_coeffs(d1: dict[Word, Fraction], d2: dict[Word, Fraction]) -> dict:
     """The bilinear extension of the basis shuffle to two coefficient dicts
     (rational or integer), zero coefficients dropped."""
-    out: dict[Word, Fraction] = {}
-    for w1, c1 in d1.items():
-        for w2, c2 in d2.items():
-            c = c1 * c2
-            for w, m in shuffle_words(w1, w2).items():
-                out[w] = out.get(w, 0) + c * m
-    return _clean(out)
+    return _sum_terms((w, c * m) for w1, c1 in d1.items()
+                      for w2, c2 in d2.items() for c in (c1 * c2,)
+                      for w, m in shuffle_words(w1, w2).items())
 
 
 def shuffle(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Shuffle product, the bilinear extension of the basis shuffle."""
     u._check_host(v)
-    return AlgebraElement(u.graph, _shuffle_coeffs(u.coeffs, v.coeffs))
+    return AlgebraElement._unchecked(u.graph, _shuffle_coeffs(u.coeffs, v.coeffs))
 
 
-class TensorPair:
+class TensorPair(_Combination):
     """Rational combination of ordered pairs of arrow words."""
 
-    def __init__(self, graph: Digraph,
-                 coeffs: dict[tuple[Word, Word], Fraction] | None = None):
-        self.graph = graph
-        self.coeffs = _clean({(tuple(k[0]), tuple(k[1])): Fraction(v)
-                              for k, v in (coeffs or {}).items()})
-
-    def __add__(self, other: "TensorPair") -> "TensorPair":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TensorPair(self.graph, out)
-
-    def __sub__(self, other: "TensorPair") -> "TensorPair":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "TensorPair":
-        s = Fraction(scalar)
-        return TensorPair(self.graph, {k: s * c for k, c in self.coeffs.items()})
+    @staticmethod
+    def _key(arrows: frozenset, k) -> tuple[Word, Word]:
+        return _word(arrows, k[0]), _word(arrows, k[1])
 
     def __mul__(self, other: "TensorPair") -> "TensorPair":
         """Componentwise shuffle on tensor factors."""
-        out: dict[tuple[Word, Word], Fraction] = {}
-        for (u1, u2), c1 in self.coeffs.items():
-            for (v1, v2), c2 in other.coeffs.items():
-                c = c1 * c2
-                left = shuffle_words(u1, v1)
-                right = shuffle_words(u2, v2)
-                for wl, ml in left.items():
-                    for wr, mr in right.items():
-                        key = (wl, wr)
-                        out[key] = out.get(key, Fraction(0)) + c * ml * mr
-        return TensorPair(self.graph, out)
-
-    def __eq__(self, other) -> bool:
         if not isinstance(other, TensorPair):
             return NotImplemented
-        return self.graph == other.graph and self.coeffs == other.coeffs
+        self._check_host(other)
+
+        def terms():
+            for (u1, u2), c1 in self.coeffs.items():
+                for (v1, v2), c2 in other.coeffs.items():
+                    c, right = c1 * c2, shuffle_words(u2, v2)
+                    for wl, ml in shuffle_words(u1, v1).items():
+                        for wr, mr in right.items():
+                            yield (wl, wr), c * ml * mr
+        return self._unchecked(self.graph, _sum_terms(terms()))
 
     def __repr__(self) -> str:
         return f"TensorPair({len(self.coeffs)} terms)"
 
 
 def coproduct(u: AlgebraElement) -> TensorPair:
-    """Deconcatenation: each word splits into all prefix/suffix pairs."""
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for w, c in u.coeffs.items():
-        for i in range(len(w) + 1):
-            key = (w[:i], w[i:])
-            out[key] = out.get(key, Fraction(0)) + c
-    return TensorPair(u.graph, out)
+    """Deconcatenation: each word splits into all prefix/suffix pairs, and a
+    pair spells back its word, so no two terms meet."""
+    return TensorPair._unchecked(u.graph, {
+        (w[:i], w[i:]): c for w, c in u.coeffs.items() for i in range(len(w) + 1)})
 
 
 def counit(u: AlgebraElement) -> Fraction:
@@ -264,18 +247,15 @@ def counit(u: AlgebraElement) -> Fraction:
 
 def antipode(u: AlgebraElement) -> AlgebraElement:
     """Signed reversal: a word of length r maps to (-1)^r times its reverse."""
-    out: dict[Word, Fraction] = {}
-    for w, c in u.coeffs.items():
-        key = tuple(reversed(w))
-        sign = -1 if len(w) % 2 else 1
-        out[key] = out.get(key, Fraction(0)) + sign * c
-    return AlgebraElement(u.graph, out)
+    return AlgebraElement._unchecked(u.graph, {
+        w[::-1]: -c if len(w) % 2 else c for w, c in u.coeffs.items()})
 
 
 def pullback_element(f: DigraphMap, u: AlgebraElement) -> AlgebraElement:
     """Pull a shuffle element on the target back to the source, letter by
     letter: the basis form of an arrow pulls back to the sum of the basis
-    forms of its non-degenerate preimage arrows."""
+    forms of its non-degenerate preimage arrows.  A source word maps to one
+    target word, so no two terms meet."""
     if u.graph != f.target:
         raise PairingError("element does not live on the map's target")
     fiber: dict[Arrow, list[Arrow]] = {a: [] for a in f.target.arrows}
@@ -283,14 +263,9 @@ def pullback_element(f: DigraphMap, u: AlgebraElement) -> AlgebraElement:
         image = (f(b[0]), f(b[1]))
         if image in fiber:
             fiber[image].append(b)
-    out: dict[Word, Fraction] = {}
-    for w, c in u.coeffs.items():
-        pools = [fiber[a] for a in w]
-        if any(not pool for pool in pools):
-            continue
-        for choice in product(*pools):
-            out[choice] = out.get(choice, Fraction(0)) + c
-    return AlgebraElement(f.source, out)
+    return AlgebraElement._unchecked(f.source, {
+        choice: c for w, c in u.coeffs.items()
+        for choice in product(*(fiber[a] for a in w))})
 
 
 @dataclass(frozen=True)
@@ -402,26 +377,20 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     def coassociativity():
         # (delta x id) delta = (id x delta) delta, both sides from coproduct_fn
         for w in words:
-            left: dict[tuple, Fraction] = {}
-            right: dict[tuple, Fraction] = {}
-            for (w1, w2), c in delta(w).items():
-                for (x1, x2), c1 in delta(w1).items():
-                    left[x1, x2, w2] = left.get((x1, x2, w2), 0) + c * c1
-                for (y1, y2), c2 in delta(w2).items():
-                    right[w1, y1, y2] = right.get((w1, y1, y2), 0) + c * c2
-            if _clean(left) != _clean(right):
+            d = delta(w)
+            left = _sum_terms(((x1, x2, w2), c * c1) for (w1, w2), c in d.items()
+                              for (x1, x2), c1 in delta(w1).items())
+            right = _sum_terms(((w1, y1, y2), c * c2) for (w1, w2), c in d.items()
+                               for (y1, y2), c2 in delta(w2).items())
+            if left != right:
                 yield {"word": w}
 
     def counit_law():
         for w in words:
-            left: dict[Word, Fraction] = {}
-            right: dict[Word, Fraction] = {}
-            for (w1, w2), c in delta(w).items():
-                if not w1:
-                    left[w2] = left.get(w2, 0) + c
-                if not w2:
-                    right[w1] = right.get(w1, 0) + c
-            if _clean(left) != {w: 1} or _clean(right) != {w: 1}:
+            d = delta(w)
+            left = _sum_terms((w2, c) for (w1, w2), c in d.items() if not w1)
+            right = _sum_terms((w1, c) for (w1, w2), c in d.items() if not w2)
+            if left != {w: 1} or right != {w: 1}:
                 yield {"word": w}
 
     def antipode_law():

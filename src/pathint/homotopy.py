@@ -19,7 +19,7 @@ from functools import cache
 from itertools import product
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraElement, BasedFunctional
+from .algebra import AlgebraElement, BasedFunctional, _sum_terms
 from .errors import MapError, PathError
 from .forms import (OneForm, _boundary_span, _closed_basis_vectors,
                     _omega2_boundaries, closed_arrows, is_closed)
@@ -291,7 +291,7 @@ def _separating_invariant(a: PathMap, b: PathMap):
             vec = next(v for v in _closed_basis_vectors(g, "kernel") if v[f])
         values = tuple(sum((vec[j] * k for j, k in net.items()), _ZERO)
                        for net in nets)
-        return AlgebraElement(
+        return AlgebraElement._unchecked(
             g, {(x,): c for x, c in zip(g.arrows, vec) if c}), values
     words = list(product(closed_arrows(g), repeat=2))
     if not words:
@@ -300,7 +300,7 @@ def _separating_invariant(a: PathMap, b: PathMap):
     sig_a, sig_b = signature(a, prefixes), signature(b, prefixes)
     for w in words:
         if sig_a[w] != sig_b[w]:
-            return AlgebraElement(g, {w: _ONE}), (sig_a[w], sig_b[w])
+            return AlgebraElement._unchecked(g, {w: _ONE}), (sig_a[w], sig_b[w])
     return None
 
 
@@ -648,7 +648,8 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
         # j (a reduced row vanishes left of its pivot)
         support = held[:bisect(held, j)] + [j]
         invariant_kernel.append(
-            AlgebraElement(g, {words[k]: vec[k] for k in support if vec[k]}))
+            AlgebraElement._unchecked(
+                g, {words[k]: vec[k] for k in support if vec[k]}))
     # The representatives extend a basis of the null kernel (move and loop
     # rows) to the invariant kernel, scanning the invariant basis in order.
     # An invariant vector is fixed by its entries at the free columns: the
@@ -686,19 +687,11 @@ def change_base_point(gamma: PathMap, elem):
     # the prefix closure of the suffixes w[j:] is every infix w[j:k]
     tails = signature(gamma, (w[j:k] for w in words for j in range(len(w) + 1)
                               for k in range(j, len(w) + 1)))
-    terms: dict[Word, Fraction] = {}
-    for w, c in inner.coeffs.items():
-        r = len(w)
-        for i in range(r + 1):
-            head = heads[w[:i]]
-            if head == 0:
-                continue
-            for j in range(i, r + 1):
-                tail = tails[w[j:]]
-                if tail == 0:
-                    continue
-                terms[w[i:j]] = terms.get(w[i:j], 0) + c * head * tail
-    out = AlgebraElement(inner.graph, terms)
+    out = AlgebraElement._unchecked(inner.graph, _sum_terms(
+        (w[i:j], c * head * tail)
+        for w, c in inner.coeffs.items() for i in range(len(w) + 1)
+        if (head := heads[w[:i]])
+        for j in range(i, len(w) + 1) if (tail := tails[w[j:]])))
     if wrapped:
         return BasedFunctional(out, gamma.start, "loop")
     return out

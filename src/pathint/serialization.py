@@ -245,13 +245,19 @@ def tensor_to_dict(t: TensorPair) -> dict:
 
 
 def tensor_from_dict(g: Digraph, d: dict) -> TensorPair:
+    """The tensor of a tensor document, built unchecked as an element is:
+    `parse_word_label` checks every arrow of both words, and distinct keys
+    name distinct word pairs; zero coefficients are dropped."""
     coeffs = {}
     for key, v in _field(d, "tensor", dict, "tensor", FormError).items():
         left, sep, right = key.partition("|")
         if not sep:
             raise FormError(f"tensor key {key!r} is not of the form left|right")
-        coeffs[(parse_word_label(g, left), parse_word_label(g, right))] = parse_rational(v)
-    return TensorPair(g, coeffs)
+        c = parse_rational(v)
+        pair = (parse_word_label(g, left), parse_word_label(g, right))
+        if c:
+            coeffs[pair] = c
+    return TensorPair._unchecked(g, coeffs)
 
 
 def canonical_dumps(obj) -> str:

@@ -1,19 +1,25 @@
 """Shuffle algebra, Hopf structure, functionals, pullback."""
 
+import operator
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_digraph, random_rational
+from conftest import (patterned_digraph, random_digraph, random_form,
+                      random_path, random_rational)
 
-from pathint import (AlgebraElement, BasedFunctional, DigraphMap,
+from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
                      PairingError, all_words, antipode, coproduct, counit,
                      double_edge, enumerate_paths, from_forms,
-                     functional_equal, hopf_axiom_report,
+                     functional_equal, hopf_axiom_report, inverse,
                      make_path, pair, pullback_element, shuffle,
-                     shuffle_words, standard_triangle, TensorPair, unit,
-                     word_element, zero, OneForm)
+                     shuffle_words, standard_square, standard_triangle,
+                     TensorPair, unit, word_element, zero, OneForm)
+from pathint.homotopy import change_base_point
+from pathint.integrals import signature
 
 
 def a1(g):
@@ -294,3 +300,195 @@ def test_element_host_mismatch():
     T, D = standard_triangle(), double_edge()
     with pytest.raises(PairingError):
         word_element(T, (("v0", "v1"),)) + word_element(D, (("v0", "v1"),))
+
+
+def test_tensor_rejects_unknown_arrows_in_either_word():
+    T = standard_triangle()
+    a = T.arrows[0]
+    for key in (((("x", "y"),), ()), ((a,), (a, ("v2", "v0")))):
+        with pytest.raises(PairingError):
+            TensorPair(T, {key: 1})
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_tensor_arithmetic_checks_the_host(op):
+    # both tensors spell their words with the arrow v0->v1 of both hosts
+    T, S = standard_triangle(), standard_square()
+    t = coproduct(word_element(T, (("v0", "v1"),)))
+    s = coproduct(word_element(S, (("v0", "v1"),)))
+    with pytest.raises(PairingError):
+        op(t, s)
+
+
+def test_from_forms_checks_every_host_before_expanding():
+    # the zero form empties the expansion before the foreign form is met
+    T, S = standard_triangle(), standard_square()
+    with pytest.raises(PairingError):
+        from_forms(T, [OneForm(T), OneForm.basis(S, ("v0", "v1"))])
+
+
+# ------------------------------------- accumulate-then-construct references
+# Each linear map as it was before the maps built their results once: the
+# terms are added up by hand and the sum goes through the checked
+# constructor.  The host checks are left to the maps under test.
+
+def _ref_add(u, v):
+    out = dict(u.coeffs)
+    for w, c in v.coeffs.items():
+        out[w] = out.get(w, Fraction(0)) + c
+    return type(u)(u.graph, out)
+
+
+def _ref_scale(scalar, u):
+    s = Fraction(scalar)
+    return type(u)(u.graph, {w: s * c for w, c in u.coeffs.items()})
+
+
+def _ref_shuffle(u, v):
+    out = {}
+    for w1, c1 in u.coeffs.items():
+        for w2, c2 in v.coeffs.items():
+            c = c1 * c2
+            for w, m in shuffle_words(w1, w2).items():
+                out[w] = out.get(w, 0) + c * m
+    return AlgebraElement(u.graph, out)
+
+
+def _ref_coproduct(u):
+    out = {}
+    for w, c in u.coeffs.items():
+        for i in range(len(w) + 1):
+            key = (w[:i], w[i:])
+            out[key] = out.get(key, Fraction(0)) + c
+    return TensorPair(u.graph, out)
+
+
+def _ref_tensor_shuffle(t1, t2):
+    out = {}
+    for (u1, u2), c1 in t1.coeffs.items():
+        for (v1, v2), c2 in t2.coeffs.items():
+            c = c1 * c2
+            left = shuffle_words(u1, v1)
+            right = shuffle_words(u2, v2)
+            for wl, ml in left.items():
+                for wr, mr in right.items():
+                    key = (wl, wr)
+                    out[key] = out.get(key, Fraction(0)) + c * ml * mr
+    return TensorPair(t1.graph, out)
+
+
+def _ref_antipode(u):
+    out = {}
+    for w, c in u.coeffs.items():
+        key = tuple(reversed(w))
+        sign = -1 if len(w) % 2 else 1
+        out[key] = out.get(key, Fraction(0)) + sign * c
+    return AlgebraElement(u.graph, out)
+
+
+def _ref_pullback(f, u):
+    fiber = {a: [] for a in f.target.arrows}
+    for b in f.source.arrows:
+        image = (f(b[0]), f(b[1]))
+        if image in fiber:
+            fiber[image].append(b)
+    out = {}
+    for w, c in u.coeffs.items():
+        pools = [fiber[a] for a in w]
+        if any(not pool for pool in pools):
+            continue
+        for choice in product(*pools):
+            out[choice] = out.get(choice, Fraction(0)) + c
+    return AlgebraElement(f.source, out)
+
+
+def _ref_from_forms(graph, forms):
+    terms = {(): Fraction(1)}
+    for omega in forms:
+        new = {}
+        for w, c in terms.items():
+            for a in graph.arrows:
+                v = omega(a)
+                if v != 0:
+                    key = w + (a,)
+                    new[key] = new.get(key, Fraction(0)) + c * v
+        terms = new
+    return AlgebraElement(graph, terms)
+
+
+def _ref_change_base_point(gamma, u):
+    words = list(u.coeffs)
+    heads = signature(inverse(gamma),
+                      (w[:i] for w in words for i in range(len(w) + 1)))
+    tails = signature(gamma, (w[j:k] for w in words for j in range(len(w) + 1)
+                              for k in range(j, len(w) + 1)))
+    terms = {}
+    for w, c in u.coeffs.items():
+        r = len(w)
+        for i in range(r + 1):
+            head = heads[w[:i]]
+            if head == 0:
+                continue
+            for j in range(i, r + 1):
+                tail = tails[w[j:]]
+                if tail == 0:
+                    continue
+                terms[w[i:j]] = terms.get(w[i:j], 0) + c * head * tail
+    return AlgebraElement(u.graph, terms)
+
+
+def _random_words(rng, g, k):
+    return [tuple(rng.choice(g.arrows) for _ in range(rng.randint(0, 3)))
+            for _ in range(k)]
+
+
+def _random_map_into(rng, g):
+    """A digraph map onto g's vertices from a random source whose arrows
+    all map to arrows of g or collapse, so fibres of several arrows and
+    empty fibres both occur."""
+    names = [f"s{i}" for i in range(rng.randint(2, 7))]
+    mapping = {s: rng.choice(g.vertices) for s in names}
+    arrows = [(s, t) for s in names for t in names if s != t
+              and (mapping[s] == mapping[t] or g.has_arrow(mapping[s], mapping[t]))
+              and rng.random() < 0.6]
+    return DigraphMap(Digraph(names, arrows), g, mapping)
+
+
+def _assert_built_alike(new, old):
+    assert type(new) is type(old) and new.graph == old.graph
+    assert list(new.coeffs.items()) == list(old.coeffs.items())
+    assert all(type(c) is Fraction for c in new.coeffs.values())
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_linear_maps_match_their_accumulating_references(seed):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    u = AlgebraElement(g, {w: random_rational(rng)
+                           for w in _random_words(rng, g, rng.randint(0, 6))})
+    # v repeats some of u's words with a flipped sign, so that u + v and
+    # the cross terms of u * v cancel
+    flipped = {w: rng.choice((-c, c)) for w, c in u.coeffs.items()
+               if rng.random() < 0.7}
+    v = AlgebraElement(g, {**{w: random_rational(rng)
+                              for w in _random_words(rng, g, rng.randint(0, 3))},
+                           **flipped})
+    s = rng.choice((0, 1, -1, Fraction(2, 3), 3))
+    tu, tv = coproduct(u), coproduct(v)
+    cases = [
+        (u + v, _ref_add(u, v)), (u - u, _ref_add(u, _ref_scale(-1, u))),
+        (s * u, _ref_scale(s, u)), (u * s, _ref_scale(s, u)),
+        (shuffle(u, v), _ref_shuffle(u, v)), (u * v, _ref_shuffle(u, v)),
+        (coproduct(v), _ref_coproduct(v)), (antipode(u), _ref_antipode(u)),
+        (tu + tv, _ref_add(tu, tv)), (s * tv, _ref_scale(s, tv)),
+        (tu * tv, _ref_tensor_shuffle(tu, tv)),
+    ]
+    f = _random_map_into(rng, g)
+    cases.append((pullback_element(f, u), _ref_pullback(f, u)))
+    forms = [random_form(rng, g, zero_p=rng.choice((0.3, 0.7, 1.0)))
+             for _ in range(rng.randint(0, 3))]
+    cases.append((from_forms(g, forms), _ref_from_forms(g, forms)))
+    gamma = random_path(rng, g, max_len=4)
+    cases.append((change_base_point(gamma, v), _ref_change_base_point(gamma, v)))
+    for new, old in cases:
+        _assert_built_alike(new, old)

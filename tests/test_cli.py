@@ -527,6 +527,58 @@ def test_homotopy_yes_output_bytes_are_pinned(files, capsys, name):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+# the JSON output of the algebra commands on `wedge_of_cycles()` elements
+# of degree <= 3, by length and sha256 of its bytes; recorded before the
+# algebra's maps built their results through one combination type.  The
+# a- and e-terms of U and V make the ae and ea shuffle terms cancel.
+_A, _B, _C, _D = "v0->v1", "v1->v2", "v2->v3", "v3->v0"
+_E, _F, _G, _H = "v0->v4", "v4->v5", "v5->v6", "v6->v0"
+_ALGEBRA_ELEMENTS = {
+    "U": {_A: "1", _E: "1/2", f"{_B},{_C}": "-2", f"{_F},{_G},{_H}": "1/3"},
+    "V": {_A: "1", _E: "-1/2", f"{_F},{_G}": "3", f"{_C},{_D},{_A}": "-1"},
+    "W": {f"{_A},{_B}": "1", f"{_B},{_A}": "-1", f"{_E},{_E},{_F}": "2/5",
+          "": "-3"},
+}
+_GAMMAS = {
+    "forward": {"vertices": ["v0", "v1", "v2"], "orientations": ["f", "f"]},
+    "zigzag": {"vertices": ["v0", "v4", "v0", "v1"],
+               "orientations": ["f", "b", "f"]},
+}
+_PINNED_ALGEBRA = {
+    "shuffle-uv": (["shuffle", "--element-a", "U", "--element-b", "V"], 3161,
+                   "cdee92ed02b5b5c17cf5709eacc397ff8237a5a6b6d1229e2602bdd8115ab21d"),
+    "shuffle-uw": (["shuffle", "--element-a", "U", "--element-b", "W"], 3513,
+                   "4dbe5d550ae0c89784f5e73abf194d0ce996648009aa041182656b2ea6d5b83e"),
+    "coproduct-v": (["coproduct", "--element", "V"], 325,
+                    "f705fb19a365be2f126cdea3d91fe0a4d60c5094f1d21b647bf88caaafeb3c40"),
+    "coproduct-w": (["coproduct", "--element", "W"], 341,
+                    "3089c08c06f71ab0e004bfc5a8bda92ff376c9849d9013b6bdda48228d346d49"),
+    "antipode-u": (["antipode", "--element", "U"], 127,
+                   "7a3bc3038da732f01f1b69f253fab4a1cab20dbfab94dbbbe171786e03930e30"),
+    "antipode-w": (["antipode", "--element", "W"], 125,
+                   "be4dc0045c9cfd818b3008f9f441bb6a0908eea56936b1672f67c71ffdd59599"),
+    "change-base-v": (["change-base", "--path", "forward", "--element", "V"], 150,
+                      "7dcf772134c51f1d6188a6a7ae4d28b556c2d4a827d782f35a163885216d002b"),
+    "change-base-w": (["change-base", "--path", "zigzag", "--element", "W"], 144,
+                      "7ff0e63cf106e644acd4f6dac78139532dbd0e4202d166d3235ac10fe5ef484a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_ALGEBRA))
+def test_algebra_output_bytes_are_pinned(files, capsys, name):
+    argv, size, digest = _PINNED_ALGEBRA[name]
+    g = files("g.json", ser.digraph_to_dict(wedge_of_cycles()))
+    docs = {k: files(f"{k}.json", {"element": v})
+            for k, v in _ALGEBRA_ELEMENTS.items()}
+    docs.update({k: files(f"{k}.json", v) for k, v in _GAMMAS.items()})
+    operands = [docs.get(a, a) for a in argv[1:]]
+    code, out, err = run(capsys, argv[0], "--graph", g, *operands,
+                         "--format", "json")
+    data = out.encode()
+    assert (code, err) == (0, "")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_emitted_json_reparses(files, capsys, tmp_path):
     D = double_edge()
     g = files("d.json", ser.digraph_to_dict(D))
