@@ -1,13 +1,15 @@
 """Shuffle algebra of arrow words with its Hopf structure.
 
 Elements are finitely supported rational combinations of arrow words, and
-tensors of ordered pairs of them; both are one combination type on a host
-digraph that differs only in how a key is checked.  The product is the
-shuffle, the coproduct is deconcatenation, the counit picks the empty-word
-coefficient, and the antipode is signed reversal.  Each linear map builds
-its result once: the maps injective on keys (deconcatenation, reversal,
-extending by a letter, pullback) build it directly, the others sum their
-terms through one accumulator, and no map checks again a key it built
+tensors of ordered pairs of them.  Both are subclasses of the one sparse
+combination type, `linalg._Combination`, which the forms of `forms` share:
+they differ only in how a key is checked, and an unknown arrow or a host
+mismatch raises `PairingError`.  The product is the shuffle, the coproduct
+is deconcatenation, the counit picks the empty-word coefficient, and the
+antipode is signed reversal.  Each linear map builds its result once: the
+maps injective on keys (deconcatenation, reversal, extending by a letter,
+pullback) build it directly, the others sum their terms through the one
+accumulator `linalg._sum_terms`, and no map checks again a key it built
 from checked ones.  Functional equality of elements (as integration
 functionals on based paths or loops) is decided up to a caller-supplied
 length bound with explicit verdicts.
@@ -25,87 +27,27 @@ from .errors import PairingError
 from .forms import OneForm
 from .graphs import Arrow, BasedDigraph, Digraph, DigraphMap
 from .integrals import Word, _pairing, all_words, pair, word_pairings_all
+from .linalg import _Combination, _sum_terms
 from .paths import PathMap, _check_bound, concat, enumerate_paths, inverse, runs
 
 
-def _sum_terms(terms: Iterable[tuple]) -> dict:
-    """The nonzero sums of (key, coefficient) terms, keyed in first-seen
-    order."""
-    out: dict = {}
-    for k, c in terms:
-        out[k] = out[k] + c if k in out else c
-    return {k: c for k, c in out.items() if c}
-
-
-def _word(arrows: frozenset, w: Iterable[Arrow]) -> Word:
+def _word(graph: Digraph, w: Iterable[Arrow]) -> Word:
     word = tuple(w)
-    if not arrows.issuperset(word):
+    if not graph.arrow_set.issuperset(word):
         raise PairingError(f"word uses unknown arrow "
-                           f"{next(a for a in word if a not in arrows)!r}")
+                           f"{next(a for a in word if a not in graph.arrow_set)!r}")
     return word
-
-
-class _Combination:
-    """Rational combination of keys on a fixed host digraph: `coeffs` maps
-    each key to a nonzero `Fraction`.  The checked constructor reads each
-    key through the class's `_key` and sums keys that spell one key; a map
-    that builds its terms from keys already checked takes `_unchecked`."""
-
-    def __init__(self, graph: Digraph, coeffs: dict | None = None):
-        self.graph = graph
-        arrows = graph.arrow_set
-        self.coeffs = _sum_terms(
-            (self._key(arrows, k), c if type(c) is Fraction else Fraction(c))
-            for k, c in (coeffs or {}).items())
-
-    @classmethod
-    def _unchecked(cls, graph: Digraph, coeffs: dict):
-        """A combination from nonzero `Fraction` coefficients keyed by
-        distinct checked keys, taken as they are."""
-        elem = cls.__new__(cls)
-        elem.graph, elem.coeffs = graph, coeffs
-        return elem
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check_host(other)
-        return self._unchecked(self.graph, _sum_terms(
-            chain(self.coeffs.items(), other.coeffs.items())))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return self._unchecked(self.graph, {k: -c for k, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        s = Fraction(scalar)
-        return self._unchecked(
-            self.graph, {k: s * c for k, c in self.coeffs.items()} if s else {})
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.graph == other.graph and self.coeffs == other.coeffs
-
-    def _check_host(self, other: "_Combination") -> None:
-        if self.graph != other.graph:
-            raise PairingError("elements live on different digraphs")
 
 
 class AlgebraElement(_Combination):
     """Rational combination of arrow words on a fixed host digraph."""
 
-    _key = staticmethod(_word)
+    _key, _error = staticmethod(_word), PairingError
 
     @property
     def degree(self) -> int:
         """Largest supported word length (0 for the zero element)."""
         return max((len(w) for w in self.coeffs), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def homogeneous_component(self, r: int) -> "AlgebraElement":
         return self._unchecked(
@@ -211,9 +153,11 @@ def shuffle(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
 class TensorPair(_Combination):
     """Rational combination of ordered pairs of arrow words."""
 
+    _error = PairingError
+
     @staticmethod
-    def _key(arrows: frozenset, k) -> tuple[Word, Word]:
-        return _word(arrows, k[0]), _word(arrows, k[1])
+    def _key(graph: Digraph, k) -> tuple[Word, Word]:
+        return _word(graph, k[0]), _word(graph, k[1])
 
     def __mul__(self, other: "TensorPair") -> "TensorPair":
         """Componentwise shuffle on tensor factors."""
@@ -366,12 +310,22 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     # Each law is a lazy generator of its failures, in instance order.
     def associativity():
         # unordered triples: shuffle is checked commutative separately, so
-        # ordered triples add nothing
-        basis = {w: {w: 1} for w in words}
+        # ordered triples add nothing.  The basis shuffle reads positions
+        # only, and renaming letters one-to-one renames both sides alike, so
+        # a triple's verdict depends only on its word lengths and on which
+        # of its letters are equal: one verdict per such pattern
+        verdicts: dict[tuple, bool] = {}
         for u, v, w in combinations_with_replacement(words, 3):
-            left = _shuffle_coeffs(_shuffle_coeffs(basis[u], basis[v]), basis[w])
-            right = _shuffle_coeffs(basis[u], _shuffle_coeffs(basis[v], basis[w]))
-            if left != right:
+            names: dict = {}
+            pattern = (len(u), len(v), len(w),
+                       tuple(names.setdefault(a, len(names)) for a in chain(u, v, w)))
+            holds = verdicts.get(pattern)
+            if holds is None:
+                bu, bv, bw = {u: 1}, {v: 1}, {w: 1}
+                holds = verdicts[pattern] = (
+                    _shuffle_coeffs(_shuffle_coeffs(bu, bv), bw)
+                    == _shuffle_coeffs(bu, _shuffle_coeffs(bv, bw)))
+            if not holds:
                 yield {"words": (u, v, w)}
 
     def coassociativity():

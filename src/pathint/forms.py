@@ -1,62 +1,65 @@
 """0-forms, 1-forms, the differential d, the two-chain space, closedness.
 
-A 0-form assigns a rational to every vertex, a 1-form to every arrow.  The
-two-chain space is spanned by the allowed 2-paths u->v->w (consecutive
-arrows); its boundary drops the middle term e_{uw} exactly when u = w, and a
-chain belongs to the space when every boundary component over a non-arrow
-vertex pair vanishes.  A 1-form is closed when it pairs to zero with every
-boundary, equivalently when it satisfies the triangle, square, and
-double-edge linear conditions over all pattern embeddings.
+A 0-form assigns a rational to every vertex, a 1-form to every arrow, and a
+2-chain to every allowed 2-path u->v->w (consecutive arrows).  All three
+are subclasses of the one sparse combination type, `linalg._Combination`,
+which the shuffle elements and tensors of `algebra` share: `coeffs` holds
+the nonzero values only (it replaced the dense `values` of the forms), a
+form reads 0 off its support, and an unknown key or a host mismatch raises
+`FormError`.  The boundary of a 2-chain drops the middle term e_{uw}
+exactly when u = w, and a chain belongs to the two-chain space when every
+boundary component over a non-arrow vertex pair vanishes.  A 1-form is
+closed when it pairs to zero with every boundary, equivalently when it
+satisfies the triangle, square, and double-edge linear conditions over all
+pattern embeddings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import FormError
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .linalg import Echelon, Vector, kernel
+from .linalg import _ZERO, Echelon, Vector, _Combination, _sum_terms, kernel
 
 
-class ZeroForm:
-    """A rational-valued function on vertices, dense over the host."""
+class _Form(_Combination):
+    """A combination of vertices, arrows or allowed 2-paths, read as a
+    function that is 0 off its support."""
 
-    def __init__(self, graph: Digraph, values: Mapping[Vertex, Fraction] | None = None):
-        self.graph = graph
-        vals = dict(values or {})
-        for v in vals:
-            if v not in graph.vertex_set:
-                raise FormError(f"unknown vertex {v!r}")
-        self.values = {v: Fraction(vals.get(v, 0)) for v in graph.vertices}
+    _error = FormError
 
-    def __call__(self, v: Vertex) -> Fraction:
-        return self.values[v]
-
-    def __eq__(self, other):
-        return (isinstance(other, ZeroForm) and self.graph == other.graph
-                and self.values == other.values)
+    def __call__(self, key) -> Fraction:
+        return self.coeffs.get(key, _ZERO)
 
     def __repr__(self):
-        return f"ZeroForm({self.values!r})"
+        values = {k: str(c) for k, c in self.coeffs.items()}
+        return f"{type(self).__name__}({values!r})"
 
 
-class OneForm:
-    """A rational-valued function on arrows, dense over the host."""
+class ZeroForm(_Form):
+    """A rational-valued function on vertices."""
 
-    def __init__(self, graph: Digraph, values: Mapping[Arrow, Fraction] | None = None):
-        self.graph = graph
-        vals = dict(values or {})
-        for a in vals:
-            if a not in graph.arrow_set:
-                raise FormError(f"unknown arrow {a!r}")
-        self.values = {a: Fraction(vals.get(a, 0)) for a in graph.arrows}
+    @staticmethod
+    def _key(graph: Digraph, v: Vertex) -> Vertex:
+        if v not in graph.vertex_set:
+            raise FormError(f"unknown vertex {v!r}")
+        return v
+
+
+class OneForm(_Form):
+    """A rational-valued function on arrows."""
+
+    @staticmethod
+    def _key(graph: Digraph, a: Arrow) -> Arrow:
+        if a not in graph.arrow_set:
+            raise FormError(f"unknown arrow {a!r}")
+        return a
 
     @classmethod
     def basis(cls, graph: Digraph, arrow: Arrow) -> "OneForm":
-        if arrow not in graph.arrow_set:
-            raise FormError(f"unknown arrow {arrow!r}")
-        return cls(graph, {arrow: Fraction(1)})
+        return cls(graph, {arrow: 1})
 
     @classmethod
     def from_vector(cls, graph: Digraph, vec: Sequence[Fraction]) -> "OneForm":
@@ -65,97 +68,39 @@ class OneForm:
         return cls(graph, dict(zip(graph.arrows, vec)))
 
     def vector(self) -> Vector:
-        return tuple(self.values[a] for a in self.graph.arrows)
-
-    def __call__(self, arrow: Arrow) -> Fraction:
-        return self.values[arrow]
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        if self.graph != other.graph:
-            raise FormError("forms live on different digraphs")
-        return OneForm(self.graph,
-                       {a: self.values[a] + other.values[a] for a in self.graph.arrows})
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "OneForm":
-        c = Fraction(scalar)
-        return OneForm(self.graph, {a: c * v for a, v in self.values.items()})
-
-    def __neg__(self) -> "OneForm":
-        return (-1) * self
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
-
-    def __eq__(self, other):
-        return (isinstance(other, OneForm) and self.graph == other.graph
-                and self.values == other.values)
-
-    def __repr__(self):
-        nz = {a: str(v) for a, v in self.values.items() if v != 0}
-        return f"OneForm({nz!r})"
+        return tuple(self(a) for a in self.graph.arrows)
 
 
 TwoPath = tuple  # (u, v, w) with (u,v) and (v,w) arrows
 
 
-class TwoChain:
+class TwoChain(_Form):
     """A finitely supported rational combination of allowed 2-paths."""
 
-    def __init__(self, graph: Digraph, coeffs: Mapping[TwoPath, Fraction] | None = None):
-        self.graph = graph
-        allowed = set(allowed_two_paths(graph))
-        self.coeffs: dict[TwoPath, Fraction] = {}
-        for p, c in (coeffs or {}).items():
-            key = tuple(p)
-            if key not in allowed:
-                raise FormError(f"{key!r} is not an allowed 2-path")
-            c = Fraction(c)
-            if c != 0:
-                self.coeffs[key] = c
-
-    @classmethod
-    def _unchecked(cls, graph: Digraph, coeffs: dict[TwoPath, Fraction]) -> "TwoChain":
-        """A chain from coefficients already known to be nonzero and on
-        allowed 2-paths, without rebuilding the allowed set."""
-        chain = cls.__new__(cls)
-        chain.graph, chain.coeffs = graph, coeffs
-        return chain
+    @staticmethod
+    def _key(graph: Digraph, p) -> TwoPath:
+        key = tuple(p)
+        if key not in graph.derived("allowed two paths",
+                                    lambda: frozenset(allowed_two_paths(graph))):
+            raise FormError(f"{key!r} is not an allowed 2-path")
+        return key
 
     def boundary(self) -> dict[tuple, Fraction]:
         """Boundary as a combination of vertex pairs; the middle term is
         dropped when the 2-path closes up (u = w)."""
         return _boundary(self.coeffs)
 
-    def __eq__(self, other):
-        return (isinstance(other, TwoChain) and self.graph == other.graph
-                and self.coeffs == other.coeffs)
 
-    def __repr__(self):
-        return f"TwoChain({({p: str(c) for p, c in self.coeffs.items()})!r})"
-
-
-def _boundary(coeffs: Mapping[TwoPath, Fraction]) -> dict[tuple, Fraction]:
+def _boundary(coeffs: dict[TwoPath, Fraction]) -> dict[tuple, Fraction]:
     """The boundary of the chain with these coefficients, in their own
     number type: int coefficients give an int boundary."""
-    out: dict[tuple, Fraction] = {}
-
-    def add(pair, c):
-        old = out.get(pair)
-        new = c if old is None else old + c
-        if new == 0:
-            out.pop(pair, None)
-        else:
-            out[pair] = new
-
-    for (u, v, w), c in coeffs.items():
-        add((v, w), c)
-        add((u, v), c)
-        if u != w:
-            add((u, w), -c)
-    return out
+    def terms():
+        for (u, v, w), c in coeffs.items():
+            yield (v, w), c
+            yield (u, v), c
+            if u != w:
+                yield (u, w), -c
+    return _sum_terms(terms())
 
 
 def d0(f: ZeroForm) -> OneForm:
@@ -207,6 +152,12 @@ def _omega2_chains(g: Digraph) -> list[dict[TwoPath, int]]:
     return chains
 
 
+# the arrow signs of the closedness condition of each pattern kind, in the
+# order of the pattern's arrows
+_PATTERN_SIGNS = {"triangle": (1, 1, -1), "square": (1, 1, -1, -1),
+                  "double-edge": (1, 1)}
+
+
 def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
     """Int rows, one per closedness condition: the Omega_2 basis chains
     have coefficients +-1, so their boundaries are integral."""
@@ -220,27 +171,12 @@ def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
                 row[idx[pair]] = c
             rows.append(row)
     elif method == "patterns":
-        for emb in enumerate_patterns(g, "triangle"):
-            a1, a2, a3 = emb.arrows
-            row = [0] * n
-            row[idx[a1]] += 1
-            row[idx[a2]] += 1
-            row[idx[a3]] -= 1
-            rows.append(row)
-        for emb in enumerate_patterns(g, "square"):
-            a1, a2, a3, a4 = emb.arrows
-            row = [0] * n
-            row[idx[a1]] += 1
-            row[idx[a2]] += 1
-            row[idx[a3]] -= 1
-            row[idx[a4]] -= 1
-            rows.append(row)
-        for emb in enumerate_patterns(g, "double-edge"):
-            a1, a2 = emb.arrows
-            row = [0] * n
-            row[idx[a1]] += 1
-            row[idx[a2]] += 1
-            rows.append(row)
+        for kind, signs in _PATTERN_SIGNS.items():
+            for emb in enumerate_patterns(g, kind):
+                row = [0] * n
+                for a, sign in zip(emb.arrows, signs):
+                    row[idx[a]] += sign
+                rows.append(row)
     else:
         raise FormError(f"unknown closedness method {method!r}")
     return rows
@@ -299,9 +235,5 @@ def pullback_one_form(f: DigraphMap, omega: OneForm) -> OneForm:
     """(f* omega)(u -> v) = omega(f(u) -> f(v)), zero on collapsed arrows."""
     if omega.graph != f.target:
         raise FormError("form does not live on the map's target digraph")
-    vals = {}
-    for u, v in f.source.arrows:
-        fu, fv = f(u), f(v)
-        if fu != fv:
-            vals[(u, v)] = omega((fu, fv))
-    return OneForm(f.source, vals)
+    return OneForm(f.source, {(u, v): omega((f(u), f(v)))
+                              for u, v in f.source.arrows if f(u) != f(v)})

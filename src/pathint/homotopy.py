@@ -19,14 +19,14 @@ from functools import cache
 from itertools import product
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraElement, BasedFunctional, _sum_terms
+from .algebra import AlgebraElement, BasedFunctional
 from .errors import MapError, PathError
 from .forms import (OneForm, _boundary_span, _closed_basis_vectors,
                     _omega2_boundaries, closed_arrows, is_closed)
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, _all_words_plan, _evaluate, _pairing, all_words,
                         signature)
-from .linalg import Echelon
+from .linalg import Echelon, _sum_terms
 from .paths import (FORWARD, PathMap, _build, _check_bound, _runs, _walk,
                     inverse, make_path, runs)
 

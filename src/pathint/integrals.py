@@ -82,10 +82,9 @@ def iterated_integral(path: PathMap, word: Sequence[OneForm]) -> Fraction:
         if w.graph != path.graph:
             raise PairingError("form and path live on different digraphs")
     rs = runs(path)
-    values = [w.values for w in word]
-    dens = [math.lcm(*(v[a].denominator for a, _ in rs)) for v in values]
-    forward = {a: [v[a].numerator * (d // v[a].denominator)
-                   for v, d in zip(values, dens)] for a, _ in rs}
+    dens = [math.lcm(*(omega(a).denominator for a, _ in rs)) for omega in word]
+    forward = {a: [omega(a).numerator * (d // omega(a).denominator)
+                   for omega, d in zip(word, dens)] for a, _ in rs}
     binom = [[math.comb(j, i) for i in range(j)] for j in range(r + 1)]
     scaled = [1] + [0] * r
     for arrow, sign in rs:

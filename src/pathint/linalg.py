@@ -17,12 +17,20 @@ form of a row space is unique, so every basis and pivot list depends only on
 the span of the input, never on its row order or on how the elimination
 scales its rows: the views return exactly the `Fraction`s of a Gauss-Jordan
 elimination over the rationals.
+
+The same layer holds the one sparse combination type, `_Combination`: a
+finite rational combination of basis pieces of a host digraph, `coeffs`
+mapping each piece to a nonzero `Fraction`.  Forms (vertices, arrows,
+allowed 2-paths) and shuffle elements and tensors (arrow words, pairs of
+them) are its subclasses, each with its own key check and error type;
+`_sum_terms` is the one accumulator of their linear maps.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -187,3 +195,66 @@ def complement_basis(sub: Sequence[Sequence], full: Sequence[Sequence], ncols: i
     """
     e = Echelon(ncols, sub)
     return [tuple(map(_fraction, v)) for v in full if e.add(v)]
+
+
+def _sum_terms(terms: Iterable[tuple]) -> dict:
+    """The nonzero sums of (key, coefficient) terms, keyed in first-seen
+    order."""
+    out: dict = {}
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
+
+
+class _Combination:
+    """Rational combination of keys on a fixed host digraph: `coeffs` maps
+    each key to a nonzero `Fraction`.  The checked constructor reads each
+    key through the class's `_key(graph, key)` and sums keys that spell one
+    key; a map that builds its terms from keys already checked takes
+    `_unchecked`.  An operand on another host raises the class's `_error`;
+    an operand of another class is `NotImplemented`."""
+
+    _error: type[Exception]
+
+    def __init__(self, graph, coeffs: Mapping | None = None):
+        self.graph = graph
+        self.coeffs = _sum_terms((self._key(graph, k), _fraction(c))
+                                 for k, c in (coeffs or {}).items())
+
+    @classmethod
+    def _unchecked(cls, graph, coeffs: dict):
+        """A combination from nonzero `Fraction` coefficients keyed by
+        distinct checked keys, taken as they are."""
+        elem = cls.__new__(cls)
+        elem.graph, elem.coeffs = graph, coeffs
+        return elem
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_host(other)
+        return self._unchecked(self.graph, _sum_terms(
+            chain(self.coeffs.items(), other.coeffs.items())))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._unchecked(self.graph, {k: -c for k, c in self.coeffs.items()})
+
+    def __rmul__(self, scalar):
+        s = Fraction(scalar)
+        return self._unchecked(
+            self.graph, {k: s * c for k, c in self.coeffs.items()} if s else {})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.graph == other.graph and self.coeffs == other.coeffs
+
+    def _check_host(self, other: "_Combination") -> None:
+        if self.graph != other.graph:
+            raise self._error(f"{type(self).__name__}s live on different digraphs")

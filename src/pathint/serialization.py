@@ -179,7 +179,7 @@ def parse_arrow_label(g: Digraph, label: str) -> Arrow:
 
 def one_form_to_dict(omega: OneForm) -> dict:
     return {"form": {arrow_label(a): format_rational(v)
-                     for a, v in omega.values.items() if v != 0}}
+                     for a, v in omega.coeffs.items()}}
 
 
 def one_form_from_dict(g: Digraph, d: dict) -> OneForm:

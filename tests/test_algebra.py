@@ -3,7 +3,7 @@
 import operator
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +18,7 @@ from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
                      make_path, pair, pullback_element, shuffle,
                      shuffle_words, standard_square, standard_triangle,
                      TensorPair, unit, word_element, zero, OneForm)
+from pathint import algebra
 from pathint.homotopy import change_base_point
 from pathint.integrals import signature
 
@@ -294,6 +295,45 @@ def test_hopf_report_without_base_skips_dual_laws():
     based = hopf_axiom_report(standard_triangle(), 2)
     assert based["base"] == "v0"  # fixture base picked up automatically
     assert "dual_shuffle" in based["axioms"]
+
+
+def _both_concatenations(w1, w2):
+    """Concatenation in both orders, with multiplicity: a product that
+    reads positions only and is not associative (a, b, c fails, a, b, a
+    holds)."""
+    out = {}
+    for w in (tuple(w1) + tuple(w2), tuple(w2) + tuple(w1)):
+        out[w] = out.get(w, 0) + 1
+    return out
+
+
+def _extend(product_fn, d1, d2):
+    out = {}
+    for w1, c1 in d1.items():
+        for w2, c2 in d2.items():
+            for w, m in product_fn(w1, w2).items():
+                out[w] = out.get(w, 0) + c1 * c2 * m
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("fixture, degree", [(standard_triangle, 2), (double_edge, 3)])
+def test_associativity_lists_every_failing_triple_of_a_full_scan(
+        monkeypatch, fixture, degree):
+    g = fixture()
+    g = Digraph(g.vertices, g.arrows)  # unbased: no dual laws
+    words = all_words(g.arrows, degree)
+    expected = [{"words": (u, v, w)}
+                for u, v, w in combinations_with_replacement(words, 3)
+                if _extend(_both_concatenations, _extend(_both_concatenations,
+                                                         {u: 1}, {v: 1}), {w: 1})
+                != _extend(_both_concatenations, {u: 1},
+                           _extend(_both_concatenations, {v: 1}, {w: 1}))]
+    assert expected and len(expected) < len(words) ** 3
+    monkeypatch.setattr(algebra, "shuffle_words", _both_concatenations)
+    law = hopf_axiom_report(g, degree, max_failures=10 ** 6)["axioms"]["associativity"]
+    assert law == {"passed": False, "failures": expected}
+    monkeypatch.undo()
+    assert hopf_axiom_report(g, degree)["axioms"]["associativity"]["passed"]
 
 
 def test_element_host_mismatch():

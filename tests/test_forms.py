@@ -1,6 +1,7 @@
 """Forms in degrees 0, 1, 2: differential, chain space, closedness."""
 
 import gc
+import operator
 import random
 import weakref
 from fractions import Fraction
@@ -8,16 +9,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import patterned_digraph, random_digraph, random_zero_form
+from conftest import (patterned_digraph, random_digraph, random_rational,
+                      random_zero_form)
 
-from pathint import (Digraph, DigraphMap, FormError, OneForm, TwoChain,
-                     ZeroForm, box_product, closed_one_forms, d0, directed_cycle,
-                     double_edge, from_forms, homotopic_loops, invariance_verify,
+from pathint import (Digraph, DigraphMap, FormError, OneForm, PairingError,
+                     TwoChain, ZeroForm, box_product, closed_one_forms,
+                     d0, directed_cycle, double_edge, forms,
+                     from_forms, homotopic_loops, invariance_verify,
                      is_closed, line_digraph, make_path, omega2_basis,
                      pi1_candidates, pullback_one_form,
                      standard_square, standard_triangle, wedge_of_cycles,
                      word_element)
-from pathint.forms import _omega2_boundaries, allowed_two_paths, closed_arrows
+from pathint.forms import (_boundary, _omega2_boundaries, allowed_two_paths,
+                           closed_arrows)
 from pathint.linalg import kernel
 
 
@@ -254,3 +258,120 @@ def test_closed_arrows_avoid_triangle_and_square_sides():
     # a tail hanging off the square is closed, its sides are not
     g = Digraph(S.vertices + ("t",), S.arrows + (("v3", "t"),))
     assert closed_arrows(g) == (("v3", "t"),)
+
+
+# ------------------------------------------- forms on the combination type
+
+@pytest.mark.parametrize("cls, good, bad", [
+    (ZeroForm, "v2", "v9"),
+    (OneForm, ("v0", "v2"), ("v2", "v0")),
+    (TwoChain, ("v0", "v1", "v2"), ("v0", "v2", "v1")),
+])
+def test_an_unknown_key_raises_form_error(cls, good, bad):
+    T = standard_triangle()
+    assert cls(T, {good: 2})(good) == 2
+    with pytest.raises(FormError):
+        cls(T, {good: 1, bad: 1})
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_combinations_on_two_hosts_do_not_mix(op):
+    # every key below is a key of both hosts
+    T = standard_triangle()
+    T2 = Digraph(T.vertices + ("spare",), T.arrows)
+    for cls, key in ((ZeroForm, "v1"), (OneForm, ("v0", "v1")),
+                     (TwoChain, ("v0", "v1", "v2"))):
+        with pytest.raises(FormError):
+            op(cls(T, {key: 1}), cls(T2, {key: 1}))
+    with pytest.raises(PairingError):
+        op(word_element(T, (("v0", "v1"),)), word_element(T2, (("v0", "v1"),)))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_a_form_and_an_element_do_not_mix(op):
+    T = standard_triangle()
+    omega, u = OneForm.basis(T, ("v0", "v1")), word_element(T, (("v0", "v1"),))
+    for x, y in ((omega, u), (u, omega)):
+        with pytest.raises(TypeError):
+            op(x, y)
+    assert omega != u
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_one_form_arithmetic_matches_a_dense_reference_on_random_digraphs(seed):
+    rng = random.Random(seed)
+    g = random_digraph(rng)
+    raw = [{a: random_rational(rng) for a in g.arrows if rng.random() < 0.6}
+           for _ in range(2)]
+    # the second form repeats some values of the first with a flipped sign,
+    # so that sums cancel
+    raw[1].update({a: rng.choice((-c, c)) for a, c in raw[0].items()
+                   if rng.random() < 0.5})
+    dense = [[r.get(a, Fraction(0)) for a in g.arrows] for r in raw]
+    f1, f2 = (OneForm(g, r) for r in raw)
+    s = rng.choice((0, 1, -1, Fraction(2, 3), 3))
+    cases = [
+        (f1, dense[0]), (f2, dense[1]),
+        (f1 + f2, [x + y for x, y in zip(*dense)]),
+        (f1 - f2, [x - y for x, y in zip(*dense)]),
+        (-f1, [-x for x in dense[0]]), (s * f2, [s * y for y in dense[1]]),
+        (OneForm.from_vector(g, dense[0]), dense[0]),
+    ]
+    for form, ref in cases:
+        assert form.vector() == tuple(ref)
+        assert [form(a) for a in g.arrows] == ref
+        assert form.coeffs == {a: x for a, x in zip(g.arrows, ref) if x}
+        assert all(type(c) is Fraction for c in form.coeffs.values())
+        assert form.is_zero() == (not any(ref))
+        assert (form == f1) == (ref == dense[0])
+
+
+def _parent_boundary(coeffs):
+    """The boundary accumulated term by term, dropping a pair whose sum
+    reaches 0."""
+    out = {}
+
+    def add(pair, c):
+        new = out.get(pair, 0) + c
+        if new == 0:
+            out.pop(pair, None)
+        else:
+            out[pair] = new
+
+    for (u, v, w), c in coeffs.items():
+        add((v, w), c)
+        add((u, v), c)
+        if u != w:
+            add((u, w), -c)
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_two_chain_boundary_matches_the_accumulating_formula(seed):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng)
+    paths = allowed_two_paths(g)
+    chain = TwoChain(g, {p: random_rational(rng)
+                         for p in rng.sample(paths, rng.randint(0, len(paths)))})
+    assert chain.boundary() == _parent_boundary(chain.coeffs)
+    assert all(type(c) is Fraction for c in chain.boundary().values())
+    ints = {p: rng.randint(-2, 2) for p in paths}
+    assert _boundary(ints) == _parent_boundary(ints)
+    assert all(type(c) is int for c in _boundary(ints).values())
+
+
+def test_two_chains_read_the_allowed_set_once_per_graph(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(None)  # the graph itself is not kept
+        return allowed_two_paths(g)
+
+    monkeypatch.setattr(forms, "allowed_two_paths", counted)
+    g = wedge_of_cycles()
+    paths = allowed_two_paths(g)
+    for i in range(50):
+        TwoChain(g, {paths[i % len(paths)]: i + 1})
+    assert len(calls) == 1
+    assert _freed_by_reference_counting(
+        wedge_of_cycles, lambda g: TwoChain(g, {allowed_two_paths(g)[0]: 1}))

@@ -77,7 +77,7 @@ def test_one_form_round_trip():
     omega = OneForm(T, {("v0", "v1"): Fraction(3, 2)})
     d = ser.one_form_to_dict(omega)
     assert d == {"form": {"v0->v1": "3/2"}}
-    assert ser.one_form_from_dict(T, d).values == omega.values
+    assert ser.one_form_from_dict(T, d).coeffs == omega.coeffs
     with pytest.raises(FormError):
         ser.one_form_from_dict(T, {"form": {"v0-v1": "1"}})
     with pytest.raises(FormError):
@@ -88,7 +88,7 @@ def test_word_round_trip():
     T = standard_triangle()
     word = [OneForm.basis(T, a) for a in T.arrows[:2]]
     d = ser.word_to_dict(word)
-    assert [w.values for w in ser.word_from_dict(T, d)] == [w.values for w in word]
+    assert [w.coeffs for w in ser.word_from_dict(T, d)] == [w.coeffs for w in word]
 
 
 def test_element_round_trip():
