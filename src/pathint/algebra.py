@@ -17,6 +17,7 @@ length bound with explicit verdicts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import PairingError
 from .forms import OneForm
 from .graphs import Arrow, BasedDigraph, Digraph, DigraphMap
-from .integrals import Word, _pairing, all_words, pair, word_pairings_all
+from .integrals import Word, _all_words_plan, _evaluate, _pairing, all_words, pair
 from .linalg import _Combination, _sum_terms
 from .paths import PathMap, _check_bound, concat, enumerate_paths, inverse, runs
 
@@ -237,6 +238,8 @@ def functional_equal(u: AlgebraElement, v: AlgebraElement, base,
     u._check_host(v)
     if flavor not in ("path", "loop"):
         raise PairingError(f"unknown flavor {flavor!r}")
+    if base not in u.graph.vertex_set:
+        raise PairingError(f"unknown base vertex {base!r}")
     if length_bound < 1:
         raise PairingError("length_bound must be at least 1")
     diff = u - v
@@ -296,6 +299,7 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     law with one fails even when none is listed); antipode_fn and
     coproduct_fn are injectable so a deliberately broken antipode or
     coproduct is caught (negative controls)."""
+    _check_bound("degree_bound", degree_bound)
     _check_bound("loop_length_bound", loop_length_bound)
     if antipode_fn is None:
         antipode_fn = antipode
@@ -377,8 +381,14 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     if base is None and isinstance(graph, BasedDigraph):
         base = graph.base
     if base is not None:
+        # The dual laws read the signature kernel's ints, len(w)! <w, S> for
+        # a word w, so each law is stated times the factorials of its words.
         loops = list(enumerate_paths(graph, base, loop_length_bound, loops_only=True))
-        sig = {l: word_pairings_all(l, degree_bound) for l in loops}
+        plan = _all_words_plan(graph, degree_bound)
+        sig = {l: _evaluate(runs(l), plan) for l in loops}
+        binom = [[math.comb(n, i) for i in range(n + 1)] for n in range(degree_bound + 1)]
+        top = math.factorial(degree_bound)
+        weight = {w: top // math.factorial(len(w)) for w in words}
 
         def dual_shuffle():
             # pair(u . v, l) = pair(u, l) * pair(v, l)
@@ -387,7 +397,8 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
             for l in loops:
                 s = sig[l]
                 for u, v in split_pairs:
-                    if sum(m * s[w] for w, m in shuffle_words(u, v).items()) != s[u] * s[v]:
+                    if (sum(m * s[w] for w, m in shuffle_words(u, v).items())
+                            != binom[len(u) + len(v)][len(u)] * s[u] * s[v]):
                         yield {"loop": l, "words": (u, v)}
                         break
 
@@ -398,10 +409,12 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
             for la, lb in product(loops, repeat=2):
                 if la.length + lb.length > loop_length_bound:
                     continue
-                cat_sig = word_pairings_all(concat(la, lb), degree_bound)
+                cat = _evaluate(runs(concat(la, lb)), plan)
                 sa, sb = sig[la], sig[lb]
                 for w in words:
-                    if cat_sig[w] != sum(sa[w[:i]] * sb[w[i:]] for i in range(len(w) + 1)):
+                    row = binom[len(w)]
+                    if cat[w] != sum(row[i] * sa[w[:i]] * sb[w[i:]]
+                                     for i in range(len(w) + 1)):
                         yield {"loops": (la, lb), "word": w}
                         break
 
@@ -411,7 +424,8 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
                 s, s_inv = sig[l], sig[inverse(l)]
                 for w in words:
                     ju = antipode_fn(elements[w])
-                    if sum(c * s[x] for x, c in ju.coeffs.items()) != s_inv[w]:
+                    if (sum(c * weight[x] * s[x] for x, c in ju.coeffs.items())
+                            != weight[w] * s_inv[w]):
                         yield {"loop": l, "word": w}
                         break
 

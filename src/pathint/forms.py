@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import FormError
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .linalg import _ZERO, Echelon, Vector, _Combination, _sum_terms, kernel
+from .linalg import _ZERO, Echelon, Vector, _Combination, _sum_terms
 
 
 class _Form(_Combination):
@@ -191,17 +191,20 @@ def _boundary_span(g: Digraph) -> Echelon:
 
 
 def _closed_basis_vectors(g: Digraph, method: str) -> tuple:
+    """The closed basis as the sparse kernel vectors (arrow index ->
+    nonzero entry) of the closedness conditions of `method`."""
     def build():
         if method == "kernel":
             return tuple(_boundary_span(g).kernel())
-        return tuple(kernel(_closed_condition_rows(g, method), len(g.arrows)))
+        return tuple(Echelon(len(g.arrows), _closed_condition_rows(g, method)).kernel())
     return g.derived(("closed basis", method), build)
 
 
 def closed_one_forms(g: Digraph, method: str = "kernel") -> list[OneForm]:
     """Basis of the closed 1-forms, by boundary pairing ("kernel") or by the
     triangle/square/double-edge linear conditions ("patterns")."""
-    return [OneForm.from_vector(g, vec) for vec in _closed_basis_vectors(g, method)]
+    return [OneForm._unchecked(g, {g.arrows[j]: c for j, c in vec.items()})
+            for vec in _closed_basis_vectors(g, method)]
 
 
 def _omega2_boundaries(g: Digraph) -> tuple:

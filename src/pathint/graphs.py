@@ -68,7 +68,8 @@ class Digraph:
 
     def derived(self, key: Hashable, build: Callable[[], object]):
         """The value build() returned at the first call with this key.  The
-        move tables, the closedness data of `forms` and the move-pair
+        move tables, the closedness data of `forms`, the all-words
+        signature plans of `integrals` (one per degree) and the move-pair
         samples of `homotopy` live here.  A value holds no object that
         refers back to the graph, so the graph is freed by reference
         counting alone."""
@@ -210,14 +211,12 @@ def validate_digraph(vertices: Iterable[Vertex], arrows: Iterable[Sequence[Verte
 
 
 def is_digraph_map(mapping: Mapping[Vertex, Vertex], g: Digraph, h: Digraph) -> bool:
-    """True iff every g-arrow maps to an h-arrow or to a diagonal pair."""
-    for v in g.vertices:
-        if v not in mapping or mapping[v] not in h.vertex_set:
-            return False
-    for u, v in g.arrows:
-        fu, fv = mapping[u], mapping[v]
-        if fu != fv and not h.has_arrow(fu, fv):
-            return False
+    """True iff `DigraphMap(g, h, mapping)` constructs: every g-arrow maps
+    to an h-arrow or to a diagonal pair."""
+    try:
+        DigraphMap(g, h, mapping)
+    except MapError:
+        return False
     return True
 
 

@@ -12,10 +12,9 @@ and transports loop functionals along a connecting path.
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -27,8 +26,8 @@ from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, _all_words_plan, _evaluate, _pairing, all_words,
                         signature)
 from .linalg import Echelon, _sum_terms
-from .paths import (FORWARD, PathMap, _build, _check_bound, _runs, _walk,
-                    inverse, make_path, runs)
+from .paths import (FORWARD, PathMap, _build, _check_bound, _check_loop_pair,
+                    _runs, _walk, inverse, make_path, runs)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
               "backtrack", "trivial-drop")
@@ -285,14 +284,14 @@ def _separating_invariant(a: PathMap, b: PathMap):
     rest = diff and _boundary_span(g).residue(diff)
     if rest:
         if sum(diff.values()) and _winding_is_closed(g):
-            vec = (_ONE,) * len(g.arrows)
+            vec = dict.fromkeys(range(len(g.arrows)), _ONE)
         else:
             f = min(rest)
-            vec = next(v for v in _closed_basis_vectors(g, "kernel") if v[f])
-        values = tuple(sum((vec[j] * k for j, k in net.items()), _ZERO)
+            vec = next(v for v in _closed_basis_vectors(g, "kernel") if f in v)
+        values = tuple(sum((vec.get(j, _ZERO) * k for j, k in net.items()), _ZERO)
                        for net in nets)
         return AlgebraElement._unchecked(
-            g, {(x,): c for x, c in zip(g.arrows, vec) if c}), values
+            g, {(g.arrows[j],): c for j, c in vec.items()}), values
     words = list(product(closed_arrows(g), repeat=2))
     if not words:
         return None
@@ -314,92 +313,70 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
     """
     _check_bound("length_bound", length_bound)
     _check_bound("depth_bound", depth_bound)
-    if a.graph != b.graph:
-        raise PathError("loops live on different digraphs")
-    if not (a.is_loop and b.is_loop):
-        raise PathError("homotopy search requires loops")
-    if a.start != b.start:
-        raise PathError(
-            f"loops are based at different vertices: {a.start!r} and {b.start!r}")
+    _check_loop_pair(a, b, "homotopy search requires loops")
+    verdict = partial(HomotopyVerdict, length_bound=length_bound, depth_bound=depth_bound)
 
     if a == b:
-        return HomotopyVerdict("yes", certificate=MoveCertificate(a, (), b),
-                               length_bound=length_bound,
-                               depth_bound=depth_bound)
+        return verdict("yes", certificate=MoveCertificate(a, (), b))
 
     found = _separating_invariant(a, b)
     if found is not None:
         elem, values = found
-        return HomotopyVerdict("certified-no", invariant=elem, values=values,
-                               length_bound=length_bound,
-                               depth_bound=depth_bound)
+        return verdict("certified-no", invariant=elem, values=values)
 
     # Bidirectional breadth-first search over raw (vertices, orientations)
-    # states; parents map each state to the (previous state, move fields of
-    # `_moves` from it) pair on its own side.  A `Move` is made only for the
-    # certificate, and no state is built as a path: `cert.replay()`
-    # validates the chain found.  `_moves` is given the room left under
-    # the length bound, so it lists only the moves whose result fits; the
-    # bound test below drops nothing more, and is kept so that the bound
-    # holds by itself and not through the growths `_moves` assigns.
+    # states; parents[side] maps each state of side 0 (from a) or 1 (from b)
+    # to its (previous state, move fields of `_moves` from it) pair.  A
+    # `Move` is made only for the certificate, and no state is built as a
+    # path: `cert.replay()` validates the chain found.  `_moves` is given the
+    # room left under the length bound, so it lists only the moves whose
+    # result fits; the bound test below drops nothing more, and is kept so
+    # that the bound holds by itself and not through the growths `_moves`
+    # assigns.
     g = a.graph
-    start_a, start_b = (a.vertices, a.orientations), (b.vertices, b.orientations)
-    parents_a: dict[Window, tuple[Window, tuple] | None] = {start_a: None}
-    parents_b: dict[Window, tuple[Window, tuple] | None] = {start_b: None}
-    frontier_a, frontier_b = [start_a], [start_b]
+    starts = ((a.vertices, a.orientations), (b.vertices, b.orientations))
+    parents: tuple[dict[Window, tuple | None], ...] = tuple({s: None} for s in starts)
+    frontiers = [[s] for s in starts]
     depth_used = 0
     meet: Window | None = None
 
-    while meet is None and depth_used < depth_bound and frontier_a and frontier_b:
-        if len(frontier_a) <= len(frontier_b):
-            frontier, parents, other = frontier_a, parents_a, parents_b
-            side_a = True
-        else:
-            frontier, parents, other = frontier_b, parents_b, parents_a
-            side_a = False
+    while meet is None and depth_used < depth_bound and all(frontiers):
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = parents[side], parents[1 - side]
         new_frontier: list[Window] = []
-        for here in frontier:
+        for here in frontiers[side]:
             V, O = here
             for t in _moves(g, V, O, room=length_bound - len(O)):
                 p, before, after = t[2:]
                 if len(O) - len(before[1]) + len(after[1]) > length_bound:
                     continue
                 nb = _splice(V, O, p, before, after)
-                if nb in parents:
+                if nb in mine:
                     continue
-                parents[nb] = (here, t)
+                mine[nb] = (here, t)
                 new_frontier.append(nb)
                 if nb in other:
                     meet = nb
                     break
             if meet is not None:
                 break
-        if side_a:
-            frontier_a = new_frontier
-        else:
-            frontier_b = new_frontier
+        frontiers[side] = new_frontier
         depth_used += 1
 
     if meet is None:
-        return HomotopyVerdict("unknown", length_bound=length_bound,
-                               depth_bound=depth_bound)
+        return verdict("unknown")
 
-    moves: list[Move] = []
-    node = meet
-    while parents_a[node] is not None:
-        prev, t = parents_a[node]
-        moves.append(Move(*t))
-        node = prev
-    moves.reverse()
-    node = meet
-    while parents_b[node] is not None:
-        prev, t = parents_b[node]
-        moves.append(invert_move(Move(*t)))
-        node = prev
-    cert = MoveCertificate(a, tuple(moves), b)
+    # Walking each side back from the meet lists a's moves last first and
+    # b's moves from the meet towards b, which the chain takes inverted.
+    halves: tuple[list[Move], list[Move]] = ([], [])
+    for side, half in enumerate(halves):
+        node = meet
+        while parents[side][node] is not None:
+            node, t = parents[side][node]
+            half.append(invert_move(Move(*t)) if side else Move(*t))
+    cert = MoveCertificate(a, tuple(halves[0][::-1] + halves[1]), b)
     cert.replay()
-    return HomotopyVerdict("yes", certificate=cert,
-                           length_bound=length_bound, depth_bound=depth_bound)
+    return verdict("yes", certificate=cert)
 
 
 def one_step_map_homotopy(f: DigraphMap, g: DigraphMap) -> bool:
@@ -608,7 +585,7 @@ def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
     kernel gives len(w)! <w, S>, so word w is scaled by degree_bound! /
     len(w)! and every entry is an int: scaling all rows by one positive
     constant keeps their spans, their duplicates and their sorted order."""
-    plan = _all_words_plan(g.arrows, degree_bound)
+    plan = _all_words_plan(g, degree_bound)
     top = math.factorial(degree_bound)
     scale = [top // math.factorial(len(w)) for w in words]
     seqs, pairs, _ = _numbered_sample(g, base, length_bound)
@@ -635,21 +612,12 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
     _check_bound("length_bound", length_bound)
     words = all_words(g.arrows, degree_bound, min_degree=1)
     ncols = len(words)
-    if ncols == 0:
-        return Pi1Result(g, base, degree_bound, length_bound, (), ())
-
     move_rows, loop_rows = _pi1_rows(g, base, degree_bound, length_bound, words)
     echelon = Echelon(ncols, sorted(move_rows))
-    held = echelon.pivots()
-    free = sorted(set(range(ncols)).difference(held))
-    invariant_kernel = []
-    for j, vec in zip(free, echelon.kernel()):
-        # the vector of free column j vanishes off j and the pivots left of
-        # j (a reduced row vanishes left of its pivot)
-        support = held[:bisect(held, j)] + [j]
-        invariant_kernel.append(
-            AlgebraElement._unchecked(
-                g, {words[k]: vec[k] for k in support if vec[k]}))
+    free = sorted(set(range(ncols)).difference(echelon.pivots()))
+    invariant_kernel = [
+        AlgebraElement._unchecked(g, {words[k]: c for k, c in vec.items()})
+        for vec in echelon.kernel()]
     # The representatives extend a basis of the null kernel (move and loop
     # rows) to the invariant kernel, scanning the invariant basis in order.
     # An invariant vector is fixed by its entries at the free columns: the

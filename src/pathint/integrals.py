@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Sequence
 
-from .errors import PairingError, PathError
+from .errors import PairingError
 from .forms import OneForm
-from .graphs import Arrow
-from .paths import (ForwardArrow, InverseArrow, PathMap, Step, Trivial, concat,
-                    inverse, runs, steps)
+from .graphs import Arrow, Digraph
+from .paths import (ForwardArrow, InverseArrow, PathMap, Step, Trivial,
+                    _check_loop_pair, concat, inverse, runs, steps)
 
 Word = tuple[Arrow, ...]
 
@@ -177,9 +176,10 @@ def _plan(words: Iterable[Word]) -> tuple:
     return tuple(keys), updates
 
 
-@lru_cache(maxsize=1)  # callers go through one word set at a time
-def _all_words_plan(arrows: tuple[Arrow, ...], max_degree: int) -> tuple:
-    return _plan(all_words(arrows, max_degree))
+def _all_words_plan(g: Digraph, max_degree: int) -> tuple:
+    """The plan of every arrow word of g up to max_degree, kept on g."""
+    return g.derived(("all words plan", max_degree),
+                     lambda: _plan(all_words(g.arrows, max_degree)))
 
 
 def _evaluate(rs: Sequence[tuple], plan: tuple) -> dict[Word, int]:
@@ -202,15 +202,13 @@ def _evaluate(rs: Sequence[tuple], plan: tuple) -> dict[Word, int]:
 def word_pairing(path: PathMap, word: Word) -> Fraction:
     """Iterated integral of the arrow basis word e^{a_1}..e^{a_r}."""
     word = tuple(word)
-    sig = _evaluate(runs(path), _plan(word[:i] for i in range(len(word) + 1)))
-    return Fraction(sig[word], math.factorial(len(word)))
+    return signature(path, (word[:i] for i in range(len(word) + 1)))[word]
 
 
 def word_pairings_all(path: PathMap, max_degree: int) -> dict[Word, Fraction]:
     """Pairings of every arrow word up to max_degree against path, keyed in
     `all_words` order (the degree-truncated signature of the path)."""
-    return _as_fractions(_evaluate(runs(path),
-                                   _all_words_plan(path.graph.arrows, max_degree)))
+    return _as_fractions(_evaluate(runs(path), _all_words_plan(path.graph, max_degree)))
 
 
 def pair(elem, paths: PathMap | Iterable[tuple[Fraction, PathMap]]) -> Fraction:
@@ -268,7 +266,7 @@ def order(path: PathMap, max_degree: int) -> int | None:
     # the pairings of words up to degree d do not depend on longer words,
     # and those of degree below d were all 0 at the degrees before
     for d in range(1, max_degree + 1):
-        sig = _evaluate(rs, _all_words_plan(path.graph.arrows, d))
+        sig = _evaluate(rs, _all_words_plan(path.graph, d))
         if any(v for w, v in sig.items() if w):
             return d
     return None
@@ -276,11 +274,5 @@ def order(path: PathMap, max_degree: int) -> int | None:
 
 def commutator(a: PathMap, b: PathMap) -> PathMap:
     """[a, b] = a * b * a^{-1} * b^{-1} for loops at a common base."""
-    if a.graph != b.graph:
-        raise PathError("loops live on different digraphs")
-    if not (a.is_loop and b.is_loop):
-        raise PathError("commutator arguments must be loops")
-    if a.start != b.start:
-        raise PathError(
-            f"loops are based at different vertices: {a.start!r} and {b.start!r}")
+    _check_loop_pair(a, b, "commutator arguments must be loops")
     return concat(concat(concat(a, b), inverse(a)), inverse(b))

@@ -142,24 +142,22 @@ class Echelon:
             out.append(dense)
         return out
 
-    def kernel(self) -> list[Vector]:
-        """Basis of the null space {v : M v = 0}, one vector per free column.
-
-        Each basis vector has entry 1 at its free column and is supported on
-        that column plus pivot columns, the standard RREF parametrization:
-        the vector of free column j has -row_p[j] / den_p at pivot p.
-        """
-        basis: dict[int, list[Fraction]] = {}
-        for free in range(self.ncols):
-            if free not in self._rows:
-                v = basis[free] = [_ZERO] * self.ncols
-                v[free] = _ONE
-        for p, row in self._rows.items():
-            den = row[p]
+    def kernel(self) -> list[dict[int, Fraction]]:
+        """Basis of the null space {v : M v = 0}, one sparse vector per free
+        column (column -> nonzero entry, in column order): the standard RREF
+        parametrization, 1 at free column j and -row_p[j] / den_p at each
+        pivot p whose row touches j, all left of j (a reduced row vanishes
+        left of its pivot)."""
+        basis: dict[int, dict[int, Fraction]] = {
+            j: {} for j in range(self.ncols) if j not in self._rows}
+        for p in self.pivots():
+            row = self._rows[p]
             for j, x in row.items():
                 if j != p:
-                    basis[j][p] = Fraction(-x, den)
-        return [tuple(v) for v in basis.values()]
+                    basis[j][p] = Fraction(-x, row[p])
+        for j, v in basis.items():
+            v[j] = _ONE
+        return list(basis.values())
 
 
 def rref(rows: Iterable[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -173,8 +171,9 @@ def rank(rows: Iterable[Sequence], ncols: int) -> int:
 
 
 def kernel(rows: Iterable[Sequence], ncols: int) -> list[Vector]:
-    """Basis of the null space of the rows; see `Echelon.kernel`."""
-    return Echelon(ncols, rows).kernel()
+    """Basis of the null space of the rows: `Echelon.kernel`, made dense."""
+    return [tuple(v.get(j, _ZERO) for j in range(ncols))
+            for v in Echelon(ncols, rows).kernel()]
 
 
 def span_equal(b1: Sequence[Sequence], b2: Sequence[Sequence], ncols: int) -> bool:

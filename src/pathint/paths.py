@@ -253,6 +253,18 @@ def _check_bound(name: str, value: int) -> None:
         raise PathError(f"{name} must be non-negative, got {value}")
 
 
+def _check_loop_pair(a: PathMap, b: PathMap, not_loops: str) -> None:
+    """Raise PathError unless a and b are loops at one base on one digraph;
+    not_loops is the message for a path that is not a loop."""
+    if a.graph != b.graph:
+        raise PathError("loops live on different digraphs")
+    if not (a.is_loop and b.is_loop):
+        raise PathError(not_loops)
+    if a.start != b.start:
+        raise PathError(
+            f"loops are based at different vertices: {a.start!r} and {b.start!r}")
+
+
 def _distances(g: Digraph, base: Vertex) -> dict[Vertex, int]:
     """The number of steps from each vertex to base, arrows taken either
     way; a vertex that cannot reach base is left out."""

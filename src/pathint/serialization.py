@@ -6,22 +6,46 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import AlgebraElement, TensorPair
-from .errors import FormError, GraphError, PathError
+from .errors import FormError, GraphError, PathError, PathintError
 from .forms import OneForm, TwoChain
 from .graphs import Arrow, BasedDigraph, Digraph, validate_digraph
 from .paths import PathMap, make_path
 
 
 def format_rational(x) -> str:
-    return str(Fraction(x))
+    """x as "p/q" (or "p"); a numerator or denominator with more digits
+    than the interpreter's int-to-str limit is a one-line PathintError."""
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:
+        raise PathintError(f"cannot print a rational: {exc}") from exc
+
+
+# the exponent of a decimal in exponent notation, as `Fraction` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_rational(s: str) -> Fraction:
+    """The rational that s spells.  An exponent larger in magnitude than the
+    int-to-str digit limit is refused before `Fraction` expands 10**exp:
+    the value it gives could not be printed, and a few bytes of input would
+    build an int of any size."""
+    text = str(s).strip()
+    exp = ("e" in text or "E" in text) and _EXPONENT.search(text)
+    if exp:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        try:
+            huge = abs(int(exp.group(1))) > limit
+        except ValueError:  # the exponent alone has more digits than the limit
+            huge = True
+        if huge:
+            raise FormError(f"exponent of {s!r} exceeds {limit}")
     try:
-        return Fraction(str(s).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormError(f"not a rational: {s!r}") from exc
 
@@ -148,9 +172,7 @@ def path_from_dict(g: Digraph, d: dict) -> PathMap:
     if orientations is None:
         orientations = []
         for u, v in zip(vertices, vertices[1:]):
-            if u == v:
-                orientations.append("f")
-            elif g.has_arrow(u, v):
+            if u == v or g.has_arrow(u, v):
                 orientations.append("f")
             elif g.has_arrow(v, u):
                 orientations.append("b")

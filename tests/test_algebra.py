@@ -3,7 +3,7 @@
 import operator
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,12 +12,14 @@ from conftest import (patterned_digraph, random_digraph, random_form,
                       random_path, random_rational)
 
 from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
-                     PairingError, all_words, antipode, coproduct, counit,
-                     double_edge, enumerate_paths, from_forms,
+                     PairingError, PathError, all_words, antipode, concat,
+                     coproduct, counit, directed_cycle, double_edge,
+                     enumerate_paths, from_forms,
                      functional_equal, hopf_axiom_report, inverse,
                      make_path, pair, pullback_element, shuffle,
                      shuffle_words, standard_square, standard_triangle,
-                     TensorPair, unit, word_element, zero, OneForm)
+                     TensorPair, unit, wedge_of_cycles, word_element,
+                     word_pairings_all, zero, OneForm)
 from pathint import algebra
 from pathint.homotopy import change_base_point
 from pathint.integrals import signature
@@ -295,6 +297,96 @@ def test_hopf_report_without_base_skips_dual_laws():
     based = hopf_axiom_report(standard_triangle(), 2)
     assert based["base"] == "v0"  # fixture base picked up automatically
     assert "dual_shuffle" in based["axioms"]
+
+
+def _with_fraction_dual_laws(report, graph, antipode_fn=antipode, max_failures=5):
+    """Reference for the dual laws of `hopf_axiom_report`: the report with
+    each dual law recomputed on the `Fraction` pairings of
+    `word_pairings_all`, as the laws are stated."""
+    d, bound, base = report["degree_bound"], report["loop_length_bound"], report["base"]
+    words = all_words(graph.arrows, d)
+    loops = list(enumerate_paths(graph, base, bound, loops_only=True))
+    sig = {l: word_pairings_all(l, d) for l in loops}
+
+    def dual_shuffle():
+        for l in loops:
+            s = sig[l]
+            for u, v in combinations_with_replacement(words, 2):
+                if len(u) + len(v) <= d and (
+                        sum(m * s[w] for w, m in shuffle_words(u, v).items())
+                        != s[u] * s[v]):
+                    yield {"loop": l, "words": (u, v)}
+                    break
+
+    def dual_concat():
+        for la, lb in product(loops, repeat=2):
+            if la.length + lb.length > bound:
+                continue
+            cat = word_pairings_all(concat(la, lb), d)
+            for w in words:
+                if cat[w] != sum(sig[la][w[:i]] * sig[lb][w[i:]] for i in range(len(w) + 1)):
+                    yield {"loops": (la, lb), "word": w}
+                    break
+
+    def dual_antipode():
+        for l in loops:
+            for w in words:
+                ju = antipode_fn(word_element(graph, w))
+                if sum(c * sig[l][x] for x, c in ju.coeffs.items()) != sig[inverse(l)][w]:
+                    yield {"loop": l, "word": w}
+                    break
+
+    axioms = dict(report["axioms"])
+    for name, failures in (("dual_shuffle", dual_shuffle()), ("dual_concat", dual_concat()),
+                           ("dual_antipode", dual_antipode())):
+        found = list(islice(failures, max(max_failures, 1)))
+        axioms[name] = {"passed": not found, "failures": found[:max_failures]}
+    return {**report, "axioms": axioms,
+            "all_passed": all(a["passed"] for a in axioms.values())}
+
+
+def _unsigned_reversal(u):
+    return AlgebraElement(u.graph, {w[::-1]: c for w, c in u.coeffs.items()})
+
+
+@pytest.mark.parametrize("fixture, degree, bound", [
+    (standard_triangle, 2, 6), (standard_square, 2, 8), (double_edge, 3, 6),
+    (wedge_of_cycles, 2, 6), (lambda: directed_cycle(3), 2, 6)])
+def test_dual_laws_match_their_fraction_reference(fixture, degree, bound):
+    g = fixture()
+    for antipode_fn, max_failures in ((antipode, 5), (_unsigned_reversal, 3)):
+        report = hopf_axiom_report(g, degree, loop_length_bound=bound,
+                                   antipode_fn=antipode_fn, max_failures=max_failures)
+        assert report == _with_fraction_dual_laws(report, g, antipode_fn, max_failures)
+    assert report["all_passed"] is False  # the unsigned reversal fails
+
+
+def test_dual_laws_match_their_fraction_reference_on_random_digraphs():
+    rng = random.Random(21)
+    for _ in range(10):
+        g = random_digraph(rng, max_vertices=4, p=0.5)
+        base = rng.choice(g.vertices)
+        report = hopf_axiom_report(g, 2, base=base, loop_length_bound=5)
+        assert report == _with_fraction_dual_laws(report, g)
+
+
+def test_dual_concat_negative_control(monkeypatch):
+    # concatenating in the wrong order breaks Chen's identity on loops that
+    # go round different cycles; the kernel's own signature of the product
+    # is what catches it
+    monkeypatch.setattr(algebra, "concat", lambda la, lb: concat(lb, la))
+    assert _failed(hopf_axiom_report(wedge_of_cycles(), 2)).keys() == {"dual_concat"}
+
+
+def test_hopf_report_rejects_a_negative_degree_bound():
+    with pytest.raises(PathError, match="degree_bound must be non-negative"):
+        hopf_axiom_report(wedge_of_cycles(), -1)
+
+
+def test_functional_equal_checks_the_base_before_comparing():
+    g = wedge_of_cycles()
+    with pytest.raises(PairingError, match="unknown base vertex 'nope'"):
+        functional_equal(zero(g), zero(g), "nope")
 
 
 def _both_concatenations(w1, w2):

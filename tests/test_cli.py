@@ -268,6 +268,21 @@ def test_out_of_range_bounds_are_usage_errors(files, capsys, command, flag, valu
     assert len(errors) == 1 and f"argument {flag}: must be at least" in errors[0]
 
 
+@pytest.mark.parametrize("command, coefficient", [
+    ("pair", "1e5000"),  # an exponent past the int-to-str digit limit
+    ("shuffle", "7" * 2500),  # a product of about 5,000 digits
+], ids=["pair-exponent", "shuffle-product"])
+def test_unprintable_numbers_are_one_line_errors(files, capsys, command, coefficient):
+    g = files("d.json", ser.digraph_to_dict(double_edge()))
+    e = files("e.json", {"element": {"v0->v1": coefficient}})
+    operands = {"pair": ["--element", e, "--path", files("p.json", {"vertices": ["v0", "v1"]})],
+                "shuffle": ["--element-a", e, "--element-b", e]}[command]
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, command, "--graph", g, *operands, "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def _parse_with_the_full_parser(capsys, argv):
     """Exit code and output of parsing argv with every subcommand built."""
     with pytest.raises(SystemExit) as exc:

@@ -1063,6 +1063,12 @@ def test_negative_bounds_are_rejected(call):
         call(g, loop)
 
 
+def test_pi1_candidates_checks_the_base_of_a_graph_without_arrows():
+    with pytest.raises(PathError, match="unknown base vertex 'zz'"):
+        pi1_candidates(Digraph(["a"], []), "zz", 1)
+    assert pi1_candidates(Digraph(["a"], []), "a", 1).invariant_kernel == ()
+
+
 def _homotopic_loops_by_path_maps(a, b, length_bound, depth_bound):
     """Reference for `homotopic_loops`: the search keys its states by
     `PathMap` and builds every neighbor with `move_neighbors`.  Gives the

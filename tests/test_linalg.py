@@ -151,6 +151,11 @@ def _fractions_only(vectors):
     return all(type(x) is Fraction for v in vectors for x in v)
 
 
+def _dense_kernel(e):
+    """The sparse `Echelon.kernel` vectors as dense tuples."""
+    return [tuple(v.get(j, Fraction(0)) for j in range(e.ncols)) for v in e.kernel()]
+
+
 @settings(max_examples=200, deadline=None)
 @given(large_mixed_rows())
 def test_views_equal_the_references_on_large_mixed_entries(case):
@@ -205,7 +210,23 @@ def test_stored_rows_stay_primitive_with_positive_denominator():
             assert not any(q in row for q in e._rows if q != p)
     assert e.rank == 9
     assert e.rows() == _ref_rref(m, 12)[0] and _fractions_only(e.rows())
-    assert e.kernel() == _ref_kernel(m, 12) and _fractions_only(e.kernel())
+    assert _dense_kernel(e) == _ref_kernel(m, 12) and _fractions_only(_dense_kernel(e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_rows())
+def test_echelon_kernel_is_sparse_in_column_order(case):
+    # one vector per free column, keyed in column order with no zero entry,
+    # ending at its free column with entry 1; made dense, it is `kernel`'s
+    ncols, rows = case
+    e = Echelon(ncols, rows)
+    basis = e.kernel()
+    free = [j for j in range(ncols) if j not in e.pivots()]
+    assert [list(v)[-1] for v in basis] == free
+    for v in basis:
+        assert list(v) == sorted(v) and v[list(v)[-1]] == 1
+        assert all(type(x) is Fraction and x for x in v.values())
+    assert _dense_kernel(e) == kernel(rows, ncols) == _ref_kernel(rows, ncols)
 
 
 def test_rref_equals_sympy():
@@ -257,7 +278,7 @@ def test_residue_decides_membership_like_the_rank(case):
     # the kernel vector of free column f pairs with vec to rest[f] / lambda,
     # one lambda > 0 for every f
     free = [j for j in range(ncols) if j not in stored]
-    pairings = [sum(k[j] * x for j, x in vec.items()) for k in e.kernel()]
+    pairings = [sum(k[j] * x for j, x in vec.items()) for k in _dense_kernel(e)]
     ratios = {Fraction(rest[f]) / p for f, p in zip(free, pairings) if p}
     assert all((f in rest) == (p != 0) for f, p in zip(free, pairings))
     assert len(ratios) <= 1 and all(r > 0 for r in ratios)
@@ -278,8 +299,8 @@ def test_echelon_grows_one_vector_at_a_time():
     assert e.add([1, 1, 1]) and e.rank == 2
     assert e.pivots() == [0, 1]
     assert e.rows() == [[1, 0, -1], [0, 1, 2]]
-    assert e.kernel() == [(1, -2, 1)]
-    assert _fractions_only(e.rows()) and _fractions_only(e.kernel())
+    assert _dense_kernel(e) == [(1, -2, 1)]
+    assert _fractions_only(e.rows()) and _fractions_only(_dense_kernel(e))
     assert _fractions_only(complement_basis([(0, 1, 2)], [(0, 2, 4), (1, 0, 0)], 3))
 
 

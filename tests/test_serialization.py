@@ -1,12 +1,13 @@
 """JSON and DOT readers/writers: round trips and error handling."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from pathint import (AlgebraElement, BasedDigraph, FormError, GraphError,
-                     OneForm, PathError, TwoChain, all_words, coproduct,
+                     OneForm, PathError, PathintError, TwoChain, all_words, coproduct,
                      double_edge, make_path, omega2_basis, standard_triangle,
                      word_element)
 from pathint import serialization as ser
@@ -20,6 +21,18 @@ def test_rational_round_trip():
         ser.parse_rational("1/0")
     with pytest.raises(FormError):
         ser.parse_rational("pi")
+
+
+def test_rationals_too_long_to_print_are_rejected():
+    # an exponent past the digit limit is refused before 10**exp is built;
+    # a value too long to print fails as one PathintError
+    limit = sys.get_int_max_str_digits()
+    for s in (f"1e{limit + 1}", f"2.5E-{limit + 1}", "1e" + "9" * (limit + 1)):
+        with pytest.raises(FormError, match="exponent"):
+            ser.parse_rational(s)
+    assert ser.parse_rational(f"1e{limit}") == 10 ** limit
+    with pytest.raises(PathintError, match="cannot print"):
+        ser.format_rational(Fraction(1, 10 ** limit))
 
 
 def test_digraph_json_round_trip():
