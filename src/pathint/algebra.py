@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, combinations_with_replacement, islice, product
 from typing import Callable, Iterable, Sequence
 
@@ -308,8 +308,17 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     words = all_words(graph.arrows, degree_bound)
     elements = {w: word_element(graph, w) for w in words}
 
+    # each word's antipode and coproduct, taken once for every law
+    @cache
+    def antipode_of(w: Word) -> AlgebraElement:
+        return antipode_fn(word_element(graph, w))
+
+    @cache
+    def coproduct_of(w: Word) -> TensorPair:
+        return coproduct_fn(word_element(graph, w))
+
     def delta(w: Word) -> dict:
-        return coproduct_fn(word_element(graph, w)).coeffs
+        return coproduct_of(w).coeffs
 
     # Each law is a lazy generator of its failures, in instance order.
     def associativity():
@@ -355,11 +364,9 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
         for w, elem in elements.items():
             target = counit(elem) * unit(graph)
             lhs = rhs = zero(graph)
-            for (w1, w2), c in coproduct_fn(elem).coeffs.items():
-                lhs = lhs + c * shuffle(antipode_fn(word_element(graph, w1)),
-                                        word_element(graph, w2))
-                rhs = rhs + c * shuffle(word_element(graph, w1),
-                                        antipode_fn(word_element(graph, w2)))
+            for (w1, w2), c in delta(w).items():
+                lhs = lhs + c * shuffle(antipode_of(w1), word_element(graph, w2))
+                rhs = rhs + c * shuffle(word_element(graph, w1), antipode_of(w2))
             if lhs != target or rhs != target:
                 yield {"word": w}
 
@@ -372,10 +379,10 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
         "bialgebra": ({"words": (u, v)}
                       for u, v in combinations_with_replacement(words, 2)
                       if coproduct_fn(shuffle(elements[u], elements[v]))
-                      != coproduct_fn(elements[u]) * coproduct_fn(elements[v])),
+                      != coproduct_of(u) * coproduct_of(v)),
         "antipode": antipode_law(),
         "antipode_involution": ({"word": w} for w in words
-                                if antipode_fn(antipode_fn(elements[w])) != elements[w]),
+                                if antipode_fn(antipode_of(w)) != elements[w]),
     }
 
     if base is None and isinstance(graph, BasedDigraph):
@@ -405,26 +412,28 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
         def dual_concat():
             # pair(u, a * b) = sum over deconcatenations of pair products;
             # checked on every loop pair whose concatenation still fits the
-            # length bound
-            for la, lb in product(loops, repeat=2):
-                if la.length + lb.length > loop_length_bound:
-                    continue
-                cat = _evaluate(runs(concat(la, lb)), plan)
-                sa, sb = sig[la], sig[lb]
-                for w in words:
-                    row = binom[len(w)]
-                    if cat[w] != sum(row[i] * sa[w[:i]] * sb[w[i:]]
-                                     for i in range(len(w) + 1)):
-                        yield {"loops": (la, lb), "word": w}
+            # length bound (loops come by increasing length, so the first
+            # partner too long ends the scan of a loop's partners)
+            for la in loops:
+                for lb in loops:
+                    if la.length + lb.length > loop_length_bound:
                         break
+                    cat = _evaluate(runs(concat(la, lb)), plan)
+                    sa, sb = sig[la], sig[lb]
+                    for w in words:
+                        row = binom[len(w)]
+                        if cat[w] != sum(row[i] * sa[w[:i]] * sb[w[i:]]
+                                         for i in range(len(w) + 1)):
+                            yield {"loops": (la, lb), "word": w}
+                            break
 
         def dual_antipode():
             # pair(j(u), l) = pair(u, l^{-1})
             for l in loops:
                 s, s_inv = sig[l], sig[inverse(l)]
                 for w in words:
-                    ju = antipode_fn(elements[w])
-                    if (sum(c * weight[x] * s[x] for x, c in ju.coeffs.items())
+                    if (sum(c * weight[x] * s[x]
+                            for x, c in antipode_of(w).coeffs.items())
                             != weight[w] * s_inv[w]):
                         yield {"loop": l, "word": w}
                         break

@@ -4,7 +4,6 @@ is deterministic, with exact rationals rendered as "p/q" strings."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -21,7 +20,10 @@ from .paths import PathMap, elem_equivalent, reduce
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise PathintError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 # document flag -> the name of its `serialization` reader, looked up at each
@@ -41,10 +43,7 @@ def _read_operands(args, flags) -> Digraph | None:
     for flag in flags:
         if flag in _READERS:
             filename = getattr(args, flag)
-            try:
-                doc = json.loads(_read(filename))
-            except json.JSONDecodeError as exc:
-                raise PathintError(f"malformed JSON in {filename}: {exc}") from exc
+            doc = ser._loads(_read(filename), PathintError, f"JSON in {filename}")
             setattr(args, flag, getattr(ser, _READERS[flag])(g, doc))
     return g
 

@@ -4,14 +4,13 @@ A 0-form assigns a rational to every vertex, a 1-form to every arrow, and a
 2-chain to every allowed 2-path u->v->w (consecutive arrows).  All three
 are subclasses of the one sparse combination type, `linalg._Combination`,
 which the shuffle elements and tensors of `algebra` share: `coeffs` holds
-the nonzero values only (it replaced the dense `values` of the forms), a
-form reads 0 off its support, and an unknown key or a host mismatch raises
-`FormError`.  The boundary of a 2-chain drops the middle term e_{uw}
-exactly when u = w, and a chain belongs to the two-chain space when every
-boundary component over a non-arrow vertex pair vanishes.  A 1-form is
-closed when it pairs to zero with every boundary, equivalently when it
-satisfies the triangle, square, and double-edge linear conditions over all
-pattern embeddings.
+the nonzero values only, a form reads 0 off its support, and an unknown
+key or a host mismatch raises `FormError`.  The boundary of a 2-chain
+drops the middle term e_{uw} exactly when u = w, and a chain belongs to
+the two-chain space when every boundary component over a non-arrow vertex
+pair vanishes.  A 1-form is closed when it pairs to zero with every
+boundary, equivalently when it satisfies the triangle, square, and
+double-edge linear conditions over all pattern embeddings.
 """
 
 from __future__ import annotations

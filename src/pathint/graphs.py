@@ -69,10 +69,10 @@ class Digraph:
     def derived(self, key: Hashable, build: Callable[[], object]):
         """The value build() returned at the first call with this key.  The
         move tables, the closedness data of `forms`, the all-words
-        signature plans of `integrals` (one per degree) and the move-pair
-        samples of `homotopy` live here.  A value holds no object that
-        refers back to the graph, so the graph is freed by reference
-        counting alone."""
+        signature plans of `integrals` (one per degree), and the move-pair
+        samples and the isosceles side pairs of `homotopy` live here.  A
+        value holds no object that refers back to the graph, so the graph
+        is freed by reference counting alone."""
         try:
             return self._derived[key]
         except KeyError:

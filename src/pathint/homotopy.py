@@ -407,40 +407,40 @@ def _isosceles_on_pair(word: Sequence[OneForm], p: Arrow, q: Arrow) -> bool:
                for i, (vp, vq) in enumerate(values) for wp, wq in values[i + 1:])
 
 
+def _side_pairs(g: Digraph) -> tuple[tuple[Arrow, Arrow], ...]:
+    """The composable side arrows of every embedded triangle, then the two
+    side pairs of every embedded square, in `enumerate_patterns` order."""
+    return g.derived("isosceles side pairs", lambda: tuple(
+        [emb.arrows[:2] for emb in enumerate_patterns(g, "triangle")]
+        + [pair for emb in enumerate_patterns(g, "square")
+           for pair in (emb.arrows[:2], emb.arrows[2:])]))
+
+
 def is_isosceles(word: Sequence[OneForm], g: Digraph) -> bool:
-    """Permutation symmetry of the word's products over the composable side
-    arrows of every embedded triangle, and over each of the two side pairs
-    of every embedded square, by the pairwise proportionality criterion of
+    """Permutation symmetry of the word's products over every side pair of
+    `_side_pairs`, by the pairwise proportionality criterion of
     `_isosceles_on_pair`."""
-    for omega in word:
-        if omega.graph != g:
-            raise PathError("form lives on a different digraph")
-    if len(word) <= 1:
-        return True
-    for emb in enumerate_patterns(g, "triangle"):
-        a1, a2, _ = emb.arrows
-        if not _isosceles_on_pair(word, a1, a2):
-            return False
-    for emb in enumerate_patterns(g, "square"):
-        a1, a2, a3, a4 = emb.arrows
-        if not _isosceles_on_pair(word, a1, a2):
-            return False
-        if not _isosceles_on_pair(word, a3, a4):
-            return False
-    return True
+    if any(omega.graph != g for omega in word):
+        raise PathError("form lives on a different digraph")
+    return len(word) <= 1 or all(_isosceles_on_pair(word, p, q)
+                                 for p, q in _side_pairs(g))
 
 
 def invariant_sufficient(word: Sequence[OneForm], g: Digraph) -> bool:
     """Sufficient condition for homotopy invariance of the word's iterated
-    integral: every letter closed and every contiguous subword isosceles."""
-    if not all(is_closed(omega) for omega in word):
-        return False
-    r = len(word)
-    for i in range(r):
-        for j in range(i + 1, r + 1):
-            if not is_isosceles(word[i:j], g):
-                return False
-    return True
+    integral: every letter closed and every contiguous subword isosceles.
+
+    Lemma.  Every contiguous subword is isosceles exactly when every two
+    adjacent letters are.  On one side pair, a subword is isosceles when
+    some letter vanishes on both arrows, or when its letters' value pairs
+    are all proportional; proportionality of nonzero pairs is an
+    equivalence relation, so a subword without a vanishing letter whose
+    adjacent letters are proportional has all its letters proportional.
+    Hence the r - 1 adjacent pairs are tested, not the r(r+1)/2 subwords."""
+    if any(omega.graph != g for omega in word):
+        raise PathError("form lives on a different digraph")
+    return (all(is_closed(omega) for omega in word)
+            and all(is_isosceles(word[i:i + 2], g) for i in range(len(word) - 1)))
 
 
 def _keeps_runs(kind: str, direction: str, _position: int, before: Window,

@@ -114,20 +114,14 @@ def make_path(graph: Digraph, vertices: Sequence[Vertex],
     norm = []
     for i, o in enumerate(os):
         u, w = vs[i], vs[i + 1]
+        arrow = (u, w) if o == FORWARD else (w, u)
         if u == w:
-            norm.append(FORWARD)
-        elif o == FORWARD:
-            if not graph.has_arrow(u, w):
-                raise PathError(
-                    f"step {i + 1}: ({u!r}, {w!r}) is not an arrow "
-                    "and the step is oriented forward")
-            norm.append(FORWARD)
-        else:
-            if not graph.has_arrow(w, u):
-                raise PathError(
-                    f"step {i + 1}: ({w!r}, {u!r}) is not an arrow "
-                    "and the step is oriented backward")
-            norm.append(BACKWARD)
+            o = FORWARD
+        elif arrow not in graph.arrow_set:
+            side = "forward" if o == FORWARD else "backward"
+            raise PathError(f"step {i + 1}: {arrow!r} is not an arrow "
+                            f"and the step is oriented {side}")
+        norm.append(o)
     return _build(graph, vs, tuple(norm))
 
 

@@ -74,29 +74,35 @@ def _vertex_name(v, what: str, error: type):
 
 def _field(d, key: str, kind: type, what: str, error: type):
     """d[key], after checking that d is a JSON object holding key and that
-    its value is a `kind` (list or dict); any other shape raises `error`."""
+    its value is a `kind` (dict for an object, else a list); any other
+    shape raises `error`."""
     if not isinstance(d, dict):
         raise error(f"{what} JSON is not an object")
     if key not in d:
         raise error(f'{what} JSON needs "{key}"')
     value = d[key]
     if not isinstance(value, kind):
-        noun = "a list" if kind is list else "an object"
+        noun = "an object" if kind is dict else "a list"
         raise error(f'{what} JSON "{key}" is not {noun}')
     return value
 
 
+def _loads(text: str, error: type, what: str):
+    """The JSON value that text spells; text that is not JSON, or that
+    nests or spells a number too deep or too long to read, raises one
+    `error` line "malformed <what>: ..."."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+
+
 def digraph_from_dict(d: dict) -> Digraph:
-    if not isinstance(d, dict):
-        raise GraphError("digraph JSON is not an object")
-    if "vertices" not in d or "arrows" not in d:
-        raise GraphError('digraph JSON needs "vertices" and "arrows"')
-    for key in ("vertices", "arrows"):
-        if not isinstance(d[key], (list, tuple)):
-            raise GraphError(f'digraph JSON "{key}" is not a list')
-    vertices = [_vertex_name(v, "vertex", GraphError) for v in d["vertices"]]
+    raw_vertices, raw_arrows = (_field(d, key, (list, tuple), "digraph", GraphError)
+                                for key in ("vertices", "arrows"))
+    vertices = [_vertex_name(v, "vertex", GraphError) for v in raw_vertices]
     arrows = []
-    for a in d["arrows"]:
+    for a in raw_arrows:
         if not (isinstance(a, (list, tuple)) and len(a) == 2):
             raise GraphError(f"arrow {a!r} is not a [source, target] pair")
         arrows.append(tuple(_vertex_name(v, "arrow endpoint", GraphError)
@@ -151,10 +157,7 @@ def parse_digraph(text: str) -> Digraph:
     """Auto-detect JSON or DOT input."""
     stripped = text.lstrip()
     if stripped.startswith("{") and "digraph" not in stripped[:60].lower().split("{")[0]:
-        try:
-            return digraph_from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"malformed digraph JSON: {exc}") from exc
+        return digraph_from_dict(_loads(text, GraphError, "digraph JSON"))
     return parse_dot(text)
 
 
@@ -204,10 +207,23 @@ def one_form_to_dict(omega: OneForm) -> dict:
                      for a, v in omega.coeffs.items()}}
 
 
+def _terms(d, name: str, what: str, key) -> dict:
+    """The nonzero terms of the combination d[name]: each label read by
+    `key`, then its coefficient by `parse_rational`, so a label is checked
+    even when its coefficient is 0.  `key` returns a checked key, distinct
+    for distinct labels, so no terms are summed and each reader builds its
+    value unchecked."""
+    terms = {}
+    for label, v in _field(d, name, dict, what, FormError).items():
+        k, c = key(label), parse_rational(v)
+        if c:
+            terms[k] = c
+    return terms
+
+
 def one_form_from_dict(g: Digraph, d: dict) -> OneForm:
-    values = _field(d, "form", dict, "1-form", FormError)
-    return OneForm(g, {parse_arrow_label(g, k): parse_rational(v)
-                       for k, v in values.items()})
+    return OneForm._unchecked(g, _terms(
+        d, "form", "1-form", lambda label: parse_arrow_label(g, label)))
 
 
 def word_to_dict(word) -> dict:
@@ -225,9 +241,8 @@ def two_chain_to_dict(chain: TwoChain) -> dict:
 
 
 def two_chain_from_dict(g: Digraph, d: dict) -> TwoChain:
-    coeffs = _field(d, "chain", dict, "2-chain", FormError)
-    return TwoChain(g, {tuple(k.split(",")): parse_rational(v)
-                        for k, v in coeffs.items()})
+    return TwoChain._unchecked(g, _terms(
+        d, "chain", "2-chain", lambda label: TwoChain._key(g, label.split(","))))
 
 
 # ---------------------------------------------------------------- elements
@@ -248,17 +263,8 @@ def element_to_dict(u: AlgebraElement) -> dict:
 
 
 def element_from_dict(g: Digraph, d: dict) -> AlgebraElement:
-    """The element of an element document.  Each label and coefficient is
-    parsed once, and `parse_word_label` checks every arrow, so the element
-    is built unchecked.  Distinct labels name distinct words (a parsed word
-    gives back its label), so no two keys are summed; zero coefficients are
-    dropped."""
-    coeffs = {}
-    for k, v in _field(d, "element", dict, "element", FormError).items():
-        word, c = parse_word_label(g, k), parse_rational(v)
-        if c:
-            coeffs[word] = c
-    return AlgebraElement._unchecked(g, coeffs)
+    return AlgebraElement._unchecked(g, _terms(
+        d, "element", "element", lambda label: parse_word_label(g, label)))
 
 
 def tensor_to_dict(t: TensorPair) -> dict:
@@ -267,19 +273,12 @@ def tensor_to_dict(t: TensorPair) -> dict:
 
 
 def tensor_from_dict(g: Digraph, d: dict) -> TensorPair:
-    """The tensor of a tensor document, built unchecked as an element is:
-    `parse_word_label` checks every arrow of both words, and distinct keys
-    name distinct word pairs; zero coefficients are dropped."""
-    coeffs = {}
-    for key, v in _field(d, "tensor", dict, "tensor", FormError).items():
-        left, sep, right = key.partition("|")
+    def key(label):
+        left, sep, right = label.partition("|")
         if not sep:
-            raise FormError(f"tensor key {key!r} is not of the form left|right")
-        c = parse_rational(v)
-        pair = (parse_word_label(g, left), parse_word_label(g, right))
-        if c:
-            coeffs[pair] = c
-    return TensorPair._unchecked(g, coeffs)
+            raise FormError(f"tensor key {label!r} is not of the form left|right")
+        return parse_word_label(g, left), parse_word_label(g, right)
+    return TensorPair._unchecked(g, _terms(d, "tensor", "tensor", key))
 
 
 def canonical_dumps(obj) -> str:

@@ -208,6 +208,24 @@ def test_based_functional_call():
         j(make_path(D, ["v1", "v0"], ["f"]))
 
 
+def test_based_functional_equal_compares_on_loops_or_on_paths():
+    # on a loop at v0, each step v0 -> v1 is A forward or B backward and each
+    # step back the other way round, so A and B have one net count on loops;
+    # on paths they differ, first on the one step v0 -> v1
+    D = double_edge()
+    a, b = word_element(D, (("v0", "v1"),)), word_element(D, (("v1", "v0"),))
+    on_loops = BasedFunctional(a, "v0").equal(BasedFunctional(b, "v0"), length_bound=6)
+    assert (on_loops.status, on_loops.witness) == ("equal-up-to-bound", None)
+    on_paths = BasedFunctional(a, "v0", "path").equal(BasedFunctional(b, "v0", "path"))
+    step = make_path(D, ["v0", "v1"], ["f"])
+    assert (on_paths.status, on_paths.witness, on_paths.values) == (
+        "certified-unequal", step, (1, 0))
+    with pytest.raises(PairingError):
+        BasedFunctional(a, "v0").equal(BasedFunctional(b, "v0", "path"))
+    with pytest.raises(PairingError):
+        BasedFunctional(a, "v0").equal(BasedFunctional(b, "v1"))
+
+
 # the arrows of double_edge() and its loops at v0, which alternate v0, v1
 A, B = ("v0", "v1"), ("v1", "v0")
 
@@ -268,6 +286,30 @@ def test_hopf_report_coassociativity_negative_control():
         "bialgebra": [{"words": ((A,), w)} for w in ((A,), (B,), (A, A), (A, B), (B, A))],
         "antipode": long_words,
     }
+
+
+def test_hopf_report_dual_shuffle_negative_control(monkeypatch):
+    # concatenation in place of the basis shuffle of two words: every law
+    # that multiplies words sees it, the dual shuffle law by pairing loops
+    D = double_edge()
+    monkeypatch.setattr(algebra, "shuffle_words", lambda u, v: {u + v: 1})
+    report = hopf_axiom_report(D, 2, max_failures=3)
+    assert set(_failed(report)) == {"commutativity", "bialgebra", "antipode",
+                                    "dual_shuffle"}
+    words = all_words(D.arrows, 2)
+    split_pairs = [(u, v) for u, v in combinations_with_replacement(words, 2)
+                   if len(u) + len(v) <= 2]
+
+    def first_split(loop):
+        return next(({"loop": loop, "words": (u, v)} for u, v in split_pairs
+                     if pair(word_element(D, u + v), loop)
+                     != pair(word_element(D, u), loop) * pair(word_element(D, v), loop)),
+                    None)
+
+    expected = [f for f in map(first_split, enumerate_paths(D, "v0", 8, loops_only=True))
+                if f is not None][:3]
+    assert _failed(report)["dual_shuffle"] == expected
+    assert expected[0] == {"loop": _d_loop("ff"), "words": ((A,), (A,))}
 
 
 def test_hopf_report_fails_a_law_even_when_no_failure_is_listed():
@@ -592,6 +634,7 @@ def _assert_built_alike(new, old):
     assert all(type(c) is Fraction for c in new.coeffs.values())
 
 
+@pytest.mark.wide
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_linear_maps_match_their_accumulating_references(seed):
     rng = random.Random(seed)

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from pathint.cli import COMMANDS, build_parser, main
 from pathint import serialization as ser
-from pathint import (box_product, double_edge, directed_cycle, make_path,
-                     standard_triangle, wedge_of_cycles)
+from pathint import (box_product, closed_one_forms, double_edge, directed_cycle,
+                     make_path, standard_triangle, wedge_of_cycles)
 
 
 @pytest.fixture
@@ -341,6 +341,80 @@ def test_malformed_documents_are_one_line_errors(files, capsys, command,
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _deep(depth):
+    return "[" * depth + "]" * depth
+
+
+_TRIANGLE = ser.digraph_to_dict(standard_triangle())
+
+
+@pytest.mark.parametrize("graph, element", [
+    ('{"vertices": ' + _deep(200_000) + "}", None),  # nested too deep
+    (None, _deep(200_000)),
+    (json.dumps(_TRIANGLE)[:-1] + ', "base": ' + "1" * 5000 + "}", None),
+    (None, '{"element": {"v0->v1": ' + "7" * 5000 + "}}"),  # too many digits
+    (b"\xff", None),  # not UTF-8
+    (None, b"\xff"),
+], ids=["deep-graph", "deep-document", "long-base", "long-coefficient",
+        "non-utf8-graph", "non-utf8-document"])
+def test_unreadable_input_is_a_one_line_error(tmp_path, capsys, graph, element):
+    docs = {"graph": graph or json.dumps(_TRIANGLE),
+            "element": element or '{"element": {"v0->v1": "1"}}',
+            "path": '{"vertices": ["v0", "v1"]}'}
+    argv = ["pair"]
+    for flag, text in docs.items():
+        p = tmp_path / f"{flag}.json"
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv += [f"--{flag}", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["kernel", "patterns", None])
+def test_closed_forms_one_method(files, capsys, method):
+    T = standard_triangle()
+    argv = ["closed-forms", "--graph", files("t.json", _TRIANGLE)]
+    argv += ["--method", method] if method else []
+    assert run(capsys, *argv) == (0, "dimension 2\n", "")
+    report = json.loads(run(capsys, *argv, "--format", "json")[1])
+    assert (report["method"], report["dimension"]) == (method or "kernel", 2)
+    basis = [ser.one_form_from_dict(T, f) for f in report["basis"]]
+    assert basis == closed_one_forms(T, method or "kernel")
+    # closed on the one triangle: the two sides sum to the long arrow
+    a1, a2, a3 = T.arrows
+    assert all(f(a1) + f(a2) == f(a3) for f in basis)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pi1", "--degree", "1"], "error: a base vertex is required"),
+    (["pi1", "--degree", "1", "--base", "zz"], "error: base vertex 'zz' is not"),
+    (["hopf-check", "--base", "zz"], "error: base vertex 'zz' is not"),
+])
+def test_a_missing_or_unknown_base_is_a_one_line_error(files, capsys, argv, message):
+    unbased = {"vertices": ["a", "b"], "arrows": [["a", "b"], ["b", "a"]]}
+    code, out, err = run(capsys, *argv, "--graph", files("u.json", unbased))
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_homotopy_unknown_verdict_text(files, capsys):
+    # homotopic loops, so no invariant separates them, and no room to search
+    g = files("t.json", _TRIANGLE)
+    a = files("a.json", {"vertices": ["v0", "v1", "v2", "v0"],
+                         "orientations": ["f", "f", "b"]})
+    b = files("b.json", {"vertices": ["v0"], "orientations": []})
+    argv = ["homotopy", "--graph", g, "--loop-a", a, "--loop-b", b, "--depth-bound", "0"]
+    assert run(capsys, *argv) == (0, "unknown (search bounds exhausted)\n", "")
+    assert json.loads(run(capsys, *argv, "--format", "json")[1])["status"] == "unknown"
+
+
+@pytest.mark.parametrize("seq", ["5,x", "1.5", "5,,-"])
+def test_malformed_volume_sequence_is_a_one_line_error(capsys, seq):
+    assert run(capsys, "volume", "--seq", seq) == (
+        1, "", f"error: malformed index sequence {seq!r}\n")
 
 
 def test_missing_file_is_domain_error(capsys):

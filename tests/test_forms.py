@@ -297,6 +297,7 @@ def test_a_form_and_an_element_do_not_mix(op):
     assert omega != u
 
 
+@pytest.mark.wide
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_one_form_arithmetic_matches_a_dense_reference_on_random_digraphs(seed):
     rng = random.Random(seed)

@@ -198,6 +198,17 @@ def test_cylinder_contains_both_ends():
         assert cyl.has_arrow(("src", v), ("dst", "p"))
 
 
+def test_inverse_cylinder_reverses_every_rung():
+    T = standard_triangle()
+    f = DigraphMap(T, double_edge(), {"v0": "v0", "v1": "v1", "v2": "v0"})
+    direct, inverse = cylinder(f), cylinder(f, "inverse")
+    assert inverse.vertices == direct.vertices
+    # a rung joins the two ends; the arrows within one end stay as they are
+    assert inverse.arrows == tuple((a, b) if a[0] == b[0] else (b, a)
+                                   for a, b in direct.arrows)
+    assert all(inverse.has_arrow(("dst", f(v)), ("src", v)) for v in T.vertices)
+
+
 def test_digraph_map_validation():
     T = standard_triangle()
     D = double_edge()

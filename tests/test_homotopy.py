@@ -11,13 +11,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (patterned_digraph, random_path,
-                      walked_square_walks, walked_triangle_sets)
+from conftest import (patterned_digraph, random_digraph, random_form,
+                      random_path, walked_square_walks, walked_triangle_sets)
 
-from pathint import (AlgebraElement, Digraph, DigraphMap, Move,
-                     MoveCertificate, OneForm, PathError, all_words,
+from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
+                     Move, MoveCertificate, OneForm, PathError, all_words,
                      apply_move, box_product, change_base_point,
-                     closed_one_forms, directed_cycle, double_edge,
+                     closed_one_forms, concat, directed_cycle, double_edge,
                      enumerate_paths, from_forms, homotopic_loops,
                      hopf_axiom_report, identity_map, insert_trivial,
                      invariance_verify, invariant_sufficient, inverse,
@@ -144,6 +144,7 @@ def _assert_raw_moves_match_the_reference(path):
     assert [Move(*t) for t in raw] == list(_moves_by_candidates(path))
 
 
+@pytest.mark.wide
 def test_raw_moves_match_the_move_enumeration_on_fixtures():
     # the fixtures include the double edge and a 3x3 grid
     for g in _fixtures():
@@ -157,6 +158,7 @@ def test_raw_moves_match_the_move_enumeration_on_fixtures():
                     _assert_raw_moves_match_the_reference(insert_trivial(stationary, i))
 
 
+@pytest.mark.wide
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_raw_moves_match_the_move_enumeration_on_random_digraphs(seed):
     rng = random.Random(seed)
@@ -329,6 +331,7 @@ def test_homotopic_loops_refutes_like_the_exhaustive_pairing():
     assert statuses == {"certified-no", "unknown"}
 
 
+@pytest.mark.wide
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_homotopic_loops_refutes_like_the_pairing_on_random_digraphs(seed):
     rng = random.Random(seed)
@@ -750,6 +753,65 @@ def test_invariant_sufficient_requires_closed_letters():
     assert invariant_sufficient([closed], T)
 
 
+def _isosceles_by_pattern(word, g):
+    """Reference for `is_isosceles`: the product symmetry oracle on the two
+    composable sides of each triangle and on both side pairs of each
+    square, read off the embeddings."""
+    if len(word) <= 1:
+        return True
+    pairs = [emb.arrows[:2] for emb in enumerate_patterns(g, "triangle")]
+    for emb in enumerate_patterns(g, "square"):
+        a1, a2, a3, a4 = emb.arrows
+        pairs += [(a1, a2), (a3, a4)]
+    return all(_products_are_symmetric([(f(p), f(q)) for f in word])
+               for p, q in pairs)
+
+
+def _sufficient_by_subwords(word, g):
+    """Reference for `invariant_sufficient`: every letter closed and every
+    contiguous subword isosceles by `_isosceles_by_pattern`."""
+    r = len(word)
+    return (all(is_closed(f) for f in word)
+            and all(_isosceles_by_pattern(word[i:j], g)
+                    for i in range(r) for j in range(i + 1, r + 1)))
+
+
+def _random_letter(rng, g, closed, previous):
+    """A multiple of the previous letter, a small combination of closed
+    basis forms, or an arbitrary form."""
+    roll = rng.random()
+    if previous is not None and roll < 0.3:
+        return rng.choice((-2, -1, 1, 2)) * previous
+    if closed and roll < 0.7:
+        letter = OneForm(g)
+        for f in rng.sample(closed, min(len(closed), rng.randint(1, 2))):
+            letter = letter + rng.randint(-2, 2) * f
+        return letter
+    return random_form(rng, g)
+
+
+@pytest.mark.wide
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_sufficiency_test_matches_the_all_subwords_reference_on_random_digraphs(seed):
+    rng = random.Random(seed)
+    g = patterned_digraph(rng) if rng.random() < 0.5 else random_digraph(rng)
+    closed = closed_one_forms(g)
+    for _ in range(20):
+        word = []
+        for _ in range(rng.randint(0, 5)):
+            word.append(_random_letter(rng, g, closed, word[-1] if word else None))
+        assert is_isosceles(word, g) == _isosceles_by_pattern(word, g)
+        assert invariant_sufficient(word, g) == _sufficient_by_subwords(word, g)
+
+
+def test_sufficiency_test_checks_every_host_first():
+    T = standard_triangle()
+    foreign = closed_one_forms(standard_square())[0]
+    for word in ([OneForm.basis(T, ("v0", "v1")), foreign], [foreign]):
+        with pytest.raises(PathError):  # the first letter is not closed
+            invariant_sufficient(word, T)
+
+
 def test_invariance_verify_counterexample_carries_move():
     T = standard_triangle()
     e1 = from_forms(T, [OneForm.basis(T, ("v0", "v1"))])
@@ -809,6 +871,7 @@ def _sample_by_move_neighbors(g, base, length_bound):
     return out
 
 
+@pytest.mark.wide
 def test_move_pair_sample_matches_the_full_neighbor_list():
     # the fixtures include the double edge and a 3x3 grid
     for g in _fixtures():
@@ -821,6 +884,7 @@ def test_move_pair_sample_matches_the_full_neighbor_list():
                     type(nb) for _, nb, _ in expected]
 
 
+@pytest.mark.wide
 @given(st.integers(min_value=0, max_value=2 ** 32),
        st.integers(min_value=1, max_value=5))
 def test_move_pair_sample_matches_the_full_neighbor_list_on_random_digraphs(
@@ -872,6 +936,7 @@ def _random_patterned(seed):
 # these cases reach backtracks one and two steps apart, chains of them, a
 # backtrack through the two arrows of a double edge (which must not count
 # as cancelling), and loops whose backtracks lie too far apart to scan.
+@pytest.mark.wide
 @pytest.mark.parametrize("make, bound", [
     (lambda: (wedge_of_cycles(), "v0"), 8),
     (lambda: (_torus(), ("v0", "v0")), 6),
@@ -932,6 +997,7 @@ def test_a_two_arrow_backtrack_is_scanned_whole():
     assert sampled[("v0", "v1", "v0"), ("f", "b")] == (0, 0)
 
 
+@pytest.mark.wide
 @given(st.integers(min_value=0, max_value=2 ** 32),
        st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=4))
 def test_pi1_rows_match_the_move_pair_sample_paired_per_pair_on_random_digraphs(
@@ -957,6 +1023,7 @@ def test_pi1_rows_match_the_move_pair_sample_paired_per_pair_on_random_digraphs(
     assert _pi1_rows(g, base, degree, bound, words) == (move_rows, loop_rows)
 
 
+@pytest.mark.wide
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_moves_in_reach_are_the_windows_that_start_and_end_there(seed):
     rng = random.Random(seed)
@@ -982,6 +1049,7 @@ def _assert_bounded_listing_is_the_full_listing_cut_by_growth(path):
             t for t in full if _growth(t) <= room]
 
 
+@pytest.mark.wide
 def test_bounded_listing_is_the_full_listing_cut_by_growth_on_fixtures():
     for g in _fixtures():
         for base in g.vertices:
@@ -991,6 +1059,7 @@ def test_bounded_listing_is_the_full_listing_cut_by_growth_on_fixtures():
                 _assert_bounded_listing_is_the_full_listing_cut_by_growth(stationary)
 
 
+@pytest.mark.wide
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_bounded_listing_is_the_full_listing_cut_by_growth_on_random_digraphs(seed):
     rng = random.Random(seed)
@@ -1286,6 +1355,24 @@ def test_change_base_point_endpoint_check():
     wrapped = BasedFunctional(u, "v0", "loop")
     with pytest.raises(PathError):
         change_base_point(gamma, wrapped)  # functional based at the start
+
+
+def test_change_base_point_transports_a_based_functional():
+    # the transported functional on a loop at v0 is the functional on that
+    # loop conjugated by gamma, a loop at v1
+    T = standard_triangle()
+    gamma = make_path(T, ["v0", "v1"], ["f"])
+    u = AlgebraElement(T, {(("v1", "v2"),): 1, (("v0", "v2"), ("v1", "v2")): -2,
+                           (("v0", "v1"), ("v0", "v1")): 3})
+    moved = change_base_point(gamma, BasedFunctional(u, "v1", "loop"))
+    assert (type(moved), moved.base, moved.flavor) == (BasedFunctional, "v0", "loop")
+    assert moved.elem == change_base_point(gamma, u)
+    values = set()
+    for loop in enumerate_paths(T, "v0", 4, loops_only=True):
+        conj = concat(concat(inverse(gamma), loop), gamma)
+        assert moved(loop) == pair(u, conj)
+        values.add(moved(loop))
+    assert len(values) > 1  # not constant on the loops
 
 
 def _change_base_point_by_word_pairings(gamma, u):

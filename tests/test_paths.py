@@ -244,6 +244,7 @@ def _loops_by_filter(g, base, max_length):
     return [p for p in enumerate_paths(g, base, max_length) if p.is_loop]
 
 
+@pytest.mark.wide
 def test_loop_enumeration_matches_a_filter_over_every_path():
     fixtures = [standard_triangle(), standard_square(), double_edge(),
                 directed_cycle(4), wedge_of_cycles(),
@@ -255,6 +256,7 @@ def test_loop_enumeration_matches_a_filter_over_every_path():
                     _loops_by_filter(g, base, bound)
 
 
+@pytest.mark.wide
 @given(st.integers(min_value=0, max_value=2 ** 32),
        st.integers(min_value=0, max_value=5))
 def test_loop_enumeration_matches_a_filter_on_random_digraphs(seed, bound):

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from pathint import (AlgebraElement, BasedDigraph, FormError, GraphError,
-                     OneForm, PathError, PathintError, TwoChain, all_words, coproduct,
-                     double_edge, make_path, omega2_basis, standard_triangle,
-                     word_element)
+                     OneForm, PathError, PathintError, TensorPair, TwoChain,
+                     all_words, coproduct, double_edge, make_path, omega2_basis,
+                     standard_triangle, word_element)
 from pathint import serialization as ser
 
 
@@ -167,6 +167,43 @@ def test_two_chain_round_trip():
 def test_readers_reject_documents_of_the_wrong_shape(reader, doc, error):
     with pytest.raises(error):
         reader(double_edge(), doc)
+
+
+_A = ("v0", "v1")
+
+
+@pytest.mark.parametrize("reader, name, bad, good, zero, value", [
+    (ser.one_form_from_dict, "form", "v0->v2", "v0->v1", "v1->v0",
+     OneForm(double_edge(), {_A: 2})),
+    (ser.two_chain_from_dict, "chain", "v0,v1,v1", "v0,v1,v0", "v1,v0,v1",
+     TwoChain(double_edge(), {("v0", "v1", "v0"): 2})),
+    (ser.element_from_dict, "element", "v0->v2", "v0->v1", "",
+     AlgebraElement(double_edge(), {(_A,): 2})),
+    (ser.tensor_from_dict, "tensor", "v0->v1", "v0->v1|", "|",
+     TensorPair(double_edge(), {((_A,), ()): 2})),
+])
+def test_combination_readers_read_every_label_and_drop_zero_terms(
+        reader, name, bad, good, zero, value):
+    D = double_edge()
+    with pytest.raises(FormError):  # a label is read before its zero is dropped
+        reader(D, {name: {bad: "0"}})
+    read = reader(D, {name: {good: "4/2", zero: "0"}})
+    assert read == value and type(read) is type(value)
+    assert all(type(c) is Fraction for c in read.coeffs.values())
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, 'digraph JSON needs "vertices"'),
+    ({"vertices": ["a"]}, 'digraph JSON needs "arrows"'),
+    ({"vertices": "a", "arrows": []}, 'digraph JSON "vertices" is not a list'),
+    ({"vertices": ["a"], "arrows": {}}, 'digraph JSON "arrows" is not a list'),
+])
+def test_digraph_reader_names_the_field_at_fault(doc, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        ser.digraph_from_dict(doc)
+    assert ser.digraph_from_dict({"vertices": ("a", "b"), "arrows": (("a", "b"),)}
+                                 ) == ser.digraph_from_dict({"vertices": ["a", "b"],
+                                                             "arrows": [["a", "b"]]})
 
 
 def test_canonical_dumps_sorts_keys():
