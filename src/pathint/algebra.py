@@ -232,30 +232,9 @@ def functional_equal(u: AlgebraElement, v: AlgebraElement, base,
                      flavor: str = "loop",
                      length_bound: int = 8) -> FunctionalVerdict:
     """Compare two elements as integration functionals on paths (or loops)
-    from base, by enumerating all of them up to the length bound.  A path
-    with a same-arrow backtrack is skipped: it pairs as the path without
-    it (Chen's identity), which is shorter and so came first."""
-    u._check_host(v)
-    if flavor not in ("path", "loop"):
-        raise PairingError(f"unknown flavor {flavor!r}")
-    if base not in u.graph.vertex_set:
-        raise PairingError(f"unknown base vertex {base!r}")
-    if length_bound < 1:
-        raise PairingError("length_bound must be at least 1")
-    diff = u - v
-    if diff.is_zero():
-        return FunctionalVerdict("equal-up-to-bound", base, flavor, length_bound)
-    loops_only = flavor == "loop"
-    pair_u, pair_v = _pairing(u.coeffs), _pairing(v.coeffs)
-    for p in enumerate_paths(u.graph, base, length_bound, loops_only=loops_only):
-        rs = runs(p)
-        if len(rs) < p.length:
-            continue
-        a, b = pair_u(rs), pair_v(rs)
-        if a != b:
-            return FunctionalVerdict("certified-unequal", base, flavor,
-                                     length_bound, witness=p, values=(a, b))
-    return FunctionalVerdict("equal-up-to-bound", base, flavor, length_bound)
+    from base: `BasedFunctional.equal` of the two functionals."""
+    return BasedFunctional(u, base, flavor).equal(BasedFunctional(v, base, flavor),
+                                                  length_bound)
 
 
 class BasedFunctional:
@@ -280,10 +259,28 @@ class BasedFunctional:
 
     def equal(self, other: "BasedFunctional",
               length_bound: int = 8) -> FunctionalVerdict:
+        """Compare on every path (or loop) from the base up to the length
+        bound, skipping a path with a same-arrow backtrack: it pairs as the
+        path without it (Chen's identity), which is shorter and came first."""
         if (self.base, self.flavor) != (other.base, other.flavor):
             raise PairingError("functionals have different base or flavor")
-        return functional_equal(self.elem, other.elem, self.base,
-                                self.flavor, length_bound)
+        u, v = self.elem, other.elem
+        u._check_host(v)
+        if length_bound < 1:
+            raise PairingError("length_bound must be at least 1")
+        base, flavor = self.base, self.flavor
+        if (u - v).is_zero():
+            return FunctionalVerdict("equal-up-to-bound", base, flavor, length_bound)
+        pair_u, pair_v = _pairing(u.coeffs), _pairing(v.coeffs)
+        for p in enumerate_paths(u.graph, base, length_bound, loops_only=flavor == "loop"):
+            rs = runs(p)
+            if len(rs) < p.length:
+                continue
+            a, b = pair_u(rs), pair_v(rs)
+            if a != b:
+                return FunctionalVerdict("certified-unequal", base, flavor,
+                                         length_bound, witness=p, values=(a, b))
+        return FunctionalVerdict("equal-up-to-bound", base, flavor, length_bound)
 
 
 def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import serialization as ser
 from .algebra import antipode, coproduct, hopf_axiom_report
@@ -15,7 +14,7 @@ from .graphs import Digraph, enumerate_patterns
 from .homotopy import change_base_point, homotopic_loops, pi1_candidates
 from .integrals import iterated_integral, order, pair, volume_number
 from .linalg import span_equal
-from .paths import PathMap, elem_equivalent, reduce
+from .paths import elem_equivalent, reduce
 
 
 def _read(path: str) -> str:
@@ -46,20 +45,6 @@ def _read_operands(args, flags) -> Digraph | None:
             doc = ser._loads(_read(filename), PathintError, f"JSON in {filename}")
             setattr(args, flag, getattr(ser, _READERS[flag])(g, doc))
     return g
-
-
-def _json_safe(obj):
-    """Recursively convert to plain JSON types: Fractions become "p/q"
-    strings, tuples become lists, paths become their JSON dicts."""
-    if isinstance(obj, Fraction):
-        return ser.format_rational(obj)
-    if isinstance(obj, PathMap):
-        return ser.path_to_dict(obj)
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(x) for x in obj]
-    return obj
 
 
 def _resolve_base(g: Digraph, explicit):
@@ -128,11 +113,10 @@ def _cmd_hopf_check(g, args):
     base = _resolve_base(g, args.base)
     report = hopf_axiom_report(g, args.max_degree, base=base,
                                loop_length_bound=args.loop_bound)
-    payload = _json_safe(report)
     lines = [f"{name}: {'ok' if entry['passed'] else 'FAIL'}"
              for name, entry in sorted(report["axioms"].items())]
     lines.append("all passed" if report["all_passed"] else "FAILURES FOUND")
-    return payload, "\n".join(lines)
+    return report, "\n".join(lines)
 
 
 def _cmd_closed_forms(g, args):

@@ -181,29 +181,20 @@ def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
     return rows
 
 
-def _boundary_span(g: Digraph) -> Echelon:
-    """The span of the Omega_2 boundaries as int vectors over the arrows,
-    eliminated once per graph.  Its kernel is the closed 1-forms, and a
-    vector of net arrow counts in it pairs to 0 with every closed form."""
-    return g.derived("omega2 boundary span", lambda: Echelon(
-        len(g.arrows), _closed_condition_rows(g, "kernel")))
-
-
-def _closed_basis_vectors(g: Digraph, method: str) -> tuple:
-    """The closed basis as the sparse kernel vectors (arrow index ->
-    nonzero entry) of the closedness conditions of `method`."""
-    def build():
-        if method == "kernel":
-            return tuple(_boundary_span(g).kernel())
-        return tuple(Echelon(len(g.arrows), _closed_condition_rows(g, method)).kernel())
-    return g.derived(("closed basis", method), build)
+def _closedness(g: Digraph, method: str = "kernel") -> Echelon:
+    """The closedness conditions of `method` as int rows over the arrows,
+    eliminated once per graph and method: its kernel is the closed 1-forms.
+    The "kernel" rows are the Omega_2 boundaries, so a vector of net arrow
+    counts in their span pairs to 0 with every closed form."""
+    return g.derived(("closedness", method), lambda: Echelon(
+        len(g.arrows), _closed_condition_rows(g, method)))
 
 
 def closed_one_forms(g: Digraph, method: str = "kernel") -> list[OneForm]:
     """Basis of the closed 1-forms, by boundary pairing ("kernel") or by the
     triangle/square/double-edge linear conditions ("patterns")."""
     return [OneForm._unchecked(g, {g.arrows[j]: c for j, c in vec.items()})
-            for vec in _closed_basis_vectors(g, method)]
+            for vec in _closedness(g, method).kernel()]
 
 
 def _omega2_boundaries(g: Digraph) -> tuple:

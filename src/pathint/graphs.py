@@ -45,7 +45,9 @@ class Digraph:
         arr: list[Arrow] = []
         seen: set[Arrow] = set()
         for raw in arrows:
-            a = (raw[0], raw[1])
+            if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+                raise GraphError(f"arrow {raw!r} is not a [source, target] pair")
+            a = tuple(raw)
             if a[0] == a[1]:
                 raise GraphError(f"self-loop at vertex {a[0]!r}")
             if a in seen:
@@ -68,11 +70,11 @@ class Digraph:
 
     def derived(self, key: Hashable, build: Callable[[], object]):
         """The value build() returned at the first call with this key.  The
-        move tables, the closedness data of `forms`, the all-words
-        signature plans of `integrals` (one per degree), and the move-pair
-        samples and the isosceles side pairs of `homotopy` live here.  A
-        value holds no object that refers back to the graph, so the graph
-        is freed by reference counting alone."""
+        move tables, the 2-path data and one closedness elimination per
+        method of `forms`, the all-words signature plans of `integrals` (one
+        per degree), and the move-pair samples and the isosceles side pairs
+        of `homotopy` live here.  A value holds no object that refers back
+        to the graph, so the graph is freed by reference counting alone."""
         try:
             return self._derived[key]
         except KeyError:

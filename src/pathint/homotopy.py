@@ -20,12 +20,11 @@ from typing import Iterator, Sequence
 
 from .algebra import AlgebraElement, BasedFunctional
 from .errors import MapError, PathError
-from .forms import (OneForm, _boundary_span, _closed_basis_vectors,
-                    _omega2_boundaries, closed_arrows, is_closed)
+from .forms import OneForm, _closedness, _omega2_boundaries, closed_arrows, is_closed
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, _all_words_plan, _evaluate, _pairing, all_words,
                         signature)
-from .linalg import Echelon, _sum_terms
+from .linalg import _ONE, _ZERO, Echelon, _sum_terms
 from .paths import (FORWARD, PathMap, _build, _check_bound, _check_loop_pair,
                     _runs, _walk, inverse, make_path, runs)
 
@@ -33,8 +32,6 @@ MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
               "backtrack", "trivial-drop")
 
 Window = tuple[tuple, tuple]  # (vertices, orientations) of a path segment
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,7 @@ def _separating_invariant(a: PathMap, b: PathMap):
     """The first theorem-backed invariant that differs on the two loops,
     with its two values, or None.  The invariants, in order: the all-ones
     1-form (total winding) when it is closed, then the vectors of the
-    closed basis `_closed_basis_vectors(g, "kernel")`, then the degree-2
+    closed basis, the kernel of `forms._closedness(g)`, then the degree-2
     words over `closed_arrows(g)`, in `product` order.  Such a word passes
     `invariant_sufficient`, because no closed arrow is a side of a triangle
     or a square; a word with a letter that is not closed fails it.
@@ -263,7 +260,7 @@ def _separating_invariant(a: PathMap, b: PathMap):
     of the closed forms does.
 
     The degree-1 stage is therefore decided in ints: the difference d of
-    the loops' net arrow counts is reduced against `forms._boundary_span`,
+    the loops' net arrow counts is reduced against `forms._closedness(g)`,
     the one elimination of the boundaries per graph that the closed basis
     is read from.  Nothing left (d = 0 or d in the span) means that no
     closed form separates the loops, and every degree-1 invariant is
@@ -281,13 +278,13 @@ def _separating_invariant(a: PathMap, b: PathMap):
     nets = (_net_counts(a), _net_counts(b))
     diff = {j: d for j in {**nets[0], **nets[1]}
             if (d := nets[0].get(j, 0) - nets[1].get(j, 0))}
-    rest = diff and _boundary_span(g).residue(diff)
+    rest = diff and _closedness(g).residue(diff)
     if rest:
         if sum(diff.values()) and _winding_is_closed(g):
             vec = dict.fromkeys(range(len(g.arrows)), _ONE)
         else:
             f = min(rest)
-            vec = next(v for v in _closed_basis_vectors(g, "kernel") if f in v)
+            vec = next(v for v in _closedness(g).kernel() if f in v)
         values = tuple(sum((vec.get(j, _ZERO) * k for j, k in net.items()), _ZERO)
                        for net in nets)
         return AlgebraElement._unchecked(
@@ -330,9 +327,7 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
     # `Move` is made only for the certificate, and no state is built as a
     # path: `cert.replay()` validates the chain found.  `_moves` is given the
     # room left under the length bound, so it lists only the moves whose
-    # result fits; the bound test below drops nothing more, and is kept so
-    # that the bound holds by itself and not through the growths `_moves`
-    # assigns.
+    # result fits.
     g = a.graph
     starts = ((a.vertices, a.orientations), (b.vertices, b.orientations))
     parents: tuple[dict[Window, tuple | None], ...] = tuple({s: None} for s in starts)
@@ -347,10 +342,7 @@ def homotopic_loops(a: PathMap, b: PathMap, length_bound: int = 12,
         for here in frontiers[side]:
             V, O = here
             for t in _moves(g, V, O, room=length_bound - len(O)):
-                p, before, after = t[2:]
-                if len(O) - len(before[1]) + len(after[1]) > length_bound:
-                    continue
-                nb = _splice(V, O, p, before, after)
+                nb = _splice(V, O, *t[2:])
                 if nb in mine:
                     continue
                 mine[nb] = (here, t)

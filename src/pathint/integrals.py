@@ -27,12 +27,11 @@ from typing import Callable, Iterable, Sequence
 from .errors import PairingError
 from .forms import OneForm
 from .graphs import Arrow, Digraph
+from .linalg import _ZERO
 from .paths import (ForwardArrow, InverseArrow, PathMap, Step, Trivial,
                     _check_loop_pair, concat, inverse, runs, steps)
 
 Word = tuple[Arrow, ...]
-
-_ZERO = Fraction(0)
 
 
 def volume_number(seq: Sequence[int]) -> int:
@@ -42,6 +41,8 @@ def volume_number(seq: Sequence[int]) -> int:
     run = 0
     prev = None
     for t in seq:
+        if t < 1:
+            raise PairingError(f"index sequence {tuple(seq)!r} has an entry below 1")
         if prev is not None and t < prev:
             raise PairingError(f"index sequence {tuple(seq)!r} is not non-decreasing")
         if t == prev:

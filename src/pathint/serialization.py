@@ -155,8 +155,7 @@ def parse_dot(text: str) -> Digraph:
 
 def parse_digraph(text: str) -> Digraph:
     """Auto-detect JSON or DOT input."""
-    stripped = text.lstrip()
-    if stripped.startswith("{") and "digraph" not in stripped[:60].lower().split("{")[0]:
+    if text.lstrip().startswith("{"):
         return digraph_from_dict(_loads(text, GraphError, "digraph JSON"))
     return parse_dot(text)
 
@@ -281,6 +280,12 @@ def tensor_from_dict(g: Digraph, d: dict) -> TensorPair:
     return TensorPair._unchecked(g, _terms(d, "tensor", "tensor", key))
 
 
+def _json_default(obj):
+    """The value `json` cannot write itself: a path as `path_to_dict`
+    spells it, anything else as a rational (a TypeError if it is none)."""
+    return path_to_dict(obj) if isinstance(obj, PathMap) else format_rational(obj)
+
+
 def canonical_dumps(obj) -> str:
     """Byte-deterministic JSON used by the command line tool."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"

@@ -417,6 +417,14 @@ def test_malformed_volume_sequence_is_a_one_line_error(capsys, seq):
         1, "", f"error: malformed index sequence {seq!r}\n")
 
 
+@pytest.mark.parametrize("argv, seq", [
+    (["--seq", "0,0"], (0, 0)), (["--seq=-3,-3"], (-3, -3)), (["--seq", "0"], (0,)),
+])
+def test_volume_refuses_indices_below_one(capsys, argv, seq):
+    assert run(capsys, "volume", *argv) == (
+        1, "", f"error: index sequence {seq!r} has an entry below 1\n")
+
+
 def test_missing_file_is_domain_error(capsys):
     code = main(["validate", "--graph", "/nonexistent/g.json"])
     assert code == 1

@@ -35,6 +35,17 @@ def test_rejects_duplicate_vertices():
         Digraph(["a", "a"], [])
 
 
+@pytest.mark.parametrize("vertices, arrow", [
+    (["a", "b", "c"], ("a", "b", "c")),  # once read as the arrow ("a", "b")
+    (["a", "b"], "ab"),                  # once read as the arrow ("a", "b")
+    (["a"], ("a",)),                     # once an IndexError
+])
+def test_rejects_an_arrow_that_is_not_a_pair(vertices, arrow):
+    with pytest.raises(GraphError) as info:
+        Digraph(vertices, [arrow])
+    assert str(info.value) == f"arrow {arrow!r} is not a [source, target] pair"
+
+
 def test_based_digraph_requires_member_base():
     with pytest.raises(GraphError):
         BasedDigraph(["a", "b"], [("a", "b")], "z")

@@ -30,6 +30,13 @@ def test_volume_number_rejects_decreasing():
         volume_number([2, 1])
 
 
+@pytest.mark.parametrize("seq", [[0], [0, 0], [-3, -3], [1, 2, 0]])
+def test_volume_number_rejects_indices_below_one(seq):
+    with pytest.raises(PairingError) as info:
+        volume_number(seq)
+    assert str(info.value) == f"index sequence {tuple(seq)!r} has an entry below 1"
+
+
 def test_step_pairing_signs():
     T = standard_triangle()
     omega = OneForm(T, {("v0", "v1"): Fraction(3, 2)})
