@@ -244,6 +244,8 @@ _NON_NEGATIVE = _bounded_int(0)
 _POSITIVE = _bounded_int(1)
 
 
+_FORMAT = {"choices": ("json", "text"), "default": "text",
+           "help": "output format (default: text)"}
 _GRAPH = {"required": True, "help": "digraph file (JSON or DOT)"}
 _PATH = {"required": True, "help": "path JSON file"}
 _ELEMENT = {"required": True, "help": "algebra element JSON file"}
@@ -311,15 +313,11 @@ COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Add the arguments of command `name` to parser, --format first, and
-    its name as the default of `command`; returns parser."""
-    parser.add_argument("--format", choices=("json", "text"), default="text",
-                        help="output format (default: text)")
-    for flag, kwargs in COMMANDS[name][2].items():
-        parser.add_argument("--" + flag.replace("_", "-"), **kwargs)
-    parser.set_defaults(command=name)
-    return parser
+def _options(name: str) -> dict:
+    """Option string -> (dest, add_argument keywords) of command `name`,
+    --format first."""
+    return {"--" + flag.replace("_", "-"): (flag, spec)
+            for flag, spec in {"format": _FORMAT, **COMMANDS[name][2]}.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,19 +327,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact iterated path integrals on directed graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_command(sub.add_parser(name, help=COMMANDS[name][1]), name)
+        command = sub.add_parser(name, help=COMMANDS[name][1])
+        for option, (_, kwargs) in _options(name).items():
+            command.add_argument(option, **kwargs)
     return parser
 
 
+def _plain(argv: list) -> argparse.Namespace | None:
+    """The namespace `build_parser` would make of a plain argv: a command,
+    then each of its flags at most once as `--flag value`, no value starting
+    with "-", every value of the right type and among its choices, every
+    required flag given.  None for any other argv."""
+    if not (argv and argv[0] in COMMANDS and len(argv) % 2):
+        return None
+    options = _options(argv[0])
+    given = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        if option not in options or option in given or text.startswith("-"):
+            return None
+        spec = options[option][1]
+        convert = spec.get("type")
+        try:
+            value = convert(text) if convert else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[option] = value
+    values = {}
+    for option, (flag, spec) in options.items():
+        if option not in given and spec.get("required"):
+            return None
+        values[flag] = given.get(option, spec.get("default"))
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """Parse argv; a named command is parsed by its own parser alone, the
-    subparser `build_parser` would make.  Arguments left over are reported
-    by the top-level parser, as argparse reports them."""
-    if not (argv and argv[0] in COMMANDS):
-        return build_parser().parse_args(argv)
-    parser = argparse.ArgumentParser(prog=f"pathint {argv[0]}")
-    args, extra = _add_command(parser, argv[0]).parse_known_args(argv[1:])
-    return build_parser().parse_args(argv) if extra else args
+    """Parse argv: a plain argv without building a parser, any other with
+    the parser of every subcommand, which prints its usage errors."""
+    args = _plain(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

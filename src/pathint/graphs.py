@@ -39,7 +39,10 @@ class Digraph:
 
     def __init__(self, vertices: Iterable[Vertex], arrows: Iterable[Sequence[Vertex]]):
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
-        self.vertex_set = frozenset(self.vertices)
+        try:
+            self.vertex_set = frozenset(self.vertices)
+        except TypeError as exc:
+            raise GraphError(f"a vertex is not hashable ({exc})") from None
         if len(self.vertex_set) != len(self.vertices):
             raise GraphError("duplicate vertex in vertex list")
         arr: list[Arrow] = []
@@ -50,7 +53,12 @@ class Digraph:
             a = tuple(raw)
             if a[0] == a[1]:
                 raise GraphError(f"self-loop at vertex {a[0]!r}")
-            if a in seen:
+            try:
+                duplicate = a in seen
+            except TypeError as exc:
+                raise GraphError(f"arrow {a!r} has an endpoint that is not hashable "
+                                 f"({exc})") from None
+            if duplicate:
                 raise GraphError(f"duplicate arrow {a!r}")
             for end in a:
                 if end not in self.vertex_set:

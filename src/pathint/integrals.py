@@ -41,6 +41,8 @@ def volume_number(seq: Sequence[int]) -> int:
     run = 0
     prev = None
     for t in seq:
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise PairingError(f"index sequence {tuple(seq)!r} has an entry that is not an int")
         if t < 1:
             raise PairingError(f"index sequence {tuple(seq)!r} has an entry below 1")
         if prev is not None and t < prev:

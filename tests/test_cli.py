@@ -13,9 +13,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from pathint.cli import COMMANDS, build_parser, main
+from pathint.cli import COMMANDS, _options, _plain, build_parser, main
 from pathint import serialization as ser
 from pathint import (box_product, closed_one_forms, double_edge, directed_cycle,
                      make_path, standard_triangle, wedge_of_cycles)
@@ -822,3 +822,136 @@ def test_fuzzed_documents_never_raise(data):
     if code == 1:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
+
+
+# ------------------------------------------- the plain reader and argparse
+
+def _plain_options(files, command):
+    """Option -> value of a plain argv of `command` on the documents of
+    _VALID, in JSON."""
+    bounds = {**_BOUNDS, "volume": ["--seq", "5,5"]}.get(command, [])
+    options = {"--format": "json", **dict(zip(bounds[::2], bounds[1::2]))}
+    for operand in _FUZZED.get(command, []):
+        options[f"--{operand}"] = files(f"{operand}.json", _VALID[operand])
+    return options
+
+
+def _argv(command, options, equals=False):
+    """The argv giving `options`: `--flag value`, or `--flag=value`."""
+    if equals:
+        return [command] + [f"{option}={value}" for option, value in options.items()]
+    return [command] + [token for item in options.items() for token in item]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_plain_argv_prints_what_its_equals_spelling_prints(files, capsys, command):
+    options = _plain_options(files, command)
+    plain, equals = _argv(command, options), _argv(command, options, equals=True)
+    assert _plain(plain) is not None and _plain(equals) is None
+    code, out, err = run(capsys, *plain)
+    assert code == 0 and out and err == ""
+    assert run(capsys, *equals) == (code, out, err)
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in sorted(COMMANDS)
+    for option, (_, spec) in _options(command).items()
+    if "type" in spec or "choices" in spec])
+def test_a_bad_value_is_one_usage_error_in_both_spellings(files, capsys,
+                                                          command, option):
+    options = {**_plain_options(files, command), option: "x"}
+    plain = _argv(command, options)
+    assert _plain(plain) is None
+    code, out, err = run(capsys, *plain)
+    assert (code, out) == (2, "") and f"error: argument {option}: invalid" in err
+    assert run(capsys, *_argv(command, options, equals=True)) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["homotopy", "-h"],
+    ["volume", "--se", "5,5"],
+    ["volume", "--seq=5,5"],
+    ["volume", "--seq", "5,5", "--seq", "5,5"],
+    ["volume", "--seq", "-5"],
+    ["pi1", "--graph", "g.json", "--degree", "x"],
+    ["closed-forms", "--graph", "g.json", "--method", "nosuch"],
+    ["pi1", "--graph", "g.json"],
+    ["volume", "--seq", "5,5", "extra"],
+    ["volume", "--graph", "g.json", "--seq", "5,5"],
+], ids=["help", "abbreviated", "equals", "repeated", "dash-value", "bad-type",
+        "bad-choice", "missing-required", "left-over", "foreign-flag"])
+def test_the_plain_reader_refuses_any_other_argv(argv):
+    assert _plain(argv) is None
+    assert _plain(["volume", "--seq", "5,5"]) is not None
+
+
+_ALL_OPTIONS = sorted({option for name in COMMANDS for option in _options(name)})
+_ODD_VALUES = ["-1", "1_0", " 3", "+2", "\u0663", "1.5", "", "-x", "--graph",
+               "-h", "xml", "nosuch", "kernel", "both", "text"]
+
+
+def _good_value(spec):
+    """A value that argparse accepts for a flag of `spec`."""
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if "type" in spec:
+        return st.integers(0, 20).map(str)
+    return st.sampled_from(["g.json", "5,5", "v0"])
+
+
+@st.composite
+def _argvs(draw, name):
+    """An argv of command `name`: its required flags and some others, all
+    but at most one with a good value, then a few foreign, repeated,
+    abbreviated, `--flag=value`, help or lone tokens, in any order."""
+    own = _options(name)
+    given = [option for option, (_, spec) in own.items()
+             if spec.get("required") or draw(st.booleans())]
+    spoilt = draw(st.booleans()) and draw(st.sampled_from(given))
+    odd = st.sampled_from(_ODD_VALUES) | st.text(max_size=3)
+    units = [[option, draw(odd if option == spoilt else _good_value(own[option][1]))]
+             for option in given]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        option = draw(st.sampled_from(list(own) + _ALL_OPTIONS + ["-h", "--help"]))
+        cut = option[:draw(st.integers(3, max(3, len(option))))]
+        units.append(draw(st.sampled_from([
+            [option, draw(odd)], [f"{option}={draw(odd)}"], [option],
+            [draw(odd)], [cut, draw(odd)]])))
+    return [name] + [token for unit in draw(st.permutations(units)) for token in unit]
+
+
+def _the_plain_reader_property(parser):
+    """A property: whenever `_plain` accepts an argv, `parser` reads
+    the same namespace from it and does not exit.  An example is one argv
+    of each command."""
+    @given(st.tuples(*(_argvs(name) for name in COMMANDS)))
+    def check(argvs):
+        for argv in argvs:
+            args = _plain(argv)
+            if args is None:
+                continue
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    expected = parser.parse_args(argv)
+                except SystemExit:
+                    raise AssertionError(f"argparse exits on {argv!r}") from None
+            assert vars(args) == vars(expected), argv
+    return check
+
+
+@pytest.mark.wide
+def test_the_plain_reader_reads_what_argparse_reads():
+    _the_plain_reader_property(build_parser())()
+
+
+@pytest.mark.parametrize("check", ["choices", "type"])
+def test_the_plain_reader_property_fails_without_a_check(monkeypatch, check):
+    # no shrinking: the first failure is enough
+    prop = settings(report_multiple_bugs=False, phases=[Phase.generate])(
+        _the_plain_reader_property(build_parser()))
+    monkeypatch.setattr("pathint.cli._options", lambda name: {
+        option: (flag, {k: v for k, v in spec.items() if k != check})
+        for option, (flag, spec) in _options(name).items()})
+    with pytest.raises(AssertionError):
+        prop()

@@ -46,6 +46,17 @@ def test_rejects_an_arrow_that_is_not_a_pair(vertices, arrow):
     assert str(info.value) == f"arrow {arrow!r} is not a [source, target] pair"
 
 
+@pytest.mark.parametrize("vertices, arrows, message", [
+    (["a", ["b"]], [], "a vertex is not hashable (unhashable type: 'list')"),
+    (["a"], [("a", ["b"])], "arrow ('a', ['b']) has an endpoint that is not "
+                            "hashable (unhashable type: 'list')"),
+])
+def test_rejects_an_unhashable_vertex_or_endpoint(vertices, arrows, message):
+    with pytest.raises(GraphError) as info:
+        Digraph(vertices, arrows)
+    assert str(info.value) == message
+
+
 def test_based_digraph_requires_member_base():
     with pytest.raises(GraphError):
         BasedDigraph(["a", "b"], [("a", "b")], "z")

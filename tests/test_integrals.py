@@ -37,6 +37,13 @@ def test_volume_number_rejects_indices_below_one(seq):
     assert str(info.value) == f"index sequence {tuple(seq)!r} has an entry below 1"
 
 
+@pytest.mark.parametrize("seq", [[1.5, 2], "12", [1, True], [2, "3"]])
+def test_volume_number_rejects_entries_that_are_not_ints(seq):
+    with pytest.raises(PairingError) as info:
+        volume_number(seq)
+    assert str(info.value) == f"index sequence {tuple(seq)!r} has an entry that is not an int"
+
+
 def test_step_pairing_signs():
     T = standard_triangle()
     omega = OneForm(T, {("v0", "v1"): Fraction(3, 2)})
