@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import chain, combinations, combinations_with_replacement, islice, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from typing import Callable, Iterable, Sequence
 
 from .errors import PairingError
@@ -284,102 +284,85 @@ class BasedFunctional:
 
 
 def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
-                      loop_length_bound: int = 8,
-                      antipode_fn: Callable[[AlgebraElement], AlgebraElement] | None = None,
-                      max_failures: int = 5,
-                      coproduct_fn: Callable[[AlgebraElement], TensorPair] | None = None,
-                      ) -> dict:
+                      loop_length_bound: int = 8, max_failures: int = 5) -> dict:
     """Exhaustively verify the Hopf axioms on all arrow words up to
     degree_bound, plus the dual pairing laws on all enumerated loops up to
     loop_length_bound when a base vertex is available.  A report maps axiom
     names to pass flags and the first max_failures offending instances (a
-    law with one fails even when none is listed); antipode_fn and
-    coproduct_fn are injectable so a deliberately broken antipode or
-    coproduct is caught (negative controls)."""
+    law with one fails even when none is listed).  Each algebraic law is a
+    predicate on one instance, a word or a pair or triple of words; the
+    report reads this module's `antipode`, `coproduct`, `shuffle_words` and
+    `concat` when it runs, so patching one in breaks the laws that use it
+    (negative controls)."""
     _check_bound("degree_bound", degree_bound)
     _check_bound("loop_length_bound", loop_length_bound)
-    if antipode_fn is None:
-        antipode_fn = antipode
-    if coproduct_fn is None:
-        coproduct_fn = coproduct
     words = all_words(graph.arrows, degree_bound)
-    elements = {w: word_element(graph, w) for w in words}
 
     # each word's antipode and coproduct, taken once for every law
-    @cache
-    def antipode_of(w: Word) -> AlgebraElement:
-        return antipode_fn(word_element(graph, w))
+    antipode_of = cache(lambda w: antipode(word_element(graph, w)))
+    coproduct_of = cache(lambda w: coproduct(word_element(graph, w)))
 
-    @cache
-    def coproduct_of(w: Word) -> TensorPair:
-        return coproduct_fn(word_element(graph, w))
+    def failing(key: str, instances: Iterable, holds: Callable) -> Iterable[dict]:
+        """The instances where a law's predicate is false, lazily, in order."""
+        return ({key: x} for x in instances if not holds(x))
 
-    def delta(w: Word) -> dict:
-        return coproduct_of(w).coeffs
+    verdicts: dict[tuple, bool] = {}
 
-    # Each law is a lazy generator of its failures, in instance order.
-    def associativity():
-        # unordered triples: shuffle is checked commutative separately, so
-        # ordered triples add nothing.  The basis shuffle reads positions
-        # only, and renaming letters one-to-one renames both sides alike, so
-        # a triple's verdict depends only on its word lengths and on which
-        # of its letters are equal: one verdict per such pattern
-        verdicts: dict[tuple, bool] = {}
-        for u, v, w in combinations_with_replacement(words, 3):
-            names: dict = {}
-            pattern = (len(u), len(v), len(w),
-                       tuple(names.setdefault(a, len(names)) for a in chain(u, v, w)))
-            holds = verdicts.get(pattern)
-            if holds is None:
-                bu, bv, bw = {u: 1}, {v: 1}, {w: 1}
-                holds = verdicts[pattern] = (
-                    _shuffle_coeffs(_shuffle_coeffs(bu, bv), bw)
-                    == _shuffle_coeffs(bu, _shuffle_coeffs(bv, bw)))
-            if not holds:
-                yield {"words": (u, v, w)}
+    def associative(uvw: tuple) -> bool:
+        # The basis shuffle reads positions only, and renaming letters
+        # one-to-one renames both sides alike, so a triple's verdict depends
+        # only on its word lengths and on which of its letters are equal:
+        # one verdict per such pattern, each letter read as its first place
+        u, v, w = uvw
+        letters = u + v + w
+        pattern = (len(u), len(v), tuple(map(letters.index, letters)))
+        holds = verdicts.get(pattern)
+        if holds is None:
+            bu, bv, bw = {u: 1}, {v: 1}, {w: 1}
+            holds = verdicts[pattern] = (_shuffle_coeffs(_shuffle_coeffs(bu, bv), bw)
+                                         == _shuffle_coeffs(bu, _shuffle_coeffs(bv, bw)))
+        return holds
 
-    def coassociativity():
-        # (delta x id) delta = (id x delta) delta, both sides from coproduct_fn
-        for w in words:
-            d = delta(w)
-            left = _sum_terms(((x1, x2, w2), c * c1) for (w1, w2), c in d.items()
-                              for (x1, x2), c1 in delta(w1).items())
-            right = _sum_terms(((w1, y1, y2), c * c2) for (w1, w2), c in d.items()
-                               for (y1, y2), c2 in delta(w2).items())
-            if left != right:
-                yield {"word": w}
+    def coassociative(w: Word) -> bool:
+        # (delta x id) delta = (id x delta) delta
+        d = coproduct_of(w).coeffs.items()
+        return (_sum_terms(((x1, x2, w2), c * c1) for (w1, w2), c in d
+                           for (x1, x2), c1 in coproduct_of(w1).coeffs.items())
+                == _sum_terms(((w1, y1, y2), c * c2) for (w1, w2), c in d
+                              for (y1, y2), c2 in coproduct_of(w2).coeffs.items()))
 
-    def counit_law():
-        for w in words:
-            d = delta(w)
-            left = _sum_terms((w2, c) for (w1, w2), c in d.items() if not w1)
-            right = _sum_terms((w1, c) for (w1, w2), c in d.items() if not w2)
-            if left != {w: 1} or right != {w: 1}:
-                yield {"word": w}
+    def counital(w: Word) -> bool:
+        d = coproduct_of(w).coeffs.items()
+        return (_sum_terms((w2, c) for (w1, w2), c in d if not w1) == {w: 1}
+                == _sum_terms((w1, c) for (w1, w2), c in d if not w2))
 
-    def antipode_law():
-        for w, elem in elements.items():
-            target = counit(elem) * unit(graph)
-            lhs = rhs = zero(graph)
-            for (w1, w2), c in delta(w).items():
-                lhs = lhs + c * shuffle(antipode_of(w1), word_element(graph, w2))
-                rhs = rhs + c * shuffle(word_element(graph, w1), antipode_of(w2))
-            if lhs != target or rhs != target:
-                yield {"word": w}
+    def bialgebraic(uv: tuple) -> bool:
+        # delta(u . v) = delta(u) delta(v)
+        u, v = (word_element(graph, x) for x in uv)
+        return coproduct(shuffle(u, v)) == coproduct_of(uv[0]) * coproduct_of(uv[1])
 
+    def antipodal(w: Word) -> bool:
+        # m (S x id) delta = m (id x S) delta = unit . counit
+        d = coproduct_of(w).coeffs.items()
+        return (_sum_terms(t for (w1, w2), c in d
+                           for t in _shuffle_coeffs(antipode_of(w1).coeffs, {w2: c}).items())
+                == ({} if w else {(): 1})
+                == _sum_terms(t for (w1, w2), c in d
+                              for t in _shuffle_coeffs({w1: c}, antipode_of(w2).coeffs).items()))
+
+    # unordered pairs and triples: shuffle is checked commutative, so
+    # ordered ones add nothing to the other laws
     laws = {
-        "associativity": associativity(),
-        "commutativity": ({"words": (u, v)} for u, v in combinations(words, 2)
-                          if shuffle_words(u, v) != shuffle_words(v, u)),
-        "coassociativity": coassociativity(),
-        "counit": counit_law(),
-        "bialgebra": ({"words": (u, v)}
-                      for u, v in combinations_with_replacement(words, 2)
-                      if coproduct_fn(shuffle(elements[u], elements[v]))
-                      != coproduct_of(u) * coproduct_of(v)),
-        "antipode": antipode_law(),
-        "antipode_involution": ({"word": w} for w in words
-                                if antipode_fn(antipode_of(w)) != elements[w]),
+        "associativity": failing("words", combinations_with_replacement(words, 3),
+                                 associative),
+        "commutativity": failing("words", combinations(words, 2),
+                                 lambda uv: shuffle_words(*uv) == shuffle_words(*uv[::-1])),
+        "coassociativity": failing("word", words, coassociative),
+        "counit": failing("word", words, counital),
+        "bialgebra": failing("words", combinations_with_replacement(words, 2), bialgebraic),
+        "antipode": failing("word", words, antipodal),
+        "antipode_involution": failing(
+            "word", words, lambda w: antipode(antipode_of(w)) == word_element(graph, w)),
     }
 
     if base is None and isinstance(graph, BasedDigraph):

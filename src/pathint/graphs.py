@@ -190,7 +190,11 @@ class BasedDigraph(Digraph):
 
     def __init__(self, vertices, arrows, base: Vertex):
         super().__init__(vertices, arrows)
-        if base not in self.vertex_set:
+        try:
+            listed = base in self.vertex_set
+        except TypeError as exc:
+            raise GraphError(f"base vertex {base!r} is not hashable ({exc})") from None
+        if not listed:
             raise GraphError(f"base vertex {base!r} is not a listed vertex")
         self.base = base
 

@@ -272,8 +272,7 @@ def _separating_invariant(a: PathMap, b: PathMap):
     least column of r.  The all-ones form, tried first when closed,
     separates when d sums to nonzero.  The separator's two values are
     paired from each loop's net counts.  The degree-2 words over closed
-    arrows pair through one `signature` per loop over their prefix-closed
-    word set."""
+    arrows pair through one `signature` per loop."""
     g = a.graph
     nets = (_net_counts(a), _net_counts(b))
     diff = {j: d for j in {**nets[0], **nets[1]}
@@ -292,8 +291,7 @@ def _separating_invariant(a: PathMap, b: PathMap):
     words = list(product(closed_arrows(g), repeat=2))
     if not words:
         return None
-    prefixes = dict.fromkeys(w[:i] for w in words for i in range(3))
-    sig_a, sig_b = signature(a, prefixes), signature(b, prefixes)
+    sig_a, sig_b = signature(a, words), signature(b, words)
     for w in words:
         if sig_a[w] != sig_b[w]:
             return AlgebraElement._unchecked(g, {w: _ONE}), (sig_a[w], sig_b[w])
@@ -642,11 +640,8 @@ def change_base_point(gamma: PathMap, elem):
             raise PathError(
                 f"functional based at {elem.base!r}, path ends at {gamma.end!r}")
     words = list(inner.coeffs)
-    heads = signature(inverse(gamma),
-                      (w[:i] for w in words for i in range(len(w) + 1)))
-    # the prefix closure of the suffixes w[j:] is every infix w[j:k]
-    tails = signature(gamma, (w[j:k] for w in words for j in range(len(w) + 1)
-                              for k in range(j, len(w) + 1)))
+    heads = signature(inverse(gamma), words)
+    tails = signature(gamma, (w[j:] for w in words for j in range(len(w) + 1)))
     out = AlgebraElement._unchecked(inner.graph, _sum_terms(
         (w[i:j], c * head * tail)
         for w, c in inner.coeffs.items() for i in range(len(w) + 1)

@@ -37,16 +37,20 @@ Word = tuple[Arrow, ...]
 def volume_number(seq: Sequence[int]) -> int:
     """Product of factorials of the value multiplicities of a non-decreasing
     sequence of positive integers."""
+    try:
+        seq = tuple(seq)
+    except TypeError:
+        raise PairingError(f"index sequence {seq!r} is not iterable") from None
     total = 1
     run = 0
     prev = None
     for t in seq:
         if not isinstance(t, int) or isinstance(t, bool):
-            raise PairingError(f"index sequence {tuple(seq)!r} has an entry that is not an int")
+            raise PairingError(f"index sequence {seq!r} has an entry that is not an int")
         if t < 1:
-            raise PairingError(f"index sequence {tuple(seq)!r} has an entry below 1")
+            raise PairingError(f"index sequence {seq!r} has an entry below 1")
         if prev is not None and t < prev:
-            raise PairingError(f"index sequence {tuple(seq)!r} is not non-decreasing")
+            raise PairingError(f"index sequence {seq!r} is not non-decreasing")
         if t == prev:
             run += 1
         else:
@@ -133,8 +137,8 @@ def all_words(arrows: Sequence[Arrow], max_degree: int,
 
 
 def signature(path: PathMap, words: Iterable[Word]) -> dict[Word, Fraction]:
-    """Pairings of a prefix-closed set of arrow words with path, keyed in
-    first-seen order (the empty word is always present).
+    """Pairings of arrow words with path, keyed by their `_prefix_closure`
+    (the empty word is always present).
 
     The signature S, first that of the trivial path, is multiplied in place
     by exp(c e_a) for each signed arrow (a, c) of the path's `runs`,
@@ -146,7 +150,14 @@ def signature(path: PathMap, words: Iterable[Word]) -> dict[Word, Fraction]:
     product of the k_i! divides L!.  In these terms the update is
     L! <w, S> += C(L, k) c^k (L - k)! <w[:-k], S>, all in ints, and one
     `Fraction` is made per word at the end."""
-    return _as_fractions(_evaluate(runs(path), _plan(words)))
+    return _as_fractions(_evaluate(runs(path), _plan(_prefix_closure(words))))
+
+
+def _prefix_closure(words: Iterable[Word]) -> dict[Word, None]:
+    """The words in first-seen order, then the prefixes they lack."""
+    keys = dict.fromkeys(words)
+    keys.update(dict.fromkeys(w[:i] for w in list(keys) for i in range(len(w))))
+    return keys
 
 
 def _as_fractions(sig: dict[Word, int]) -> dict[Word, Fraction]:
@@ -205,7 +216,7 @@ def _evaluate(rs: Sequence[tuple], plan: tuple) -> dict[Word, int]:
 def word_pairing(path: PathMap, word: Word) -> Fraction:
     """Iterated integral of the arrow basis word e^{a_1}..e^{a_r}."""
     word = tuple(word)
-    return signature(path, (word[:i] for i in range(len(word) + 1)))[word]
+    return signature(path, (word,))[word]
 
 
 def word_pairings_all(path: PathMap, max_degree: int) -> dict[Word, Fraction]:
@@ -246,7 +257,7 @@ def _pairing(coeffs: dict[Word, Fraction]) -> Callable[[Sequence[tuple]], Fracti
     q = math.lcm(*(c.denominator for c in coeffs.values()))
     weights = [(w, c.numerator * (q // c.denominator) * (m_fact // math.factorial(len(w))))
                for w, c in coeffs.items()]
-    plan = _plan(w[:i] for w in coeffs for i in range(len(w) + 1))
+    plan = _plan(_prefix_closure(coeffs))
 
     def value(rs: Sequence[tuple]) -> Fraction:
         sig = _evaluate(rs, plan)

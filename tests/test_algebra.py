@@ -241,13 +241,13 @@ def _failed(report):
             if not entry["passed"]}
 
 
-def test_hopf_report_negative_control():
+def test_hopf_report_negative_control(monkeypatch):
     D = double_edge()
-    broken = lambda u: u  # identity is not an antipode
-    report = hopf_axiom_report(D, 2, antipode_fn=broken)
+    monkeypatch.setattr(algebra, "antipode", lambda u: u)  # not an antipode
+    report = hopf_axiom_report(D, 2)
     assert not report["axioms"]["antipode"]["passed"]
     assert not report["all_passed"]
-    assert _failed(hopf_axiom_report(D, 2, antipode_fn=broken, max_failures=1)) == {
+    assert _failed(hopf_axiom_report(D, 2, max_failures=1)) == {
         "antipode": [{"word": (A,)}],
         "dual_antipode": [{"loop": _d_loop("ff"), "word": (A,)}],
     }
@@ -267,16 +267,16 @@ def _early_cuts(u):
     return TensorPair(u.graph, out)
 
 
-def test_hopf_report_coassociativity_negative_control():
+def test_hopf_report_coassociativity_negative_control(monkeypatch):
     D = double_edge()
     assert hopf_axiom_report(D, 2)["axioms"]["coassociativity"]["passed"]
-    report = hopf_axiom_report(D, 2, coproduct_fn=_early_cuts)
+    monkeypatch.setattr(algebra, "coproduct", _early_cuts)
+    report = hopf_axiom_report(D, 2)
     assert not report["axioms"]["coassociativity"]["passed"]
     assert report["axioms"]["commutativity"]["passed"]
     assert not report["all_passed"]
     first = [{"word": (A, A)}]
-    assert _failed(hopf_axiom_report(D, 2, coproduct_fn=_early_cuts,
-                                     max_failures=1)) == {
+    assert _failed(hopf_axiom_report(D, 2, max_failures=1)) == {
         "coassociativity": first, "counit": first,
         "bialgebra": [{"words": ((A,), (A,))}], "antipode": first,
     }
@@ -312,14 +312,15 @@ def test_hopf_report_dual_shuffle_negative_control(monkeypatch):
     assert expected[0] == {"loop": _d_loop("ff"), "words": ((A,), (A,))}
 
 
-def test_hopf_report_fails_a_law_even_when_no_failure_is_listed():
+def test_hopf_report_fails_a_law_even_when_no_failure_is_listed(monkeypatch):
     T = standard_triangle()
 
     def unsigned_reversal(u):
         return AlgebraElement(u.graph, {w[::-1]: c for w, c in u.coeffs.items()})
 
-    listed = hopf_axiom_report(T, 1, antipode_fn=unsigned_reversal, max_failures=1)
-    silent = hopf_axiom_report(T, 1, antipode_fn=unsigned_reversal, max_failures=0)
+    monkeypatch.setattr(algebra, "antipode", unsigned_reversal)
+    listed = hopf_axiom_report(T, 1, max_failures=1)
+    silent = hopf_axiom_report(T, 1, max_failures=0)
     assert not silent["axioms"]["dual_antipode"]["passed"]
     assert not silent["axioms"]["antipode"]["passed"]
     assert all(entry["failures"] == [] for entry in silent["axioms"].values())
@@ -394,11 +395,12 @@ def _unsigned_reversal(u):
 @pytest.mark.parametrize("fixture, degree, bound", [
     (standard_triangle, 2, 6), (standard_square, 2, 8), (double_edge, 3, 6),
     (wedge_of_cycles, 2, 6), (lambda: directed_cycle(3), 2, 6)])
-def test_dual_laws_match_their_fraction_reference(fixture, degree, bound):
+def test_dual_laws_match_their_fraction_reference(monkeypatch, fixture, degree, bound):
     g = fixture()
     for antipode_fn, max_failures in ((antipode, 5), (_unsigned_reversal, 3)):
+        monkeypatch.setattr(algebra, "antipode", antipode_fn)
         report = hopf_axiom_report(g, degree, loop_length_bound=bound,
-                                   antipode_fn=antipode_fn, max_failures=max_failures)
+                                   max_failures=max_failures)
         assert report == _with_fraction_dual_laws(report, g, antipode_fn, max_failures)
     assert report["all_passed"] is False  # the unsigned reversal fails
 

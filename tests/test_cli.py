@@ -16,7 +16,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from pathint.cli import COMMANDS, _options, _plain, build_parser, main
-from pathint import serialization as ser
+from pathint import algebra, serialization as ser
 from pathint import (box_product, closed_one_forms, double_edge, directed_cycle,
                      make_path, standard_triangle, wedge_of_cycles)
 
@@ -143,6 +143,24 @@ def test_hopf_check(files, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["all_passed"] is True
+
+
+def test_hopf_check_writes_the_loops_of_a_failing_report(files, capsys, monkeypatch):
+    # the identity is not an antipode, so the dual antipode law fails on a
+    # loop, which the JSON encoder's hook writes as a path document
+    g = files("d.json", ser.digraph_to_dict(double_edge()))
+    argv = ("hopf-check", "--graph", g, "--format", "json", "--max-degree", "1")
+    monkeypatch.setattr(algebra, "antipode", lambda u: u)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_passed"] is False
+    assert report["axioms"]["dual_antipode"]["failures"][0] == {
+        "loop": {"orientations": ["f", "f"], "vertices": ["v0", "v1", "v0"]},
+        "word": [["v0", "v1"]]}
+    monkeypatch.setattr(ser, "_json_default", None)  # no hook: a loop is not JSON
+    with pytest.raises(TypeError, match="LoopMap is not JSON serializable"):
+        run(capsys, *argv)
 
 
 def test_closed_forms_both(files, capsys):

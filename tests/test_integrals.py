@@ -15,6 +15,7 @@ from pathint import (AlgebraElement, OneForm, PairingError, all_words,
                      order, pair, standard_triangle, step_pairing, trivial_path,
                      volume_number, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all, zero)
+from pathint.integrals import signature
 from pathint.paths import steps
 
 
@@ -37,11 +38,14 @@ def test_volume_number_rejects_indices_below_one(seq):
     assert str(info.value) == f"index sequence {tuple(seq)!r} has an entry below 1"
 
 
-@pytest.mark.parametrize("seq", [[1.5, 2], "12", [1, True], [2, "3"]])
+@pytest.mark.parametrize("seq", [[1.5, 2], "12", [1, True], [2, "3"], 5, None])
 def test_volume_number_rejects_entries_that_are_not_ints(seq):
     with pytest.raises(PairingError) as info:
         volume_number(seq)
-    assert str(info.value) == f"index sequence {tuple(seq)!r} has an entry that is not an int"
+    # a sequence that is not iterable has no entries to read
+    assert str(info.value) == (
+        f"index sequence {seq!r} is not iterable" if seq in (5, None)
+        else f"index sequence {tuple(seq)!r} has an entry that is not an int")
 
 
 def test_step_pairing_signs():
@@ -154,6 +158,20 @@ def test_signature_ignores_backtracks_and_trivial_steps(seed):
     detour = _detour(rng, p, i)
     if detour is not None:
         assert word_pairings_all(detour, 3) == sig
+
+
+def test_signature_reads_a_word_set_that_is_not_prefix_closed():
+    # the kernel updates a word from its prefixes, so signature adds the
+    # prefixes a word set lacks, after its own words
+    D = double_edge()
+    a, b = D.arrows
+    p = make_path(D, ["v0", "v1", "v0"], "ff")
+    assert signature(p, [(a, b)]) == {(a, b): 1, (): 1, (a,): 1}
+    full = word_pairings_all(p, 2)
+    sig = signature(p, [(a, b), (b, a)])
+    assert list(sig) == [(a, b), (b, a), (), (a,), (b,)]
+    assert sig == {w: full[w] for w in sig}
+    assert sig[(a, b)] == 1 and sig[(b, a)] == 0
 
 
 # form values whose denominators are coprime, so that every common

@@ -3,15 +3,15 @@ one call that must refuse, and checks the error class and the message."""
 
 import pytest
 
-from pathint import (AlgebraElement, BasedFunctional, DigraphMap, FormError,
-                     GraphError, LoopMap, MapError, Move, MoveCertificate,
-                     OneForm, PairingError, PathError, change_base_point,
-                     concat, cut, cylinder, elem_equivalent, enumerate_patterns,
-                     functional_equal, homotopic_loops, identity_map,
-                     is_isosceles, make_path, one_step_map_homotopy,
-                     pullback_element, pullback_one_form, push_forward,
-                     standard_square, standard_triangle, step_pairing,
-                     trivial_path)
+from pathint import (AlgebraElement, BasedDigraph, BasedFunctional, DigraphMap,
+                     FormError, GraphError, LoopMap, MapError, Move,
+                     MoveCertificate, OneForm, PairingError, PathError,
+                     change_base_point, concat, cut, cylinder, elem_equivalent,
+                     enumerate_patterns, functional_equal, homotopic_loops,
+                     identity_map, is_isosceles, make_path,
+                     one_step_map_homotopy, pullback_element, pullback_one_form,
+                     push_forward, standard_square, standard_triangle,
+                     step_pairing, trivial_path)
 from pathint.serialization import parse_dot, path_from_dict
 
 T, S = standard_triangle(), standard_square()
@@ -78,6 +78,9 @@ REFUSALS = {
     "unknown pattern kind": (
         lambda: enumerate_patterns(T, "pentagon"),
         GraphError, "unknown pattern kind 'pentagon'"),
+    "based digraph with an unhashable base": (
+        lambda: BasedDigraph(["a"], [], ["a"]),
+        GraphError, "base vertex ['a'] is not hashable (unhashable type: 'list')"),
     # homotopy
     "certificate that does not land on its end loop": (
         LANDS_ELSEWHERE.replay,
@@ -151,4 +154,5 @@ def test_the_refused_calls_succeed_once_repaired():
                            make_path(T, ["v0", "v0"], "f")).replay()[-1].length == 1
     assert functional_equal(ELEM_T, 2 * ELEM_T, "v0", "loop", 3).separated
     assert change_base_point(STEP_T, BasedFunctional(ELEM_T, "v1", "loop")).base == "v0"
+    assert BasedDigraph(["a"], [], "a").base == "a"
     assert DigraphMap(S, T, {"v0": "v0", "v1": "v1", "v2": "v0", "v3": "v2"})
