@@ -597,8 +597,7 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
     that vanish on every sampled loop; each representative is flagged
     certified when the sufficiency theorem covers it, sample-only
     otherwise."""
-    if degree_bound < 1:
-        raise PathError("degree_bound must be at least 1")
+    _check_bound("degree_bound", degree_bound, 1)
     _check_bound("length_bound", length_bound)
     words = all_words(g.arrows, degree_bound, min_degree=1)
     ncols = len(words)

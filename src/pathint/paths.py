@@ -242,9 +242,13 @@ def _extensions(g: Digraph, v: Vertex) -> list[tuple[Vertex, str]]:
     return out
 
 
-def _check_bound(name: str, value: int) -> None:
-    if value < 0:
-        raise PathError(f"{name} must be non-negative, got {value}")
+def _check_bound(name: str, value: int, least: int = 0) -> None:
+    """Raise PathError unless value is an int, not a bool, of at least least."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PathError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        bound = f"at least {least}" if least else "non-negative"
+        raise PathError(f"{name} must be {bound}, got {value}")
 
 
 def _check_loop_pair(a: PathMap, b: PathMap, not_loops: str) -> None:
@@ -284,7 +288,11 @@ def _walk(g: Digraph, base: Vertex, max_length: int, loops_only: bool = False,
     else the steps (first, last) where the first and the last of them
     start, and a path is not extended once two of them start more than
     span steps apart."""
-    if base not in g.vertex_set:
+    try:
+        known = base in g.vertex_set
+    except TypeError as exc:
+        raise PathError(f"base vertex {base!r} is not hashable ({exc})") from None
+    if not known:
         raise PathError(f"unknown base vertex {base!r}")
     _check_bound("max_length", max_length)
     # a path that ends more steps from base than it has left cannot close

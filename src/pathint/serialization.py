@@ -20,7 +20,7 @@ def format_rational(x) -> str:
     """x as "p/q" (or "p"); a numerator or denominator with more digits
     than the interpreter's int-to-str limit is a one-line PathintError."""
     try:
-        return str(Fraction(x))
+        return str(x if type(x) is Fraction else Fraction(x))
     except ValueError as exc:
         raise PathintError(f"cannot print a rational: {exc}") from exc
 
@@ -30,11 +30,16 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_rational(s: str) -> Fraction:
-    """The rational that s spells.  An exponent larger in magnitude than the
-    int-to-str digit limit is refused before `Fraction` expands 10**exp:
-    the value it gives could not be printed, and a few bytes of input would
-    build an int of any size."""
+    """The rational that s spells.  The spellings "p" and "p/q" (p with an
+    optional "-", each part decimal digits) are read through `int`; any
+    other goes to `Fraction`, which reads these alike.  An exponent larger
+    in magnitude than the int-to-str digit limit is refused before
+    `Fraction` expands 10**exp: the value it gives could not be printed,
+    and a few bytes of input would build an int of any size."""
     text = str(s).strip()
+    num, slash, den = text.partition("/")
+    plain = (num[1:] if num[:1] == "-" else num).isdecimal() and (
+        not slash or den.isdecimal())
     exp = ("e" in text or "E" in text) and _EXPONENT.search(text)
     if exp:
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
@@ -45,7 +50,7 @@ def parse_rational(s: str) -> Fraction:
         if huge:
             raise FormError(f"exponent of {s!r} exceeds {limit}")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den) if slash else 1) if plain else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormError(f"not a rational: {s!r}") from exc
 
@@ -191,14 +196,23 @@ def arrow_label(a: Arrow) -> str:
     return f"{a[0]}->{a[1]}"
 
 
-def parse_arrow_label(g: Digraph, label: str) -> Arrow:
+def _arrow_labels(g: Digraph) -> dict:
+    """label -> arrow for each arrow of g that `label.partition("->")` reads
+    back: the arrows that a label names.  An arrow with an endpoint that is
+    not a string, or with a source that holds "->", is named by no label."""
+    return g.derived("arrow labels", lambda: {
+        arrow_label(a): a for a in g.arrows if arrow_label(a).partition("->")[::2] == a})
+
+
+def _no_arrow(label: str):
+    """Raise the FormError for a label that names no arrow."""
     if "->" not in label:
         raise FormError(f"arrow label {label!r} is not of the form src->dst")
-    u, _, v = label.partition("->")
-    arrow = (u, v)
-    if arrow not in g.arrow_set:
-        raise FormError(f"unknown arrow {label!r}")
-    return arrow
+    raise FormError(f"unknown arrow {label!r}")
+
+
+def parse_arrow_label(g: Digraph, label: str) -> Arrow:
+    return _arrow_labels(g).get(label) or _no_arrow(label)
 
 
 def one_form_to_dict(omega: OneForm) -> dict:
@@ -247,13 +261,14 @@ def two_chain_from_dict(g: Digraph, d: dict) -> TwoChain:
 # ---------------------------------------------------------------- elements
 
 def word_label(word) -> str:
-    return ",".join(arrow_label(a) for a in word)
+    return ",".join([arrow_label(a) for a in word])
 
 
 def parse_word_label(g: Digraph, label: str) -> tuple:
     if not label:
         return ()
-    return tuple(parse_arrow_label(g, part) for part in label.split(","))
+    arrows = _arrow_labels(g)
+    return tuple([arrows.get(part) or _no_arrow(part) for part in label.split(",")])
 
 
 def element_to_dict(u: AlgebraElement) -> dict:

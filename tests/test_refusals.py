@@ -8,8 +8,9 @@ from pathint import (AlgebraElement, BasedDigraph, BasedFunctional, DigraphMap,
                      MoveCertificate, OneForm, PairingError, PathError,
                      change_base_point, concat, cut, cylinder, elem_equivalent,
                      enumerate_patterns, functional_equal, homotopic_loops,
-                     identity_map, is_isosceles, make_path,
-                     one_step_map_homotopy, pullback_element, pullback_one_form,
+                     hopf_axiom_report, identity_map, is_isosceles, make_path,
+                     one_step_map_homotopy, pi1_candidates, pullback_element,
+                     pullback_one_form,
                      push_forward, standard_square, standard_triangle,
                      step_pairing, trivial_path)
 from pathint.serialization import parse_dot, path_from_dict
@@ -57,6 +58,15 @@ REFUSALS = {
     "loop functional on a path that is not a loop": (
         lambda: BasedFunctional(ELEM_T, "v0", "loop")(STEP_T),
         PairingError, "loop functional applied to a non-loop"),
+    "Hopf report with a fractional degree bound": (
+        lambda: hopf_axiom_report(T, 1.5),
+        PathError, "degree_bound must be an int, got 1.5"),
+    "Hopf report with a fractional loop length bound": (
+        lambda: hopf_axiom_report(T, 1, loop_length_bound=2.5),
+        PathError, "loop_length_bound must be an int, got 2.5"),
+    "Hopf report with an unhashable base": (
+        lambda: hopf_axiom_report(T, 1, base=["a"]),
+        PathError, "base vertex ['a'] is not hashable (unhashable type: 'list')"),
     # forms
     "1-form from a vector of the wrong length": (
         lambda: OneForm.from_vector(T, [1]),
@@ -97,6 +107,15 @@ REFUSALS = {
     "base change of a path functional": (
         lambda: change_base_point(STEP_T, BasedFunctional(ELEM_T, "v1", "path")),
         PathError, "base-point change transports loop functionals"),
+    "pi1 candidates with a fractional length bound": (
+        lambda: pi1_candidates(T, "v0", 1, 2.5),
+        PathError, "length_bound must be an int, got 2.5"),
+    "pi1 candidates with a string degree bound": (
+        lambda: pi1_candidates(T, "v0", "2"),
+        PathError, "degree_bound must be an int, got '2'"),
+    "pi1 candidates with a bool degree bound": (
+        lambda: pi1_candidates(T, "v0", True),
+        PathError, "degree_bound must be an int, got True"),
     # integrals
     "step pairing with a non-step": (
         lambda: step_pairing(FORM_T, "v0->v1"),
@@ -155,4 +174,6 @@ def test_the_refused_calls_succeed_once_repaired():
     assert functional_equal(ELEM_T, 2 * ELEM_T, "v0", "loop", 3).separated
     assert change_base_point(STEP_T, BasedFunctional(ELEM_T, "v1", "loop")).base == "v0"
     assert BasedDigraph(["a"], [], "a").base == "a"
+    assert hopf_axiom_report(T, 1, base="v0", loop_length_bound=2)["all_passed"]
+    assert pi1_candidates(T, "v0", 1, 2).degree_bound == 1
     assert DigraphMap(S, T, {"v0": "v0", "v1": "v1", "v2": "v0", "v3": "v2"})

@@ -5,8 +5,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
-from pathint import (AlgebraElement, BasedDigraph, FormError, GraphError,
+from pathint import (AlgebraElement, BasedDigraph, Digraph, FormError, GraphError,
                      OneForm, PathError, PathintError, TensorPair, TwoChain,
                      all_words, coproduct, double_edge, make_path, omega2_basis,
                      standard_triangle, word_element)
@@ -33,6 +34,70 @@ def test_rationals_too_long_to_print_are_rejected():
     assert ser.parse_rational(f"1e{limit}") == 10 ** limit
     with pytest.raises(PathintError, match="cannot print"):
         ser.format_rational(Fraction(1, 10 ** limit))
+
+
+_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+# the alphabets of a digit run, ASCII most often: Arabic-Indic digits,
+# then "²", "_" and spaces, which `Fraction` reads only in some places
+_RUNS = ["0123456789"] * 3 + ["0123456789\u0660\u0663\u0669",
+                              "0123456789\u00b2_ ", "long"]
+_SIGNS = ["", "", "-", "-", "+", "--", "+-", " -"]
+_TAILS = ["", "/d", "/d", "/d", "/", "/-d", "/0", ".d", "ed", "Ed"]
+
+
+@st.composite
+def _rational_spellings(draw):
+    """Sign, digits and a tail: nothing, a denominator (of 0, of nothing, of
+    a negative number), a decimal part or an exponent, spaces around.  An
+    exponent has at most three digits or runs past the digit limit, so the
+    exponent guard of `parse_rational` refuses only what `Fraction` does."""
+    def run(max_size):
+        alphabet = draw(st.sampled_from(_RUNS))
+        return _LONG if alphabet == "long" else draw(
+            st.text(alphabet, min_size=1, max_size=max_size))
+
+    pad = st.sampled_from(["", " ", "\t"])
+    tail = draw(st.sampled_from(_TAILS))
+    if tail.endswith("d"):
+        exponent = tail[0] in "eE"
+        sign = draw(st.sampled_from(_SIGNS)) if exponent else ""
+        tail = tail[:-1] + sign + run(3 if exponent else 6)
+    return draw(pad) + draw(st.sampled_from(_SIGNS)) + run(6) + tail + draw(pad)
+
+
+def _the_rational_property():
+    """A property: `parse_rational` reads the value `Fraction` reads, through
+    the int route for "p" and "p/q" or the Fraction route, and refuses
+    alike.  "3/2" is always tried, so a reader that drops a denominator is
+    always caught."""
+    @given(_rational_spellings())
+    @example("3/2")
+    def check(text):
+        try:
+            expected = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        try:
+            got = ser.parse_rational(text)
+        except FormError:
+            got = None
+        assert got == expected and type(got) is type(expected), text
+    return check
+
+
+@pytest.mark.wide
+def test_parse_rational_reads_what_fraction_reads():
+    _the_rational_property()()
+
+
+def test_the_rational_property_fails_on_a_reader_that_drops_the_denominator(
+        monkeypatch):
+    # no shrinking: the first failure is enough
+    prop = settings(report_multiple_bugs=False,
+                    phases=[Phase.explicit, Phase.generate])(_the_rational_property())
+    monkeypatch.setattr(ser, "Fraction", lambda n, d=1: Fraction(n))
+    with pytest.raises(AssertionError):
+        prop()
 
 
 def test_digraph_json_round_trip():
@@ -127,11 +192,26 @@ def test_element_reader_keeps_the_last_duplicate_key_and_drops_zeros():
                                    (): 0})
     for w in all_words(D.arrows, 3):
         assert ser.parse_word_label(D, ser.word_label(w)) == w
-    for doc, message in [({"element": {"v0->v2": "1"}}, "unknown arrow 'v0->v2'"),
-                         ({"element": {"v0->v1": "x"}}, "not a rational: 'x'"),
-                         ({"element": {"v0": "1"}}, "is not of the form src->dst")]:
-        with pytest.raises(FormError, match=message):
-            ser.element_from_dict(D, doc)
+    # labels are looked up in a table of the arrows whose label reads back
+    # as them; any other label names no arrow and is refused
+    ints = Digraph([1, 2], [(1, 2)])
+    arrowed = Digraph(["a->b", "c"], [("a->b", "c")])
+    for g, doc, message in [
+            (D, {"element": {"v0->v2": "1"}}, "unknown arrow 'v0->v2'"),
+            (D, {"element": {"v0->v1": "x"}}, "not a rational: 'x'"),
+            (D, {"element": {"v0": "1"}}, "arrow label 'v0' is not of the form src->dst"),
+            (D, {"element": {"v0->v1,v1": "1"}},
+             "arrow label 'v1' is not of the form src->dst"),
+            (ints, {"element": {"1->2": "1"}}, "unknown arrow '1->2'"),
+            (arrowed, {"element": {"a->b->c": "1"}}, "unknown arrow 'a->b->c'")]:
+        with pytest.raises(FormError) as info:
+            ser.element_from_dict(g, doc)
+        assert str(info.value) == message
+    # "a->b->c" reads as ("a", "b->c"), the arrow that spells it so, even
+    # beside ("a->b", "c"), which spells it too
+    both = Digraph(["a->b", "c", "a", "b->c"], [("a->b", "c"), ("a", "b->c")])
+    assert ser.parse_arrow_label(both, "a->b->c") == ("a", "b->c")
+    assert ser.parse_word_label(both, "a->b->c,a->b->c") == (("a", "b->c"),) * 2
 
 
 def test_tensor_round_trip():
