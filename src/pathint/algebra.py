@@ -11,8 +11,8 @@ maps injective on keys (deconcatenation, reversal, extending by a letter,
 pullback) build it directly, the others sum their terms through the one
 accumulator `linalg._sum_terms`, and no map checks again a key it built
 from checked ones.  Functional equality of elements (as integration
-functionals on based paths or loops) is decided up to a caller-supplied
-length bound with explicit verdicts.
+functionals on based paths or loops) is decided exactly, on finitely many
+products of generator loops, and an inequality comes with a witness path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .forms import OneForm
 from .graphs import Arrow, BasedDigraph, Digraph, DigraphMap
 from .integrals import Word, _all_words_plan, _evaluate, _pairing, all_words, pair
 from .linalg import _Combination, _sum_terms
-from .paths import PathMap, _check_bound, concat, enumerate_paths, inverse, runs
+from .paths import (PathMap, _build, _check_base, _check_bound, _loop_generators, _runs,
+                    _tree_paths, concat, enumerate_paths, inverse, runs)
 
 
 def _word(graph: Digraph, w: Iterable[Arrow]) -> Word:
@@ -215,11 +216,10 @@ def pullback_element(f: DigraphMap, u: AlgebraElement) -> AlgebraElement:
 
 @dataclass(frozen=True)
 class FunctionalVerdict:
-    """Outcome of a bounded functional-equality search."""
-    status: str  # "equal-up-to-bound" | "certified-unequal"
+    """Outcome of an exact functional-equality test."""
+    status: str  # "equal" | "certified-unequal"
     base: object
     flavor: str  # "path" | "loop"
-    length_bound: int
     witness: PathMap | None = None
     values: tuple[Fraction, Fraction] | None = None
 
@@ -229,23 +229,20 @@ class FunctionalVerdict:
 
 
 def functional_equal(u: AlgebraElement, v: AlgebraElement, base,
-                     flavor: str = "loop",
-                     length_bound: int = 8) -> FunctionalVerdict:
+                     flavor: str = "loop") -> FunctionalVerdict:
     """Compare two elements as integration functionals on paths (or loops)
     from base: `BasedFunctional.equal` of the two functionals."""
-    return BasedFunctional(u, base, flavor).equal(BasedFunctional(v, base, flavor),
-                                                  length_bound)
+    return BasedFunctional(u, base, flavor).equal(BasedFunctional(v, base, flavor))
 
 
 class BasedFunctional:
     """A shuffle element read as an integration functional on based paths or
-    loops; equality is the bounded functional test, never syntactic."""
+    loops; equality is decided on every path or loop, never syntactically."""
 
     def __init__(self, elem: AlgebraElement, base, flavor: str = "loop"):
         if flavor not in ("path", "loop"):
             raise PairingError(f"unknown flavor {flavor!r}")
-        if base not in elem.graph.vertex_set:
-            raise PairingError(f"unknown base vertex {base!r}")
+        _check_base(elem.graph, base, PairingError)
         self.elem = elem
         self.base = base
         self.flavor = flavor
@@ -257,30 +254,42 @@ class BasedFunctional:
             raise PairingError("loop functional applied to a non-loop")
         return pair(self.elem, path)
 
-    def equal(self, other: "BasedFunctional",
-              length_bound: int = 8) -> FunctionalVerdict:
-        """Compare on every path (or loop) from the base up to the length
-        bound, skipping a path with a same-arrow backtrack: it pairs as the
-        path without it (Chen's identity), which is shorter and came first."""
+    def equal(self, other: "BasedFunctional") -> FunctionalVerdict:
+        """Decide equality on every loop (or path) from the base.  With d
+        the degree of the difference, the test loops are the products of
+        k <= d loops of `paths._loop_generators`, by k, each k in `product`
+        order, each followed for paths by the tree path to each vertex of
+        the base's component, in breadth-first order.  The first test path
+        that pairs differently is the witness; if none does, they are equal.
+
+        Lemma: x of degree d vanishes on every loop iff it does on these.
+        A loop reduces to a product of generators c and their inverses, and
+        pairs through its signature S, multiplicative (Chen's identity).
+        With S(c) = 1 + X_c, S(c)^-1 is the sum of the (-X_c)^j, and a
+        product of more than d X's has no part of degree <= d; by
+        inclusion-exclusion a product of at most d X's is a signed sum of
+        the S of products of at most d generators.  A path to w is a loop
+        times the tree path t(w).  K.-T. Chen, Bull. AMS 83 (1977);
+        W. Magnus, Math. Ann. 111 (1935)."""
         if (self.base, self.flavor) != (other.base, other.flavor):
             raise PairingError("functionals have different base or flavor")
         u, v = self.elem, other.elem
-        u._check_host(v)
-        if length_bound < 1:
-            raise PairingError("length_bound must be at least 1")
-        base, flavor = self.base, self.flavor
-        if (u - v).is_zero():
-            return FunctionalVerdict("equal-up-to-bound", base, flavor, length_bound)
-        pair_u, pair_v = _pairing(u.coeffs), _pairing(v.coeffs)
-        for p in enumerate_paths(u.graph, base, length_bound, loops_only=flavor == "loop"):
-            rs = runs(p)
-            if len(rs) < p.length:
-                continue
-            a, b = pair_u(rs), pair_v(rs)
-            if a != b:
-                return FunctionalVerdict("certified-unequal", base, flavor,
-                                         length_bound, witness=p, values=(a, b))
-        return FunctionalVerdict("equal-up-to-bound", base, flavor, length_bound)
+        x = u - v  # refuses elements on different hosts
+        g, base, flavor = u.graph, self.base, self.flavor
+        gens = _loop_generators(g, base)
+        tails = _tree_paths(g, base).values() if flavor == "path" else [((base,), ())]
+        pair_x = _pairing(x.coeffs)
+        for k in range(x.degree + 1):
+            for word in product(gens, repeat=k):
+                for tail in tails:
+                    vs, os = (base,), ()
+                    for gv, go in word + (tail,):
+                        vs, os = vs + gv[1:], os + go
+                    if pair_x(_runs(vs, os)):
+                        w = _build(g, vs, os)
+                        return FunctionalVerdict("certified-unequal", base, flavor, witness=w,
+                                                 values=(pair(u, w), pair(v, w)))
+        return FunctionalVerdict("equal", base, flavor)
 
 
 def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
@@ -296,6 +305,7 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     (negative controls)."""
     _check_bound("degree_bound", degree_bound)
     _check_bound("loop_length_bound", loop_length_bound)
+    _check_bound("max_failures", max_failures)
     words = all_words(graph.arrows, degree_bound)
 
     # each word's antipode and coproduct, taken once for every law

@@ -25,7 +25,7 @@ from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, _all_words_plan, _evaluate, _pairing, all_words,
                         signature)
 from .linalg import _ONE, _ZERO, Echelon, _sum_terms
-from .paths import (FORWARD, PathMap, _build, _check_bound, _check_loop_pair,
+from .paths import (FORWARD, PathMap, _build, _check_base, _check_bound, _check_loop_pair,
                     _runs, _walk, inverse, make_path, runs)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
@@ -499,6 +499,7 @@ def _numbered_sample(g: Digraph, base: Vertex, length_bound: int) -> tuple[
                 if t[0] == "trivial-drop":
                     break
         return tuple(ids), tuple(witnesses), tuple(witnesses.values())
+    _check_base(g, base)
     return g.derived(("move-pair sample", base, length_bound), build)
 
 

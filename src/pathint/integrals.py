@@ -28,7 +28,7 @@ from .errors import PairingError
 from .forms import OneForm
 from .graphs import Arrow, Digraph
 from .linalg import _ZERO
-from .paths import (ForwardArrow, InverseArrow, PathMap, Step, Trivial,
+from .paths import (ForwardArrow, InverseArrow, PathMap, Step, Trivial, _check_bound,
                     _check_loop_pair, concat, inverse, runs, steps)
 
 Word = tuple[Arrow, ...]
@@ -130,6 +130,8 @@ def all_words(arrows: Sequence[Arrow], max_degree: int,
               min_degree: int = 0) -> list[Word]:
     """All arrow words with min_degree <= length <= max_degree, by degree
     then lexicographic in arrow input order."""
+    _check_bound("max_degree", max_degree, error=PairingError)
+    _check_bound("min_degree", min_degree, error=PairingError)
     out: list[Word] = []
     for d in range(min_degree, max_degree + 1):
         out.extend(product(arrows, repeat=d))
@@ -222,6 +224,7 @@ def word_pairing(path: PathMap, word: Word) -> Fraction:
 def word_pairings_all(path: PathMap, max_degree: int) -> dict[Word, Fraction]:
     """Pairings of every arrow word up to max_degree against path, keyed in
     `all_words` order (the degree-truncated signature of the path)."""
+    _check_bound("max_degree", max_degree, error=PairingError)
     return _as_fractions(_evaluate(runs(path), _all_words_plan(path.graph, max_degree)))
 
 
@@ -272,8 +275,7 @@ def order(path: PathMap, max_degree: int) -> int | None:
     time, stopping at the first nonzero one; a path whose runs cancel to
     nothing pairs to 0 with every nonempty word.  Only whether a pairing is
     0 matters, so the kernel's scaled ints are read as they are."""
-    if max_degree < 1:
-        raise PairingError("max_degree must be at least 1")
+    _check_bound("max_degree", max_degree, 1, PairingError)
     rs = runs(path)
     if not rs:  # the signature of the trivial path
         return None

@@ -242,13 +242,23 @@ def _extensions(g: Digraph, v: Vertex) -> list[tuple[Vertex, str]]:
     return out
 
 
-def _check_bound(name: str, value: int, least: int = 0) -> None:
-    """Raise PathError unless value is an int, not a bool, of at least least."""
+def _check_bound(name: str, value: int, least: int = 0, error=PathError) -> None:
+    """Raise error unless value is an int, not a bool, of at least least."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise PathError(f"{name} must be an int, got {value!r}")
+        raise error(f"{name} must be an int, got {value!r}")
     if value < least:
         bound = f"at least {least}" if least else "non-negative"
-        raise PathError(f"{name} must be {bound}, got {value}")
+        raise error(f"{name} must be {bound}, got {value}")
+
+
+def _check_base(g: Digraph, base: Vertex, error=PathError) -> None:
+    """Raise error unless base is a vertex of g, before anything hashes it."""
+    try:
+        known = base in g.vertex_set
+    except TypeError as exc:
+        raise error(f"base vertex {base!r} is not hashable ({exc})") from None
+    if not known:
+        raise error(f"unknown base vertex {base!r}")
 
 
 def _check_loop_pair(a: PathMap, b: PathMap, not_loops: str) -> None:
@@ -263,20 +273,39 @@ def _check_loop_pair(a: PathMap, b: PathMap, not_loops: str) -> None:
             f"loops are based at different vertices: {a.start!r} and {b.start!r}")
 
 
-def _distances(g: Digraph, base: Vertex) -> dict[Vertex, int]:
-    """The number of steps from each vertex to base, arrows taken either
-    way; a vertex that cannot reach base is left out."""
-    dist = {base: 0}
-    level = [base]
-    while level:
-        nxt = []
-        for v in level:
-            for w, _ in _extensions(g, v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        level = nxt
-    return dist
+def _tree_paths(g: Digraph, base: Vertex) -> dict[Vertex, tuple[tuple, tuple]]:
+    """The path from base to each vertex it reaches along one breadth-first
+    spanning tree, arrows taken either way, each a shortest one, as unbuilt
+    (vertices, orientations) pairs in breadth-first order; kept on the graph."""
+    def build():
+        tree = {base: ((base,), ())}
+        queue = [base]
+        for v in queue:
+            vs, os = tree[v]
+            for w, o in _extensions(g, v):
+                if w not in tree:
+                    tree[w] = (vs + (w,), os + (o,))
+                    queue.append(w)
+        return tree
+    return g.derived(("tree paths", base), build)
+
+
+def _loop_generators(g: Digraph, base: Vertex) -> tuple[tuple[tuple, tuple], ...]:
+    """The loop t(s) a t(r)^-1 of each arrow a = (s, r) of the base's
+    component off the tree of `_tree_paths`, t(v) the tree path to v, in
+    arrow order, as unbuilt (vertices, orientations) pairs; kept on the
+    graph.  Every loop at base reduces to a product of these and inverses."""
+    _check_base(g, base)
+
+    def build():
+        tree = _tree_paths(g, base)
+        on_tree = {(vs[-2], vs[-1]) if os[-1] == FORWARD else (vs[-1], vs[-2])
+                   for vs, os in tree.values() if os}
+        flip = {FORWARD: BACKWARD, BACKWARD: FORWARD}
+        return tuple((tree[s][0] + tree[r][0][::-1],
+                      tree[s][1] + (FORWARD,) + tuple(flip[o] for o in tree[r][1][::-1]))
+                     for s, r in g.arrows if s in tree and (s, r) not in on_tree)
+    return g.derived(("loop generators", base), build)
 
 
 def _walk(g: Digraph, base: Vertex, max_length: int, loops_only: bool = False,
@@ -288,16 +317,11 @@ def _walk(g: Digraph, base: Vertex, max_length: int, loops_only: bool = False,
     else the steps (first, last) where the first and the last of them
     start, and a path is not extended once two of them start more than
     span steps apart."""
-    try:
-        known = base in g.vertex_set
-    except TypeError as exc:
-        raise PathError(f"base vertex {base!r} is not hashable ({exc})") from None
-    if not known:
-        raise PathError(f"unknown base vertex {base!r}")
+    _check_base(g, base)
     _check_bound("max_length", max_length)
     # a path that ends more steps from base than it has left cannot close
     # into a loop
-    dist = _distances(g, base) if loops_only else None
+    dist = {v: len(os) for v, (_, os) in _tree_paths(g, base).items()} if loops_only else None
     steps: dict[Vertex, list[tuple[Vertex, str]]] = {}
     frontier: list[tuple] = [((base,), (), None)]
     for length in range(max_length + 1):

@@ -6,13 +6,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import (patterned_digraph, random_digraph, random_form,
-                      random_path, random_rational)
+                      random_path, random_rational, random_zero_form)
 
 from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
-                     PairingError, PathError, all_words, antipode, concat,
+                     PairingError, PathError, all_words, antipode, box_product, concat,
                      coproduct, counit, directed_cycle, double_edge,
                      enumerate_paths, from_forms,
                      functional_equal, hopf_axiom_report, inverse,
@@ -21,8 +21,10 @@ from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
                      TensorPair, unit, wedge_of_cycles, word_element,
                      word_pairings_all, zero, OneForm)
 from pathint import algebra
+from pathint.forms import d0
 from pathint.homotopy import change_base_point
 from pathint.integrals import signature
+from pathint.paths import _loop_generators, _tree_paths
 
 
 def a1(g):
@@ -156,8 +158,7 @@ def test_pullback_element_fibers():
 def test_functional_equal_finds_witness():
     D = double_edge()
     e1 = word_element(D, (("v0", "v1"),))
-    verdict = functional_equal(e1, zero(D), "v0", flavor="loop",
-                               length_bound=4)
+    verdict = functional_equal(e1, zero(D), "v0", flavor="loop")
     assert verdict.separated
     assert verdict.witness is not None
     assert verdict.witness.vertices == ("v0", "v1", "v0")
@@ -167,19 +168,24 @@ def test_functional_equal_finds_witness():
 def test_functional_equal_agrees_on_equal_elements():
     D = double_edge()
     e1 = word_element(D, (("v0", "v1"),))
-    verdict = functional_equal(e1, e1, "v0", length_bound=4)
-    assert not verdict.separated
+    verdict = functional_equal(e1, e1, "v0")
+    assert verdict.status == "equal"
 
 
-def _first_differing_path(u, v, base, flavor, length_bound):
-    """Reference for `functional_equal`: every path (or loop) in
-    enumeration order, none skipped."""
-    for p in enumerate_paths(u.graph, base, length_bound,
-                             loops_only=flavor == "loop"):
-        a, b = pair(u, p), pair(v, p)
-        if a != b:
-            return p, (a, b)
-    return None, None
+def _differs_within(u, v, base, flavor, length_bound):
+    """Reference for `functional_equal`: whether some path (or loop) up to
+    the length bound, none skipped, pairs differently with u and v."""
+    return any(pair(u - v, p) for p in enumerate_paths(
+        u.graph, base, length_bound, loops_only=flavor == "loop"))
+
+
+def _assert_witness(verdict, a, b):
+    """An unequal verdict's witness is a path from the base on which the
+    two elements pair to its recorded, different values."""
+    w = verdict.witness
+    assert w.start == verdict.base and (verdict.flavor == "path" or w.is_loop)
+    assert verdict.values == (pair(a, w), pair(b, w))
+    assert verdict.values[0] != verdict.values[1]
 
 
 @pytest.mark.parametrize("flavor", ["loop", "path"])
@@ -193,10 +199,86 @@ def test_functional_equal_matches_the_full_scan(flavor):
                                    for w in rng.sample(words, min(3, len(words)))})
                 for _ in range(2))
         for a, b in ((u, v), (u, u + v - v), (u, zero(g))):
-            verdict = functional_equal(a, b, base, flavor=flavor, length_bound=4)
-            assert (verdict.witness, verdict.values) == _first_differing_path(
-                a, b, base, flavor, 4)
-            assert verdict.separated == (verdict.witness is not None)
+            verdict = functional_equal(a, b, base, flavor=flavor)
+            differs = _differs_within(a, b, base, flavor, 6)
+            assert verdict.status in ("equal", "certified-unequal")
+            if verdict.status == "equal":
+                assert not differs and verdict.witness is None
+            else:
+                _assert_witness(verdict, a, b)
+            if differs:
+                assert verdict.separated
+
+
+def _lollipop():
+    """Base x, the path x -> p -> q -> r, and the 4-cycle r s t u r."""
+    return Digraph(list("xpqrstu"), [("x", "p"), ("p", "q"), ("q", "r"), ("r", "s"),
+                                     ("s", "t"), ("t", "u"), ("u", "r")])
+
+
+def test_functional_equal_sees_a_loop_longer_than_any_fixed_bound():
+    # the one generator loop runs the stick out and back: 10 steps
+    g = _lollipop()
+    verdict = functional_equal(word_element(g, [("r", "s")]), zero(g), "x")
+    assert verdict.status == "certified-unequal"
+    assert verdict.witness.vertices == tuple("xpqrsturqpx")
+    assert verdict.values == (1, 0)
+
+
+def test_functional_equal_misses_an_inequality_without_every_generator(monkeypatch):
+    # negative control: dropping a generator loop, here the lollipop's only
+    # one, leaves only the trivial loop, and the inequality is missed
+    g = _lollipop()
+    real = algebra._loop_generators
+    monkeypatch.setattr(algebra, "_loop_generators", lambda g, base: real(g, base)[:-1])
+    verdict = functional_equal(word_element(g, [("r", "s")]), zero(g), "x")
+    assert verdict.status == "equal"
+
+
+def _null_on_loops(rng, g, degree):
+    """df shuffled with a random element of degree < degree: df pairs to 0
+    on every loop, and pairing is multiplicative under the shuffle."""
+    df = from_forms(g, [d0(random_zero_form(rng, g))])
+    rest = AlgebraElement(g, {w: random_rational(rng)
+                              for w in all_words(g.arrows, degree - 1)
+                              if rng.random() < 0.5})
+    return shuffle(df, rest + unit(g))
+
+
+def test_functional_equal_proves_a_null_element_on_a_torus_grid():
+    g = box_product(directed_cycle(4), directed_cycle(4))
+    base = g.vertices[0]
+    null = _null_on_loops(random.Random(1), g, 2)
+    assert len(null.coeffs) > 50 and null.degree == 2
+    assert functional_equal(null, zero(g), base).status == "equal"
+    on_paths = functional_equal(null, zero(g), base, "path")
+    assert on_paths.status == "certified-unequal"
+    _assert_witness(on_paths, null, zero(g))
+
+
+@pytest.mark.wide
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(["loop", "path"]),
+       st.integers(min_value=1, max_value=2))
+def test_functional_equal_is_the_scan_that_covers_every_test_loop(seed, flavor, d):
+    # where the scan's bound reaches every product of up to d generator
+    # loops (each followed by a tree path, for paths), the exact test and
+    # the scan agree on every pair of elements of degree at most d
+    rng = random.Random(seed)
+    g = random_digraph(rng, max_vertices=4, p=0.4)
+    base = rng.choice(g.vertices)
+    gens, tree = _loop_generators(g, base), _tree_paths(g, base)
+    bound = d * max((len(os) for _, os in gens), default=0)
+    if flavor == "path":
+        bound += max(len(os) for _, os in tree.values())
+    assume(bound <= 6)
+    u = AlgebraElement(g, {w: random_rational(rng)
+                           for w in all_words(g.arrows, d) if rng.random() < 0.3})
+    v = u + _null_on_loops(rng, g, d) if rng.random() < 0.7 else zero(g)
+    verdict = functional_equal(u, v, base, flavor)
+    differs = _differs_within(u, v, base, flavor, bound)
+    assert verdict.separated == differs
+    if differs:
+        _assert_witness(verdict, u, v)
 
 
 def test_based_functional_call():
@@ -214,8 +296,8 @@ def test_based_functional_equal_compares_on_loops_or_on_paths():
     # on paths they differ, first on the one step v0 -> v1
     D = double_edge()
     a, b = word_element(D, (("v0", "v1"),)), word_element(D, (("v1", "v0"),))
-    on_loops = BasedFunctional(a, "v0").equal(BasedFunctional(b, "v0"), length_bound=6)
-    assert (on_loops.status, on_loops.witness) == ("equal-up-to-bound", None)
+    on_loops = BasedFunctional(a, "v0").equal(BasedFunctional(b, "v0"))
+    assert (on_loops.status, on_loops.witness) == ("equal", None)
     on_paths = BasedFunctional(a, "v0", "path").equal(BasedFunctional(b, "v0", "path"))
     step = make_path(D, ["v0", "v1"], ["f"])
     assert (on_paths.status, on_paths.witness, on_paths.values) == (

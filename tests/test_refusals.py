@@ -5,18 +5,20 @@ import pytest
 
 from pathint import (AlgebraElement, BasedDigraph, BasedFunctional, DigraphMap,
                      FormError, GraphError, LoopMap, MapError, Move,
-                     MoveCertificate, OneForm, PairingError, PathError,
-                     change_base_point, concat, cut, cylinder, elem_equivalent,
-                     enumerate_patterns, functional_equal, homotopic_loops,
-                     hopf_axiom_report, identity_map, is_isosceles, make_path,
-                     one_step_map_homotopy, pi1_candidates, pullback_element,
+                     MoveCertificate, OneForm, PairingError, PathError, all_words,
+                     change_base_point, concat, cut, cylinder, double_edge,
+                     elem_equivalent, enumerate_patterns, functional_equal,
+                     homotopic_loops, hopf_axiom_report, identity_map,
+                     invariance_verify, is_isosceles, make_path,
+                     one_step_map_homotopy, order, pi1_candidates, pullback_element,
                      pullback_one_form,
                      push_forward, standard_square, standard_triangle,
-                     step_pairing, trivial_path)
+                     step_pairing, trivial_path, word_pairings_all)
 from pathint.serialization import parse_dot, path_from_dict
 
-T, S = standard_triangle(), standard_square()
+T, S, D = standard_triangle(), standard_square(), double_edge()
 ELEM_T = AlgebraElement(T, {(("v0", "v1"),): 1})
+ELEM_D = AlgebraElement(D, {(("v0", "v1"),): 1})
 FORM_T = OneForm.basis(T, ("v0", "v1"))
 STEP_T = make_path(T, ["v0", "v1"], "f")
 STEP_S = make_path(S, ["v0", "v1"], "f")
@@ -48,13 +50,12 @@ REFUSALS = {
     "BasedFunctional with an unknown base": (
         lambda: BasedFunctional(ELEM_T, "zz"),
         PairingError, "unknown base vertex 'zz'"),
-    "functional_equal with length bound 0": (
-        lambda: functional_equal(ELEM_T, 2 * ELEM_T, "v0", "loop", 0),
-        PairingError, "length_bound must be at least 1"),
-    "BasedFunctional.equal with length bound 0": (
-        lambda: BasedFunctional(ELEM_T, "v0").equal(
-            BasedFunctional(2 * ELEM_T, "v0"), 0),
-        PairingError, "length_bound must be at least 1"),
+    "functional_equal with an unhashable base": (
+        lambda: functional_equal(ELEM_D, ELEM_D, ["v0"]),
+        PairingError, "base vertex ['v0'] is not hashable (unhashable type: 'list')"),
+    "BasedFunctional with an unhashable base": (
+        lambda: BasedFunctional(ELEM_D, ["v0"]),
+        PairingError, "base vertex ['v0'] is not hashable (unhashable type: 'list')"),
     "loop functional on a path that is not a loop": (
         lambda: BasedFunctional(ELEM_T, "v0", "loop")(STEP_T),
         PairingError, "loop functional applied to a non-loop"),
@@ -67,6 +68,9 @@ REFUSALS = {
     "Hopf report with an unhashable base": (
         lambda: hopf_axiom_report(T, 1, base=["a"]),
         PathError, "base vertex ['a'] is not hashable (unhashable type: 'list')"),
+    "Hopf report with a fractional failure cap": (
+        lambda: hopf_axiom_report(T, 1, max_failures=1.5),
+        PathError, "max_failures must be an int, got 1.5"),
     # forms
     "1-form from a vector of the wrong length": (
         lambda: OneForm.from_vector(T, [1]),
@@ -116,10 +120,28 @@ REFUSALS = {
     "pi1 candidates with a bool degree bound": (
         lambda: pi1_candidates(T, "v0", True),
         PathError, "degree_bound must be an int, got True"),
+    "pi1 candidates with an unhashable base": (
+        lambda: pi1_candidates(D, ["v0"], 1),
+        PathError, "base vertex ['v0'] is not hashable (unhashable type: 'list')"),
+    "invariance check with an unhashable base": (
+        lambda: invariance_verify(ELEM_D, ["v0"]),
+        PathError, "base vertex ['v0'] is not hashable (unhashable type: 'list')"),
     # integrals
     "step pairing with a non-step": (
         lambda: step_pairing(FORM_T, "v0->v1"),
         PairingError, "not a step: 'v0->v1'"),
+    "all words up to a fractional degree": (
+        lambda: all_words(T.arrows, 2.5),
+        PairingError, "max_degree must be an int, got 2.5"),
+    "all pairings up to a fractional degree": (
+        lambda: word_pairings_all(STEP_T, 1.5),
+        PairingError, "max_degree must be an int, got 1.5"),
+    "order up to a fractional degree": (
+        lambda: order(STEP_T, 1.5),
+        PairingError, "max_degree must be an int, got 1.5"),
+    "order up to a string degree": (
+        lambda: order(STEP_T, "3"),
+        PairingError, "max_degree must be an int, got '3'"),
     # paths
     "LoopMap whose endpoints differ": (
         lambda: LoopMap(T, ("v0", "v1"), ("f",)),
@@ -171,7 +193,10 @@ def test_the_refused_calls_succeed_once_repaired():
     # one fault it names
     assert MoveCertificate(BACKTRACK, LANDS_ELSEWHERE.moves,
                            make_path(T, ["v0", "v0"], "f")).replay()[-1].length == 1
-    assert functional_equal(ELEM_T, 2 * ELEM_T, "v0", "loop", 3).separated
+    assert functional_equal(ELEM_T, 2 * ELEM_T, "v0", "loop").separated
+    assert functional_equal(ELEM_D, ELEM_D, "v0").status == "equal"
+    assert invariance_verify(ELEM_D, "v0").status == "counterexample"
+    assert order(STEP_T, 3) == 1 and len(word_pairings_all(STEP_T, 1)) == 4
     assert change_base_point(STEP_T, BasedFunctional(ELEM_T, "v1", "loop")).base == "v0"
     assert BasedDigraph(["a"], [], "a").base == "a"
     assert hopf_axiom_report(T, 1, base="v0", loop_length_bound=2)["all_passed"]
