@@ -24,7 +24,7 @@ from .algebra import (AlgebraElement, BasedFunctional, FunctionalVerdict,
                       functional_equal, hopf_axiom_report, pullback_element,
                       shuffle, shuffle_words, unit, word_element, zero)
 from .homotopy import (HomotopyVerdict, InvarianceVerdict, Move,
-                       MoveCertificate, Pi1Candidate, Pi1Result, apply_move,
+                       MoveCertificate, Pi1Result, apply_move,
                        change_base_point, homotopic_loops, invariance_verify,
                        invariant_sufficient, invert_move, is_isosceles,
                        move_neighbors, one_step_map_homotopy, pi1_candidates)
@@ -38,7 +38,7 @@ __all__ = [
     "DigraphMap", "FormError", "FunctionalVerdict", "GraphError",
     "HomotopyVerdict", "InvarianceVerdict", "LoopMap", "MapError", "Move",
     "MoveCertificate", "OneForm", "PairingError", "PathError", "PathMap",
-    "PathintError", "PatternEmbedding", "Pi1Candidate", "Pi1Result",
+    "PathintError", "PatternEmbedding", "Pi1Result",
     "TensorPair", "TwoChain", "ZeroForm", "all_words", "antipode",
     "apply_move", "box_product", "change_base_point", "closed_one_forms",
     "commutator", "compose_maps", "concat", "coproduct", "counit", "cut",

@@ -29,8 +29,8 @@ from .forms import OneForm
 from .graphs import Arrow, BasedDigraph, Digraph, DigraphMap
 from .integrals import Word, _all_words_plan, _evaluate, _pairing, all_words, pair
 from .linalg import _Combination, _sum_terms
-from .paths import (PathMap, _build, _check_base, _check_bound, _loop_generators, _runs,
-                    _tree_paths, concat, enumerate_paths, inverse, runs)
+from .paths import (PathMap, _build, _check_base, _check_bound, _loop_generators, _product,
+                    _runs, _tree_paths, concat, enumerate_paths, inverse, runs)
 
 
 def _word(graph: Digraph, w: Iterable[Arrow]) -> Word:
@@ -282,9 +282,7 @@ class BasedFunctional:
         for k in range(x.degree + 1):
             for word in product(gens, repeat=k):
                 for tail in tails:
-                    vs, os = (base,), ()
-                    for gv, go in word + (tail,):
-                        vs, os = vs + gv[1:], os + go
+                    vs, os = _product(base, word + (tail,))
                     if pair_x(_runs(vs, os)):
                         w = _build(g, vs, os)
                         return FunctionalVerdict("certified-unequal", base, flavor, witness=w,

@@ -200,17 +200,14 @@ def _cmd_pi1(g, args):
     base = _resolve_base(g, args.base)
     if base is None:
         raise GraphError("a base vertex is required (use --base or a based digraph)")
-    result = pi1_candidates(g, base, args.degree, length_bound=args.length_bound)
+    result = pi1_candidates(g, base, args.degree)
     payload = {"base": base,
                "degree_bound": result.degree_bound,
-               "length_bound": result.length_bound,
-               "candidates": [{"element": ser.element_to_dict(c.element)["element"],
-                               "certified": c.certified}
+               "candidates": [{"element": ser.element_to_dict(c)["element"]}
                               for c in result.candidates],
                "invariant_kernel": [ser.element_to_dict(u)["element"]
                                     for u in result.invariant_kernel]}
-    certified = sum(1 for c in result.candidates if c.certified)
-    text = (f"{len(result.candidates)} candidate(s), {certified} certified, "
+    text = (f"{len(result.candidates)} candidate(s), "
             f"invariant kernel dimension {len(result.invariant_kernel)}")
     return payload, text
 
@@ -304,7 +301,7 @@ COMMANDS = {
              "degree": {"type": _POSITIVE, "required": True,
                         "help": "word degree bound"},
              "length_bound": {"type": _NON_NEGATIVE, "default": 6,
-                              "help": "loop/move sampling bound (default: 6)"}}),
+                              "help": "ignored: candidates are exact"}}),
     "change-base": (_cmd_change_base, "transport a functional along a path",
                     {"graph": _GRAPH, "path": _PATH, "element": _ELEMENT}),
     "volume": (_cmd_volume, "volume number of an index sequence",

@@ -4,9 +4,10 @@ The five local moves on vertex sequences (triangle contraction, square
 replacement, square contraction, backtrack removal, trivial-step removal)
 and their inverses generate the homotopy relation on path maps.  This module
 enumerates one-move neighbors with replayable certificates, searches for
-bounded homotopies, checks invariance of integration functionals against
-move pairs, computes the degree-bounded homotopy-invariant candidate space,
-and transports loop functionals along a connecting path.
+bounded homotopies, decides exactly, on test pairs of loops made from the
+spanning-tree generator loops and the 2-cells, the invariance of
+integration functionals and the degree-bounded homotopy-invariant
+candidate space, and transports loop functionals along a connecting path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -25,8 +26,9 @@ from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, _all_words_plan, _evaluate, _pairing, all_words,
                         signature)
 from .linalg import _ONE, _ZERO, Echelon, _sum_terms
-from .paths import (FORWARD, PathMap, _build, _check_base, _check_bound, _check_loop_pair,
-                    _runs, _walk, inverse, make_path, runs)
+from .paths import (BACKWARD, FORWARD, PathMap, _build, _check_base, _check_bound, _check_loop_pair,
+                    _loop_generators, _product, _runs, _through, _tree_paths, inverse,
+                    make_path, runs)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
               "backtrack", "trivial-drop")
@@ -433,113 +435,107 @@ def invariant_sufficient(word: Sequence[OneForm], g: Digraph) -> bool:
             and all(is_isosceles(word[i:i + 2], g) for i in range(len(word) - 1)))
 
 
-def _keeps_runs(kind: str, direction: str, _position: int, before: Window,
-                after: Window) -> bool:
-    """True iff the move with these fields leaves the runs of any path as
-    they are: it drops or inserts a trivial step, or a backtrack whose two
-    steps use one arrow (their orientations differ)."""
-    if kind == "trivial-drop":
-        return True
-    if kind == "backtrack":
-        o = (before if direction == "apply" else after)[1]
-        return o[0] != o[1]
-    return False
+# per pattern kind: the move that takes its cell loop to the runs of the
+# trivial loop, the cell's boundary walk from v0 by vertex role (two steps
+# forward, then backward), and the roles of the move's new window (forward)
+_CELLS = {"triangle": ("triangle-contract", (0, 1, 2, 0), (0, 2)),
+          "square": ("square-replace", (0, 1, 3, 2, 0), (0, 2, 3)),
+          "double-edge": ("backtrack", (0, 1, 0), (0, 0))}
 
 
-def _numbered_sample(g: Digraph, base: Vertex, length_bound: int) -> tuple[
-        tuple[tuple, ...], tuple[tuple[int, int], ...], tuple[tuple, ...]]:
-    """(seqs, pairs, witnesses): the sample of (loop, one-move neighbor)
-    pairs over every loop at base up to the length bound, as plain data.
-    seqs are the run sequences met, numbered in order of first appearance;
-    pairs are the distinct pairs (number of the loop's runs, number of the
-    neighbor's), in enumeration order; and witnesses holds, for each pair,
-    the first (loop vertices, loop orientations, move fields of `_moves`)
-    that gives it.  A pairing depends on a path only through its runs
-    (Chen's identity), so the pairs give the same pairing values, and the
-    same first differing pair, as the full list of (loop, neighbor)
-    pairs.  No path or `Move` is built; the sample is kept on the graph.
-
-    Lemma.  Let a loop have a same-arrow backtrack b, vertices v u v with
-    opposite orientations.  A move whose window shares no step with b
-    gives the same pair of run sequences as the same move on the loop with
-    b removed: a move reads only its window, and free reduction is a
-    homomorphism, so removing b changes neither run sequence.  The shorter
-    loop is enumerated earlier, so its pair was kept or seen first.  Hence
-    a loop scans only the windows that touch every such backtrack, and a
-    loop whose backtracks no one window touches gives nothing new.  A
-    window has at most 3 steps, so two backtracks that start more than 3
-    steps apart are never touched by one window.  Two that start exactly 3
-    apart, v u v x y x, are touched together only by the square
-    contraction of u v x y; its neighbor v u y x has the runs of the
-    square replacement u v x -> u y x on the shorter loop v u v x, which
-    is listed there because both moves look up the walk u v x y in the
-    move tables, with every orientation of u y and of y x.  So the walk
-    does not extend a prefix once two backtracks start more than 2 steps
-    apart: every extension keeps both.  The moves that keep the
-    runs all give the pair (here, here).  `_moves` lists the trivial
-    insertions last, and an enumerated loop has no trivial step, so the
-    first trivial-drop listed is an insertion and the moves after it give
-    that pair again: the scan stops there.  On a loop without such a
-    backtrack the pair is new at its insertion at position 0; on a loop
-    with one, it was kept on the shorter loop.  Every run sequence a
-    skipped move would number was numbered first on a shorter loop, so
-    the numbers agree with those of the full scan as well."""
-    def build():
-        witnesses: dict[tuple[int, int], tuple] = {}  # by kept pair, in order
-        ids: dict[tuple, int] = {}  # run sequence -> its number
-        for V, O, backtracks in _walk(g, base, length_bound, loops_only=True, span=2):
-            # the windows that start at or before the first backtrack's
-            # second step and end at or after the last one's first step
-            reach = None if backtracks is None else (backtracks[0] + 1, backtracks[1])
-            here = ids.setdefault(tuple(_runs(V, O)), len(ids))
-            for t in _moves(g, V, O, reach):
-                there = here if _keeps_runs(*t) else ids.setdefault(
-                    tuple(_runs(*_splice(V, O, *t[2:]))), len(ids))
-                witnesses.setdefault((here, there), (V, O, t))
-                if t[0] == "trivial-drop":
-                    break
-        return tuple(ids), tuple(witnesses), tuple(witnesses.values())
+def _cell_loops(g: Digraph, base: Vertex) -> tuple[tuple[tuple, tuple, tuple], ...]:
+    """One loop at base per 2-cell of the base's component, by `_CELLS`, in
+    `enumerate_patterns` order: the boundary walk conjugated by the tree
+    path t(v0) of `paths._tree_paths`, as unbuilt (vertices, orientations,
+    fields of the move of `_moves` at the walk's first step); kept on the
+    graph."""
     _check_base(g, base)
-    return g.derived(("move-pair sample", base, length_bound), build)
+
+    def build():
+        tree, f, b = _tree_paths(g, base), FORWARD, BACKWARD
+        out = []
+        for kind, (move, walk, roles) in _CELLS.items():
+            for r in (emb.vertices for emb in enumerate_patterns(g, kind)):
+                if r[0] in tree:
+                    vs, new = tuple(r[i] for i in walk), tuple(r[i] for i in roles)
+                    out.append((*_through(tree, vs, (f, f) + (b,) * (len(vs) - 3)),
+                                (move, "apply", len(tree[r[0]][1]), (vs[:3], (f, f)),
+                                 (new, (f,) * (len(new) - 1)))))
+        return tuple(out)
+    return g.derived(("cell loops", base), build)
+
+
+def _test_pairs(g: Digraph, base: Vertex, degree: int) -> Iterator[tuple[Window, Window, tuple]]:
+    """The test pairs of degree d at base as unbuilt (loop, neighbor, move
+    fields): for each product w of k <= d - 1 loops of
+    `paths._loop_generators`, by k, each k in `product` order, each split
+    w = X Y (X of i = 0..k loops) and each cell loop r of `_cell_loops`,
+    the loop X r Y, the loop X Y, and r's move in X r Y, which gives a loop
+    with the runs of X Y.
+
+    Lemma: x of degree d pairs equally with every two loops at base one move
+    apart iff it does with each test pair.  The signature S is
+    multiplicative (Chen's identity): S(X r Y) - S(X Y) = S(X)(S(r) - 1)S(Y).
+    A move rewrites P W Q to P W' Q, and W W'^-1 bounds a triangle or a
+    square, or is a backtrack through both arrows of a double edge (a
+    same-arrow backtrack or a trivial step keeps the runs); another
+    orientation of a step adds a double-edge cell.  Conjugated to base, the
+    difference is S(A)(S(r)^+-1 - 1)S(B) for a cell loop r and loops A, B,
+    and S(r)^-1 - 1 = -S(r)^-1 (S(r) - 1).  S(r) - 1 has no part of degree 0,
+    so only the parts of S(A), S(B) of total degree <= d - 1 count, spanned
+    by the products of a and b generator loops, a + b <= d - 1, as in
+    `BasedFunctional.equal`.  Grigor'yan, Lin, Muranov, Yau, Pure Appl.
+    Math. Q. 10 (2014); K.-T. Chen, Bull. AMS 83 (1977)."""
+    gens, cells = _loop_generators(g, base), _cell_loops(g, base)
+    for k in range(degree):
+        for word in product(gens, repeat=k):
+            neighbor = _product(base, word)
+            for i in range(k + 1):
+                at = sum(len(os) for _, os in word[:i])
+                for vs, os, (kind, direction, p, before, after) in cells:
+                    yield (_product(base, word[:i] + ((vs, os),) + word[i:]), neighbor,
+                           (kind, direction, at + p, before, after))
+
+
+def _by_runs(f):
+    """f of an unbuilt loop's runs, once per run sequence."""
+    memo: dict[tuple, object] = {}
+
+    def value(loop: Window):
+        rs = tuple(_runs(*loop))
+        if rs not in memo:
+            memo[rs] = f(rs)
+        return memo[rs]
+    return value
 
 
 @dataclass(frozen=True)
 class InvarianceVerdict:
-    """Outcome of checking a functional against sampled move pairs."""
-    status: str  # "invariant-on-sample" | "counterexample"
+    """Outcome of an exact invariance check."""
+    status: str  # "invariant" | "counterexample"
     base: Vertex
-    length_bound: int
     loop: PathMap | None = None
     neighbor: PathMap | None = None
     move: Move | None = None
     values: tuple[Fraction, Fraction] | None = None
 
 
-def invariance_verify(elem: AlgebraElement, base: Vertex,
-                      length_bound: int = 10) -> InvarianceVerdict:
-    """Compare the element's pairing across every loop at base up to the
-    length bound and each of its one-move neighbors; the first differing
-    pair is a counterexample, otherwise the sample certifies nothing beyond
-    itself and says so."""
-    _check_bound("length_bound", length_bound)
+def invariance_verify(elem: AlgebraElement, base: Vertex) -> InvarianceVerdict:
+    """Decide whether the element pairs equally with every two loops at
+    base that are one move apart, on the test pairs of `_test_pairs` (by
+    its lemma).  The first test pair that pairs differently gives the
+    counterexample: its loop, the cell's move and the neighbor it makes;
+    if none does, the element is invariant."""
     g = elem.graph
-    seqs, pairs, witnesses = _numbered_sample(g, base, length_bound)
-    pairing = _pairing(elem.coeffs)
-    value = cache(lambda k: pairing(seqs[k]))  # by the number of the run sequence
-    for (i, j), (V, O, t) in zip(pairs, witnesses):
-        va, vb = value(i), value(j)
+    value = _by_runs(_pairing(elem.coeffs))
+    for loop, neighbor, fields in _test_pairs(g, base, elem.degree):
+        va, vb = value(loop), value(neighbor)
         if va != vb:
-            loop, move = _build(g, V, O), Move(*t)
-            return InvarianceVerdict("counterexample", base, length_bound,
-                                     loop=loop, neighbor=apply_move(loop, move),
-                                     move=move, values=(va, vb))
-    return InvarianceVerdict("invariant-on-sample", base, length_bound)
-
-
-@dataclass(frozen=True)
-class Pi1Candidate:
-    element: AlgebraElement
-    certified: bool
+            path, move = _build(g, *loop), Move(*fields)
+            return InvarianceVerdict("counterexample", base, loop=path,
+                                     neighbor=apply_move(path, move), move=move,
+                                     values=(va, vb))
+    return InvarianceVerdict("invariant", base)
 
 
 @dataclass(frozen=True)
@@ -547,62 +543,48 @@ class Pi1Result:
     graph: Digraph
     base: Vertex
     degree_bound: int
-    length_bound: int
-    candidates: tuple[Pi1Candidate, ...]
+    candidates: tuple[AlgebraElement, ...]
     invariant_kernel: tuple[AlgebraElement, ...]
 
 
-def _certify(elem: AlgebraElement, closed: frozenset[Arrow]) -> bool:
-    """Theorem-backed certification per homogeneous component: the degree-1
-    part must assemble to a closed form, and every supported word of higher
-    degree must pass the sufficiency test letterwise, that is, be a word
-    over the closed arrows.  These are the invariants `_separating_invariant`
-    tries: closed 1-forms (the all-ones form when closed, then the closed
-    basis), then words over the closed arrows."""
-    g = elem.graph
-    deg1 = {w[0]: c for w, c in elem.coeffs.items() if len(w) == 1}
-    if deg1 and not is_closed(OneForm(g, deg1)):
-        return False
-    return all(closed.issuperset(w) for w in elem.coeffs if len(w) >= 2)
-
-
-def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int, length_bound: int,
+def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int,
               words: Sequence[Word]) -> tuple[set[tuple], set[tuple]]:
     """The nonzero rows of pairings over words, each times degree_bound!:
-    one per sampled (loop, neighbor) pair of different signature, the
-    difference of the two, and one per sampled loop, its own.  Paths with
-    equal `runs` have equal signatures (Chen's identity), so the row of
-    each run sequence of the sample is built once.  The signature
-    kernel gives len(w)! <w, S>, so word w is scaled by degree_bound! /
-    len(w)! and every entry is an int: scaling all rows by one positive
-    constant keeps their spans, their duplicates and their sorted order."""
+    one per test pair of `_test_pairs`, the difference of the two loops',
+    and one per product of at most degree_bound generator loops, its own.
+    The signature kernel gives len(w)! <w, S>, so word w is scaled by
+    degree_bound! / len(w)! and every entry is an int: scaling all rows by
+    one positive constant keeps their spans, their duplicates and their
+    sorted order."""
     plan = _all_words_plan(g, degree_bound)
     top = math.factorial(degree_bound)
     scale = [top // math.factorial(len(w)) for w in words]
-    seqs, pairs, _ = _numbered_sample(g, base, length_bound)
-    rows = []
-    for rs in seqs:
+
+    def signed(rs):
         sig = _evaluate(rs, plan)
-        rows.append(tuple(s * sig[w] for w, s in zip(words, scale)))
+        return tuple(s * sig[w] for w, s in zip(words, scale))
+    row = _by_runs(signed)
     zero = (0,) * len(words)
-    move_rows = {tuple(a - b for a, b in zip(rows[i], rows[j]))
-                 for i, j in pairs if i != j} - {zero}
-    loop_rows = {rows[i] for i, _ in pairs} - {zero}
+    move_rows = {tuple(a - b for a, b in zip(row(loop), row(nb)))
+                 for loop, nb, _ in _test_pairs(g, base, degree_bound)} - {zero}
+    gens = _loop_generators(g, base)
+    loop_rows = {row(_product(base, word)) for k in range(degree_bound + 1)
+                 for word in product(gens, repeat=k)} - {zero}
     return move_rows, loop_rows
 
 
-def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
-                   length_bound: int = 6) -> Pi1Result:
+def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int) -> Pi1Result:
     """Kernel of the single-move pairing-difference system over word
     coefficients of degree 1..degree_bound, quotiented by the functionals
-    that vanish on every sampled loop; each representative is flagged
-    certified when the sufficiency theorem covers it, sample-only
-    otherwise."""
+    that vanish on every loop at base; exact, with no length bound.  The
+    move rows of the test pairs span those of every one-move pair of loops
+    (the lemma of `_test_pairs`), and the loop rows of the products of at
+    most degree_bound generator loops span those of every loop (the lemma
+    of `BasedFunctional.equal`)."""
     _check_bound("degree_bound", degree_bound, 1)
-    _check_bound("length_bound", length_bound)
     words = all_words(g.arrows, degree_bound, min_degree=1)
     ncols = len(words)
-    move_rows, loop_rows = _pi1_rows(g, base, degree_bound, length_bound, words)
+    move_rows, loop_rows = _pi1_rows(g, base, degree_bound, words)
     echelon = Echelon(ncols, sorted(move_rows))
     free = sorted(set(range(ncols)).difference(echelon.pivots()))
     invariant_kernel = [
@@ -618,11 +600,8 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int,
     for r in sorted(loop_rows):
         echelon.add(r)
     pivots = set(echelon.pivots())
-    closed = frozenset(closed_arrows(g))
-    candidates = tuple(Pi1Candidate(u, _certify(u, closed))
-                       for j, u in zip(free, invariant_kernel) if j in pivots)
-    return Pi1Result(g, base, degree_bound, length_bound, candidates,
-                     tuple(invariant_kernel))
+    candidates = tuple(u for j, u in zip(free, invariant_kernel) if j in pivots)
+    return Pi1Result(g, base, degree_bound, candidates, tuple(invariant_kernel))
 
 
 def change_base_point(gamma: PathMap, elem):

@@ -290,6 +290,23 @@ def _tree_paths(g: Digraph, base: Vertex) -> dict[Vertex, tuple[tuple, tuple]]:
     return g.derived(("tree paths", base), build)
 
 
+def _through(tree: dict, vertices: tuple, orientations: tuple) -> tuple[tuple, tuple]:
+    """The loop t(v) w t(u)^-1 at the base, unbuilt, for a walk w from v to
+    u given as unbuilt (vertices, orientations) and t the tree paths of
+    `_tree_paths`."""
+    (sv, so), (ev, eo) = tree[vertices[0]], tree[vertices[-1]]
+    flip = {FORWARD: BACKWARD, BACKWARD: FORWARD}
+    return (sv + vertices[1:] + ev[-2::-1],
+            so + orientations + tuple(flip[o] for o in eo[::-1]))
+
+
+def _product(base: Vertex, loops) -> tuple[tuple, tuple]:
+    """The concatenation of unbuilt loops at base, unbuilt; the trivial
+    loop for none."""
+    return ((base,) + tuple(v for vs, _ in loops for v in vs[1:]),
+            tuple(o for _, os in loops for o in os))
+
+
 def _loop_generators(g: Digraph, base: Vertex) -> tuple[tuple[tuple, tuple], ...]:
     """The loop t(s) a t(r)^-1 of each arrow a = (s, r) of the base's
     component off the tree of `_tree_paths`, t(v) the tree path to v, in
@@ -301,53 +318,9 @@ def _loop_generators(g: Digraph, base: Vertex) -> tuple[tuple[tuple, tuple], ...
         tree = _tree_paths(g, base)
         on_tree = {(vs[-2], vs[-1]) if os[-1] == FORWARD else (vs[-1], vs[-2])
                    for vs, os in tree.values() if os}
-        flip = {FORWARD: BACKWARD, BACKWARD: FORWARD}
-        return tuple((tree[s][0] + tree[r][0][::-1],
-                      tree[s][1] + (FORWARD,) + tuple(flip[o] for o in tree[r][1][::-1]))
+        return tuple(_through(tree, (s, r), (FORWARD,))
                      for s, r in g.arrows if s in tree and (s, r) not in on_tree)
     return g.derived(("loop generators", base), build)
-
-
-def _walk(g: Digraph, base: Vertex, max_length: int, loops_only: bool = False,
-          span: int | None = None) -> Iterator[tuple[tuple, tuple, tuple | None]]:
-    """The paths of `enumerate_paths` as unbuilt (vertices, orientations,
-    backtracks) triples, in the same order, one length at a time.
-    backtracks is None unless span is set.  Then it is None for a path
-    without a same-arrow backtrack (steps v u v over one arrow, both ways),
-    else the steps (first, last) where the first and the last of them
-    start, and a path is not extended once two of them start more than
-    span steps apart."""
-    _check_base(g, base)
-    _check_bound("max_length", max_length)
-    # a path that ends more steps from base than it has left cannot close
-    # into a loop
-    dist = {v: len(os) for v, (_, os) in _tree_paths(g, base).items()} if loops_only else None
-    steps: dict[Vertex, list[tuple[Vertex, str]]] = {}
-    frontier: list[tuple] = [((base,), (), None)]
-    for length in range(max_length + 1):
-        left = max_length - length - 1  # steps left after one more
-        next_frontier = []
-        for vs, os, bt in frontier:
-            if not loops_only or vs[-1] == base:
-                yield vs, os, bt
-            if length == max_length:
-                continue
-            ext = steps.get(vs[-1])
-            if ext is None:
-                ext = steps[vs[-1]] = _extensions(g, vs[-1])
-            for w, o in ext:
-                if loops_only and dist[w] > left:
-                    continue
-                b = bt
-                if span is not None and length and w == vs[-2] and o != os[-1]:
-                    if bt is None:
-                        b = (length - 1, length - 1)
-                    elif length - 1 - bt[0] > span:
-                        continue
-                    else:
-                        b = (bt[0], length - 1)
-                next_frontier.append((vs + (w,), os + (o,), b))
-        frontier = next_frontier
 
 
 def enumerate_paths(g: Digraph, base: Vertex, max_length: int,
@@ -358,7 +331,25 @@ def enumerate_paths(g: Digraph, base: Vertex, max_length: int,
     input order, then backward arrows in input order.  With loops_only only
     paths returning to base are yielded (the trivial loop first), and a
     path is not extended once it ends farther from base than it has steps
-    left.
+    left (the distances read off the tree paths).
     """
-    for vs, os, _ in _walk(g, base, max_length, loops_only):
-        yield _build(g, vs, os)
+    _check_base(g, base)
+    _check_bound("max_length", max_length)
+    dist = {v: len(os) for v, (_, os) in _tree_paths(g, base).items()} if loops_only else None
+    steps: dict[Vertex, list[tuple[Vertex, str]]] = {}
+    frontier: list[tuple] = [((base,), ())]
+    for length in range(max_length + 1):
+        left = max_length - length - 1  # steps left after one more
+        next_frontier = []
+        for vs, os in frontier:
+            if not loops_only or vs[-1] == base:
+                yield _build(g, vs, os)
+            if length == max_length:
+                continue
+            ext = steps.get(vs[-1])
+            if ext is None:
+                ext = steps[vs[-1]] = _extensions(g, vs[-1])
+            for w, o in ext:
+                if not loops_only or dist[w] <= left:
+                    next_frontier.append((vs + (w,), os + (o,)))
+        frontier = next_frontier

@@ -220,7 +220,11 @@ def test_pi1_command(files, capsys):
     assert code == 0
     report = json.loads(out)
     assert len(report["candidates"]) == 1
-    assert report["candidates"][0]["certified"] is True
+    assert set(report) == {"base", "degree_bound", "candidates", "invariant_kernel"}
+    assert set(report["candidates"][0]) == {"element"}
+    code, out, _ = run(capsys, "pi1", "--graph", g, "--degree", "1",
+                       "--length-bound", "3")
+    assert (code, out) == (0, "1 candidate(s), invariant kernel dimension 4\n")
 
 
 def test_change_base(files, capsys):
@@ -580,15 +584,17 @@ def _torus_c4():
 
 # the JSON output of three elimination-heavy queries, by length and sha256
 # of its bytes; recorded before the elimination ran on integers, and for
-# torus-pi1 again once square moves were listed on all 8 walks of a square
-# (invariant kernel 1,004 -> 976 vectors, still 4 candidates)
+# the two pi1 queries again once candidates were exact (wedge: 4 -> 14
+# candidates, invariant kernel 584 vectors as before; torus: 4 -> 5
+# candidates, invariant kernel 976 -> 755 vectors), their length bounds
+# now ignored
 _PINNED_ELIMINATIONS = {
     "wedge-pi1": (lambda: ser.digraph_to_dict(wedge_of_cycles()),
-                  ["pi1", "--degree", "3", "--length-bound", "6"], 27361,
-                  "219bab0a8e8171a9ba64573a50244bfa58811240600daf3f09534543e4cc5d26"),
+                  ["pi1", "--degree", "3", "--length-bound", "6"], 27986,
+                  "67819c354f41e386fac9e57664685e0d0cd3f86cd2211ffeca9a162ca42332c2"),
     "torus-pi1": (_torus_c4, ["pi1", "--degree", "2", "--length-bound", "4"],
-                  177598,
-                  "ccca1797d889990d210c6329d3c2a4ec9681cbf9358e290b56299a58eb21bb39"),
+                  312475,
+                  "acc6a18ee66028a342b7c064bbd2c0c4af56e7ae634bd78c22fe633ea57d37f2"),
     "grid-closed-forms": (lambda: _grid(4), ["closed-forms", "--method", "both"],
                           4759,
                           "8f89aa9195e120c3d220aafb1dde07130bbddc8530f018a2b10d7cccb03f7d47"),
@@ -604,6 +610,14 @@ def test_elimination_output_bytes_are_pinned(files, capsys, name):
     data = out.encode()
     assert (code, err) == (0, "")
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    if argv[0] == "pi1":
+        assert len(json.loads(data)["candidates"]) == _PI1_COUNTS[name]
+
+
+# the closed forms of the pinned pi1 counts: 2 + 4 + 8 on the wedge of two
+# circles at degree 3, and 2 + 3 on C4 x C4 at degree 2 (the winding forms,
+# then the symmetric words in them)
+_PI1_COUNTS = {"wedge-pi1": 14, "torus-pi1": 5}
 
 
 # the JSON output of two homotopy "yes" queries 3 moves apart, by length

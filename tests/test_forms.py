@@ -121,23 +121,23 @@ def _freed_by_reference_counting(make, query):
 
 
 def _invariance_status(elem, status):
-    assert invariance_verify(elem, "v0", length_bound=4).status == status
+    assert invariance_verify(elem, "v0").status == status
 
 
-def test_move_pair_sample_is_freed_with_its_graph():
+def test_cell_loops_are_freed_with_their_graph():
     loop = ["v0", "v1", "v2", "v3", "v0"]
     queries = [
-        lambda g: pi1_candidates(g, "v0", 1, length_bound=4),
+        lambda g: pi1_candidates(g, "v0", 1),
         closed_one_forms,
         lambda g: closed_one_forms(g, "patterns"),
         lambda g: homotopic_loops(make_path(g, loop, "ffff"),
                                   make_path(g, loop[::-1], "bbbb"), 6, 2),
         lambda g: _invariance_status(from_forms(g, closed_one_forms(g)[:1]),
-                                     "invariant-on-sample"),
+                                     "invariant"),
     ]
     for query in queries:
         assert _freed_by_reference_counting(wedge_of_cycles, query)
-    # a counterexample is built from the sample's raw witness
+    # a counterexample is built from a raw test pair
     assert _freed_by_reference_counting(standard_triangle, lambda g: _invariance_status(
         word_element(g, (g.arrows[0],)), "counterexample"))
 

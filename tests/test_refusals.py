@@ -111,9 +111,9 @@ REFUSALS = {
     "base change of a path functional": (
         lambda: change_base_point(STEP_T, BasedFunctional(ELEM_T, "v1", "path")),
         PathError, "base-point change transports loop functionals"),
-    "pi1 candidates with a fractional length bound": (
-        lambda: pi1_candidates(T, "v0", 1, 2.5),
-        PathError, "length_bound must be an int, got 2.5"),
+    "pi1 candidates with a fractional degree bound": (
+        lambda: pi1_candidates(T, "v0", 1.5),
+        PathError, "degree_bound must be an int, got 1.5"),
     "pi1 candidates with a string degree bound": (
         lambda: pi1_candidates(T, "v0", "2"),
         PathError, "degree_bound must be an int, got '2'"),
@@ -200,5 +200,5 @@ def test_the_refused_calls_succeed_once_repaired():
     assert change_base_point(STEP_T, BasedFunctional(ELEM_T, "v1", "loop")).base == "v0"
     assert BasedDigraph(["a"], [], "a").base == "a"
     assert hopf_axiom_report(T, 1, base="v0", loop_length_bound=2)["all_passed"]
-    assert pi1_candidates(T, "v0", 1, 2).degree_bound == 1
+    assert pi1_candidates(T, "v0", 1).degree_bound == 1
     assert DigraphMap(S, T, {"v0": "v0", "v1": "v1", "v2": "v0", "v3": "v2"})
