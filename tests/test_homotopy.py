@@ -955,6 +955,19 @@ def test_a_backtrack_through_two_arrows_changes_the_runs():
     assert runs(there_and_back) == []
 
 
+def test_a_two_arrow_backtrack_is_scanned_whole():
+    D = double_edge()
+    # v0 v1 v0 out along one arrow and back along the other cancels nothing,
+    # so the loop scan yields it and its square with every step kept
+    loops = {(p.vertices, p.orientations): p
+             for p in enumerate_paths(D, "v0", 4, loops_only=True)}
+    for key in [(("v0", "v1", "v0"), ("f", "f")),
+                (("v0", "v1", "v0", "v1", "v0"), ("f", "f", "f", "f"))]:
+        assert len(runs(loops[key])) == len(key[1])
+    # out and back along one arrow cancels whole
+    assert runs(loops[("v0", "v1", "v0"), ("f", "b")]) == []
+
+
 def _torus():
     return box_product(directed_cycle(4), directed_cycle(4))
 
