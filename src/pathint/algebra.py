@@ -29,8 +29,8 @@ from .forms import OneForm
 from .graphs import Arrow, BasedDigraph, Digraph, DigraphMap
 from .integrals import Word, _all_words_plan, _evaluate, _pairing, all_words, pair
 from .linalg import _Combination, _sum_terms
-from .paths import (PathMap, _build, _check_base, _check_bound, _loop_generators, _product,
-                    _runs, _tree_paths, concat, enumerate_paths, inverse, runs)
+from .paths import (PathMap, _build, _check_base, _check_bound, _generator_words, _product,
+                    _runs, _tree_paths, concat, inverse, runs)
 
 
 def _word(graph: Digraph, w: Iterable[Arrow]) -> Word:
@@ -256,53 +256,48 @@ class BasedFunctional:
 
     def equal(self, other: "BasedFunctional") -> FunctionalVerdict:
         """Decide equality on every loop (or path) from the base.  With d
-        the degree of the difference, the test loops are the products of
-        k <= d loops of `paths._loop_generators`, by k, each k in `product`
-        order, each followed for paths by the tree path to each vertex of
-        the base's component, in breadth-first order.  The first test path
-        that pairs differently is the witness; if none does, they are equal.
-
-        Lemma: x of degree d vanishes on every loop iff it does on these.
-        A loop reduces to a product of generators c and their inverses, and
-        pairs through its signature S, multiplicative (Chen's identity).
-        With S(c) = 1 + X_c, S(c)^-1 is the sum of the (-X_c)^j, and a
-        product of more than d X's has no part of degree <= d; by
-        inclusion-exclusion a product of at most d X's is a signed sum of
-        the S of products of at most d generators.  A path to w is a loop
-        times the tree path t(w).  K.-T. Chen, Bull. AMS 83 (1977);
-        W. Magnus, Math. Ann. 111 (1935)."""
+        the degree of the difference x, the test loops are the products of
+        the words of `paths._generator_words` up to d, in its order, each
+        followed for paths by the tree path to each vertex of the base's
+        component, in breadth-first order.  The first test path that pairs
+        differently is the witness; if none does, they are equal.  By the
+        lemma of `paths._generator_words`, x vanishes on every loop iff it
+        does on these, and a path to w is a loop times the tree path t(w)."""
         if (self.base, self.flavor) != (other.base, other.flavor):
             raise PairingError("functionals have different base or flavor")
         u, v = self.elem, other.elem
         x = u - v  # refuses elements on different hosts
         g, base, flavor = u.graph, self.base, self.flavor
-        gens = _loop_generators(g, base)
         tails = _tree_paths(g, base).values() if flavor == "path" else [((base,), ())]
         pair_x = _pairing(x.coeffs)
-        for k in range(x.degree + 1):
-            for word in product(gens, repeat=k):
-                for tail in tails:
-                    vs, os = _product(base, word + (tail,))
-                    if pair_x(_runs(vs, os)):
-                        w = _build(g, vs, os)
-                        return FunctionalVerdict("certified-unequal", base, flavor, witness=w,
-                                                 values=(pair(u, w), pair(v, w)))
+        for word in _generator_words(g, base, x.degree):
+            for tail in tails:
+                vs, os = _product(base, word + (tail,))
+                if pair_x(_runs(vs, os)):
+                    w = _build(g, vs, os)
+                    return FunctionalVerdict("certified-unequal", base, flavor, witness=w,
+                                             values=(pair(u, w), pair(v, w)))
         return FunctionalVerdict("equal", base, flavor)
 
 
 def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
-                      loop_length_bound: int = 8, max_failures: int = 5) -> dict:
+                      max_failures: int = 5) -> dict:
     """Exhaustively verify the Hopf axioms on all arrow words up to
-    degree_bound, plus the dual pairing laws on all enumerated loops up to
-    loop_length_bound when a base vertex is available.  A report maps axiom
-    names to pass flags and the first max_failures offending instances (a
-    law with one fails even when none is listed).  Each algebraic law is a
-    predicate on one instance, a word or a pair or triple of words; the
-    report reads this module's `antipode`, `coproduct`, `shuffle_words` and
-    `concat` when it runs, so patching one in breaks the laws that use it
-    (negative controls)."""
+    degree_bound, plus the dual pairing laws on every loop at base when a
+    base vertex is available.  A report maps axiom names to pass flags and
+    the first max_failures offending instances (a law with one fails even
+    when none is listed).  Each algebraic law is a predicate on one
+    instance, a word or a pair or triple of words; the report reads this
+    module's `antipode`, `coproduct`, `shuffle_words` and `concat` when it
+    runs, so patching one in breaks the laws that use it (negative
+    controls).  The dual laws run on the product l of each word of
+    `paths._generator_words` up to degree_bound, and the concatenation law
+    on each pair of them of k_a + k_b <= degree_bound loops: as the
+    kernel's signatures are group-like, a law's sides differ by a
+    functional of degree <= degree_bound linear in S(l), or bilinear in
+    (S(la), S(lb)) for a `concat` that multiplies its loops in either
+    order, which that lemma decides on every loop at base."""
     _check_bound("degree_bound", degree_bound)
-    _check_bound("loop_length_bound", loop_length_bound)
     _check_bound("max_failures", max_failures)
     words = all_words(graph.arrows, degree_bound)
 
@@ -378,9 +373,10 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     if base is not None:
         # The dual laws read the signature kernel's ints, len(w)! <w, S> for
         # a word w, so each law is stated times the factorials of its words.
-        loops = list(enumerate_paths(graph, base, loop_length_bound, loops_only=True))
+        gen_words = list(_generator_words(graph, base, degree_bound))
+        loops = [_build(graph, *_product(base, word)) for word in gen_words]
         plan = _all_words_plan(graph, degree_bound)
-        sig = {l: _evaluate(runs(l), plan) for l in loops}
+        sig = [_evaluate(runs(l), plan) for l in loops]
         binom = [[math.comb(n, i) for i in range(n + 1)] for n in range(degree_bound + 1)]
         top = math.factorial(degree_bound)
         weight = {w: top // math.factorial(len(w)) for w in words}
@@ -389,8 +385,7 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
             # pair(u . v, l) = pair(u, l) * pair(v, l)
             split_pairs = [(u, v) for u, v in combinations_with_replacement(words, 2)
                            if len(u) + len(v) <= degree_bound]
-            for l in loops:
-                s = sig[l]
+            for l, s in zip(loops, sig):
                 for u, v in split_pairs:
                     if (sum(m * s[w] for w, m in shuffle_words(u, v).items())
                             != binom[len(u) + len(v)][len(u)] * s[u] * s[v]):
@@ -399,26 +394,23 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
 
         def dual_concat():
             # pair(u, a * b) = sum over deconcatenations of pair products;
-            # checked on every loop pair whose concatenation still fits the
-            # length bound (loops come by increasing length, so the first
-            # partner too long ends the scan of a loop's partners)
-            for la in loops:
-                for lb in loops:
-                    if la.length + lb.length > loop_length_bound:
-                        break
+            # the partners of a product of k_a generator loops are those of
+            # at most degree_bound - k_a, a prefix of the products
+            for wa, la, sa in zip(gen_words, loops, sig):
+                fit = sum(len(wa) + len(wb) <= degree_bound for wb in gen_words)
+                for lb, sb in zip(loops[:fit], sig[:fit]):
                     cat = _evaluate(runs(concat(la, lb)), plan)
-                    sa, sb = sig[la], sig[lb]
                     for w in words:
-                        row = binom[len(w)]
-                        if cat[w] != sum(row[i] * sa[w[:i]] * sb[w[i:]]
-                                         for i in range(len(w) + 1)):
+                        if cat[w] != sum(c * sa[w[:i]] * sb[w[i:]]
+                                         for i, c in enumerate(binom[len(w)])):
                             yield {"loops": (la, lb), "word": w}
                             break
 
         def dual_antipode():
-            # pair(j(u), l) = pair(u, l^{-1})
-            for l in loops:
-                s, s_inv = sig[l], sig[inverse(l)]
+            # pair(j(u), l) = pair(u, l^{-1}); the products are not closed
+            # under inversion, so the kernel reads l^{-1} itself
+            for l, s in zip(loops, sig):
+                s_inv = _evaluate(runs(inverse(l)), plan)
                 for w in words:
                     if (sum(c * weight[x] * s[x]
                             for x, c in antipode_of(w).coeffs.items())
@@ -433,12 +425,7 @@ def hopf_axiom_report(graph: Digraph, degree_bound: int, base=None,
     for name, failures in laws.items():
         found = list(islice(failures, max(max_failures, 1)))
         axioms[name] = {"passed": not found, "failures": found[:max_failures]}
-    report = {
-        "degree_bound": degree_bound,
-        "loop_length_bound": loop_length_bound,
-        "base": base,
-        "axioms": axioms,
-    }
+    report = {"degree_bound": degree_bound, "base": base, "axioms": axioms}
     if base is None:
         report["dual_laws"] = "skipped: no base vertex"
     report["all_passed"] = all(a["passed"] for a in axioms.values())

@@ -110,9 +110,7 @@ def _cmd_antipode(g, args):
 
 
 def _cmd_hopf_check(g, args):
-    base = _resolve_base(g, args.base)
-    report = hopf_axiom_report(g, args.max_degree, base=base,
-                               loop_length_bound=args.loop_bound)
+    report = hopf_axiom_report(g, args.max_degree, base=_resolve_base(g, args.base))
     lines = [f"{name}: {'ok' if entry['passed'] else 'FAIL'}"
              for name, entry in sorted(report["axioms"].items())]
     lines.append("all passed" if report["all_passed"] else "FAILURES FOUND")
@@ -274,9 +272,7 @@ COMMANDS = {
                     "max_degree": {"type": _POSITIVE, "default": 2,
                                    "help": "degree bound (default: 2)"},
                     "base": {"default": None,
-                             "help": "base vertex for the dual pairing laws"},
-                    "loop_bound": {"type": _NON_NEGATIVE, "default": 8,
-                                   "help": "loop length bound for dual laws (default: 8)"}}),
+                             "help": "base vertex for the dual pairing laws"}}),
     "closed-forms": (_cmd_closed_forms, "basis of closed 1-forms",
                      {"graph": _GRAPH,
                       "method": {"choices": ("kernel", "patterns", "both"),

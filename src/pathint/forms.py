@@ -19,8 +19,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import FormError
-from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
+from .graphs import PATTERN_KINDS, Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .linalg import _ZERO, Echelon, Vector, _Combination, _sum_terms
+from .paths import _runs
 
 
 class _Form(_Combination):
@@ -151,33 +152,23 @@ def _omega2_chains(g: Digraph) -> list[dict[TwoPath, int]]:
     return chains
 
 
-# the arrow signs of the closedness condition of each pattern kind, in the
-# order of the pattern's arrows
-_PATTERN_SIGNS = {"triangle": (1, 1, -1), "square": (1, 1, -1, -1),
-                  "double-edge": (1, 1)}
-
-
 def _closed_condition_rows(g: Digraph, method: str) -> list[list[int]]:
-    """Int rows, one per closedness condition: the Omega_2 basis chains
-    have coefficients +-1, so their boundaries are integral."""
-    n = len(g.arrows)
-    idx = g.arrow_index
-    rows: list[list[int]] = []
+    """Int rows over the arrows, one per closedness condition: the
+    boundary of each Omega_2 basis chain, whose coefficients are +-1, or
+    the net arrow counts of each pattern's boundary walk."""
     if method == "kernel":
-        for boundary in _omega2_boundaries(g):
-            row = [0] * n
-            for pair, c in boundary:
-                row[idx[pair]] = c
-            rows.append(row)
+        conditions = _omega2_boundaries(g)
     elif method == "patterns":
-        for kind, signs in _PATTERN_SIGNS.items():
-            for emb in enumerate_patterns(g, kind):
-                row = [0] * n
-                for a, sign in zip(emb.arrows, signs):
-                    row[idx[a]] += sign
-                rows.append(row)
+        conditions = [_runs(*emb.boundary_walk())
+                      for kind in PATTERN_KINDS for emb in enumerate_patterns(g, kind)]
     else:
         raise FormError(f"unknown closedness method {method!r}")
+    rows = []
+    for counts in conditions:
+        row = [0] * len(g.arrows)
+        for a, c in counts:
+            row[g.arrow_index[a]] += c
+        rows.append(row)
     return rows
 
 

@@ -345,6 +345,15 @@ class PatternEmbedding:
     vertices: tuple
     arrows: tuple
 
+    def boundary_walk(self) -> tuple[tuple, tuple]:
+        """The walk once round the pattern from v0 as unbuilt (vertices,
+        orientations): its first two arrows forward, then the others
+        backward, last first (triangle v0 v1 v2 v0, square v0 v1 v3 v2 v0,
+        double edge v0 v1 v0), whose net arrow counts are its closedness."""
+        (v0, v1), (_, v), *rest = self.arrows
+        return ((v0, v1, v, *(u for u, _ in reversed(rest))),
+                (FORWARD, FORWARD) + (BACKWARD,) * len(rest))
+
     def validate(self, g: Digraph) -> bool:
         """Re-check the standard-pattern incidence table in the host."""
         if any(a not in g.arrow_set for a in self.arrows):

@@ -26,8 +26,8 @@ from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
 from .integrals import (Word, _all_words_plan, _evaluate, _pairing, all_words,
                         signature)
 from .linalg import _ONE, _ZERO, Echelon, _sum_terms
-from .paths import (BACKWARD, FORWARD, PathMap, _build, _check_base, _check_bound, _check_loop_pair,
-                    _loop_generators, _product, _runs, _through, _tree_paths, inverse,
+from .paths import (FORWARD, PathMap, _build, _check_base, _check_bound, _check_loop_pair,
+                    _generator_words, _product, _runs, _through, _tree_paths, inverse,
                     make_path, runs)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
@@ -435,31 +435,31 @@ def invariant_sufficient(word: Sequence[OneForm], g: Digraph) -> bool:
             and all(is_isosceles(word[i:i + 2], g) for i in range(len(word) - 1)))
 
 
-# per pattern kind: the move that takes its cell loop to the runs of the
-# trivial loop, the cell's boundary walk from v0 by vertex role (two steps
-# forward, then backward), and the roles of the move's new window (forward)
-_CELLS = {"triangle": ("triangle-contract", (0, 1, 2, 0), (0, 2)),
-          "square": ("square-replace", (0, 1, 3, 2, 0), (0, 2, 3)),
-          "double-edge": ("backtrack", (0, 1, 0), (0, 0))}
+# per pattern kind: the move that takes its cell loop (the pattern's
+# boundary walk) to the runs of the trivial loop, and the roles of the
+# move's new window (forward)
+_CELLS = {"triangle": ("triangle-contract", (0, 2)),
+          "square": ("square-replace", (0, 2, 3)),
+          "double-edge": ("backtrack", (0, 0))}
 
 
 def _cell_loops(g: Digraph, base: Vertex) -> tuple[tuple[tuple, tuple, tuple], ...]:
     """One loop at base per 2-cell of the base's component, by `_CELLS`, in
-    `enumerate_patterns` order: the boundary walk conjugated by the tree
-    path t(v0) of `paths._tree_paths`, as unbuilt (vertices, orientations,
-    fields of the move of `_moves` at the walk's first step); kept on the
-    graph."""
+    `enumerate_patterns` order: the pattern's boundary walk conjugated by
+    the tree path t(v0) of `paths._tree_paths`, as unbuilt (vertices,
+    orientations, fields of the move of `_moves` at the walk's first step);
+    kept on the graph."""
     _check_base(g, base)
 
     def build():
-        tree, f, b = _tree_paths(g, base), FORWARD, BACKWARD
+        tree, f = _tree_paths(g, base), FORWARD
         out = []
-        for kind, (move, walk, roles) in _CELLS.items():
-            for r in (emb.vertices for emb in enumerate_patterns(g, kind)):
-                if r[0] in tree:
-                    vs, new = tuple(r[i] for i in walk), tuple(r[i] for i in roles)
-                    out.append((*_through(tree, vs, (f, f) + (b,) * (len(vs) - 3)),
-                                (move, "apply", len(tree[r[0]][1]), (vs[:3], (f, f)),
+        for kind, (move, roles) in _CELLS.items():
+            for emb in enumerate_patterns(g, kind):
+                (vs, os), new = emb.boundary_walk(), tuple(emb.vertices[i] for i in roles)
+                if vs[0] in tree:
+                    out.append((*_through(tree, vs, os),
+                                (move, "apply", len(tree[vs[0]][1]), (vs[:3], os[:2]),
                                  (new, (f,) * (len(new) - 1)))))
         return tuple(out)
     return g.derived(("cell loops", base), build)
@@ -467,11 +467,10 @@ def _cell_loops(g: Digraph, base: Vertex) -> tuple[tuple[tuple, tuple, tuple], .
 
 def _test_pairs(g: Digraph, base: Vertex, degree: int) -> Iterator[tuple[Window, Window, tuple]]:
     """The test pairs of degree d at base as unbuilt (loop, neighbor, move
-    fields): for each product w of k <= d - 1 loops of
-    `paths._loop_generators`, by k, each k in `product` order, each split
-    w = X Y (X of i = 0..k loops) and each cell loop r of `_cell_loops`,
-    the loop X r Y, the loop X Y, and r's move in X r Y, which gives a loop
-    with the runs of X Y.
+    fields): for each word w of `paths._generator_words` up to d - 1, in
+    its order, each split w = X Y (X of its first i = 0..k loops) and each
+    cell loop r of `_cell_loops`, the loop X r Y, the loop X Y, and r's move
+    in X r Y, which gives a loop with the runs of X Y.
 
     Lemma: x of degree d pairs equally with every two loops at base one move
     apart iff it does with each test pair.  The signature S is
@@ -482,19 +481,17 @@ def _test_pairs(g: Digraph, base: Vertex, degree: int) -> Iterator[tuple[Window,
     orientation of a step adds a double-edge cell.  Conjugated to base, the
     difference is S(A)(S(r)^+-1 - 1)S(B) for a cell loop r and loops A, B,
     and S(r)^-1 - 1 = -S(r)^-1 (S(r) - 1).  S(r) - 1 has no part of degree 0,
-    so only the parts of S(A), S(B) of total degree <= d - 1 count, spanned
-    by the products of a and b generator loops, a + b <= d - 1, as in
-    `BasedFunctional.equal`.  Grigor'yan, Lin, Muranov, Yau, Pure Appl.
-    Math. Q. 10 (2014); K.-T. Chen, Bull. AMS 83 (1977)."""
-    gens, cells = _loop_generators(g, base), _cell_loops(g, base)
-    for k in range(degree):
-        for word in product(gens, repeat=k):
-            neighbor = _product(base, word)
-            for i in range(k + 1):
-                at = sum(len(os) for _, os in word[:i])
-                for vs, os, (kind, direction, p, before, after) in cells:
-                    yield (_product(base, word[:i] + ((vs, os),) + word[i:]), neighbor,
-                           (kind, direction, at + p, before, after))
+    so this is bilinear in (S(A), S(B)) of degree <= d - 1, decided on the
+    pairs of the lemma of `paths._generator_words`.  Grigor'yan, Lin,
+    Muranov, Yau, Pure Appl. Math. Q. 10 (2014)."""
+    cells = _cell_loops(g, base)
+    for word in _generator_words(g, base, degree - 1):
+        neighbor = _product(base, word)
+        for i in range(len(word) + 1):
+            at = sum(len(os) for _, os in word[:i])
+            for vs, os, (kind, direction, p, before, after) in cells:
+                yield (_product(base, word[:i] + ((vs, os),) + word[i:]), neighbor,
+                       (kind, direction, at + p, before, after))
 
 
 def _by_runs(f):
@@ -567,9 +564,8 @@ def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int,
     zero = (0,) * len(words)
     move_rows = {tuple(a - b for a, b in zip(row(loop), row(nb)))
                  for loop, nb, _ in _test_pairs(g, base, degree_bound)} - {zero}
-    gens = _loop_generators(g, base)
-    loop_rows = {row(_product(base, word)) for k in range(degree_bound + 1)
-                 for word in product(gens, repeat=k)} - {zero}
+    loop_rows = {row(_product(base, word))
+                 for word in _generator_words(g, base, degree_bound)} - {zero}
     return move_rows, loop_rows
 
 
@@ -580,7 +576,7 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int) -> Pi1Result:
     move rows of the test pairs span those of every one-move pair of loops
     (the lemma of `_test_pairs`), and the loop rows of the products of at
     most degree_bound generator loops span those of every loop (the lemma
-    of `BasedFunctional.equal`)."""
+    of `paths._generator_words`)."""
     _check_bound("degree_bound", degree_bound, 1)
     words = all_words(g.arrows, degree_bound, min_degree=1)
     ncols = len(words)

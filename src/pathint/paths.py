@@ -10,6 +10,7 @@ makes reduced paths canonical representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import PathError
@@ -321,6 +322,25 @@ def _loop_generators(g: Digraph, base: Vertex) -> tuple[tuple[tuple, tuple], ...
         return tuple(_through(tree, (s, r), (FORWARD,))
                      for s, r in g.arrows if s in tree and (s, r) not in on_tree)
     return g.derived(("loop generators", base), build)
+
+
+def _generator_words(g: Digraph, base: Vertex, d: int) -> Iterator[tuple[tuple[tuple, tuple], ...]]:
+    """The tuples of k <= d loops of `_loop_generators`, by k, each k in
+    `itertools.product` order; none for d < 0.
+
+    Lemma: a functional of degree <= d linear in the signature S vanishes
+    on every loop at base iff it does on the products (`_product`) of these.
+    A loop reduces to a product of generators c and their inverses, and S
+    is multiplicative (Chen's identity).  With S(c) = 1 + X_c, S(c)^-1 is
+    the sum of the (-X_c)^j, a product of more than d X's has no part of
+    degree <= d, and by inclusion-exclusion a product of at most d X's is a
+    signed sum of the S of products of at most d generators.  So a
+    functional bilinear in (S(a), S(b)) of degree <= d is decided on the
+    pairs of products of k_a + k_b <= d generators.  K.-T. Chen, Bull. AMS
+    83 (1977); W. Magnus, Math. Ann. 111 (1935)."""
+    gens = _loop_generators(g, base)
+    for k in range(d + 1):
+        yield from product(gens, repeat=k)
 
 
 def enumerate_paths(g: Digraph, base: Vertex, max_length: int,

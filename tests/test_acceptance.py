@@ -241,7 +241,7 @@ def test_criterion_04_equivalence_theorem():
 
 def test_criterion_05_hopf_axioms():
     for g, degree in ((double_edge(), 3), (standard_triangle(), 2)):
-        report = hopf_axiom_report(g, degree, base="v0", loop_length_bound=8)
+        report = hopf_axiom_report(g, degree, base="v0")
         assert report["all_passed"], report
         for law in ("antipode_involution", "dual_shuffle", "dual_concat",
                     "dual_antipode"):

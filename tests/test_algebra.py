@@ -20,11 +20,12 @@ from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
                      shuffle_words, standard_square, standard_triangle,
                      TensorPair, unit, wedge_of_cycles, word_element,
                      word_pairings_all, zero, OneForm)
-from pathint import algebra
+from pathint import algebra, paths
 from pathint.forms import d0
 from pathint.homotopy import change_base_point
 from pathint.integrals import signature
-from pathint.paths import _loop_generators, _tree_paths
+from pathint.linalg import _sum_terms
+from pathint.paths import _loop_generators, _product, _tree_paths
 
 
 def a1(g):
@@ -229,8 +230,8 @@ def test_functional_equal_misses_an_inequality_without_every_generator(monkeypat
     # negative control: dropping a generator loop, here the lollipop's only
     # one, leaves only the trivial loop, and the inequality is missed
     g = _lollipop()
-    real = algebra._loop_generators
-    monkeypatch.setattr(algebra, "_loop_generators", lambda g, base: real(g, base)[:-1])
+    real = paths._loop_generators
+    monkeypatch.setattr(paths, "_loop_generators", lambda g, base: real(g, base)[:-1])
     verdict = functional_equal(word_element(g, [("r", "s")]), zero(g), "x")
     assert verdict.status == "equal"
 
@@ -335,8 +336,7 @@ def test_hopf_report_negative_control(monkeypatch):
     }
     assert _failed(report) == {
         "antipode": [{"word": w} for w in ((A,), (B,), (A, A), (A, B), (B, A))],
-        "dual_antipode": [{"loop": _d_loop(f), "word": (A,)}
-                          for f in ("ff", "bb", "ffff", "fffb", "ffbf")],
+        "dual_antipode": [{"loop": _d_loop(f), "word": (A,)} for f in ("ff", "ffff")],
     }
 
 
@@ -388,7 +388,7 @@ def test_hopf_report_dual_shuffle_negative_control(monkeypatch):
                      != pair(word_element(D, u), loop) * pair(word_element(D, v), loop)),
                     None)
 
-    expected = [f for f in map(first_split, enumerate_paths(D, "v0", 8, loops_only=True))
+    expected = [f for f in map(first_split, _generator_products(D, "v0", 2).values())
                 if f is not None][:3]
     assert _failed(report)["dual_shuffle"] == expected
     assert expected[0] == {"loop": _d_loop("ff"), "words": ((A,), (A,))}
@@ -424,13 +424,24 @@ def test_hopf_report_without_base_skips_dual_laws():
     assert "dual_shuffle" in based["axioms"]
 
 
-def _with_fraction_dual_laws(report, graph, antipode_fn=antipode, max_failures=5):
-    """Reference for the dual laws of `hopf_axiom_report`: the report with
-    each dual law recomputed on the `Fraction` pairings of
-    `word_pairings_all`, as the laws are stated."""
-    d, bound, base = report["degree_bound"], report["loop_length_bound"], report["base"]
+def _generator_products(g, base, d):
+    """The products of k <= d generator loops, by k, each k in `product`
+    order, keyed by their tuple of generators: the loops the dual laws of
+    `hopf_axiom_report` run on."""
+    gens = _loop_generators(g, base)
+    return {word: make_path(g, *_product(base, word))
+            for k in range(d + 1) for word in product(gens, repeat=k)}
+
+
+_DUAL_LAWS = ("dual_shuffle", "dual_concat", "dual_antipode")
+
+
+def _fraction_dual_laws(graph, d, loops, loop_pairs, max_failures=5):
+    """The dual laws of `hopf_axiom_report` on the given loops and on pairs
+    of them, recomputed on the `Fraction` pairings of `word_pairings_all`, as
+    the laws are stated, through the maps of `pathint.algebra` as they are
+    when it runs."""
     words = all_words(graph.arrows, d)
-    loops = list(enumerate_paths(graph, base, bound, loops_only=True))
     sig = {l: word_pairings_all(l, d) for l in loops}
 
     def dual_shuffle():
@@ -438,16 +449,14 @@ def _with_fraction_dual_laws(report, graph, antipode_fn=antipode, max_failures=5
             s = sig[l]
             for u, v in combinations_with_replacement(words, 2):
                 if len(u) + len(v) <= d and (
-                        sum(m * s[w] for w, m in shuffle_words(u, v).items())
+                        sum(m * s[w] for w, m in algebra.shuffle_words(u, v).items())
                         != s[u] * s[v]):
                     yield {"loop": l, "words": (u, v)}
                     break
 
     def dual_concat():
-        for la, lb in product(loops, repeat=2):
-            if la.length + lb.length > bound:
-                continue
-            cat = word_pairings_all(concat(la, lb), d)
+        for la, lb in loop_pairs:
+            cat = word_pairings_all(algebra.concat(la, lb), d)
             for w in words:
                 if cat[w] != sum(sig[la][w[:i]] * sig[lb][w[i:]] for i in range(len(w) + 1)):
                     yield {"loops": (la, lb), "word": w}
@@ -455,19 +464,47 @@ def _with_fraction_dual_laws(report, graph, antipode_fn=antipode, max_failures=5
 
     def dual_antipode():
         for l in loops:
+            s_inv = word_pairings_all(inverse(l), d)
             for w in words:
-                ju = antipode_fn(word_element(graph, w))
-                if sum(c * sig[l][x] for x, c in ju.coeffs.items()) != sig[inverse(l)][w]:
+                ju = algebra.antipode(word_element(graph, w))
+                if sum(c * sig[l][x] for x, c in ju.coeffs.items()) != s_inv[w]:
                     yield {"loop": l, "word": w}
                     break
 
-    axioms = dict(report["axioms"])
-    for name, failures in (("dual_shuffle", dual_shuffle()), ("dual_concat", dual_concat()),
-                           ("dual_antipode", dual_antipode())):
+    laws = {}
+    for name, failures in zip(_DUAL_LAWS, (dual_shuffle(), dual_concat(), dual_antipode())):
         found = list(islice(failures, max(max_failures, 1)))
-        axioms[name] = {"passed": not found, "failures": found[:max_failures]}
+        laws[name] = {"passed": not found, "failures": found[:max_failures]}
+    return laws
+
+
+def _with_fraction_dual_laws(report, graph, max_failures=5):
+    """Reference for the dual laws of `hopf_axiom_report`: the report with
+    each dual law recomputed by `_fraction_dual_laws` on the products of at
+    most d generator loops, and the concatenation law on each ordered pair
+    of products of k_a and k_b generator loops with k_a + k_b <= d."""
+    d, base = report["degree_bound"], report["base"]
+    products = _generator_products(graph, base, d)
+    loop_pairs = [(la, lb) for (wa, la), (wb, lb) in product(products.items(), repeat=2)
+                  if len(wa) + len(wb) <= d]
+    axioms = {**report["axioms"], **_fraction_dual_laws(
+        graph, d, list(products.values()), loop_pairs, max_failures)}
     return {**report, "axioms": axioms,
             "all_passed": all(a["passed"] for a in axioms.values())}
+
+
+def _scanned_verdicts(graph, d, base, bound):
+    """Whether each dual law holds on every loop up to the length bound, and
+    the concatenation law on every loop pair of total length up to it."""
+    loops = list(enumerate_paths(graph, base, bound, loops_only=True))
+    loop_pairs = [(la, lb) for la, lb in product(loops, repeat=2)
+                  if la.length + lb.length <= bound]
+    laws = _fraction_dual_laws(graph, d, loops, loop_pairs, max_failures=0)
+    return {name: law["passed"] for name, law in laws.items()}
+
+
+def _dual_verdicts(report):
+    return {name: report["axioms"][name]["passed"] for name in _DUAL_LAWS}
 
 
 def _unsigned_reversal(u):
@@ -478,12 +515,14 @@ def _unsigned_reversal(u):
     (standard_triangle, 2, 6), (standard_square, 2, 8), (double_edge, 3, 6),
     (wedge_of_cycles, 2, 6), (lambda: directed_cycle(3), 2, 6)])
 def test_dual_laws_match_their_fraction_reference(monkeypatch, fixture, degree, bound):
+    # on these fixtures a scan of the loops up to the bound already meets a
+    # failure of the unsigned reversal, so it gives the report's verdicts
     g = fixture()
     for antipode_fn, max_failures in ((antipode, 5), (_unsigned_reversal, 3)):
         monkeypatch.setattr(algebra, "antipode", antipode_fn)
-        report = hopf_axiom_report(g, degree, loop_length_bound=bound,
-                                   max_failures=max_failures)
-        assert report == _with_fraction_dual_laws(report, g, antipode_fn, max_failures)
+        report = hopf_axiom_report(g, degree, max_failures=max_failures)
+        assert report == _with_fraction_dual_laws(report, g, max_failures)
+        assert _dual_verdicts(report) == _scanned_verdicts(g, degree, report["base"], bound)
     assert report["all_passed"] is False  # the unsigned reversal fails
 
 
@@ -492,8 +531,69 @@ def test_dual_laws_match_their_fraction_reference_on_random_digraphs():
     for _ in range(10):
         g = random_digraph(rng, max_vertices=4, p=0.5)
         base = rng.choice(g.vertices)
-        report = hopf_axiom_report(g, 2, base=base, loop_length_bound=5)
+        report = hopf_axiom_report(g, 2, base=base)
         assert report == _with_fraction_dual_laws(report, g)
+
+
+def test_the_dual_antipode_law_sees_a_cycle_far_from_the_base(monkeypatch):
+    # every loop of 8 steps or fewer at x is a backtrack along the stick, so
+    # a scan of those passes the unsigned reversal; the generator loop runs
+    # round the 4-cycle, and the products fail it
+    g = _lollipop()
+    assert hopf_axiom_report(g, 2, base="x")["all_passed"]
+    monkeypatch.setattr(algebra, "antipode", _unsigned_reversal)
+    report = hopf_axiom_report(g, 2, base="x")
+    assert _dual_verdicts(report) == {
+        "dual_shuffle": True, "dual_concat": True, "dual_antipode": False}
+    assert _scanned_verdicts(g, 2, "x", 8)["dual_antipode"]
+    (gen,) = _loop_generators(g, "x")
+    assert report["axioms"]["dual_antipode"]["failures"][0] == {
+        "loop": make_path(g, *gen), "word": (("r", "s"),)}
+
+
+def _perturbed_at_one_word(rng, g, d):
+    """A random element of degree <= d to add to a map's value on one word:
+    a random word or, as often, an element null on every loop."""
+    if rng.random() < 0.5:
+        return word_element(g, rng.choice(all_words(g.arrows, d, min_degree=1)),
+                            rng.choice((1, -2)))
+    return _null_on_loops(rng, g, d)
+
+
+@pytest.mark.wide
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(["antipode", "shuffle"]),
+       st.integers(min_value=1, max_value=2))
+def test_dual_laws_are_the_scan_that_covers_every_product(seed, broken, d):
+    # antipode or shuffle_words is changed on one word (or word pair); where
+    # the scan's bound reaches every product of up to d generator loops, and
+    # so every pair of k_a + k_b <= d, each dual law's verdict is the scan's
+    rng = random.Random(seed)
+    g = random_digraph(rng, max_vertices=3, p=0.5)
+    base = rng.choice(g.vertices)
+    bound = d * max((len(os) for _, os in _loop_generators(g, base)), default=0)
+    assume(bound <= 6)
+    if broken == "antipode":
+        w = rng.choice(all_words(g.arrows, d, min_degree=1))
+        extra, real = _perturbed_at_one_word(rng, g, len(w)), algebra.antipode
+
+        def patched(u):
+            return real(u) + extra if set(u.coeffs) == {w} else real(u)
+        name = "antipode"
+    else:
+        # the pairs of the dual shuffle law, in the order it passes them
+        u0, v0 = rng.choice([(u, v) for u, v in combinations_with_replacement(
+            all_words(g.arrows, d), 2) if 1 <= len(u) + len(v) <= d])
+        extra = _perturbed_at_one_word(rng, g, len(u0) + len(v0)).coeffs
+        real = algebra.shuffle_words
+
+        def patched(u, v):
+            out = real(u, v)
+            return _sum_terms([*out.items(), *extra.items()]) if (u, v) == (u0, v0) else out
+        name = "shuffle_words"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, name, patched)
+        report = hopf_axiom_report(g, d, base=base)
+        assert _dual_verdicts(report) == _scanned_verdicts(g, d, base, bound)
 
 
 def test_dual_concat_negative_control(monkeypatch):

@@ -273,7 +273,6 @@ def test_usage_errors(capsys):
     ("homotopy", "--length-bound", "-1"),
     ("homotopy", "--depth-bound", "-5"),
     ("pi1", "--length-bound", "-3"),
-    ("hopf-check", "--loop-bound", "-1"),
     ("hopf-check", "--max-degree", "-1"),
     ("order", "--max-degree", "0"),
     ("pi1", "--degree", "0"),
@@ -288,6 +287,16 @@ def test_out_of_range_bounds_are_usage_errors(files, capsys, command, flag, valu
     assert code == 2 and out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {flag}: must be at least" in errors[0]
+
+
+def test_hopf_check_has_no_loop_bound(files, capsys):
+    # the dual laws run on every loop, so the former length bound is an
+    # unknown flag
+    g = files("c.json", ser.digraph_to_dict(directed_cycle(4)))
+    code, out, err = run(capsys, "hopf-check", "--graph", g, "--loop-bound", "8")
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "unrecognized arguments: --loop-bound 8" in errors[0]
 
 
 @pytest.mark.parametrize("command, coefficient", [
@@ -798,7 +807,7 @@ _FUZZED = {"validate": ["graph"], "pair": ["graph", "element", "path"],
 _BOUNDS = {"homotopy": ["--length-bound", "5", "--depth-bound", "2"],
            "pi1": ["--degree", "1", "--length-bound", "3"],
            "order": ["--max-degree", "2"], "closed-forms": ["--method", "both"],
-           "hopf-check": ["--max-degree", "1", "--loop-bound", "2"]}
+           "hopf-check": ["--max-degree", "1"]}
 
 
 def _places(doc, at=()):

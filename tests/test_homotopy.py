@@ -19,14 +19,14 @@ from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
                      apply_move, box_product, change_base_point,
                      closed_one_forms, concat, directed_cycle, double_edge,
                      enumerate_paths, from_forms, homotopic_loops,
-                     hopf_axiom_report, identity_map, insert_trivial,
+                     identity_map, insert_trivial,
                      invariance_verify, invariant_sufficient, inverse,
                      invert_move, is_closed, is_isosceles, line_digraph,
                      make_path, move_neighbors, one_step_map_homotopy, pair,
                      pi1_candidates, standard_square, standard_triangle,
                      trivial_path, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all)
-from pathint import homotopy
+from pathint import homotopy, paths
 from pathint.forms import closed_arrows
 from pathint.graphs import enumerate_patterns
 from pathint.homotopy import (MOVE_KINDS, _cell_loops, _lists, _moves, _pi1_rows,
@@ -1110,8 +1110,7 @@ def test_a_start_loop_over_the_bound_searches_like_the_path_map_search():
 @pytest.mark.parametrize("call", [
     lambda g, loop: homotopic_loops(loop, loop, length_bound=-1),
     lambda g, loop: homotopic_loops(loop, loop, depth_bound=-2),
-    lambda g, loop: hopf_axiom_report(g, 1, "v0", loop_length_bound=-1),
-], ids=["homotopic_loops-length", "homotopic_loops-depth", "hopf_axiom_report"])
+], ids=["homotopic_loops-length", "homotopic_loops-depth"])
 def test_negative_bounds_are_rejected(call):
     g = wedge_of_cycles()
     loop = make_path(g, ["v0", "v1", "v2", "v3", "v0"], ["f"] * 4)
@@ -1392,7 +1391,7 @@ def test_dropping_the_generator_products_misses_a_counterexample(monkeypatch):
     elem = word_element(g, (("y", "b"), ("b", "p")))
     verdict = invariance_verify(elem, "b")
     _assert_replays(verdict, elem)
-    monkeypatch.setattr(homotopy, "_loop_generators", lambda g, base: ())
+    monkeypatch.setattr(paths, "_loop_generators", lambda g, base: ())
     assert invariance_verify(word_element(_square_and_cycle(), (("y", "b"), ("b", "p"))),
                              "b").status == "invariant"
 

@@ -62,9 +62,6 @@ REFUSALS = {
     "Hopf report with a fractional degree bound": (
         lambda: hopf_axiom_report(T, 1.5),
         PathError, "degree_bound must be an int, got 1.5"),
-    "Hopf report with a fractional loop length bound": (
-        lambda: hopf_axiom_report(T, 1, loop_length_bound=2.5),
-        PathError, "loop_length_bound must be an int, got 2.5"),
     "Hopf report with an unhashable base": (
         lambda: hopf_axiom_report(T, 1, base=["a"]),
         PathError, "base vertex ['a'] is not hashable (unhashable type: 'list')"),
@@ -199,6 +196,6 @@ def test_the_refused_calls_succeed_once_repaired():
     assert order(STEP_T, 3) == 1 and len(word_pairings_all(STEP_T, 1)) == 4
     assert change_base_point(STEP_T, BasedFunctional(ELEM_T, "v1", "loop")).base == "v0"
     assert BasedDigraph(["a"], [], "a").base == "a"
-    assert hopf_axiom_report(T, 1, base="v0", loop_length_bound=2)["all_passed"]
+    assert hopf_axiom_report(T, 1, base="v0")["all_passed"]
     assert pi1_candidates(T, "v0", 1).degree_bound == 1
     assert DigraphMap(S, T, {"v0": "v0", "v1": "v1", "v2": "v0", "v3": "v2"})
