@@ -80,9 +80,10 @@ class Digraph:
         """The value build() returned at the first call with this key.  The
         move tables, the 2-path data and one closedness elimination per
         method of `forms`, the all-words signature plans of `integrals` (one
-        per degree), the spanning-tree paths and generator loops of `paths`
-        (one per base), the cell loops and the isosceles side pairs of
-        `homotopy`, and the arrow-label table of `serialization` live here.
+        per degree), the spanning-tree paths, non-tree arrows and generator
+        loops of `paths` (one per base), the cell loops and the isosceles
+        side pairs of `homotopy`, and the arrow-label table of
+        `serialization` live here.
         A value holds no object that refers back to the graph, so the graph
         is freed by reference counting alone."""
         try:

@@ -4,18 +4,19 @@ The five local moves on vertex sequences (triangle contraction, square
 replacement, square contraction, backtrack removal, trivial-step removal)
 and their inverses generate the homotopy relation on path maps.  This module
 enumerates one-move neighbors with replayable certificates, searches for
-bounded homotopies, decides exactly, on test pairs of loops made from the
-spanning-tree generator loops and the 2-cells, the invariance of
-integration functionals and the degree-bounded homotopy-invariant
-candidate space, and transports loop functionals along a connecting path.
+bounded homotopies, decides exactly the invariance of integration
+functionals, on test pairs of loops made from the spanning-tree generator
+loops and the 2-cells, and the degree-bounded homotopy-invariant candidate
+space, on the non-tree letters from the relators of the 2-cells, and
+transports loop functionals along a connecting path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -23,12 +24,11 @@ from .algebra import AlgebraElement, BasedFunctional
 from .errors import MapError, PathError
 from .forms import OneForm, _closedness, _omega2_boundaries, closed_arrows, is_closed
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .integrals import (Word, _all_words_plan, _evaluate, _pairing, all_words,
-                        signature)
+from .integrals import _all_words_plan, _evaluate, _pairing, all_words, signature
 from .linalg import _ONE, _ZERO, Echelon, _sum_terms
 from .paths import (FORWARD, PathMap, _build, _check_base, _check_bound, _check_loop_pair,
-                    _generator_words, _product, _runs, _through, _tree_paths, inverse,
-                    make_path, runs)
+                    _generator_words, _loop_generators, _non_tree_arrows, _product, _runs,
+                    _through, _tree_paths, inverse, make_path, runs)
 
 MOVE_KINDS = ("triangle-contract", "square-replace", "square-contract",
               "backtrack", "trivial-drop")
@@ -537,67 +537,134 @@ def invariance_verify(elem: AlgebraElement, base: Vertex) -> InvarianceVerdict:
 
 @dataclass(frozen=True)
 class Pi1Result:
+    """The candidate space of `pi1_candidates`: a basis of the loop
+    functionals of degree <= degree_bound at base that every homotopy move
+    keeps, one element on the non-tree words of `paths._non_tree_arrows`
+    per functional (its unique representative there).  `invariant_kernel`
+    holds every element over the arrow words that every move keeps."""
     graph: Digraph
     base: Vertex
     degree_bound: int
     candidates: tuple[AlgebraElement, ...]
-    invariant_kernel: tuple[AlgebraElement, ...]
+    _relations: tuple[tuple[tuple, dict, tuple], ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def invariant_kernel(self) -> tuple[AlgebraElement, ...]:
+        """A basis of every element over the arrow words of degree 1..d
+        that pairs equally with every two loops one move apart, as the
+        kernel of the relator rows lifted to every arrow word; built at the
+        first read.
+
+        Lemma.  phi is one to one on the span of the loops' signatures: its
+        inverse psi there is the algebra map with psi(e_a) = log S(g_a), g_a
+        the generator loop of letter a, since phi S(g_a) = exp(e_a).  An
+        element pairs with a loop l through S(l) = psi(phi S(l)), so it is
+        invariant iff its pullback by psi is a candidate, iff it annihilates
+        psi(w R_r w') = psi(w) (S(r) - 1) psi(w') for the relator rows of
+        `pi1_candidates`.  The rows that elimination kept independent,
+        `_relations` as (w, d! (S(r) - 1), w'), span those rows, so their
+        lifts span the annihilator: the kernel is that of every move row
+        over every arrow word, in its reduced basis."""
+        g, base, d = self.graph, self.base, self.degree_bound
+        plan = _all_words_plan(g, d)
+        psi = {}  # psi(e_w) in ints, each times a positive constant
+
+        def lift(w):
+            if w not in psi:
+                if len(w) > 1:
+                    psi[w] = _times(lift(w[:1]), lift(w[1:]), d)
+                else:
+                    i = _non_tree_arrows(g, base).index(w[0])
+                    psi[w] = _log(_less_one(*_loop_generators(g, base)[i], plan, d), d)
+            return psi[w]
+        words = all_words(g.arrows, d, min_degree=1)
+        column = {w: k for k, w in enumerate(words)}
+        echelon = Echelon(len(words))
+        for w, row, w2 in self._relations:
+            if w:
+                row = _times(lift(w), row, d)
+            if w2:
+                row = _times(row, lift(w2), d)
+            echelon.add_sparse({column[u]: c for u, c in row.items()})
+        return tuple(AlgebraElement._unchecked(g, {words[k]: c for k, c in vec.items()})
+                     for vec in echelon.kernel())
 
 
-def _pi1_rows(g: Digraph, base: Vertex, degree_bound: int,
-              words: Sequence[Word]) -> tuple[set[tuple], set[tuple]]:
-    """The nonzero rows of pairings over words, each times degree_bound!:
-    one per test pair of `_test_pairs`, the difference of the two loops',
-    and one per product of at most degree_bound generator loops, its own.
-    The signature kernel gives len(w)! <w, S>, so word w is scaled by
-    degree_bound! / len(w)! and every entry is an int: scaling all rows by
-    one positive constant keeps their spans, their duplicates and their
-    sorted order."""
-    plan = _all_words_plan(g, degree_bound)
-    top = math.factorial(degree_bound)
-    scale = [top // math.factorial(len(w)) for w in words]
+def _less_one(vs: tuple, os: tuple, plan: tuple, d: int) -> dict:
+    """d! (S - 1) of the unbuilt path (vs, os) on the words of plan, of
+    degree <= d, in ints: the signature kernel gives L! <w, S>."""
+    top = math.factorial(d)
+    return {w: top // math.factorial(len(w)) * v
+            for w, v in _evaluate(_runs(vs, os), plan).items() if w and v}
 
-    def signed(rs):
-        sig = _evaluate(rs, plan)
-        return tuple(s * sig[w] for w, s in zip(words, scale))
-    row = _by_runs(signed)
-    zero = (0,) * len(words)
-    move_rows = {tuple(a - b for a, b in zip(row(loop), row(nb)))
-                 for loop, nb, _ in _test_pairs(g, base, degree_bound)} - {zero}
-    loop_rows = {row(_product(base, word))
-                 for word in _generator_words(g, base, degree_bound)} - {zero}
-    return move_rows, loop_rows
+
+def _log(x: dict, d: int) -> dict:
+    """unit log(1 + x / d!) truncated at degree d, unit = d!^d lcm(1..d),
+    for x an element of the tensor algebra without constant term, in ints:
+    unit / (k d!^k) is an integer for each k <= d."""
+    top = math.factorial(d)
+    unit = top ** d * math.lcm(*range(1, d + 1))
+    terms, power = [], {(): 1}
+    for k in range(1, d + 1):
+        power = _times(power, x, d)
+        c = (1 if k % 2 else -1) * unit // (k * top ** k)
+        terms += [(u, c * v) for u, v in power.items()]
+    return _sum_terms(terms)
+
+
+def _times(a: dict, b: dict, d: int) -> dict:
+    """The product of two elements of the tensor algebra, word ->
+    coefficient, truncated at degree d."""
+    return _sum_terms((u + v, x * y) for u, x in a.items() for v, y in b.items()
+                      if len(u) + len(v) <= d)
 
 
 def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int) -> Pi1Result:
-    """Kernel of the single-move pairing-difference system over word
-    coefficients of degree 1..degree_bound, quotiented by the functionals
-    that vanish on every loop at base; exact, with no length bound.  The
-    move rows of the test pairs span those of every one-move pair of loops
-    (the lemma of `_test_pairs`), and the loop rows of the products of at
-    most degree_bound generator loops span those of every loop (the lemma
-    of `paths._generator_words`)."""
+    """The loop functionals of degree 1..d at base, d = degree_bound, that
+    pair equally with every two loops one move apart: exact, with no length
+    bound, as the kernel of one elimination over the words of degree 1..d
+    in the n letters of `paths._non_tree_arrows` (the base is checked there,
+    before any cache key holds it).
+
+    Lemma.  Setting every tree letter to 0 is an algebra map phi, and an
+    element x on non-tree words pairs with a loop l through phi S(l), the
+    signature of l's runs with the tree arrows dropped.  phi S of the
+    generator loop of a letter a is exp(e_a), so phi S of the products of
+    at most d generator loops spans every monomial of degree <= d (the
+    lemma of `paths._generator_words`; the Magnus isomorphism
+    Q[F]/I^(d+1) = T<=d, W. Magnus, Math. Ann. 111, 1935): each loop
+    functional of degree <= d has exactly one such representative, and
+    only x = 0 vanishes on every loop.  By the lemma of `_test_pairs` and
+    Chen's identity, x is kept by every move iff it annihilates
+    phi S(X) (phi S(r) - 1) phi S(Y) for each cell loop r of `_cell_loops`
+    (Grigor'yan, Lin, Muranov, Yau, Pure Appl. Math. Q. 10, 2014) and
+    generator products X, Y, that is, iff it annihilates the shifted
+    relators w R_r w' truncated at degree d, R_r = phi S(r) - 1 and w, w'
+    monomials with |w| + |w'| <= d - 1.  So the candidates are the kernel
+    of those rows: d! R_r is d! (S(r) - 1), read off the signature kernel
+    over every arrow word, on the non-tree words, and each row is inserted
+    sparse.  No loop rows are needed; the rows kept independent are what
+    `Pi1Result.invariant_kernel` lifts at its first read."""
     _check_bound("degree_bound", degree_bound, 1)
-    words = all_words(g.arrows, degree_bound, min_degree=1)
-    ncols = len(words)
-    move_rows, loop_rows = _pi1_rows(g, base, degree_bound, words)
-    echelon = Echelon(ncols, sorted(move_rows))
-    free = sorted(set(range(ncols)).difference(echelon.pivots()))
-    invariant_kernel = [
-        AlgebraElement._unchecked(g, {words[k]: c for k, c in vec.items()})
-        for vec in echelon.kernel()]
-    # The representatives extend a basis of the null kernel (move and loop
-    # rows) to the invariant kernel, scanning the invariant basis in order.
-    # An invariant vector is fixed by its entries at the free columns: the
-    # vector of j is e_j there, and the null vector of a column k still free
-    # with the loop rows added is e_k plus entries at columns left of k that
-    # the loop rows made pivots.  So the scan keeps the vector of j exactly
-    # when the loop rows make j a pivot, and the null kernel is not needed.
-    for r in sorted(loop_rows):
-        echelon.add(r)
-    pivots = set(echelon.pivots())
-    candidates = tuple(u for j, u in zip(free, invariant_kernel) if j in pivots)
-    return Pi1Result(g, base, degree_bound, candidates, tuple(invariant_kernel))
+    d = degree_bound
+    letters = _non_tree_arrows(g, base)
+    words = all_words(letters, d, min_degree=1)
+    column = {w: k for k, w in enumerate(words)}
+    plan = _all_words_plan(g, d)
+    cells = [_less_one(vs, os, plan, d) for vs, os, _ in _cell_loops(g, base)]
+    relators = [[(w, cell[w]) for w in words if w in cell] for cell in cells]
+    echelon, relations = Echelon(len(words)), []
+    for k in range(d):  # the shifts w, w' with |w| + |w'| = k
+        for cell, relator in zip(cells, relators):
+            terms = [(u, c) for u, c in relator if len(u) <= d - k]
+            for i in range(k + 1):
+                for w, w2 in product(product(letters, repeat=i),
+                                     product(letters, repeat=k - i)):
+                    if echelon.add_sparse({column[w + u + w2]: c for u, c in terms}):
+                        relations.append((w, cell, w2))
+    candidates = tuple(AlgebraElement._unchecked(g, {words[k]: c for k, c in vec.items()})
+                       for vec in echelon.kernel())
+    return Pi1Result(g, base, degree_bound, candidates, tuple(relations))
 
 
 def change_base_point(gamma: PathMap, elem):

@@ -4,7 +4,7 @@ No floating point anywhere.  One elimination, `Echelon`, holds a row space
 in reduced row echelon form and grows it one vector at a time; `rref`,
 `rank`, `kernel`, `span_equal` and `complement_basis` are views of it, and
 `Echelon.residue` reduces a vector against it, empty exactly when the
-vector lies in the span.
+vector lies in the span; `Echelon.add_sparse` inserts a sparse int row.
 
 The elimination is fraction-free: it stores each reduced row as its least
 positive integer multiple, a primitive int vector (gcd 1) whose pivot entry
@@ -82,12 +82,9 @@ class Echelon:
             self.add(r)
 
     def add(self, vec: Sequence) -> bool:
-        """Insert vec, a row of ints or rationals; True iff it was
-        independent of the rows already held.
-
-        vec is reduced to its `residue`, then, if anything is left, made
-        primitive with a positive lead and eliminated from the stored rows,
-        O(rank * ncols) row operations in all."""
+        """Insert vec, a dense row of ints or rationals, through
+        `add_sparse`; True iff it was independent of the rows already held.
+        A row of rationals is scaled by the lcm of its denominators."""
         if len(vec) != self.ncols:
             raise ValueError(f"row of length {len(vec)}, expected {self.ncols}")
         v = {j: x for j, x in enumerate(vec) if x}
@@ -95,7 +92,17 @@ class Echelon:
             fr = [(j, _fraction(x)) for j, x in v.items()]
             d = math.lcm(*(x.denominator for _, x in fr))
             v = {j: x.numerator * (d // x.denominator) for j, x in fr if x}
-        v = self.residue(v)
+        return self.add_sparse(v)
+
+    def add_sparse(self, vec: Mapping[int, int]) -> bool:
+        """Insert the sparse int vector vec (column -> nonzero entry, each
+        column below ncols); True iff it was independent of the rows
+        already held.
+
+        vec is reduced to its `residue`, then, if anything is left, made
+        primitive with a positive lead and eliminated from the stored rows,
+        O(rank * ncols) row operations in all."""
+        v = self.residue(vec)
         if not v:
             return False
         rows = self._rows

@@ -308,20 +308,29 @@ def _product(base: Vertex, loops) -> tuple[tuple, tuple]:
             tuple(o for _, os in loops for o in os))
 
 
-def _loop_generators(g: Digraph, base: Vertex) -> tuple[tuple[tuple, tuple], ...]:
-    """The loop t(s) a t(r)^-1 of each arrow a = (s, r) of the base's
-    component off the tree of `_tree_paths`, t(v) the tree path to v, in
-    arrow order, as unbuilt (vertices, orientations) pairs; kept on the
-    graph.  Every loop at base reduces to a product of these and inverses."""
+def _non_tree_arrows(g: Digraph, base: Vertex) -> tuple[Arrow, ...]:
+    """The arrows of the base's component off the tree of `_tree_paths`, in
+    arrow order; kept on the graph.  This is the one definition of "on the
+    tree": the generator loops and the letters of `homotopy.pi1_candidates`
+    both read it."""
     _check_base(g, base)
 
     def build():
         tree = _tree_paths(g, base)
         on_tree = {(vs[-2], vs[-1]) if os[-1] == FORWARD else (vs[-1], vs[-2])
                    for vs, os in tree.values() if os}
-        return tuple(_through(tree, (s, r), (FORWARD,))
-                     for s, r in g.arrows if s in tree and (s, r) not in on_tree)
-    return g.derived(("loop generators", base), build)
+        return tuple(a for a in g.arrows if a[0] in tree and a not in on_tree)
+    return g.derived(("non-tree arrows", base), build)
+
+
+def _loop_generators(g: Digraph, base: Vertex) -> tuple[tuple[tuple, tuple], ...]:
+    """The loop t(s) a t(r)^-1 of each arrow a = (s, r) of
+    `_non_tree_arrows`, t(v) the tree path to v, in its order, as unbuilt
+    (vertices, orientations) pairs; kept on the graph.  Every loop at base
+    reduces to a product of these and inverses."""
+    arrows = _non_tree_arrows(g, base)
+    return g.derived(("loop generators", base), lambda: tuple(
+        _through(_tree_paths(g, base), a, (FORWARD,)) for a in arrows))
 
 
 def _generator_words(g: Digraph, base: Vertex, d: int) -> Iterator[tuple[tuple[tuple, tuple], ...]]:

@@ -3,6 +3,7 @@ terminal hook (one pass/fail line per criterion at the end of a run)."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -10,7 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from pathint import Digraph, OneForm, ZeroForm, make_path, validate_digraph
+from pathint import Digraph, OneForm, ZeroForm, all_words, make_path, validate_digraph
+from pathint.homotopy import _by_runs, _test_pairs
+from pathint.integrals import _all_words_plan, _evaluate, _pairing
+from pathint.linalg import Echelon, span_equal
+from pathint.paths import _generator_words, _product, _runs
 
 SEED = int(os.environ.get("PATHINT_SEED", "20260819"))
 
@@ -126,6 +131,60 @@ def random_word(rng: random.Random, g, max_degree: int = 4,
 
 def random_zero_form(rng: random.Random, g) -> ZeroForm:
     return ZeroForm(g, {v: random_rational(rng) for v in g.vertices})
+
+
+# ------------------------------------ the all-words pi1 route, as reference
+
+def pi1_rows_by_test_pairs(g, base, degree_bound, words):
+    """The nonzero rows of pairings over words, each times degree_bound!:
+    one per test pair of `homotopy._test_pairs`, the difference of the two
+    loops', and one per product of at most degree_bound generator loops,
+    its own.  The signature kernel gives len(w)! <w, S>, so word w is
+    scaled by degree_bound! / len(w)! and every entry is an int."""
+    plan = _all_words_plan(g, degree_bound)
+    top = math.factorial(degree_bound)
+    scale = [top // math.factorial(len(w)) for w in words]
+
+    def signed(rs):
+        sig = _evaluate(rs, plan)
+        return tuple(s * sig[w] for w, s in zip(words, scale))
+    row = _by_runs(signed)
+    zero = (0,) * len(words)
+    move_rows = {tuple(a - b for a, b in zip(row(loop), row(nb)))
+                 for loop, nb, _ in _test_pairs(g, base, degree_bound)} - {zero}
+    loop_rows = {row(_product(base, word))
+                 for word in _generator_words(g, base, degree_bound)} - {zero}
+    return move_rows, loop_rows
+
+
+def pi1_by_test_pairs(g, base, degree_bound):
+    """Reference for `pi1_candidates` over every arrow word of degree
+    1..degree_bound: the words, the invariant kernel (the kernel of the
+    move rows of `pi1_rows_by_test_pairs`) and the candidates, the
+    invariant vectors of the free columns that the loop rows then make
+    pivots, a basis of the invariant kernel modulo the functionals that
+    vanish on every loop; vectors sparse, column -> `Fraction`."""
+    words = all_words(g.arrows, degree_bound, min_degree=1)
+    move_rows, loop_rows = pi1_rows_by_test_pairs(g, base, degree_bound, words)
+    echelon = Echelon(len(words), sorted(move_rows))
+    free = sorted(set(range(len(words))).difference(echelon.pivots()))
+    invariant = echelon.kernel()
+    for r in sorted(loop_rows):
+        echelon.add(r)
+    pivots = set(echelon.pivots())
+    return words, invariant, [u for j, u in zip(free, invariant) if j in pivots]
+
+
+def same_loop_functionals(g, base, degree, a, b):
+    """True iff the elements given as coefficient dicts (word -> `Fraction`)
+    in a and in b, of degree <= degree, span the same loop functionals at
+    base: their pairings with the products of at most degree generator
+    loops of `paths._generator_words` span the same rows."""
+    loops = [_runs(*_product(base, w)) for w in _generator_words(g, base, degree)]
+
+    def rows(elements):
+        return [[_pairing(coeffs)(rs) for rs in loops] for coeffs in elements]
+    return span_equal(rows(a), rows(b), len(loops))
 
 
 # ------------------------------------------------- acceptance summary lines

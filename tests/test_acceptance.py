@@ -311,6 +311,16 @@ def test_criterion_08_pi1_desk_computations():
         result = pi1_candidates_cached(graphs[name], 1)
         assert len(result.candidates) == dim, (name, result.candidates)
 
+    # non-vacuous: on C4 at degree 2 both candidates are proved invariant
+    # and each pairs nonzero with the generator loop
+    C4 = graphs["C4"]
+    around = make_path(C4, ["v0", "v1", "v2", "v3", "v0"], ["f"] * 4)
+    result = pi1_candidates_cached(C4, 2)
+    assert len(result.candidates) == 2
+    for candidate in result.candidates:
+        assert invariance_verify(candidate, "v0").status == "invariant"
+        assert pair(candidate, around) != 0
+
     D = graphs["D"]
     loop = make_path(D, ["v0", "v1", "v0"], ["f", "f"])
     result = pi1_candidates_cached(D, 2)

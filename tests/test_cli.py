@@ -592,18 +592,20 @@ def _torus_c4():
 
 
 # the JSON output of three elimination-heavy queries, by length and sha256
-# of its bytes; recorded before the elimination ran on integers, and for
-# the two pi1 queries again once candidates were exact (wedge: 4 -> 14
+# of its bytes; recorded before the elimination ran on integers, for the
+# two pi1 queries again once candidates were exact (wedge: 4 -> 14
 # candidates, invariant kernel 584 vectors as before; torus: 4 -> 5
 # candidates, invariant kernel 976 -> 755 vectors), their length bounds
-# now ignored
+# now ignored, and again once candidates were solved on the non-tree
+# letters: the same lengths and invariant kernels, each candidate now on
+# non-tree words
 _PINNED_ELIMINATIONS = {
     "wedge-pi1": (lambda: ser.digraph_to_dict(wedge_of_cycles()),
                   ["pi1", "--degree", "3", "--length-bound", "6"], 27986,
-                  "67819c354f41e386fac9e57664685e0d0cd3f86cd2211ffeca9a162ca42332c2"),
+                  "50118c7cd19d0316e6fc06b6f2a3abbf343ce3d56bbcad8bcf8ed524c5e88568"),
     "torus-pi1": (_torus_c4, ["pi1", "--degree", "2", "--length-bound", "4"],
                   312475,
-                  "acc6a18ee66028a342b7c064bbd2c0c4af56e7ae634bd78c22fe633ea57d37f2"),
+                  "740e7a3eb998680852d2f3331304143f76761f993d6bef00593808bf32846c6e"),
     "grid-closed-forms": (lambda: _grid(4), ["closed-forms", "--method", "both"],
                           4759,
                           "8f89aa9195e120c3d220aafb1dde07130bbddc8530f018a2b10d7cccb03f7d47"),

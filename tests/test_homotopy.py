@@ -11,8 +11,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (patterned_digraph, random_digraph, random_form,
-                      random_path, walked_square_walks, walked_triangle_sets)
+from conftest import (pi1_by_test_pairs, pi1_rows_by_test_pairs, patterned_digraph,
+                      random_digraph, random_form, random_path, same_loop_functionals,
+                      walked_square_walks, walked_triangle_sets)
 
 from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
                      Move, MoveCertificate, OneForm, PathError, all_words,
@@ -29,7 +30,7 @@ from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
 from pathint import homotopy, paths
 from pathint.forms import closed_arrows
 from pathint.graphs import enumerate_patterns
-from pathint.homotopy import (MOVE_KINDS, _cell_loops, _lists, _moves, _pi1_rows,
+from pathint.homotopy import (MOVE_KINDS, _cell_loops, _lists, _moves,
                               _separating_invariant, _test_pairs)
 from pathint.linalg import Echelon, complement_basis, kernel, span_equal
 from pathint.paths import _loop_generators, _product, runs
@@ -851,7 +852,7 @@ def _sample_by_move_neighbors(g, base, length_bound):
 
 
 def _rows_by_move_neighbors(g, base, degree, length_bound):
-    """Reference rows of `_pi1_rows` over the full neighbor list up to the
+    """Reference rows of `pi1_rows_by_test_pairs` over the full neighbor list up to the
     bound: the words, then the nonzero differences of each (loop, neighbor)
     pair and the nonzero rows of each loop, each path paired through
     `word_pairings_all` and every pairing times degree!."""
@@ -888,7 +889,7 @@ def _assert_exact_rows_span_the_neighbor_rows(g, base, degree, length_bound):
     of the exact move rows, and every loop row in that of the exact loop
     rows, at any bound."""
     words, move_rows, loop_rows = _rows_by_move_neighbors(g, base, degree, length_bound)
-    exact_moves, exact_loops = _pi1_rows(g, base, degree, words)
+    exact_moves, exact_loops = pi1_rows_by_test_pairs(g, base, degree, words)
     assert _in_span(exact_moves, move_rows, len(words))
     assert _in_span(exact_loops, loop_rows, len(words))
 
@@ -905,20 +906,21 @@ def _test_loop_length(g, base, degree):
 
 def _assert_pi1_is_the_full_neighbor_list_reference(g, base, degree, length_bound):
     """Completeness: where the bound reaches every test loop, the invariant
-    kernel and the candidates are those of the full neighbor list, the
-    kernel of its move rows and the complement of its null kernel (move and
-    loop rows) there, each by a separate elimination."""
+    kernel is that of the full neighbor list's move rows, and the
+    candidates are as many as the complement of its null kernel (move and
+    loop rows) in that kernel, each by a separate elimination, and give the
+    same loop functionals."""
     assert _test_loop_length(g, base, degree) <= length_bound
     words, move_rows, loop_rows = _rows_by_move_neighbors(g, base, degree, length_bound)
     invariant = kernel(sorted(move_rows), len(words))
     null = kernel(sorted(move_rows | loop_rows), len(words))
+    reps = complement_basis(null, invariant, len(words))
     result = pi1_candidates(g, base, degree)
-
-    def vector(u):
-        return tuple(u.coeffs.get(w, 0) for w in words)
-    assert [vector(u) for u in result.invariant_kernel] == invariant
-    assert [vector(c) for c in result.candidates] == complement_basis(
-        null, invariant, len(words))
+    assert [tuple(u.coeffs.get(w, 0) for w in words)
+            for u in result.invariant_kernel] == invariant
+    assert len(result.candidates) == len(reps)
+    assert same_loop_functionals(g, base, degree, [c.coeffs for c in result.candidates],
+                                 [dict(zip(words, r)) for r in reps])
 
 
 @pytest.mark.wide
@@ -1278,31 +1280,45 @@ def test_pi1_degree_three_on_the_directed_triangle():
     # loop rows are ints, every pairing times 3!, and span those of every
     # loop up to 6 steps
     words, move_rows, loop_rows = _rows_by_move_neighbors(C, "v0", 3, 6)
-    got = _pi1_rows(C, "v0", 3, words)
+    got = pi1_rows_by_test_pairs(C, "v0", 3, words)
     assert move_rows == got[0] == set()
     assert span_equal(sorted(loop_rows), sorted(got[1]), len(words))
     assert all(type(x) is int for rows_ in got for r in rows_ for x in r)
 
 
+def _assert_pi1_agrees_with_the_all_words_route(g, base, degree):
+    """The invariant kernel of the all-words route of `conftest`, vector for
+    vector, and as many candidates, giving the same loop functionals at
+    base."""
+    result = pi1_candidates(g, base, degree)
+    words, invariant, reference = pi1_by_test_pairs(g, base, degree)
+    assert [u.coeffs for u in result.invariant_kernel] == [
+        {words[k]: c for k, c in u.items()} for u in invariant]
+    assert len(result.candidates) == len(reference)
+    assert same_loop_functionals(
+        g, base, degree, [c.coeffs for c in result.candidates],
+        [{words[k]: x for k, x in u.items()} for u in reference])
+
+
 def test_pi1_kernels_match_two_separate_eliminations():
-    # one echelon gives the invariant kernel and, once the loop rows are
-    # added, the representatives; the reference eliminates every row twice
-    # and picks them with complement_basis
+    # the reference eliminates the move rows, then adds the loop rows, over
+    # every arrow word
     C3 = directed_cycle(3)
     cases = [(g, degree) for g in _fixtures() for degree in (1, 2)]
     cases += [(C3, 3), (wedge_of_cycles(), 3), (box_product(C3, C3), 2)]
     for g, degree in cases:
-        result = pi1_candidates(g, g.vertices[0], degree)
-        words = all_words(g.arrows, degree, min_degree=1)
-        move_rows, loop_rows = _pi1_rows(g, g.vertices[0], degree, words)
-        invariant = kernel(sorted(move_rows), len(words))
-        null = kernel(sorted(move_rows | loop_rows), len(words))
-        reps = complement_basis(null, invariant, len(words))
+        _assert_pi1_agrees_with_the_all_words_route(g, g.vertices[0], degree)
 
-        def vector(u):
-            return tuple(u.coeffs.get(w, 0) for w in words)
-        assert [vector(u) for u in result.invariant_kernel] == invariant
-        assert [vector(c) for c in result.candidates] == reps
+
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=3))
+def test_pi1_candidates_agree_with_the_all_words_route_on_random_digraphs(seed, degree):
+    # 2-5 vertices; at degree 3 at most 7 arrows, so that the all-words
+    # route stays small
+    rng = random.Random(seed)
+    g = random_digraph(rng, 5)
+    if degree == 3:
+        g = Digraph(g.vertices, g.arrows[:7])
+    _assert_pi1_agrees_with_the_all_words_route(g, rng.choice(g.vertices), degree)
 
 
 def _lollipop():
@@ -1317,18 +1333,32 @@ def _grid(m, n):
     return box_product(line_digraph("f" * m), line_digraph("f" * n))
 
 
-@pytest.mark.parametrize("make, degree, count", [
-    (wedge_of_cycles, 1, 2), (wedge_of_cycles, 2, 6), (wedge_of_cycles, 3, 14),
-    (lambda: directed_cycle(3), 3, 3), (lambda: directed_cycle(5), 2, 2),
-    (lambda: directed_cycle(6), 1, 1), (_torus, 2, 5),
-    (lambda: _grid(1, 1), 2, 0), (lambda: _grid(2, 3), 1, 0), (lambda: _cone(4), 2, 0),
-    (standard_triangle, 2, 0), (_lollipop, 1, 1), (_lollipop, 2, 2),
-], ids=["wedge-1", "wedge-2", "wedge-3", "C3-3", "C5-2", "C6-1", "torus-2",
-        "grid-1x1-2", "grid-2x3-1", "cone-2", "triangle-2", "lollipop-1", "lollipop-2"])
+# the closed forms at degrees 1-4: the wedge of two circles, 2 + 4 + ... +
+# 2^d = 2^(d+1) - 2; an n-cycle, d; grids, cones and the triangle are
+# contractible
+_PI1_CLOSED_FORMS = {
+    "wedge": (wedge_of_cycles, lambda d: 2 ** (d + 1) - 2),
+    "C3": (lambda: directed_cycle(3), lambda d: d),
+    "C5": (lambda: directed_cycle(5), lambda d: d),
+    "triangle": (standard_triangle, lambda d: 0),
+    "cone": (lambda: _cone(4), lambda d: 0),
+    "cone5": (lambda: _cone(5), lambda d: 0),
+    "grid-1x1": (lambda: _grid(1, 1), lambda d: 0),
+    "grid-2x3": (lambda: _grid(2, 3), lambda d: 0),
+}
+# and single cases: the tori C4 x C4 at degree 2, 2 + 3 (the symmetric
+# words in its two winding forms), and C3 x C3 at degree 3, 2 + 3 + 4
+_PI1_COUNTS = {f"{name}-{d}": (make, d, count(d))
+               for name, (make, count) in _PI1_CLOSED_FORMS.items() for d in range(1, 5)}
+_PI1_COUNTS.update({
+    "C6-1": (lambda: directed_cycle(6), 1, 1), "torus-2": (_torus, 2, 5),
+    "lollipop-1": (_lollipop, 1, 1), "lollipop-2": (_lollipop, 2, 2),
+    "C3xC3-3": (lambda: box_product(directed_cycle(3), directed_cycle(3)), 3, 9),
+})
+
+
+@pytest.mark.parametrize("make, degree, count", _PI1_COUNTS.values(), ids=_PI1_COUNTS)
 def test_pi1_counts_have_their_closed_forms(make, degree, count):
-    # the wedge of two circles: 2 + 4 + ... + 2^d = 2^(d+1) - 2; an n-cycle:
-    # d; the torus C4 x C4 at degree 2: 2 + 3 (the symmetric words in its
-    # two winding forms); grids, cones and the triangle are contractible
     g = make()
     assert len(pi1_candidates(g, g.vertices[0], degree).candidates) == count
 
@@ -1354,6 +1384,21 @@ def test_pi1_count_at_degree_one_is_the_first_betti_number(make):
         len(closed_one_forms(g)) - (len(g.vertices) - 1))
 
 
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_pi1_count_at_degree_one_is_the_first_betti_number_on_random_digraphs(seed):
+    # each vertex after the first joined to an earlier one, so the digraph
+    # is connected: dim H^1 = dim closed 1-forms - (|V| - 1)
+    rng = random.Random(seed)
+    g = random_digraph(rng, 5)
+    arrows = set(g.arrows)
+    for i, v in enumerate(g.vertices[1:], 1):
+        u = rng.choice(g.vertices[:i])
+        arrows.add((u, v) if rng.random() < 0.5 else (v, u))
+    g = Digraph(g.vertices, sorted(arrows))
+    assert len(pi1_candidates(g, rng.choice(g.vertices), 1).candidates) == (
+        len(closed_one_forms(g)) - (len(g.vertices) - 1))
+
+
 def test_every_cell_loop_moves_to_the_runs_of_the_trivial_loop():
     for g in _fixtures() + [_square_with_chords(), _lollipop(), _random_patterned(30)[0]]:
         base = g.vertices[0]
@@ -1370,11 +1415,17 @@ def test_every_cell_loop_moves_to_the_runs_of_the_trivial_loop():
 
 def test_dropping_a_cell_lets_a_candidate_through(monkeypatch):
     # the one square of a 1x1 grid is its only cell: without it nothing
-    # binds the winding around it
+    # binds the winding around it.  C4 x C4 less one of its 16 squares is a
+    # punctured torus: H^1 keeps rank 2, since the square's boundary is
+    # that of the other 15, but pi1 becomes free, and degree 2 gains the
+    # commutator's functional
     assert len(pi1_candidates(_grid(1, 1), (0, 0), 1).candidates) == 0
+    base = _torus().vertices[0]
+    assert [len(pi1_candidates(_torus(), base, d).candidates) for d in (1, 2)] == [2, 5]
     exact = homotopy._cell_loops
     monkeypatch.setattr(homotopy, "_cell_loops", lambda g, base: exact(g, base)[:-1])
     assert len(pi1_candidates(_grid(1, 1), (0, 0), 1).candidates) == 1
+    assert [len(pi1_candidates(_torus(), base, d).candidates) for d in (1, 2)] == [2, 6]
 
 
 def _square_and_cycle():
