@@ -541,7 +541,8 @@ class Pi1Result:
     functionals of degree <= degree_bound at base that every homotopy move
     keeps, one element on the non-tree words of `paths._non_tree_arrows`
     per functional (its unique representative there).  `invariant_kernel`
-    holds every element over the arrow words that every move keeps."""
+    holds every element over the arrow words that every move keeps, from
+    the relator rows kept, each lifted by the generator loops' S(g) - 1."""
     graph: Digraph
     base: Vertex
     degree_bound: int
@@ -555,28 +556,32 @@ class Pi1Result:
         kernel of the relator rows lifted to every arrow word; built at the
         first read.
 
-        Lemma.  phi is one to one on the span of the loops' signatures: its
-        inverse psi there is the algebra map with psi(e_a) = log S(g_a), g_a
-        the generator loop of letter a, since phi S(g_a) = exp(e_a).  An
-        element pairs with a loop l through S(l) = psi(phi S(l)), so it is
-        invariant iff its pullback by psi is a candidate, iff it annihilates
-        psi(w R_r w') = psi(w) (S(r) - 1) psi(w') for the relator rows of
-        `pi1_candidates`.  The rows that elimination kept independent,
-        `_relations` as (w, d! (S(r) - 1), w'), span those rows, so their
-        lifts span the annihilator: the kernel is that of every move row
-        over every arrow word, in its reduced basis."""
+        Lemma.  Let X_a = d! (S(g_a) - 1) for the generator loop g_a of
+        letter a, and X_w the product of X_a over the letters of w.  Each
+        row that elimination kept, `_relations` as (w, d! (S(r) - 1), w'),
+        lifts to X_w (S(r) - 1) X_w'.  phi X_a = d! (exp(e_a) - 1) is
+        d! e_a plus longer words, so phi of a lift is w R_r w' plus relator
+        rows of longer shifts, up to a positive factor.  `pi1_candidates`
+        inserts the longest shifts first, so the rows it kept of shift >= k
+        span every relator row of shift >= k: the lifts are independent,
+        and their phi-images span the relator rows.  phi is one to one on
+        the span of the loops' signatures, where the lifts lie, so the lifts
+        span the rows X (S(r) - 1) Y, X and Y products of d! (S(g) - 1)
+        over generator loops g, and these span the rows of `_test_pairs` by
+        the lemma of `paths._generator_words`: the kernel is that of every
+        move row over every arrow word, in its reduced basis."""
         g, base, d = self.graph, self.base, self.degree_bound
         plan = _all_words_plan(g, d)
-        psi = {}  # psi(e_w) in ints, each times a positive constant
+        x = {}  # X_w in ints
 
         def lift(w):
-            if w not in psi:
+            if w not in x:
                 if len(w) > 1:
-                    psi[w] = _times(lift(w[:1]), lift(w[1:]), d)
+                    x[w] = _times(lift(w[:1]), lift(w[1:]), d)
                 else:
                     i = _non_tree_arrows(g, base).index(w[0])
-                    psi[w] = _log(_less_one(*_loop_generators(g, base)[i], plan, d), d)
-            return psi[w]
+                    x[w] = _less_one(*_loop_generators(g, base)[i], plan, d)
+            return x[w]
         words = all_words(g.arrows, d, min_degree=1)
         column = {w: k for k, w in enumerate(words)}
         echelon = Echelon(len(words))
@@ -596,20 +601,6 @@ def _less_one(vs: tuple, os: tuple, plan: tuple, d: int) -> dict:
     top = math.factorial(d)
     return {w: top // math.factorial(len(w)) * v
             for w, v in _evaluate(_runs(vs, os), plan).items() if w and v}
-
-
-def _log(x: dict, d: int) -> dict:
-    """unit log(1 + x / d!) truncated at degree d, unit = d!^d lcm(1..d),
-    for x an element of the tensor algebra without constant term, in ints:
-    unit / (k d!^k) is an integer for each k <= d."""
-    top = math.factorial(d)
-    unit = top ** d * math.lcm(*range(1, d + 1))
-    terms, power = [], {(): 1}
-    for k in range(1, d + 1):
-        power = _times(power, x, d)
-        c = (1 if k % 2 else -1) * unit // (k * top ** k)
-        terms += [(u, c * v) for u, v in power.items()]
-    return _sum_terms(terms)
 
 
 def _times(a: dict, b: dict, d: int) -> dict:
@@ -643,8 +634,9 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int) -> Pi1Result:
     monomials with |w| + |w'| <= d - 1.  So the candidates are the kernel
     of those rows: d! R_r is d! (S(r) - 1), read off the signature kernel
     over every arrow word, on the non-tree words, and each row is inserted
-    sparse.  No loop rows are needed; the rows kept independent are what
-    `Pi1Result.invariant_kernel` lifts at its first read."""
+    sparse, the longest shifts first.  No loop rows are needed; the rows
+    kept independent are what `Pi1Result.invariant_kernel` lifts at its
+    first read, and its lemma needs that order."""
     _check_bound("degree_bound", degree_bound, 1)
     d = degree_bound
     letters = _non_tree_arrows(g, base)
@@ -654,7 +646,7 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int) -> Pi1Result:
     cells = [_less_one(vs, os, plan, d) for vs, os, _ in _cell_loops(g, base)]
     relators = [[(w, cell[w]) for w in words if w in cell] for cell in cells]
     echelon, relations = Echelon(len(words)), []
-    for k in range(d):  # the shifts w, w' with |w| + |w'| = k
+    for k in reversed(range(d)):  # the shifts w, w' with |w| + |w'| = k
         for cell, relator in zip(cells, relators):
             terms = [(u, c) for u, c in relator if len(u) <= d - k]
             for i in range(k + 1):

@@ -30,10 +30,11 @@ from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
 from pathint import homotopy, paths
 from pathint.forms import closed_arrows
 from pathint.graphs import enumerate_patterns
-from pathint.homotopy import (MOVE_KINDS, _cell_loops, _lists, _moves,
+from pathint.homotopy import (MOVE_KINDS, _cell_loops, _less_one, _lists, _moves,
                               _separating_invariant, _test_pairs)
+from pathint.integrals import _all_words_plan
 from pathint.linalg import Echelon, complement_basis, kernel, span_equal
-from pathint.paths import _loop_generators, _product, runs
+from pathint.paths import _loop_generators, _non_tree_arrows, _product, runs
 
 
 def _fixtures():
@@ -1300,14 +1301,67 @@ def _assert_pi1_agrees_with_the_all_words_route(g, base, degree):
         [{words[k]: x for k, x in u.items()} for u in reference])
 
 
+def _triangle_and_double_edge():
+    """v0->v1, v0->v2, v1->v0, v1->v2: a triangle sharing the side v0 v1
+    with a double edge."""
+    return Digraph(["v0", "v1", "v2"],
+                   [("v0", "v1"), ("v0", "v2"), ("v1", "v0"), ("v1", "v2")])
+
+
 def test_pi1_kernels_match_two_separate_eliminations():
     # the reference eliminates the move rows, then adds the loop rows, over
     # every arrow word
     C3 = directed_cycle(3)
     cases = [(g, degree) for g in _fixtures() for degree in (1, 2)]
-    cases += [(C3, 3), (wedge_of_cycles(), 3), (box_product(C3, C3), 2)]
+    cases += [(C3, 3), (wedge_of_cycles(), 3), (box_product(C3, C3), 2),
+              (_triangle_and_double_edge(), 3)]
     for g, degree in cases:
         _assert_pi1_agrees_with_the_all_words_route(g, g.vertices[0], degree)
+    result = pi1_candidates(_triangle_and_double_edge(), "v0", 3)
+    assert (len(result.candidates), len(result.invariant_kernel)) == (0, 70)
+
+
+def _kept_relator_rows(g, base, d, shifts):
+    """The (w, d! (S(r) - 1), w') that `pi1_candidates` keeps when it
+    inserts the shifted relators w R_r w' shift by shift in the order
+    shifts."""
+    letters = _non_tree_arrows(g, base)
+    column = {w: k for k, w in enumerate(all_words(letters, d, min_degree=1))}
+    plan = _all_words_plan(g, d)
+    cells = [_less_one(vs, os, plan, d) for vs, os, _ in _cell_loops(g, base)]
+    echelon, kept = Echelon(len(column)), []
+    for k in shifts:
+        for cell in cells:
+            for i in range(k + 1):
+                for w, w2 in product(product(letters, repeat=i),
+                                     product(letters, repeat=k - i)):
+                    row = {column[w + u + w2]: c for u, c in cell.items()
+                           if u in column and len(u) <= d - k}
+                    if echelon.add_sparse(row):
+                        kept.append((w, cell, w2))
+    return tuple(kept)
+
+
+def test_pi1_kernel_lift_needs_the_longest_shifts_first():
+    # negative control: the same relator rows inserted shortest shift first
+    # keep other rows, whose lifts by S(g) - 1 miss some move rows, so their
+    # kernel is larger than the all-words route's
+    g, d = _triangle_and_double_edge(), 3
+    result = pi1_candidates(g, "v0", d)
+    assert _kept_relator_rows(g, "v0", d, reversed(range(d))) == result._relations
+    shortest_first = replace(result, _relations=_kept_relator_rows(g, "v0", d, range(d)))
+    _, invariant, _ = pi1_by_test_pairs(g, "v0", d)
+    assert len(shortest_first.invariant_kernel) > len(invariant)
+
+
+def test_pi1_agrees_with_the_all_words_route_on_every_three_vertex_digraph():
+    # all 64 arrow sets on v0, v1, v2, base v0, degrees 1-3
+    vs = ["v0", "v1", "v2"]
+    pairs = list(permutations(vs, 2))
+    for mask in range(2 ** len(pairs)):
+        g = Digraph(vs, [a for i, a in enumerate(pairs) if mask >> i & 1])
+        for degree in (1, 2, 3):
+            _assert_pi1_agrees_with_the_all_words_route(g, "v0", degree)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=3))
