@@ -1,6 +1,10 @@
 """JSON (and DOT-subset) readers and writers for every value the command
 line tool consumes or emits.  All rationals travel as strings like "3/2";
-all emitted structures re-parse to equal values."""
+all emitted structures re-parse to equal values.  The command line tool's
+JSON is written by one direct writer, `canonical_dumps`, whose bytes are
+those of `json.dumps(obj, sort_keys=True, indent=2, default=_json_default)`
+and a newline; `json.dumps` itself is kept only as its oracle in the tests,
+since with `indent` set it encodes in pure Python."""
 
 from __future__ import annotations
 
@@ -8,6 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import AlgebraElement, TensorPair
 from .errors import FormError, GraphError, PathError, PathintError
@@ -106,12 +111,17 @@ def digraph_from_dict(d: dict) -> Digraph:
     raw_vertices, raw_arrows = (_field(d, key, (list, tuple), "digraph", GraphError)
                                 for key in ("vertices", "arrows"))
     vertices = [_vertex_name(v, "vertex", GraphError) for v in raw_vertices]
+    names = set(vertices)
+
+    def endpoint(v):  # a vertex name is checked already
+        return (v if type(v) is str and v in names
+                else _vertex_name(v, "arrow endpoint", GraphError))
+
     arrows = []
     for a in raw_arrows:
         if not (isinstance(a, (list, tuple)) and len(a) == 2):
             raise GraphError(f"arrow {a!r} is not a [source, target] pair")
-        arrows.append(tuple(_vertex_name(v, "arrow endpoint", GraphError)
-                            for v in a))
+        arrows.append((endpoint(a[0]), endpoint(a[1])))
     base = d.get("base")
     if base is not None:
         _vertex_name(base, "base", GraphError)
@@ -301,6 +311,52 @@ def _json_default(obj):
     return path_to_dict(obj) if isinstance(obj, PathMap) else format_rational(obj)
 
 
+def _write(o, nl: str, out) -> None:
+    """Pass the JSON text of o to `out`, piece by piece, its inner lines
+    starting with nl plus two spaces: `str` (quoted by json's own ASCII
+    quoter), `dict` with `str` keys (sorted), `list`, `tuple`, `int`,
+    `bool` and None as `json.dumps` writes them.  A float or a subclass of
+    these types is a TypeError, so that it is never written as other bytes
+    than `json.dumps` writes; any other value is written as the value that
+    `_json_default` turns it into."""
+    t = type(o)
+    if t is str:
+        out(_quote(o))
+    elif t is dict:
+        if not o:
+            return out("{}")
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out(f"{sep}{_quote(k)}: ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    elif t is list or t is tuple:
+        if not o:
+            return out("[]")
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif t is int:
+        out(int.__repr__(o))
+    elif t is bool or o is None:
+        out("true" if o is True else "false" if o is False else "null")
+    elif isinstance(o, (str, int, float, list, tuple, dict)):
+        raise TypeError(f"canonical_dumps does not write a {t.__name__}")
+    else:
+        _write(_json_default(o), nl, out)
+
+
 def canonical_dumps(obj) -> str:
-    """Byte-deterministic JSON used by the command line tool."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+    """Byte-deterministic JSON used by the command line tool: byte for byte
+    `json.dumps(obj, sort_keys=True, indent=2, default=_json_default)` and
+    a newline, or a TypeError for a value that it does not write."""
+    chunks = []
+    _write(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)

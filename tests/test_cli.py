@@ -158,7 +158,8 @@ def test_hopf_check_writes_the_loops_of_a_failing_report(files, capsys, monkeypa
     assert report["axioms"]["dual_antipode"]["failures"][0] == {
         "loop": {"orientations": ["f", "f"], "vertices": ["v0", "v1", "v0"]},
         "word": [["v0", "v1"]]}
-    monkeypatch.setattr(ser, "_json_default", None)  # no hook: a loop is not JSON
+    # json's own behaviour with no hook: a loop is not JSON
+    monkeypatch.setattr(ser, "_json_default", json.JSONEncoder().default)
     with pytest.raises(TypeError, match="LoopMap is not JSON serializable"):
         run(capsys, *argv)
 
@@ -589,6 +590,60 @@ def _torus(m, n):
 
 def _torus_c4():
     return _torus(4, 4)
+
+
+def _operands(files, doc):
+    """The files of every operand of `COMMANDS` on the digraph document
+    doc, by name: a walk out along the base's first arrow and back, the
+    trivial loop, two elements and a word on that arrow."""
+    base = doc["base"]
+    u, v = next(a for a in doc["arrows"] if base in a)
+    label = f"{u}->{v}"
+    return {"graph": files("g.json", doc),
+            "walk": files("p.json", {"vertices": [base, v if u == base else u, base]}),
+            "trivial": files("t.json", {"vertices": [base]}),
+            "element": files("e.json", {"element": {
+                label: "1/2", f"{label},{label}": "-3", "": "2"}}),
+            "other": files("f.json", {"element": {label: "5"}}),
+            "word": files("w.json", {"word": [{"form": {label: "2"}},
+                                              {"form": {label: "-1/3"}}]})}
+
+
+# each subcommand's flags after --graph, with {name} for an operand's file
+_EVERY_COMMAND = {
+    "validate": "", "integrate": "--path {walk} --word {word}",
+    "pair": "--element {element} --path {walk}", "reduce": "--path {walk}",
+    "equiv": "--path-a {walk} --path-b {trivial}",
+    "shuffle": "--element-a {element} --element-b {other}",
+    "coproduct": "--element {element}", "antipode": "--element {element}",
+    "hopf-check": "--max-degree 1", "closed-forms": "--method both",
+    "omega2": "", "order": "--path {walk} --max-degree 3",
+    "homotopy": "--loop-a {walk} --loop-b {trivial}", "pi1": "--degree 2",
+    "change-base": "--path {walk} --element {element}"}
+
+
+@pytest.mark.parametrize("doc", [
+    ser.digraph_to_dict(standard_triangle()), ser.digraph_to_dict(double_edge()),
+    ser.digraph_to_dict(wedge_of_cycles()), _torus(3, 3)],
+    ids=["triangle", "double_edge", "wedge", "c3_box_c3"])
+def test_every_json_answer_is_the_bytes_of_json_dumps(files, capsys, monkeypatch, doc):
+    # the writer's bytes against json's own encoder, on every subcommand's
+    # answer, and on a Hopf report that holds a failing loop
+    assert set(_EVERY_COMMAND) | {"volume"} == set(COMMANDS)
+    operands = _operands(files, doc)
+
+    def answer(*argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        return json.loads(out)
+
+    answer("volume", "--seq", "5,5")
+    for command, flags in _EVERY_COMMAND.items():
+        answer(command, "--graph", operands["graph"], *flags.format(**operands).split())
+    monkeypatch.setattr(algebra, "antipode", lambda u: u)
+    report = answer("hopf-check", "--graph", operands["graph"], "--max-degree", "1")
+    assert report["axioms"]["dual_antipode"]["failures"][0]["loop"]["vertices"]
 
 
 # the JSON output of three elimination-heavy queries, by length and sha256

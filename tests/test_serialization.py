@@ -286,6 +286,92 @@ def test_digraph_reader_names_the_field_at_fault(doc, message):
                                                              "arrows": [["a", "b"]]})
 
 
+@pytest.mark.parametrize("arrows, message", [
+    ([["a", "a"], [1, "b"]], "arrow endpoint 1 is not a string"),
+    ([["a", "b"], [["b"], "a"]], "arrow endpoint ['b'] is not a string"),
+    ([["a", "b"], ["a", {"x": 1}]], "arrow endpoint {'x': 1} is not a string"),
+    ([["a", "c"], ["a", "x,y"]], "arrow endpoint 'x,y' contains \",\""),
+    ([["a", "x,y"], "ab"], "arrow endpoint 'x,y' contains \",\""),
+    ([["a", "b"], "ab"], "arrow 'ab' is not a [source, target] pair"),
+    ([["a", "a"], ["a", "c"]], "self-loop at vertex 'a'"),
+    ([["a", "c"]], "unknown endpoint 'c' in arrow ('a', 'c')"),
+])
+def test_digraph_reader_reports_the_first_fault_in_arrow_order(arrows, message):
+    # an endpoint is checked as a name, unless it is a vertex name checked
+    # already, in arrow order and before the graph's own checks
+    with pytest.raises(GraphError) as caught:
+        ser.digraph_from_dict({"vertices": ["a", "b"], "arrows": arrows})
+    assert str(caught.value) == message
+
+
+# quotes, backslashes, control characters, non-ASCII letters and symbols,
+# a line separator and lone surrogates, mixed with any other character
+_TRICKY = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9",
+                           "\u2028", "\ud800", "\udfff", "\U0001f600"])
+_TEXT = st.text(st.characters() | _TRICKY, max_size=6)
+_PATHS = [make_path(double_edge(), ["v0", "v1", "v0"], ["f", "b"]),
+          make_path(double_edge(), ["v0"], []),
+          make_path(Digraph(["\u00e9", "b\"c"], [("\u00e9", "b\"c")]),
+                    ["\u00e9", "b\"c"], ["f"])]
+# what payloads hold: str, int (past 2**64 and negative too), bool, None, and
+# a Fraction or a path, which the hook writes, nested in dicts with str keys,
+# lists and tuples, empty ones included
+_PAYLOADS = st.recursive(
+    _TEXT | st.integers() | st.integers(min_value=2 ** 64) | st.booleans()
+    | st.none() | st.fractions() | st.sampled_from(_PATHS),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+def _the_writer_property():
+    """A property: `canonical_dumps` writes the bytes of `json.dumps` with
+    the same hook.  A non-ASCII key is always tried, so a writer that does
+    not escape non-ASCII characters is always caught."""
+    @given(_PAYLOADS)
+    @example({"\u00e9": [], "a": {}})
+    def check(obj):
+        assert ser.canonical_dumps(obj) == json.dumps(
+            obj, sort_keys=True, indent=2, default=ser._json_default) + "\n"
+    return check
+
+
+def test_canonical_dumps_writes_the_bytes_of_json_dumps():
+    _the_writer_property()()
+
+
+def test_the_writer_property_fails_on_a_quoter_that_keeps_non_ascii(monkeypatch):
+    prop = settings(report_multiple_bugs=False,
+                    phases=[Phase.explicit, Phase.generate])(_the_writer_property())
+    monkeypatch.setattr(ser, "_quote", json.encoder.py_encode_basestring)
+    with pytest.raises(AssertionError):
+        prop()
+
+
+class _Text(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, float("nan"), {"a": [2.0]}, {1: "a"}, {"a": 1, 2: "b"}, {None: 1},
+    _Text("a"), {"k": _Text("v")}, {_Text("k"): "v"}, [_Int(3)],
+    [Fraction(3, 2), [b"x"]]])
+def test_canonical_dumps_writes_json_dumps_bytes_or_refuses(obj):
+    # values no payload holds: a float, a key that is not a str, a str or
+    # int subclass, bytes; each is json.dumps's bytes or a TypeError, never
+    # other bytes
+    try:
+        out = ser.canonical_dumps(obj)
+    except TypeError:
+        return
+    assert out == json.dumps(obj, sort_keys=True, indent=2,
+                             default=ser._json_default) + "\n"
+
+
 def test_canonical_dumps_sorts_keys():
     out = ser.canonical_dumps({"b": 1, "a": 2})
     assert out.index('"a"') < out.index('"b"')
