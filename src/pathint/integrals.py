@@ -20,6 +20,7 @@ only the gcd of every intermediate `Fraction` is saved.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Sequence
@@ -231,7 +232,10 @@ def word_pairings_all(path: PathMap, max_degree: int) -> dict[Word, Fraction]:
 def pair(elem, paths: PathMap | Iterable[tuple[Fraction, PathMap]]) -> Fraction:
     """Bilinear pairing of an algebra element with a path or a rational
     combination of paths sharing host and start vertex, each path paired
-    through `_pairing`."""
+    through `_pairing`.  A word pairs to 0 with a path unless the letters
+    of its maximal blocks of equal letters appear in order among the arrows
+    of the path's `runs` (Chen's identity; the lemma is in `_pairing`), so
+    only the words that embed so are evaluated."""
     if isinstance(paths, PathMap):
         combo: list[tuple[Fraction, PathMap]] = [(Fraction(1), paths)]
     else:
@@ -254,18 +258,118 @@ def _pairing(coeffs: dict[Word, Fraction]) -> Callable[[Sequence[tuple]], Fracti
     path whose `runs` are rs.  With M the element's degree and q the least
     common denominator of its coefficients n_w / q_w, it is the one
     fraction sum of n_w (q / q_w) (M! / L!) L! <w, S> over q M!, read off
-    the signature kernel's scaled ints (L = len(w)).  The weights and the
-    plan are made once, for every path paired."""
-    m_fact = math.factorial(max(map(len, coeffs), default=0))
-    q = math.lcm(*(c.denominator for c in coeffs.values()))
-    weights = [(w, c.numerator * (q // c.denominator) * (m_fact // math.factorial(len(w))))
-               for w, c in coeffs.items()]
-    plan = _plan(_prefix_closure(coeffs))
+    the signature kernel's scaled ints (L = len(w)); q and M are those of
+    the whole element.
+
+    Support lemma.  By Chen's identity S = exp(c_1 e_a_1)..exp(c_m e_a_m)
+    for runs (a_1, c_1)..(a_m, c_m), so <w, S> is the sum, over the ways
+    to split w as a_1^k_1..a_m^k_m, of c_1^k_1/k_1!..c_m^k_m/k_m!.  A block
+    b^k of equal letters can always be spelled by one run of b (two runs
+    in a row never share an arrow, `runs` being a free reduction), so w
+    pairs to 0 unless the letters of its maximal blocks appear in order
+    among the run arrows.  So each path's sum runs over the words that
+    embed so, its support (`_WordTrie.support`), and the weights and the
+    plan are made over the support and its prefix closure only (a prefix
+    of an embedding word embeds), once per support."""
+    words, ratios = list(coeffs), [c.as_integer_ratio() for c in coeffs.values()]
+    degree = max(map(len, words), default=0)
+    m_fact = math.factorial(degree)
+    scale = [m_fact // math.factorial(t) for t in range(degree + 1)]
+    q = math.lcm(*(den for _, den in ratios))
+    trie = _WordTrie(words)
+    plans: dict[tuple, tuple] = {}
 
     def value(rs: Sequence[tuple]) -> Fraction:
-        sig = _evaluate(rs, plan)
-        return Fraction(sum(k * sig[w] for w, k in weights), q * m_fact)
+        kept = tuple(trie.support(rs))
+        if not kept:
+            return Fraction(0)
+        made = plans.get(kept)
+        if made is None:
+            terms = [(trie.coded(i), ratios[i][0] * (q // ratios[i][1]) * scale[len(words[i])])
+                     for i in kept]
+            made = plans[kept] = _plan(trie.closure(kept)), terms
+        plan, terms = made
+        sig = _evaluate(trie.letters(rs), plan)
+        return Fraction(sum(k * sig[w] for w, k in terms), q * m_fact)
     return value
+
+
+class _WordTrie:
+    """The trie of an element's words, grown as `support` walks them: node
+    0 is the empty word, and each node has its children by letter and the
+    prefix it stands for, spelled in small int letters, one per arrow, so
+    that the kernel hashes ints and not arrows; `at` holds each word's
+    node once a walk has reached its end."""
+
+    def __init__(self, words: list[Word]):
+        self.words = words
+        self.prefixes, self.children = [()], [{}]
+        self.code: dict[Arrow, int] = {}
+        self.at = [0] * len(words)
+
+    def support(self, rs: Sequence[tuple]) -> list[int]:
+        """The indices of the words that embed in the runs rs, each maximal
+        block of equal letters in one run of its letter.  Each node's
+        earliest end, the index of the run where its prefix's earliest
+        embedding ends, comes from its parent's: the same for a letter that
+        extends the block, else the next run of the letter after it, by
+        bisection in that letter's run positions.  A node's end is found
+        once per run sequence, and a word's walk stops at its first prefix
+        that does not embed."""
+        n = len(rs)
+        seen: dict[Arrow, list[int]] = {}
+        for i, (a, _) in enumerate(rs):
+            seen.setdefault(a, []).append(i)
+        for later in seen.values():
+            later.append(n)  # the end of a prefix that does not embed
+        never = [n]
+        prefixes, children, code, at = self.prefixes, self.children, self.code, self.at
+        ends: list = [None] * len(prefixes)
+        ends[0] = -1
+        kept = []
+        for i, w in enumerate(self.words):
+            node, e, last = 0, -1, None
+            for a in w:
+                kids = children[node]
+                child = kids.get(a)
+                f = None if child is None else ends[child]
+                if f is None:
+                    if a != last:
+                        later = seen.get(a, never)
+                        e = later[bisect_right(later, e)]
+                    if child is None:
+                        child = kids[a] = len(prefixes)
+                        prefixes.append(prefixes[node] + (code.setdefault(a, len(code)),))
+                        children.append({})
+                        ends.append(e)
+                    else:
+                        ends[child] = e
+                else:
+                    e = f
+                if e == n:
+                    break
+                node, last = child, a
+            else:
+                at[i] = node
+                kept.append(i)
+        return kept
+
+    def coded(self, i: int) -> tuple[int, ...]:
+        """Word i in int letters, once a walk has reached its end."""
+        return self.prefixes[self.at[i]]
+
+    def closure(self, kept: Sequence[int]) -> Iterable[tuple[int, ...]]:
+        """The prefix closure of the words kept, in int letters: every node
+        when every word is kept, since each walk then reached its end."""
+        if len(kept) == len(self.words):
+            return self.prefixes
+        return _prefix_closure(map(self.coded, kept))
+
+    def letters(self, rs: Sequence[tuple]) -> list[tuple[int, int]]:
+        """The runs rs in int letters, less those on arrows of no node: no
+        word kept has their letter, so they update nothing."""
+        code = self.code
+        return [(code[a], c) for a, c in rs if a in code]
 
 
 def order(path: PathMap, max_degree: int) -> int | None:

@@ -183,7 +183,7 @@ def same_loop_functionals(g, base, degree, a, b):
     loops = [_runs(*_product(base, w)) for w in _generator_words(g, base, degree)]
 
     def rows(elements):
-        return [[_pairing(coeffs)(rs) for rs in loops] for coeffs in elements]
+        return [list(map(_pairing(coeffs), loops)) for coeffs in elements]
     return span_equal(rows(a), rows(b), len(loops))
 
 

@@ -5,18 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import random_digraph, random_path, random_rational, random_word
 
 from pathint import (AlgebraElement, OneForm, PairingError, all_words,
-                     commutator, concat, double_edge, insert_trivial, inverse,
-                     iterated_integral, iterated_integral_direct, make_path,
-                     order, pair, standard_triangle, step_pairing, trivial_path,
+                     commutator, concat, directed_cycle, double_edge,
+                     functional_equal, insert_trivial, invariance_verify,
+                     inverse, iterated_integral, iterated_integral_direct,
+                     make_path, order, pair, pi1_candidates, standard_square,
+                     standard_triangle, step_pairing, trivial_path,
                      volume_number, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all, zero)
-from pathint.integrals import signature
-from pathint.paths import steps
+from pathint.integrals import (_WordTrie, _evaluate, _pairing, _plan,
+                               _prefix_closure, signature)
+from pathint.paths import _generator_words, _product, _runs, runs, steps
 
 
 def test_volume_number_values():
@@ -285,6 +288,214 @@ def test_high_degree_on_the_double_edge():
         assert pair(word_element(D, (a,) * k), p) == expected
     assert iterated_integral(p, [OneForm.basis(D, a)] * 80) == expected
     assert order(p, 80) == 1
+
+
+def _embeds(word, rs):
+    """Whether the letters of word's maximal blocks of equal letters appear
+    in order among the arrows of the runs rs."""
+    arrows = iter(a for a, _ in rs)
+    blocks = [a for i, a in enumerate(word) if i == 0 or word[i - 1] != a]
+    return all(any(a == b for b in arrows) for a in blocks)
+
+
+def _direct_pair(elem, p):
+    return sum((c * iterated_integral_direct(p, [OneForm.basis(elem.graph, a) for a in w])
+                for w, c in elem.coeffs.items()), Fraction(0))
+
+
+def _assert_pair_is_the_sum_over_words(elem, p):
+    """pair against the weighted sum of `word_pairings_all` and against the
+    direct sum; and every word that does not embed in the runs pairs to 0
+    (the support lemma of `_pairing`)."""
+    sig = word_pairings_all(p, elem.degree)
+    value = pair(elem, p)
+    assert type(value) is Fraction
+    assert value == sum((c * sig[w] for w, c in elem.coeffs.items()), Fraction(0))
+    assert value == _direct_pair(elem, p)
+    rs = runs(p)
+    assert all(sig[w] == 0 for w in elem.coeffs if not _embeds(w, rs))
+
+
+def _chen_support_case(seed, max_len, max_degree):
+    """A random element and a walk with planted backtracks and stationary
+    steps, sometimes followed by its inverse so that its runs cancel; about
+    half the element's words are spelled by blocks on an ordered sample of
+    the runs, the rest are random words of degree 0..max_degree."""
+    rng = random.Random(seed)
+    g = random_digraph(rng, max_vertices=4, p=0.5)
+    p = random_path(rng, g, max_len=max_len)
+    for _ in range(2):  # each pass plants a backtrack and a trivial step
+        i = rng.randint(0, p.length)
+        p = insert_trivial(_detour(rng, p, i) or p, rng.randint(0, p.length))
+    if rng.random() < 0.2:
+        p = concat(p, inverse(p))
+    rs = runs(p)
+    coeffs = {}
+    for _ in range(rng.randint(1, 6)):
+        if rs and rng.random() < 0.5:
+            picks = sorted(rng.sample(range(len(rs)), rng.randint(1, min(3, len(rs)))))
+            w = tuple(a for i in picks for a in [rs[i][0]] * rng.randint(1, 2))
+        else:
+            w = tuple(rng.choice(g.arrows) for _ in range(rng.randint(0, max_degree)))
+        coeffs[w[:max_degree]] = random_rational(rng, zero_ok=False)
+    return AlgebraElement(g, coeffs), p
+
+
+def _chen_support_property(max_len, max_degree):
+    @given(st.integers(min_value=0, max_value=2 ** 32))
+    def prop(seed):
+        _assert_pair_is_the_sum_over_words(*_chen_support_case(seed, max_len, max_degree))
+    return prop
+
+
+def test_pair_sums_only_the_words_the_runs_spell():
+    _chen_support_property(max_len=5, max_degree=4)()
+
+
+@pytest.mark.wide
+def test_pair_sums_only_the_words_the_runs_spell_on_longer_walks():
+    _chen_support_property(max_len=7, max_degree=4)()
+
+
+def _chen_support_examples():
+    D = double_edge()
+    a, b = D.arrows
+    T = standard_triangle()
+    x, y, z = T.arrows
+    there_and_back = make_path(D, ["v0", "v1", "v0"], "fb")
+    around = make_path(T, ["v0", "v1", "v2", "v0", "v1"], "ffbf")
+    return {
+        # a^3 and b^2 a^2: each block spelled by one run
+        "block in one run": (AlgebraElement(D, {(a, a, a): Fraction(2, 3),
+                                                (b, b, a, a): Fraction(-1, 5)}),
+                             make_path(D, ["v0", "v1", "v0", "v1"], "fff")),
+        # x in the first and the last of the runs x y z^-1 x, with y between
+        "one arrow in two runs": (AlgebraElement(T, {(x, y, x): Fraction(3),
+                                                     (x, x): Fraction(1, 2),
+                                                     (z, x, x): Fraction(-7, 4)}), around),
+        "runs that cancel": (AlgebraElement(D, {(a,): Fraction(5), (a, a): Fraction(1, 3),
+                                                (): Fraction(-2)}), there_and_back),
+        "empty word": (AlgebraElement(T, {(): Fraction(4, 9), (y, z): Fraction(2)}), around),
+        "no word embeds": (AlgebraElement(T, {(z, y): Fraction(5), (y, y, x): Fraction(-1)}),
+                           make_path(T, ["v0", "v1", "v2"], "ff")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_chen_support_examples()))
+def test_pair_on_the_cases_of_the_support_rule(name):
+    elem, p = _chen_support_examples()[name]
+    _assert_pair_is_the_sum_over_words(elem, p)
+    if name == "runs that cancel":
+        assert runs(p) == [] and pair(elem, p) == -2
+    if name == "no word embeds":
+        assert pair(elem, p) == Fraction(0)
+        assert not any(_embeds(w, runs(p)) for w in elem.coeffs)
+
+
+def _letters_embed(word, rs):
+    """Whether the letters of word, each in a run of its own, appear in
+    order among the arrows of the runs rs."""
+    arrows = iter(a for a, _ in rs)
+    return all(any(a == b for b in arrows) for a in word)
+
+
+def _support_needing_a_run_per_letter(support):
+    """`_WordTrie.support` less the words that need two runs of one arrow
+    for one block: the support rule with a run per letter."""
+    def wrong(trie, rs):
+        return [i for i in support(trie, rs) if _letters_embed(trie.words[i], rs)]
+    return wrong
+
+
+def test_pair_property_fails_when_each_letter_needs_its_own_run(monkeypatch):
+    monkeypatch.setattr(_WordTrie, "support",
+                        _support_needing_a_run_per_letter(_WordTrie.support))
+    D = double_edge()
+    a = D.arrows[0]
+    once = make_path(D, ["v0", "v1"], "f")
+    assert pair(word_element(D, (a, a)), once) == 0  # it is 1/2
+    prop = settings(report_multiple_bugs=False, phases=[Phase.generate])(
+        _chen_support_property(max_len=5, max_degree=4))
+    with pytest.raises(AssertionError):
+        prop()
+
+
+def _pairing_without_support(coeffs):
+    """The pairing of every word of the element, on one plan over their
+    prefix closure: `_pairing` with no support rule."""
+    plan = _plan(_prefix_closure(coeffs))
+
+    def value(rs):
+        sig = _evaluate(rs, plan)
+        return sum((c * Fraction(sig[w], math.factorial(len(w))) for w, c in coeffs.items()),
+                   Fraction(0))
+    return value
+
+
+def _multi_path_elements(g, rng):
+    """Random elements of degree 1..3, one with only the words of the
+    base's first out-arrow (it misses the letters of most generator-loop
+    products), the zero element and the pi1 candidates of degree 2."""
+    words = all_words(g.arrows, 3, min_degree=1)
+    out = [AlgebraElement(g, {rng.choice(words): random_rational(rng) for _ in range(5)})
+           for _ in range(3)]
+    a = g.out_arrows("v0")[0]
+    out.append(AlgebraElement(g, {(a,): Fraction(1), (a, a): Fraction(-1, 2),
+                                  (a, a, a): Fraction(1, 6)}))
+    out.append(zero(g))
+    out.extend(pi1_candidates(g, "v0", 2).candidates)
+    return out
+
+
+MULTI_PATH_FIXTURES = [standard_triangle, standard_square, double_edge,
+                       lambda: directed_cycle(4), wedge_of_cycles]
+
+
+def _wedge_null_pair():
+    """Two elements on the wedge that differ by a null loop functional: a
+    loop at v0 crosses the arrows of each cycle equally often, and the
+    words of one cycle miss the letters of the other cycle's loops."""
+    W = wedge_of_cycles()
+    a, b, c, d = ("v0", "v1"), ("v1", "v2"), ("v0", "v4"), ("v4", "v5")
+    return tuple(AlgebraElement(W, {(x,): Fraction(1), (y,): Fraction(1),
+                                    (x, x): Fraction(1), (y, y): Fraction(1, 3)})
+                 for x, y in ((a, c), (b, d)))
+
+
+def test_multi_path_callers_answer_as_without_the_support_rule(rng, monkeypatch):
+    cases = [_multi_path_elements(f(), rng) for f in MULTI_PATH_FIXTURES]
+    cases.append(list(_wedge_null_pair()))
+
+    def answers():
+        out = []
+        for elements in cases:
+            for u in elements:
+                out.append(invariance_verify(u, "v0"))
+                for v in elements:
+                    for flavor in ("loop", "path"):
+                        out.append(functional_equal(u, v, "v0", flavor))
+        return out
+    pruned = answers()
+    assert {verdict.status for verdict in pruned} == {
+        "invariant", "counterexample", "equal", "certified-unequal"}
+    monkeypatch.setattr("pathint.algebra._pairing", _pairing_without_support)
+    monkeypatch.setattr("pathint.homotopy._pairing", _pairing_without_support)
+    assert answers() == pruned
+
+
+def test_one_element_pairs_through_a_plan_per_support(monkeypatch):
+    # the products of at most 2 generator loops of the wedge go around one
+    # cycle, the other or both, so they give several supports, the first
+    # two of one size; each plans once, and every value is the one with no
+    # support rule
+    plans = []
+    monkeypatch.setattr("pathint.integrals._plan", lambda words: plans.append(1) or _plan(words))
+    u, v = _wedge_null_pair()
+    coeffs = (u + 2 * v).coeffs
+    loops = [_runs(*_product("v0", w)) for w in _generator_words(u.graph, "v0", 2)]
+    value = _pairing(coeffs)
+    assert [value(rs) for rs in loops] == list(map(_pairing_without_support(coeffs), loops))
+    assert 2 <= len(plans) < len(loops)
 
 
 def test_pair_rejects_mixed_starts():
