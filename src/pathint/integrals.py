@@ -267,39 +267,59 @@ def _pairing(coeffs: dict[Word, Fraction]) -> Callable[[Sequence[tuple]], Fracti
     b^k of equal letters can always be spelled by one run of b (two runs
     in a row never share an arrow, `runs` being a free reduction), so w
     pairs to 0 unless the letters of its maximal blocks appear in order
-    among the run arrows.  So each path's sum runs over the words that
-    embed so, its support (`_WordTrie.support`), and the weights and the
-    plan are made over the support and its prefix closure only (a prefix
-    of an embedding word embeds), once per support."""
+    among the run arrows; a path whose runs cancel pairs with the empty
+    word alone.  So the first path's sum runs over the words that embed
+    so, its support (`_WordTrie.support`), on a plan over the support's
+    prefix closure only (a prefix of an embedding word embeds), when the
+    support holds at most half the words.  Otherwise, and for every later
+    path, one plan of every word is made once and shared: callers that
+    pair many paths, as `invariance_verify` and `BasedFunctional.equal`
+    do, rarely meet one support twice, and on the short loops they pair,
+    walking the trie and planning each support cost more than evaluating
+    every word."""
     words, ratios = list(coeffs), [c.as_integer_ratio() for c in coeffs.values()]
     degree = max(map(len, words), default=0)
     m_fact = math.factorial(degree)
     scale = [m_fact // math.factorial(t) for t in range(degree + 1)]
     q = math.lcm(*(den for _, den in ratios))
     trie = _WordTrie(words)
-    plans: dict[tuple, tuple] = {}
+    whole = None  # the plan and terms of every word, made at most once
+    first = True
 
-    def value(rs: Sequence[tuple]) -> Fraction:
-        kept = tuple(trie.support(rs))
-        if not kept:
-            return Fraction(0)
-        made = plans.get(kept)
-        if made is None:
-            terms = [(trie.coded(i), ratios[i][0] * (q // ratios[i][1]) * scale[len(words[i])])
-                     for i in kept]
-            made = plans[kept] = _plan(trie.closure(kept)), terms
-        plan, terms = made
+    def made(kept: Sequence[int]) -> tuple:
+        terms = [(trie.coded(i), ratios[i][0] * (q // ratios[i][1]) * scale[len(words[i])])
+                 for i in kept]
+        return _plan(trie.closure(kept)), terms
+
+    def total(rs: Sequence[tuple], plan: tuple, terms: list) -> Fraction:
         sig = _evaluate(trie.letters(rs), plan)
         return Fraction(sum(k * sig[w] for w, k in terms), q * m_fact)
+
+    def value(rs: Sequence[tuple]) -> Fraction:
+        nonlocal whole, first
+        if not rs:  # S = 1: only the empty word pairs
+            return coeffs.get((), _ZERO)
+        if first:
+            first = False
+            kept = trie.support(rs)
+            if not kept:
+                return Fraction(0)
+            if 2 * len(kept) <= len(words):
+                return total(rs, *made(kept))
+            if len(kept) == len(words):
+                whole = made(kept)
+        if whole is None:
+            whole = made(trie.every())
+        return total(rs, *whole)
     return value
 
 
 class _WordTrie:
-    """The trie of an element's words, grown as `support` walks them: node
-    0 is the empty word, and each node has its children by letter and the
-    prefix it stands for, spelled in small int letters, one per arrow, so
-    that the kernel hashes ints and not arrows; `at` holds each word's
-    node once a walk has reached its end."""
+    """The trie of an element's words, grown as `support` walks them, or
+    all at once by `every`: node 0 is the empty word, and each node has its
+    children by letter and the prefix it stands for, spelled in small int
+    letters, one per arrow, so that the kernel hashes ints and not arrows;
+    `at` holds each word's node once a walk has reached its end."""
 
     def __init__(self, words: list[Word]):
         self.words = words
@@ -323,8 +343,8 @@ class _WordTrie:
         for later in seen.values():
             later.append(n)  # the end of a prefix that does not embed
         never = [n]
-        prefixes, children, code, at = self.prefixes, self.children, self.code, self.at
-        ends: list = [None] * len(prefixes)
+        children, at = self.children, self.at
+        ends: list = [None] * len(self.prefixes)
         ends[0] = -1
         kept = []
         for i, w in enumerate(self.words):
@@ -338,9 +358,7 @@ class _WordTrie:
                         later = seen.get(a, never)
                         e = later[bisect_right(later, e)]
                     if child is None:
-                        child = kids[a] = len(prefixes)
-                        prefixes.append(prefixes[node] + (code.setdefault(a, len(code)),))
-                        children.append({})
+                        child = self._grow(node, a)
                         ends.append(e)
                     else:
                         ends[child] = e
@@ -353,6 +371,25 @@ class _WordTrie:
                 at[i] = node
                 kept.append(i)
         return kept
+
+    def every(self) -> range:
+        """The indices of all the words, once each is a node of the trie."""
+        children = self.children
+        for i, w in enumerate(self.words):
+            node = 0
+            for a in w:
+                child = children[node].get(a)
+                node = self._grow(node, a) if child is None else child
+            self.at[i] = node
+        return range(len(self.words))
+
+    def _grow(self, node: int, a: Arrow) -> int:
+        """A new child of node by letter a."""
+        prefixes, code = self.prefixes, self.code
+        child = self.children[node][a] = len(prefixes)
+        prefixes.append(prefixes[node] + (code.setdefault(a, len(code)),))
+        self.children.append({})
+        return child
 
     def coded(self, i: int) -> tuple[int, ...]:
         """Word i in int letters, once a walk has reached its end."""

@@ -483,19 +483,39 @@ def test_multi_path_callers_answer_as_without_the_support_rule(rng, monkeypatch)
     assert answers() == pruned
 
 
-def test_one_element_pairs_through_a_plan_per_support(monkeypatch):
-    # the products of at most 2 generator loops of the wedge go around one
-    # cycle, the other or both, so they give several supports, the first
-    # two of one size; each plans once, and every value is the one with no
-    # support rule
+def test_later_paths_share_one_plan_of_every_word(monkeypatch):
+    # the first nontrivial product of the wedge's generator loops goes around
+    # one cycle, so its support misses the other cycle's words and gets a
+    # smaller plan; every later path is evaluated on one plan of every word,
+    # made once.  A first path whose support holds more than half the words
+    # gets that plan at once: a loop around both cycles spells every word,
+    # and a path around the first cycle and on to v4 spells 6 of the 8.
+    # Every value is the one with no support rule.
     plans = []
-    monkeypatch.setattr("pathint.integrals._plan", lambda words: plans.append(1) or _plan(words))
+
+    def counted(words):
+        words = list(words)
+        plans.append(len(words))
+        return _plan(words)
+    monkeypatch.setattr("pathint.integrals._plan", counted)
     u, v = _wedge_null_pair()
     coeffs = (u + 2 * v).coeffs
-    loops = [_runs(*_product("v0", w)) for w in _generator_words(u.graph, "v0", 2)]
-    value = _pairing(coeffs)
-    assert [value(rs) for rs in loops] == list(map(_pairing_without_support(coeffs), loops))
-    assert 2 <= len(plans) < len(loops)
+    every = len(_prefix_closure(coeffs))
+    loops = [_runs(*_product("v0", w)) for w in _generator_words(u.graph, "v0", 2)][1:]
+    both = next(rs for rs in loops if len({a for a, _ in rs}) == len(u.graph.arrows))
+
+    def planned(first):
+        plans.clear()
+        order = [first] + [rs for rs in loops if rs != first]
+        value = _pairing(coeffs)
+        assert [value(rs) for rs in order] == list(map(_pairing_without_support(coeffs), order))
+        return list(plans)
+    assert len(loops) > 2
+    first = planned(loops[0])
+    assert len(first) == 2 and first[0] < first[1] == every
+    assert planned(both) == [every]
+    on = runs(make_path(u.graph, ["v0", "v1", "v2", "v3", "v0", "v4"], "fffff"))
+    assert planned(on) == [every]
 
 
 def test_pair_rejects_mixed_starts():
