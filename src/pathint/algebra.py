@@ -27,18 +27,10 @@ from typing import Callable, Iterable, Sequence
 from .errors import PairingError
 from .forms import OneForm
 from .graphs import Arrow, BasedDigraph, Digraph, DigraphMap
-from .integrals import Word, _all_words_plan, _evaluate, _pairing, all_words, pair
+from .integrals import Word, _all_words_plan, _evaluate, _pairing, _word, all_words, pair
 from .linalg import _Combination, _sum_terms
 from .paths import (PathMap, _build, _check_base, _check_bound, _generator_words, _product,
                     _runs, _tree_paths, concat, inverse, runs)
-
-
-def _word(graph: Digraph, w: Iterable[Arrow]) -> Word:
-    word = tuple(w)
-    if not graph.arrow_set.issuperset(word):
-        raise PairingError(f"word uses unknown arrow "
-                           f"{next(a for a in word if a not in graph.arrow_set)!r}")
-    return word
 
 
 class AlgebraElement(_Combination):
@@ -87,7 +79,7 @@ def unit(graph: Digraph) -> AlgebraElement:
 
 def word_element(graph: Digraph, word: Iterable[Arrow],
                  coeff=1) -> AlgebraElement:
-    return AlgebraElement(graph, {tuple(word): Fraction(coeff)})
+    return AlgebraElement(graph, {_word(graph, word): Fraction(coeff)})
 
 
 def from_forms(graph: Digraph, forms: Sequence[OneForm]) -> AlgebraElement:

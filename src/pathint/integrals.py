@@ -216,9 +216,21 @@ def _evaluate(rs: Sequence[tuple], plan: tuple) -> dict[Word, int]:
     return sig
 
 
-def word_pairing(path: PathMap, word: Word) -> Fraction:
+def _word(graph: Digraph, w: Iterable[Arrow]) -> Word:
+    """w as a word of graph's arrows; a letter that is not one is refused."""
+    try:
+        word = tuple(w)
+        if graph.arrow_set.issuperset(word):
+            return word
+    except TypeError as exc:
+        raise PairingError(f"word {w!r} is not a sequence of hashable letters ({exc})") from None
+    raise PairingError(f"word uses unknown arrow "
+                       f"{next(a for a in word if a not in graph.arrow_set)!r}")
+
+
+def word_pairing(path: PathMap, word: Iterable[Arrow]) -> Fraction:
     """Iterated integral of the arrow basis word e^{a_1}..e^{a_r}."""
-    word = tuple(word)
+    word = _word(path.graph, word)
     return signature(path, (word,))[word]
 
 
@@ -259,7 +271,9 @@ def _pairing(coeffs: dict[Word, Fraction]) -> Callable[[Sequence[tuple]], Fracti
     common denominator of its coefficients n_w / q_w, it is the one
     fraction sum of n_w (q / q_w) (M! / L!) L! <w, S> over q M!, read off
     the signature kernel's scaled ints (L = len(w)); q and M are those of
-    the whole element.
+    the whole element.  Words and runs are spelled in small int letters,
+    one per arrow of the words planned, so that the kernel hashes ints and
+    not arrows; a run on any other arrow updates no word planned.
 
     Support lemma.  By Chen's identity S = exp(c_1 e_a_1)..exp(c_m e_a_m)
     for runs (a_1, c_1)..(a_m, c_m), so <w, S> is the sum, over the ways
@@ -269,30 +283,30 @@ def _pairing(coeffs: dict[Word, Fraction]) -> Callable[[Sequence[tuple]], Fracti
     pairs to 0 unless the letters of its maximal blocks appear in order
     among the run arrows; a path whose runs cancel pairs with the empty
     word alone.  So the first path's sum runs over the words that embed
-    so, its support (`_WordTrie.support`), on a plan over the support's
-    prefix closure only (a prefix of an embedding word embeds), when the
-    support holds at most half the words.  Otherwise, and for every later
-    path, one plan of every word is made once and shared: callers that
-    pair many paths, as `invariance_verify` and `BasedFunctional.equal`
-    do, rarely meet one support twice, and on the short loops they pair,
-    walking the trie and planning each support cost more than evaluating
-    every word."""
+    so, its support (`_support`, one block test per word), on a plan over
+    the support's prefix closure only (a prefix of an embedding word
+    embeds), when the support holds at most half the words.  Otherwise,
+    and for every later path, one plan of every word is made once and
+    shared: callers that pair many paths, as `invariance_verify` and
+    `BasedFunctional.equal` do, rarely meet one support twice, and on the
+    short loops they pair, finding and planning each support cost more
+    than evaluating every word."""
     words, ratios = list(coeffs), [c.as_integer_ratio() for c in coeffs.values()]
     degree = max(map(len, words), default=0)
     m_fact = math.factorial(degree)
     scale = [m_fact // math.factorial(t) for t in range(degree + 1)]
     q = math.lcm(*(den for _, den in ratios))
-    trie = _WordTrie(words)
+    code: dict[Arrow, int] = {}  # grown as plans spell their words
     whole = None  # the plan and terms of every word, made at most once
     first = True
 
-    def made(kept: Sequence[int]) -> tuple:
-        terms = [(trie.coded(i), ratios[i][0] * (q // ratios[i][1]) * scale[len(words[i])])
-                 for i in kept]
-        return _plan(trie.closure(kept)), terms
+    def made(kept: Iterable[int]) -> tuple:
+        terms = [(tuple([code.setdefault(a, len(code)) for a in words[i]]),
+                  ratios[i][0] * (q // ratios[i][1]) * scale[len(words[i])]) for i in kept]
+        return _plan(_prefix_closure(w for w, _ in terms)), terms
 
     def total(rs: Sequence[tuple], plan: tuple, terms: list) -> Fraction:
-        sig = _evaluate(trie.letters(rs), plan)
+        sig = _evaluate([(code[a], c) for a, c in rs if a in code], plan)
         return Fraction(sum(k * sig[w] for w, k in terms), q * m_fact)
 
     def value(rs: Sequence[tuple]) -> Fraction:
@@ -301,112 +315,38 @@ def _pairing(coeffs: dict[Word, Fraction]) -> Callable[[Sequence[tuple]], Fracti
             return coeffs.get((), _ZERO)
         if first:
             first = False
-            kept = trie.support(rs)
+            kept = _support(words, rs)
             if not kept:
                 return Fraction(0)
             if 2 * len(kept) <= len(words):
                 return total(rs, *made(kept))
-            if len(kept) == len(words):
-                whole = made(kept)
         if whole is None:
-            whole = made(trie.every())
+            whole = made(range(len(words)))
         return total(rs, *whole)
     return value
 
 
-class _WordTrie:
-    """The trie of an element's words, grown as `support` walks them, or
-    all at once by `every`: node 0 is the empty word, and each node has its
-    children by letter and the prefix it stands for, spelled in small int
-    letters, one per arrow, so that the kernel hashes ints and not arrows;
-    `at` holds each word's node once a walk has reached its end."""
-
-    def __init__(self, words: list[Word]):
-        self.words = words
-        self.prefixes, self.children = [()], [{}]
-        self.code: dict[Arrow, int] = {}
-        self.at = [0] * len(words)
-
-    def support(self, rs: Sequence[tuple]) -> list[int]:
-        """The indices of the words that embed in the runs rs, each maximal
-        block of equal letters in one run of its letter.  Each node's
-        earliest end, the index of the run where its prefix's earliest
-        embedding ends, comes from its parent's: the same for a letter that
-        extends the block, else the next run of the letter after it, by
-        bisection in that letter's run positions.  A node's end is found
-        once per run sequence, and a word's walk stops at its first prefix
-        that does not embed."""
-        n = len(rs)
-        seen: dict[Arrow, list[int]] = {}
-        for i, (a, _) in enumerate(rs):
-            seen.setdefault(a, []).append(i)
-        for later in seen.values():
-            later.append(n)  # the end of a prefix that does not embed
-        never = [n]
-        children, at = self.children, self.at
-        ends: list = [None] * len(self.prefixes)
-        ends[0] = -1
-        kept = []
-        for i, w in enumerate(self.words):
-            node, e, last = 0, -1, None
-            for a in w:
-                kids = children[node]
-                child = kids.get(a)
-                f = None if child is None else ends[child]
-                if f is None:
-                    if a != last:
-                        later = seen.get(a, never)
-                        e = later[bisect_right(later, e)]
-                    if child is None:
-                        child = self._grow(node, a)
-                        ends.append(e)
-                    else:
-                        ends[child] = e
-                else:
-                    e = f
-                if e == n:
+def _support(words: Sequence[Word], rs: Sequence[tuple]) -> list[int]:
+    """The indices of the words that embed in the runs rs: the letters of
+    each word's maximal blocks of equal letters appear in order among the
+    run arrows.  Each block takes the first run of its letter after the
+    previous block's run, by bisection in that letter's run positions."""
+    at: dict[Arrow, list[int]] = {}
+    for i, (a, _) in enumerate(rs):
+        at.setdefault(a, []).append(i)
+    kept = []
+    for i, w in enumerate(words):
+        e, last = -1, None
+        for a in w:
+            if a != last:
+                later = at.get(a, ())
+                j = bisect_right(later, e)
+                if j == len(later):
                     break
-                node, last = child, a
-            else:
-                at[i] = node
-                kept.append(i)
-        return kept
-
-    def every(self) -> range:
-        """The indices of all the words, once each is a node of the trie."""
-        children = self.children
-        for i, w in enumerate(self.words):
-            node = 0
-            for a in w:
-                child = children[node].get(a)
-                node = self._grow(node, a) if child is None else child
-            self.at[i] = node
-        return range(len(self.words))
-
-    def _grow(self, node: int, a: Arrow) -> int:
-        """A new child of node by letter a."""
-        prefixes, code = self.prefixes, self.code
-        child = self.children[node][a] = len(prefixes)
-        prefixes.append(prefixes[node] + (code.setdefault(a, len(code)),))
-        self.children.append({})
-        return child
-
-    def coded(self, i: int) -> tuple[int, ...]:
-        """Word i in int letters, once a walk has reached its end."""
-        return self.prefixes[self.at[i]]
-
-    def closure(self, kept: Sequence[int]) -> Iterable[tuple[int, ...]]:
-        """The prefix closure of the words kept, in int letters: every node
-        when every word is kept, since each walk then reached its end."""
-        if len(kept) == len(self.words):
-            return self.prefixes
-        return _prefix_closure(map(self.coded, kept))
-
-    def letters(self, rs: Sequence[tuple]) -> list[tuple[int, int]]:
-        """The runs rs in int letters, less those on arrows of no node: no
-        word kept has their letter, so they update nothing."""
-        code = self.code
-        return [(code[a], c) for a, c in rs if a in code]
+                e, last = later[j], a
+        else:
+            kept.append(i)
+    return kept
 
 
 def order(path: PathMap, max_degree: int) -> int | None:

@@ -3,9 +3,10 @@
 import math
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from conftest import random_digraph, random_path, random_rational, random_word
 
@@ -14,11 +15,11 @@ from pathint import (AlgebraElement, OneForm, PairingError, all_words,
                      functional_equal, insert_trivial, invariance_verify,
                      inverse, iterated_integral, iterated_integral_direct,
                      make_path, order, pair, pi1_candidates, standard_square,
-                     standard_triangle, step_pairing, trivial_path,
-                     volume_number, wedge_of_cycles, word_element,
+                     shuffle, standard_triangle, step_pairing, trivial_path,
+                     validate_digraph, volume_number, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all, zero)
-from pathint.integrals import (_WordTrie, _evaluate, _pairing, _plan,
-                               _prefix_closure, signature)
+from pathint.integrals import (_evaluate, _pairing, _plan, _prefix_closure, _support,
+                               signature)
 from pathint.paths import _generator_words, _product, _runs, runs, steps
 
 
@@ -392,6 +393,22 @@ def test_pair_on_the_cases_of_the_support_rule(name):
         assert not any(_embeds(w, runs(p)) for w in elem.coeffs)
 
 
+# runs of a, b and c in either direction, repeats allowed so that one arrow
+# runs more than once; words of a..d, so that d never runs, with blocks of
+# repeated letters
+_RUNS = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), max_size=8)
+_WORDS = st.lists(st.lists(st.sampled_from("abcd"), max_size=6).map(tuple), max_size=8)
+
+
+@given(_RUNS, _WORDS)
+@example([("a", 1), ("b", -1), ("a", 1)],
+         [("a", "a", "b", "a"), ("b", "a", "a"), ("a", "b", "b", "a", "b"), ("d",), ()])
+def test_support_keeps_the_words_whose_blocks_embed(rs, words):
+    # like `runs`, no two runs in a row share an arrow
+    rs = [next(group) for _, group in groupby(rs, key=lambda r: r[0])]
+    assert _support(words, rs) == [i for i, w in enumerate(words) if _embeds(w, rs)]
+
+
 def _letters_embed(word, rs):
     """Whether the letters of word, each in a run of its own, appear in
     order among the arrows of the runs rs."""
@@ -400,16 +417,16 @@ def _letters_embed(word, rs):
 
 
 def _support_needing_a_run_per_letter(support):
-    """`_WordTrie.support` less the words that need two runs of one arrow
-    for one block: the support rule with a run per letter."""
-    def wrong(trie, rs):
-        return [i for i in support(trie, rs) if _letters_embed(trie.words[i], rs)]
+    """`_support` less the words that need two runs of one arrow for one
+    block: the support rule with a run per letter."""
+    def wrong(words, rs):
+        return [i for i in support(words, rs) if _letters_embed(words[i], rs)]
     return wrong
 
 
 def test_pair_property_fails_when_each_letter_needs_its_own_run(monkeypatch):
-    monkeypatch.setattr(_WordTrie, "support",
-                        _support_needing_a_run_per_letter(_WordTrie.support))
+    monkeypatch.setattr("pathint.integrals._support",
+                        _support_needing_a_run_per_letter(_support))
     D = double_edge()
     a = D.arrows[0]
     once = make_path(D, ["v0", "v1"], "f")
@@ -430,6 +447,71 @@ def _pairing_without_support(coeffs):
         return sum((c * Fraction(sig[w], math.factorial(len(w))) for w, c in coeffs.items()),
                    Fraction(0))
     return value
+
+
+def _long_walk_case(seed):
+    """Two elements, each with one word of degree 1, 2 and 3, and a walk
+    of 30-60 steps with stationary steps and immediate backtracks, on a
+    connected digraph of 6-8 vertices and about 1.7 arrows per vertex.
+    Each element's words are drawn from every arrow, some of which the
+    walk may miss, or spelled by blocks on an ordered sample of the walk's
+    runs."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(rng.randint(6, 8))]
+    arrows = {(vs[i], rng.choice(vs[:i]))[::rng.choice((1, -1))] for i in range(1, len(vs))}
+    while len(arrows) < 1.7 * len(vs):
+        arrows.add(tuple(rng.sample(vs, 2)))
+    g = validate_digraph(vs, sorted(arrows))
+    verts, flags, back = [vs[0]], [], None
+    for _ in range(rng.randint(30, 60)):
+        v, x = verts[-1], rng.random()
+        if x < 0.1:  # a stationary step
+            w, o = v, "f"
+        else:
+            w, o = back if x < 0.25 and back else rng.choice(
+                [(a[1], "f") for a in g.out_arrows(v)] + [(a[0], "b") for a in g.in_arrows(v)])
+            back = (v, "b" if o == "f" else "f")
+        verts.append(w)
+        flags.append(o)
+    p = make_path(g, verts, flags)
+    rs = runs(p)
+
+    def element():
+        spelled = len(rs) >= 3 and rng.random() < 0.5
+        coeffs = {}
+        for d in (1, 2, 3):
+            if spelled:
+                picks = sorted(rng.sample(range(len(rs)), d))
+                w = tuple(a for i in picks for a in [rs[i][0]] * rng.randint(1, 2))[:d]
+            else:
+                w = tuple(rng.choice(g.arrows) for _ in range(d))
+            coeffs[w] = random_rational(rng, zero_ok=False)
+        return AlgebraElement(g, coeffs)
+    return element(), element(), p
+
+
+def test_pair_of_shuffle_products_on_long_walks(monkeypatch):
+    # the benchmark's shape: pair of a shuffle product of degree <= 6 with a
+    # 30-60 step walk; the cases reach both a plan over the support and the
+    # plan of every word
+    sizes, plans = [], set()
+
+    def counted(words):
+        words = list(words)
+        sizes.append(len(words))
+        return _plan(words)
+    monkeypatch.setattr("pathint.integrals._plan", counted)
+    for seed in range(12):
+        a, b, p = _long_walk_case(seed)
+        u, rs = shuffle(a, b), runs(p)
+        assert 30 <= p.length <= 60 and u.degree <= 6
+        sizes.clear()
+        value = pair(u, p)
+        every = len(_prefix_closure(u.coeffs))
+        plans.update("every" if n == every else "support" for n in sizes)
+        assert value == _pairing_without_support(u.coeffs)(rs)
+        assert value == pair(a, p) * pair(b, p)
+    assert plans == {"support", "every"}
 
 
 def _multi_path_elements(g, rng):

@@ -13,7 +13,8 @@ from pathint import (AlgebraElement, BasedDigraph, BasedFunctional, DigraphMap,
                      one_step_map_homotopy, order, pi1_candidates, pullback_element,
                      pullback_one_form,
                      push_forward, standard_square, standard_triangle,
-                     step_pairing, trivial_path, word_pairings_all)
+                     step_pairing, trivial_path, word_element, word_pairing,
+                     word_pairings_all)
 from pathint.serialization import parse_dot, path_from_dict
 
 T, S, D = standard_triangle(), standard_square(), double_edge()
@@ -139,6 +140,24 @@ REFUSALS = {
     "order up to a string degree": (
         lambda: order(STEP_T, "3"),
         PairingError, "max_degree must be an int, got '3'"),
+    "word pairing with an arrow the path's digraph lacks": (
+        lambda: word_pairing(STEP_T, [("v9", "v8")]),
+        PairingError, "word uses unknown arrow ('v9', 'v8')"),
+    "word pairing with a string for a word": (
+        lambda: word_pairing(STEP_T, "ab"),
+        PairingError, "word uses unknown arrow 'a'"),
+    "word pairing with an unhashable letter": (
+        lambda: word_pairing(STEP_T, [["v0", "v1"]]),
+        PairingError, "word [['v0', 'v1']] is not a sequence of hashable letters "
+                      "(unhashable type: 'list')"),
+    "word pairing with an int for a word": (
+        lambda: word_pairing(STEP_T, 5),
+        PairingError, "word 5 is not a sequence of hashable letters "
+                      "('int' object is not iterable)"),
+    "word element with an unhashable letter": (
+        lambda: word_element(T, [["v0", "v1"]]),
+        PairingError, "word [['v0', 'v1']] is not a sequence of hashable letters "
+                      "(unhashable type: 'list')"),
     # paths
     "LoopMap whose endpoints differ": (
         lambda: LoopMap(T, ("v0", "v1"), ("f",)),
@@ -194,6 +213,8 @@ def test_the_refused_calls_succeed_once_repaired():
     assert functional_equal(ELEM_D, ELEM_D, "v0").status == "equal"
     assert invariance_verify(ELEM_D, "v0").status == "counterexample"
     assert order(STEP_T, 3) == 1 and len(word_pairings_all(STEP_T, 1)) == 4
+    assert word_pairing(STEP_T, [("v0", "v1")]) == 1
+    assert word_element(T, [("v0", "v1")]) == ELEM_T
     assert change_base_point(STEP_T, BasedFunctional(ELEM_T, "v1", "loop")).base == "v0"
     assert BasedDigraph(["a"], [], "a").base == "a"
     assert hopf_axiom_report(T, 1, base="v0")["all_passed"]
