@@ -64,7 +64,9 @@ def _value(x):
 #
 # A handler takes the digraph and the parsed arguments, each document flag
 # already holding its value, and returns (payload, text); text None means
-# that the text output is the JSON output.
+# that the text output is the JSON output.  A payload that costs more than
+# its text may be returned as a zero-argument callable, called only for the
+# JSON output.
 
 def _cmd_validate(g, args):
     triangles = len(enumerate_patterns(g, "triangle"))
@@ -199,14 +201,16 @@ def _cmd_pi1(g, args):
     if base is None:
         raise GraphError("a base vertex is required (use --base or a based digraph)")
     result = pi1_candidates(g, base, args.degree)
-    payload = {"base": base,
-               "degree_bound": result.degree_bound,
-               "candidates": [{"element": ser.element_to_dict(c)["element"]}
-                              for c in result.candidates],
-               "invariant_kernel": [ser.element_to_dict(u)["element"]
-                                    for u in result.invariant_kernel]}
+
+    def payload():
+        return {"base": base,
+                "degree_bound": result.degree_bound,
+                "candidates": [{"element": ser.element_to_dict(c)["element"]}
+                               for c in result.candidates],
+                "invariant_kernel": [ser.element_to_dict(u)["element"]
+                                     for u in result.invariant_kernel]}
     text = (f"{len(result.candidates)} candidate(s), "
-            f"invariant kernel dimension {len(result.invariant_kernel)}")
+            f"invariant kernel dimension {result.invariant_kernel_dimension}")
     return payload, text
 
 
@@ -372,10 +376,13 @@ def main(argv=None) -> int:
     handler, _, flags = COMMANDS[args.command]
     try:
         payload, text = handler(_read_operands(args, flags), args)
+        as_json = text is None or args.format == "json"
+        if as_json and callable(payload):
+            payload = payload()
     except (PathintError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if text is None or args.format == "json":
+    if as_json:
         sys.stdout.write(ser.canonical_dumps(payload))
     else:
         print(text)

@@ -24,7 +24,7 @@ from .algebra import AlgebraElement, BasedFunctional
 from .errors import MapError, PathError
 from .forms import OneForm, _closedness, _omega2_boundaries, closed_arrows, is_closed
 from .graphs import Arrow, Digraph, DigraphMap, Vertex, enumerate_patterns
-from .integrals import _all_words_plan, _evaluate, _pairing, all_words, signature
+from .integrals import _pairing, _spelled, all_words, signature
 from .linalg import _ONE, _ZERO, Echelon, _sum_terms
 from .paths import (FORWARD, PathMap, _build, _check_base, _check_bound, _check_loop_pair,
                     _generator_words, _loop_generators, _non_tree_arrows, _product, _runs,
@@ -522,10 +522,13 @@ def invariance_verify(elem: AlgebraElement, base: Vertex) -> InvarianceVerdict:
     base that are one move apart, on the test pairs of `_test_pairs` (by
     its lemma).  The first test pair that pairs differently gives the
     counterexample: its loop, the cell's move and the neighbor it makes;
-    if none does, the element is invariant."""
+    if none does, the element is invariant.  The pairing is set up at the
+    first test pair, so a base without one sets up none."""
     g = elem.graph
-    value = _by_runs(_pairing(elem.coeffs))
+    value = None
     for loop, neighbor, fields in _test_pairs(g, base, elem.degree):
+        if value is None:
+            value = _by_runs(_pairing(elem.coeffs))
         va, vb = value(loop), value(neighbor)
         if va != vb:
             path, move = _build(g, *loop), Move(*fields)
@@ -557,9 +560,10 @@ class Pi1Result:
         first read.
 
         Lemma.  Let X_a = d! (S(g_a) - 1) for the generator loop g_a of
-        letter a, and X_w the product of X_a over the letters of w.  Each
-        row that elimination kept, `_relations` as (w, d! (S(r) - 1), w'),
-        lifts to X_w (S(r) - 1) X_w'.  phi X_a = d! (exp(e_a) - 1) is
+        letter a, read off `_spelled` on the words g_a's runs spell, and
+        X_w the product of X_a over the letters of w.  Each row that
+        elimination kept, `_relations` as (w, d! (S(r) - 1), w'), lifts to
+        X_w (S(r) - 1) X_w'.  phi X_a = d! (exp(e_a) - 1) is
         d! e_a plus longer words, so phi of a lift is w R_r w' plus relator
         rows of longer shifts, up to a positive factor.  `pi1_candidates`
         inserts the longest shifts first, so the rows it kept of shift >= k
@@ -571,7 +575,6 @@ class Pi1Result:
         the lemma of `paths._generator_words`: the kernel is that of every
         move row over every arrow word, in its reduced basis."""
         g, base, d = self.graph, self.base, self.degree_bound
-        plan = _all_words_plan(g, d)
         x = {}  # X_w in ints
 
         def lift(w):
@@ -580,7 +583,7 @@ class Pi1Result:
                     x[w] = _times(lift(w[:1]), lift(w[1:]), d)
                 else:
                     i = _non_tree_arrows(g, base).index(w[0])
-                    x[w] = _less_one(*_loop_generators(g, base)[i], plan, d)
+                    x[w] = _less_one(*_loop_generators(g, base)[i], d)
             return x[w]
         words = all_words(g.arrows, d, min_degree=1)
         column = {w: k for k, w in enumerate(words)}
@@ -594,13 +597,22 @@ class Pi1Result:
         return tuple(AlgebraElement._unchecked(g, {words[k]: c for k, c in vec.items()})
                      for vec in echelon.kernel())
 
+    @property
+    def invariant_kernel_dimension(self) -> int:
+        """len(invariant_kernel) without building it: the number of arrow
+        words of degree 1..d less the number of relator rows kept, whose
+        lifts are independent by the lemma of `invariant_kernel`."""
+        n = len(self.graph.arrows)
+        return sum(n ** k for k in range(1, self.degree_bound + 1)) - len(self._relations)
 
-def _less_one(vs: tuple, os: tuple, plan: tuple, d: int) -> dict:
-    """d! (S - 1) of the unbuilt path (vs, os) on the words of plan, of
-    degree <= d, in ints: the signature kernel gives L! <w, S>."""
+
+def _less_one(vs: tuple, os: tuple, d: int) -> dict:
+    """d! (S - 1) of the unbuilt path (vs, os) truncated at degree d, in
+    ints, on the words its runs spell with a nonzero value: `_spelled`
+    gives L! <w, S>."""
     top = math.factorial(d)
     return {w: top // math.factorial(len(w)) * v
-            for w, v in _evaluate(_runs(vs, os), plan).items() if w and v}
+            for w, v in _spelled(_runs(vs, os), d).items() if w}
 
 
 def _times(a: dict, b: dict, d: int) -> dict:
@@ -632,18 +644,18 @@ def pi1_candidates(g: Digraph, base: Vertex, degree_bound: int) -> Pi1Result:
     generator products X, Y, that is, iff it annihilates the shifted
     relators w R_r w' truncated at degree d, R_r = phi S(r) - 1 and w, w'
     monomials with |w| + |w'| <= d - 1.  So the candidates are the kernel
-    of those rows: d! R_r is d! (S(r) - 1), read off the signature kernel
-    over every arrow word, on the non-tree words, and each row is inserted
-    sparse, the longest shifts first.  No loop rows are needed; the rows
-    kept independent are what `Pi1Result.invariant_kernel` lifts at its
-    first read, and its lemma needs that order."""
+    of those rows: d! R_r is d! (S(r) - 1), read off `_spelled` on the
+    words r's runs spell (Chen's identity; every other word pairs to 0),
+    on the non-tree words, and each row is inserted sparse, the longest
+    shifts first.  No loop rows are needed; the rows kept independent are
+    what `Pi1Result.invariant_kernel` lifts at its first read, and its
+    lemma needs that order."""
     _check_bound("degree_bound", degree_bound, 1)
     d = degree_bound
     letters = _non_tree_arrows(g, base)
     words = all_words(letters, d, min_degree=1)
     column = {w: k for k, w in enumerate(words)}
-    plan = _all_words_plan(g, d)
-    cells = [_less_one(vs, os, plan, d) for vs, os, _ in _cell_loops(g, base)]
+    cells = [_less_one(vs, os, d) for vs, os, _ in _cell_loops(g, base)]
     relators = [[(w, cell[w]) for w in words if w in cell] for cell in cells]
     echelon, relations = Echelon(len(words)), []
     for k in reversed(range(d)):  # the shifts w, w' with |w| + |w'| = k

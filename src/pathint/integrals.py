@@ -216,6 +216,25 @@ def _evaluate(rs: Sequence[tuple], plan: tuple) -> dict[Word, int]:
     return sig
 
 
+def _spelled(rs: Sequence[tuple], d: int) -> dict[Word, int]:
+    """L! <w, S> for every word w of degree <= d with a nonzero value, on a
+    path whose `runs` are rs: `_evaluate`'s update made forward from the
+    words already held, so no plan is needed.  By Chen's identity S is the
+    product of exp(c e_a) over the runs (a, c), so the words held are those
+    the runs spell, and the factor adds C(L + k, k) c^k L! <w, S> to
+    (L + k)! <w a^k, S> for each word w held before it, L = len(w)."""
+    binom = [[math.comb(t + k, k) for k in range(d - t + 1)] for t in range(d + 1)]
+    sig = {(): 1}
+    for a, c in rs:
+        for w, v in list(sig.items()):
+            if v:
+                row = binom[len(w)]
+                for k in range(1, len(row)):
+                    w, v = w + (a,), v * c
+                    sig[w] = sig.get(w, 0) + row[k] * v
+    return {w: v for w, v in sig.items() if v}
+
+
 def _word(graph: Digraph, w: Iterable[Arrow]) -> Word:
     """w as a word of graph's arrows; a letter that is not one is refused."""
     try:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from pathint.cli import COMMANDS, _options, _plain, build_parser, main
-from pathint import algebra, serialization as ser
+from pathint import algebra, homotopy, serialization as ser
 from pathint import (box_product, closed_one_forms, double_edge, directed_cycle,
                      make_path, standard_triangle, wedge_of_cycles)
 
@@ -226,6 +226,20 @@ def test_pi1_command(files, capsys):
     code, out, _ = run(capsys, "pi1", "--graph", g, "--degree", "1",
                        "--length-bound", "3")
     assert (code, out) == (0, "1 candidate(s), invariant kernel dimension 4\n")
+
+
+def test_pi1_text_answer_does_not_lift_the_relator_rows(files, capsys, monkeypatch):
+    # the text answer counts the kernel; only the JSON answer lifts the
+    # relator rows by the generator loops (`homotopy._times`)
+    g = files("t.json", _torus_c4())
+
+    def lift(*args):
+        raise AssertionError("relator rows lifted")
+    monkeypatch.setattr(homotopy, "_times", lift)
+    code, out, _ = run(capsys, "pi1", "--graph", g, "--degree", "2")
+    assert (code, out) == (0, "5 candidate(s), invariant kernel dimension 755\n")
+    with pytest.raises(AssertionError, match="relator rows lifted"):
+        run(capsys, "pi1", "--graph", g, "--degree", "2", "--format", "json")
 
 
 def test_change_base(files, capsys):

@@ -30,9 +30,9 @@ from pathint import (AlgebraElement, BasedFunctional, Digraph, DigraphMap,
 from pathint import homotopy, paths
 from pathint.forms import closed_arrows
 from pathint.graphs import enumerate_patterns
-from pathint.homotopy import (MOVE_KINDS, _cell_loops, _less_one, _lists, _moves,
-                              _separating_invariant, _test_pairs)
-from pathint.integrals import _all_words_plan
+from pathint.homotopy import (MOVE_KINDS, InvarianceVerdict, _cell_loops, _less_one, _lists,
+                              _moves, _separating_invariant, _test_pairs)
+from pathint.integrals import _pairing
 from pathint.linalg import Echelon, complement_basis, kernel, span_equal
 from pathint.paths import _loop_generators, _non_tree_arrows, _product, runs
 
@@ -806,6 +806,30 @@ def test_invariance_verify_counterexample_carries_move():
     assert verdict.move.kind == "triangle-contract"
 
 
+def test_invariance_verify_sets_up_the_pairing_at_the_first_test_pair(monkeypatch):
+    # the wedge of two cycles has no 2-cell, so no test pair at v0: a dense
+    # element of every word of degree 1-3 is invariant there with no
+    # pairing set up; on the triangle one is set up for every test pair
+    setups = []
+
+    def counted(coeffs):
+        setups.append(len(coeffs))
+        return _pairing(coeffs)
+    monkeypatch.setattr(homotopy, "_pairing", counted)
+    W = wedge_of_cycles()
+    dense = AlgebraElement(W, {w: Fraction(i + 1, 7) for i, w in
+                               enumerate(all_words(W.arrows, 3, min_degree=1))})
+    assert next(_test_pairs(W, "v0", 3), None) is None
+    assert invariance_verify(dense, "v0") == InvarianceVerdict("invariant", "v0")
+    assert setups == []
+    T = standard_triangle()
+    e1 = from_forms(T, [OneForm.basis(T, ("v0", "v1"))])
+    assert invariance_verify(e1, "v0").status == "counterexample"
+    closed = from_forms(T, [closed_one_forms(T)[0]])
+    assert invariance_verify(closed, "v0").status == "invariant"
+    assert setups == [1, len(closed.coeffs)]
+
+
 def _first_differing_pair(elem, base, length_bound):
     """Reference for `invariance_verify`: every (loop, neighbor) pair in
     enumeration order, none skipped."""
@@ -1327,8 +1351,7 @@ def _kept_relator_rows(g, base, d, shifts):
     shifts."""
     letters = _non_tree_arrows(g, base)
     column = {w: k for k, w in enumerate(all_words(letters, d, min_degree=1))}
-    plan = _all_words_plan(g, d)
-    cells = [_less_one(vs, os, plan, d) for vs, os, _ in _cell_loops(g, base)]
+    cells = [_less_one(vs, os, d) for vs, os, _ in _cell_loops(g, base)]
     echelon, kept = Echelon(len(column)), []
     for k in shifts:
         for cell in cells:
@@ -1362,6 +1385,30 @@ def test_pi1_agrees_with_the_all_words_route_on_every_three_vertex_digraph():
         g = Digraph(vs, [a for i, a in enumerate(pairs) if mask >> i & 1])
         for degree in (1, 2, 3):
             _assert_pi1_agrees_with_the_all_words_route(g, "v0", degree)
+
+
+def test_pi1_kernel_dimension_is_counted_without_the_lift():
+    # all 64 arrow sets on v0, v1, v2, base v0, degrees 1-3: the count is the
+    # kernel's length, and the arrow words W less the non-tree words whose
+    # kernel the candidates are; negative control: one candidate fewer
+    # breaks the second identity
+    vs = ["v0", "v1", "v2"]
+    pairs = list(permutations(vs, 2))
+    controls = 0
+    for mask in range(2 ** len(pairs)):
+        g = Digraph(vs, [a for i, a in enumerate(pairs) if mask >> i & 1])
+        for degree in (1, 2, 3):
+            result = pi1_candidates(g, "v0", degree)
+            words = len(all_words(g.arrows, degree, min_degree=1))
+            non_tree = len(all_words(_non_tree_arrows(g, "v0"), degree, min_degree=1))
+            dim = result.invariant_kernel_dimension
+            assert dim == len(result.invariant_kernel)
+            assert dim == words - non_tree + len(result.candidates)
+            if result.candidates:
+                controls += 1
+                dropped = replace(result, candidates=result.candidates[1:])
+                assert dim != words - non_tree + len(dropped.candidates)
+    assert controls
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=3))

@@ -18,8 +18,8 @@ from pathint import (AlgebraElement, OneForm, PairingError, all_words,
                      shuffle, standard_triangle, step_pairing, trivial_path,
                      validate_digraph, volume_number, wedge_of_cycles, word_element,
                      word_pairing, word_pairings_all, zero)
-from pathint.integrals import (_evaluate, _pairing, _plan, _prefix_closure, _support,
-                               signature)
+from pathint.integrals import (_all_words_plan, _evaluate, _pairing, _plan, _prefix_closure,
+                               _spelled, _support, signature)
 from pathint.paths import _generator_words, _product, _runs, runs, steps
 
 
@@ -407,6 +407,59 @@ def test_support_keeps_the_words_whose_blocks_embed(rs, words):
     # like `runs`, no two runs in a row share an arrow
     rs = [next(group) for _, group in groupby(rs, key=lambda r: r[0])]
     assert _support(words, rs) == [i for i, w in enumerate(words) if _embeds(w, rs)]
+
+
+def _spelled_property(kernel):
+    """kernel(rs, d) is the nonzero part of the all-words plan's kernel
+    values, on walks of `_chen_support_case` (planted backtracks and
+    stationary steps; one in five followed by its inverse, so that its runs
+    cancel) and degrees 1-4."""
+    @given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=4))
+    def prop(seed, d):
+        _, p = _chen_support_case(seed, max_len=5, max_degree=4)
+        rs = runs(p)
+        sig = _evaluate(rs, _all_words_plan(p.graph, d))
+        assert kernel(rs, d) == {w: v for w, v in sig.items() if v}
+    return prop
+
+
+def test_spelled_is_the_nonzero_part_of_the_all_words_plan():
+    _spelled_property(_spelled)()
+    D = double_edge()
+    a, b = D.arrows
+    assert _spelled(runs(make_path(D, ["v0", "v1", "v0"], "fb")), 4) == {(): 1}
+    # S = exp(a) exp(b) exp(a) on the runs a b a (the stationary step drops
+    # out): <a a, S> = 1/2 + 1 + 1/2, <b b, S> = 1/2, <a b, S> = <b a, S> = 1
+    rs = runs(make_path(D, ["v0", "v1", "v1", "v0", "v1"], "fbff"))
+    assert _spelled(rs, 2) == {(): 1, (a,): 2, (a, a): 4, (b,): 1, (a, b): 2, (b, a): 2,
+                               (b, b): 1}
+
+
+def _spelled_by(binomial, top):
+    """`_spelled` with C(L + k, k) read as binomial(L, k), and w a^k added
+    for k up to top(d - L) only: a broken kernel for the negative controls,
+    the right one with binomial C(L + k, k) and top the identity."""
+    def kernel(rs, d):
+        sig = {(): 1}
+        for a, c in rs:
+            for w, v in list(sig.items()):
+                for k in range(1, top(d - len(w)) + 1):
+                    x = w + (a,) * k
+                    sig[x] = sig.get(x, 0) + binomial(len(w), k) * c ** k * v
+        return {w: v for w, v in sig.items() if v}
+    return kernel
+
+
+@pytest.mark.parametrize("binomial, top", [
+    (lambda t, k: 1, lambda room: room),
+    (lambda t, k: math.comb(t + k, k), lambda room: min(room, 1))],
+    ids=["without the binomial", "k at most 1"])
+def test_spelled_property_fails_on_a_broken_update(binomial, top):
+    _spelled_property(_spelled_by(lambda t, k: math.comb(t + k, k), lambda room: room))()
+    prop = settings(report_multiple_bugs=False, phases=[Phase.generate])(
+        _spelled_property(_spelled_by(binomial, top)))
+    with pytest.raises(AssertionError):
+        prop()
 
 
 def _letters_embed(word, rs):
